@@ -3,7 +3,7 @@
 //! ```text
 //! pmo-analyzer --all                        # every built-in workload
 //! pmo-analyzer --workload micro:AVL --workload whisper:Echo
-//! pmo-analyzer --trace run.pmot --strict    # analyze a recorded trace
+//! pmo-analyzer --trace run.pmob --strict    # analyze a recorded trace
 //! pmo-analyzer --all --json report.json --record traces/
 //! ```
 //!
@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use pmo_analyzer::{standard_analyzer, validate_inspection, AnalysisReport, PermWindowPass};
-use pmo_trace::{TeeSink, TraceFile, TraceFileWriter};
+use pmo_trace::{BlockTrace, TeeSink, TraceSource};
 use pmo_workloads::{
     MicroBench, MicroConfig, MicroWorkload, ServerConfig, ServerWorkload, WhisperBench,
     WhisperConfig, WhisperWorkload, Workload,
@@ -102,9 +102,12 @@ fn window_pass(default_strict: bool, forced: Option<Policy>) -> PermWindowPass {
     }
 }
 
+/// Analyzes a block-format (`.pmob`) trace file; a file that is not a
+/// valid block trace is an `InvalidData` error.
 fn analyze_file(path: &Path, forced: Option<Policy>) -> io::Result<AnalysisReport> {
+    let trace = BlockTrace::decode(&std::fs::read(path)?)?;
     let mut analyzer = standard_analyzer(&path.display().to_string(), window_pass(false, forced));
-    TraceFile::open(path)?.stream_into(&mut analyzer)?;
+    trace.replay(&mut analyzer);
     Ok(analyzer.finish())
 }
 
@@ -117,11 +120,9 @@ fn analyze_workload(
 ) -> io::Result<AnalysisReport> {
     let mut analyzer = standard_analyzer(name, window_pass(default_strict, forced));
     if let Some(dir) = record_dir {
-        let path = dir.join(format!("{name}.pmot"));
-        let mut writer = TraceFileWriter::create(&path)?;
-        let mut tee = TeeSink::new(&mut writer, &mut analyzer);
-        workload.generate(&mut tee);
-        writer.finish()?;
+        let mut trace = BlockTrace::new();
+        workload.generate(&mut TeeSink::new(&mut trace, &mut analyzer));
+        std::fs::write(dir.join(format!("{name}.pmob")), trace.encode())?;
     } else {
         workload.generate(&mut analyzer);
     }
@@ -323,5 +324,35 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recorded_pmob_file_gives_the_live_report_and_bad_files_are_typed_errors() {
+        let dir = std::env::temp_dir().join(format!("pmo-analyzer-record-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let job = Job::Micro(MicroBench::Avl);
+        let live = run_job(&job, None, None).unwrap();
+        assert!(live.events > 0);
+        assert_eq!(run_job(&job, None, Some(&dir)).unwrap(), live, "recording only tees");
+
+        let path = dir.join("micro-AVL.pmob");
+        let replayed = analyze_file(&path, None).unwrap();
+        assert_eq!(AnalysisReport { source: live.source.clone(), ..replayed }, live);
+
+        let bytes = std::fs::read(&path).unwrap();
+        let garbage = dir.join("garbage.pmob");
+        std::fs::write(&garbage, b"definitely not a trace file").unwrap();
+        let truncated = dir.join("truncated.pmob");
+        std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+        for bad in [garbage, truncated] {
+            let err = analyze_file(&bad, None).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{}: {err}", bad.display());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -44,8 +44,8 @@
 //! the corresponding pass must catch it.
 //!
 //! The [`Analyzer`] driver is itself a [`pmo_trace::TraceSink`], so it
-//! can analyze a recorded trace, a `.pmot` file, or stream live next to
-//! the timing simulator through a `TeeSink`.
+//! can analyze a recorded trace, a decoded `.pmob` block-trace file, or
+//! stream live next to the timing simulator through a `TeeSink`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

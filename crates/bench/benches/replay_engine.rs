@@ -2,8 +2,8 @@
 //! the streamed same-page fast path, and the batched struct-of-arrays
 //! block engine, on the same recorded trace. The three lanes produce
 //! byte-identical reports (asserted in `pmo-sim`'s equality tests and in
-//! `benchtrend`); these benches track how far apart their wall clocks
-//! are, per scheme, without the campaign overhead around `benchtrend`.
+//! `pmobench`'s traced runs); these benches track how far apart their
+//! wall clocks are, per scheme, without any campaign around them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

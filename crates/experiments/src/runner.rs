@@ -2,17 +2,20 @@
 //! the measurement to the operation phase (the paper measures steady
 //! state, not population).
 //!
-//! Every run is statically audited by default: the trace is teed into a
-//! [`pmo_analyzer`] permission-window pass alongside the simulator, and
-//! an audit error is a harness bug (panic). Binaries parse `--no-audit`
-//! and `--jobs N` into [`RunOptions`] at the CLI layer and thread the
-//! options down explicitly — the library never sniffs `argv`.
+//! Workload events stream straight into the simulator; nothing is
+//! recorded. Every run is statically audited by default: the stream is
+//! teed into a [`pmo_analyzer`] permission-window pass alongside the
+//! simulator, and an audit error is a harness bug (panic). `--no-audit`
+//! drops the tee and changes nothing else, so reports are identical
+//! either way. Binaries parse `--no-audit` and `--jobs N` into
+//! [`RunOptions`] at the CLI layer and thread the options down
+//! explicitly — the library never sniffs `argv`.
 
 use pmo_analyzer::{Analyzer, InspectPass, PermWindowPass};
 use pmo_protect::SchemeKind;
 use pmo_sim::{Replay, ReplayReport};
 use pmo_simarch::SimConfig;
-use pmo_trace::{block, RecordedTrace, TraceEvent, TraceSink};
+use pmo_trace::{TraceEvent, TraceSink};
 use pmo_workloads::{
     MicroBench, MicroConfig, MicroWorkload, WhisperBench, WhisperConfig, WhisperWorkload, Workload,
 };
@@ -42,19 +45,41 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parses `--no-audit` and `--jobs N` from the process arguments
-    /// (CLI-layer helper for the experiment binaries).
+    /// Parses `--no-audit` and `--jobs N` out of a command line; every
+    /// other argument is ignored. `--jobs 0` clamps to 1.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `--jobs` has no value or its value is not a count.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut opts = RunOptions::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--no-audit" => opts.audit = false,
+                "--jobs" => {
+                    let value = args.next().ok_or("--jobs needs a worker count")?;
+                    let jobs: usize = value
+                        .parse()
+                        .map_err(|_| format!("--jobs needs a worker count, got {value:?}"))?;
+                    opts.jobs = jobs.max(1);
+                }
+                _ => {}
+            }
+        }
+        Ok(opts)
+    }
+
+    /// [`RunOptions::parse`] over the process arguments (CLI-layer helper
+    /// for the experiment binaries). A malformed option prints its message
+    /// and exits the process with status 2.
     #[must_use]
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        let jobs = args
-            .iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1);
-        RunOptions { audit: !args.iter().any(|a| a == "--no-audit"), jobs }
+        Self::parse(&args).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
     }
 
     /// This configuration with parallelism stripped — for nested drivers
@@ -65,27 +90,34 @@ impl RunOptions {
     }
 }
 
-/// Tees each workload event into the replay, then forwards the event plus
-/// any protocol events the scheme emitted while handling it (key-eviction
-/// shootdowns) to the analyzer — so the audit sees the same shootdown
-/// signal on the eviction path as on `pool_close`/attach-rollback.
+/// Tees each workload event into the replay, then (when auditing) forwards
+/// the event plus any protocol events the scheme emitted while handling it
+/// (key-eviction shootdowns) to the analyzer — so the audit sees the same
+/// shootdown signal on the eviction path as on `pool_close`/attach-rollback.
 struct AuditedSink<'a> {
     replay: &'a mut Replay,
-    analyzer: &'a mut Analyzer,
+    analyzer: Option<&'a mut Analyzer>,
 }
 
 impl TraceSink for AuditedSink<'_> {
     fn event(&mut self, ev: TraceEvent) {
         self.replay.event(ev);
-        self.analyzer.event(ev);
-        for protocol_ev in self.replay.drain_protocol_events() {
-            self.analyzer.event(protocol_ev);
+        // Drained even when unaudited: the scheme queues these until
+        // drained, so skipping the drain would grow memory with the trace.
+        let protocol = self.replay.drain_protocol_events();
+        if let Some(analyzer) = self.analyzer.as_deref_mut() {
+            analyzer.event(ev);
+            for protocol_ev in protocol {
+                analyzer.event(protocol_ev);
+            }
         }
     }
 }
 
 /// Runs `workload` under `kind`, returning the report windowed to the
-/// measured (post-setup) phase.
+/// measured (post-setup) phase. Events stream straight into the
+/// simulator; `opts.audit` only decides whether the permission audit
+/// tees along, so the report is the same either way.
 ///
 /// # Panics
 ///
@@ -98,9 +130,6 @@ pub fn run_windowed(
     config: &SimConfig,
     opts: RunOptions,
 ) -> ReplayReport {
-    if !opts.audit {
-        return run_windowed_unaudited(workload, kind, config);
-    }
     let name = workload.name();
     let mut replay = Replay::new(kind, config);
     // The multi-PMO baseline policy covers every workload family: no
@@ -108,58 +137,27 @@ pub fn run_windowed(
     // Binary inspection of the trusted-monitor image rides along (ERIM's
     // static half): a key-update sequence outside the registered call
     // gate fails the audit like any other error.
-    let mut analyzer = Analyzer::new(&name)
-        .with_pass(PermWindowPass::baseline())
-        .with_pass(InspectPass::standard());
-    workload.setup(&mut AuditedSink { replay: &mut replay, analyzer: &mut analyzer });
+    let mut analyzer = opts.audit.then(|| {
+        Analyzer::new(&name)
+            .with_pass(PermWindowPass::baseline())
+            .with_pass(InspectPass::standard())
+    });
+    workload.setup(&mut AuditedSink { replay: &mut replay, analyzer: analyzer.as_mut() });
     let snapshot = replay.snapshot();
-    workload.run(&mut AuditedSink { replay: &mut replay, analyzer: &mut analyzer });
-    let audit = analyzer.finish();
-    assert!(audit.passed(), "[{kind}] {name}: permission audit failed:\n{audit}");
-    assert!(
-        audit.complete(),
-        "[{kind}] {name}: permission audit truncated ({} finding(s) dropped)",
-        audit.dropped()
-    );
+    workload.run(&mut AuditedSink { replay: &mut replay, analyzer: analyzer.as_mut() });
+    if let Some(analyzer) = analyzer {
+        let audit = analyzer.finish();
+        assert!(audit.passed(), "[{kind}] {name}: permission audit failed:\n{audit}");
+        assert!(
+            audit.complete(),
+            "[{kind}] {name}: permission audit truncated ({} finding(s) dropped)",
+            audit.dropped()
+        );
+    }
     let report = replay.finish().since(&snapshot);
     assert!(
         !report.faulted(),
         "[{kind}] {name}: {} protection faults ({} dropped from the log), first: {:?}",
-        report.scheme_stats.faults,
-        report.faults_dropped,
-        report.faults.first()
-    );
-    report
-}
-
-/// [`run_windowed`] without the permission-window audit (what
-/// `--no-audit` selects). The trace is recorded, block-encoded, and
-/// replayed through the batched struct-of-arrays engine — the audited
-/// path must stream (the analyzer tees protocol events per event), so
-/// this is the campaign drivers' fast lane; the two paths are asserted
-/// report-identical by the runner tests.
-///
-/// # Panics
-///
-/// Panics if the workload raises any protection fault.
-pub fn run_windowed_unaudited(
-    workload: &mut dyn Workload,
-    kind: SchemeKind,
-    config: &SimConfig,
-) -> ReplayReport {
-    let mut setup = RecordedTrace::new();
-    workload.setup(&mut setup);
-    let mut run = RecordedTrace::new();
-    workload.run(&mut run);
-    let mut replay = Replay::new(kind, config);
-    replay.replay_blocks(&block::block_trace_of(&setup));
-    let snapshot = replay.snapshot();
-    replay.replay_blocks(&block::block_trace_of(&run));
-    let report = replay.finish().since(&snapshot);
-    assert!(
-        !report.faulted(),
-        "[{kind}] {}: {} protection faults ({} dropped from the log), first: {:?}",
-        workload.name(),
         report.scheme_stats.faults,
         report.faults_dropped,
         report.faults.first()
@@ -302,22 +300,47 @@ mod tests {
     }
 
     #[test]
-    fn unaudited_option_matches_unaudited_fn() {
+    fn audit_on_and_off_give_identical_reports() {
+        // The audit only tees: it must not change a single report field.
+        // Twenty PMOs puts the micro AVL past the 15-key cliff, so ERIM,
+        // mpk-virt and DPTI emit protocol events into the audit stream.
         let sim = SimConfig::isca2020();
-        let cfg = tiny_micro();
-        let via_opts = {
-            let mut w = MicroWorkload::new(MicroBench::Avl, cfg.clone());
-            run_windowed(
-                &mut w,
-                SchemeKind::DomainVirt,
-                &sim,
-                RunOptions { audit: false, ..RunOptions::default() },
-            )
+        let audited = RunOptions::default();
+        let unaudited = RunOptions { audit: false, ..audited };
+        let whisper_cfg =
+            WhisperConfig { txns: 50, records: 128, pmo_bytes: 8 << 20, ..WhisperConfig::quick() };
+        for kind in SchemeKind::ALL {
+            let micro = |opts| {
+                let mut w = MicroWorkload::new(MicroBench::Avl, tiny_micro());
+                run_windowed(&mut w, kind, &sim, opts)
+            };
+            let whisper = |opts| {
+                let mut w = WhisperWorkload::new(WhisperBench::Echo, whisper_cfg.clone());
+                run_windowed(&mut w, kind, &sim, opts)
+            };
+            for (on, off) in
+                [(micro(audited), micro(unaudited)), (whisper(audited), whisper(unaudited))]
+            {
+                assert_eq!(on, off, "{kind}: audit changed the report");
+                assert_eq!(on.to_json(), off.to_json(), "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_options_parse_flags_and_reject_malformed_jobs() {
+        let parse = |args: &[&str]| {
+            RunOptions::parse(&args.iter().map(|a| (*a).to_string()).collect::<Vec<_>>())
         };
-        let direct = {
-            let mut w = MicroWorkload::new(MicroBench::Avl, cfg.clone());
-            run_windowed_unaudited(&mut w, SchemeKind::DomainVirt, &sim)
-        };
-        assert_eq!(via_opts, direct);
+        assert_eq!(parse(&["table6"]), Ok(RunOptions::default()));
+        assert_eq!(
+            parse(&["table6", "--full", "--jobs", "4", "--no-audit"]),
+            Ok(RunOptions { audit: false, jobs: 4 })
+        );
+        assert_eq!(parse(&["table6", "--jobs", "0"]), Ok(RunOptions { audit: true, jobs: 1 }));
+        let bad = parse(&["table6", "--jobs", "abc"]).unwrap_err();
+        assert!(bad.contains("\"abc\""), "{bad}");
+        assert!(parse(&["table6", "--jobs"]).is_err(), "trailing --jobs");
+        assert!(parse(&["table6", "--jobs", "-1"]).is_err());
     }
 }

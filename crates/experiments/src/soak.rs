@@ -302,7 +302,7 @@ impl SoakReport {
         self.shards.iter().map(|s| s.violations.len() as u64 + s.violations_dropped).sum()
     }
 
-    /// Renders the campaign as JSON (for CI artifacts and benchtrend).
+    /// Renders the campaign as JSON (for CI artifacts).
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;

@@ -1,12 +1,11 @@
-//! Struct-of-arrays event blocks: the versioned zero-copy binary trace
-//! format the batched replay engine iterates.
+//! Struct-of-arrays event blocks ("PMOB"): the repo's one versioned
+//! binary trace format, written to disk by trace capture and iterated
+//! zero-copy by the batched replay engine.
 //!
-//! The record-per-event file format ([`crate::TraceFile`]) is convenient
-//! for capture, but replaying it means matching a [`TraceEvent`] enum per
-//! event. The block format stores the same 22-byte record fields as five
+//! Every event packs into a 22-byte record of five fields, stored as
 //! parallel *lanes* — `tags`, `va` (field `a`), `aux` (field `b`), `size`
-//! (field `c`), `id` (field `d`) — grouped into fixed-capacity blocks, so
-//! a replay inner loop can scan flat arrays (e.g. run-length batching of
+//! (field `c`), `id` (field `d`) — grouped into fixed-capacity blocks, so a
+//! replay inner loop can scan flat arrays (e.g. run-length batching of
 //! consecutive same-line accesses over the `va` lane) without constructing
 //! an enum value per event.
 //!
@@ -41,7 +40,7 @@ pub const DEFAULT_BLOCK_EVENTS: u32 = 4096;
 
 const HEADER_BYTES: usize = 24;
 
-/// Record tag codes, shared by the file and block formats.
+/// Record tag codes (the `tags` lane).
 pub mod tag {
     /// `TraceEvent::Compute`.
     pub const COMPUTE: u8 = 0;
@@ -73,10 +72,8 @@ pub mod tag {
     pub const MAX: u8 = STORE_DATA;
 }
 
-/// Packs an event into the shared `(tag, a, b, c, d)` record fields used
-/// by both the file format and the block lanes.
-#[must_use]
-pub fn pack_record(ev: &TraceEvent) -> (u8, u64, u64, u8, u32) {
+/// Packs an event into the `(tag, a, b, c, d)` record fields of the lanes.
+fn pack_record(ev: &TraceEvent) -> (u8, u64, u64, u8, u32) {
     match *ev {
         TraceEvent::Compute { count } => (tag::COMPUTE, u64::from(count), 0, 0, 0),
         TraceEvent::Load { va, size } => (tag::LOAD, va, 0, size, 0),
@@ -103,12 +100,9 @@ pub fn pack_record(ev: &TraceEvent) -> (u8, u64, u64, u8, u32) {
     }
 }
 
-/// Unpacks the shared `(tag, a, b, c, d)` record fields into an event.
-///
-/// # Errors
-///
-/// Fails on an unknown tag or fault-kind code.
-pub fn unpack_record(t: u8, a: u64, b: u64, c: u8, d: u32) -> io::Result<TraceEvent> {
+/// Unpacks the `(tag, a, b, c, d)` record fields into an event; an unknown
+/// tag or fault-kind code is an `InvalidData` error.
+fn unpack_record(t: u8, a: u64, b: u64, c: u8, d: u32) -> io::Result<TraceEvent> {
     Ok(match t {
         tag::COMPUTE => TraceEvent::Compute { count: a as u32 },
         tag::LOAD => TraceEvent::Load { va: a, size: c },
@@ -726,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn record_packing_matches_file_format() {
+    fn record_packing_roundtrips_every_event_kind() {
         for ev in sample() {
             let (t, a, b, c, d) = pack_record(&ev);
             assert_eq!(unpack_record(t, a, b, c, d).unwrap(), ev, "{ev:?}");

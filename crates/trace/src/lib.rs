@@ -32,7 +32,6 @@ mod audit;
 pub mod block;
 mod code;
 mod event;
-mod file;
 mod ids;
 mod perm;
 mod sink;
@@ -42,7 +41,6 @@ pub use audit::{AuditViolation, PermAudit};
 pub use block::{BlockReader, BlockTrace, EventBlock, LaneView};
 pub use code::{CodeImage, GateRegion};
 pub use event::{FaultKind, OpKind, TraceEvent};
-pub use file::{TraceFile, TraceFileWriter};
 pub use ids::{PmoId, ThreadId, Va};
 pub use perm::{AccessKind, Perm};
 pub use sink::{CountingSink, NullSink, RecordedTrace, TeeSink, TraceSink, TraceSource};

@@ -1,20 +1,20 @@
 //! The Pin-style capture/replay flow: record a workload's trace to a
-//! binary file once, then replay the *same* file under different
-//! protection schemes — the paper's exact methodology (§V).
+//! block-format (`.pmob`) file once, then replay the *same* file under
+//! different protection schemes — the paper's exact methodology (§V).
 //!
 //! Run with: `cargo run --release --example trace_capture`
 
 use pmo_repro::protect::SchemeKind;
-use pmo_repro::sim::{replay_source, Replay};
+use pmo_repro::sim::{replay_source, Replay, ReplayReport};
 use pmo_repro::simarch::SimConfig;
-use pmo_repro::trace::{TraceFile, TraceFileWriter, TraceSink};
+use pmo_repro::trace::{BlockTrace, TraceEvent, TraceSink};
 use pmo_repro::workloads::{MicroBench, MicroConfig, MicroWorkload, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let path = std::env::temp_dir().join("pmo_repro_demo.pmot");
+    let path = std::env::temp_dir().join("pmo_repro_demo.pmob");
 
-    // Capture: run the workload once, streaming into a trace file
-    // (tee-ing into a live simulator would work too).
+    // Capture: run the workload once into a block trace (tee-ing into a
+    // live simulator would work too), then write its encoded image.
     let mut workload = MicroWorkload::new(
         MicroBench::Rbt,
         MicroConfig {
@@ -28,25 +28,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: 1234,
         },
     );
-    let mut writer = TraceFileWriter::create(&path)?;
-    workload.setup(&mut writer);
+    let mut trace = BlockTrace::new();
+    workload.setup(&mut trace);
     // Mark the measurement boundary with a fence so the replay side could
     // window it if it wanted to (we replay everything here).
-    writer.event(pmo_repro::trace::TraceEvent::Fence);
-    workload.run(&mut writer);
-    let events = writer.finish()?;
+    trace.event(TraceEvent::Fence);
+    workload.run(&mut trace);
+    std::fs::write(&path, trace.encode())?;
     let bytes = std::fs::metadata(&path)?.len();
-    println!("captured {events} events ({bytes} bytes) to {}", path.display());
+    println!("captured {} events ({bytes} bytes) to {}", trace.len(), path.display());
 
-    // Replay: one trace, many schemes.
+    // Replay: read the file once; every scheme replays it zero-copy, its
+    // lanes borrowed straight from the image.
     let config = SimConfig::isca2020();
-    let trace = TraceFile::open(&path)?;
+    let image = std::fs::read(&path)?;
+    let replay_file = |kind| -> std::io::Result<ReplayReport> {
+        let mut replay = Replay::new(kind, &config);
+        replay.replay_encoded(&image)?;
+        Ok(replay.finish())
+    };
     println!("\n{:<12} {:>14} {:>12}", "scheme", "cycles", "faults");
     let mut lowerbound = 0u64;
     for kind in
         [SchemeKind::Lowerbound, SchemeKind::LibMpk, SchemeKind::MpkVirt, SchemeKind::DomainVirt]
     {
-        let report = replay_source(&trace, kind, &config);
+        let report = replay_file(kind)?;
         if kind == SchemeKind::Lowerbound {
             lowerbound = report.cycles;
         }
@@ -59,14 +65,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Determinism: replaying the file twice gives identical cycles.
-    let a = replay_source(&trace, SchemeKind::MpkVirt, &config).cycles;
-    let b = {
-        let mut replay = Replay::new(SchemeKind::MpkVirt, &config);
-        trace.stream_into(&mut replay)?;
-        replay.finish().cycles
-    };
-    assert_eq!(a, b, "file replay is deterministic");
+    // Determinism: the zero-copy replay equals streaming the decoded
+    // file event by event.
+    let zero_copy = replay_file(SchemeKind::MpkVirt)?;
+    let streamed = replay_source(&BlockTrace::decode(&image)?, SchemeKind::MpkVirt, &config);
+    assert_eq!(zero_copy, streamed, "file replay is deterministic");
     println!("\nreplay is deterministic; trace file at {}", path.display());
     std::fs::remove_file(&path)?;
     Ok(())

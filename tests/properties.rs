@@ -367,66 +367,8 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------
-// Trace files round-trip arbitrary event sequences.
-// ---------------------------------------------------------------------
-
-fn arb_event() -> impl Strategy<Value = pmo_repro::trace::TraceEvent> {
-    use pmo_repro::trace::{FaultKind, OpKind, ThreadId, TraceEvent};
-    prop_oneof![
-        (1u32..100_000).prop_map(|count| TraceEvent::Compute { count }),
-        (any::<u64>(), 1u8..=64).prop_map(|(va, size)| TraceEvent::Load { va, size }),
-        (any::<u64>(), 1u8..=64).prop_map(|(va, size)| TraceEvent::Store { va, size }),
-        (any::<u64>(), 1u8..=8, any::<u64>()).prop_map(|(va, size, data)| TraceEvent::StoreData {
-            va,
-            size,
-            data
-        }),
-        (1u32.., 0u8..3).prop_map(|(pmo, p)| TraceEvent::SetPerm {
-            pmo: PmoId::new(pmo),
-            perm: [Perm::None, Perm::ReadOnly, Perm::ReadWrite][p as usize],
-        }),
-        (1u32.., any::<u64>(), 0u64..(1 << 40), any::<bool>()).prop_map(
-            |(pmo, base, size, nvm)| TraceEvent::Attach { pmo: PmoId::new(pmo), base, size, nvm }
-        ),
-        (1u32..).prop_map(|pmo| TraceEvent::Detach { pmo: PmoId::new(pmo) }),
-        any::<u32>().prop_map(|t| TraceEvent::ThreadSwitch { thread: ThreadId::new(t) }),
-        any::<u64>().prop_map(|va| TraceEvent::Flush { va }),
-        Just(TraceEvent::Fence),
-        any::<bool>()
-            .prop_map(|end| TraceEvent::Op { kind: if end { OpKind::End } else { OpKind::Begin } }),
-        (1u32.., 0u8..3).prop_map(|(pmo, k)| TraceEvent::Fault {
-            pmo: PmoId::new(pmo),
-            kind: [FaultKind::PowerFailure, FaultKind::TornWrite, FaultKind::MediaError]
-                [k as usize],
-        }),
-        (1u32..).prop_map(|pmo| TraceEvent::Shootdown { pmo: PmoId::new(pmo) }),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn trace_files_roundtrip(events in prop::collection::vec(arb_event(), 0..200)) {
-        use pmo_repro::trace::{RecordedTrace, TraceFile, TraceFileWriter, TraceSink, TraceSource};
-        let dir = std::env::temp_dir()
-            .join(format!("pmo-prop-{}-{:x}", std::process::id(), events.len()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.pmot");
-
-        let mut writer = TraceFileWriter::create(&path).unwrap();
-        for ev in &events {
-            writer.event(*ev);
-        }
-        prop_assert_eq!(writer.finish().unwrap(), events.len() as u64);
-
-        let file = TraceFile::open(&path).unwrap();
-        let mut replayed = RecordedTrace::new();
-        file.replay(&mut replayed);
-        prop_assert_eq!(replayed.events(), events.as_slice());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
     // -----------------------------------------------------------------
     // Crash-image enumeration is closed under the persistency model:

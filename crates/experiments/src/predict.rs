@@ -29,7 +29,7 @@
 //!   required for the detach-settle bug), `visible` (the trace differs
 //!   but only through absent events, which no single-trace analysis can
 //!   reorder back into existence), or `invariant` (the recorded trace is
-//!   byte-identical to clean; only the DPOR invariant harness sees the
+//!   byte-identical to clean; only the DPOR checker sees the
 //!   bug). Each row is cross-checked against the modelcheck seeded
 //!   matrix: DPOR must catch every bug regardless of class.
 //! * **Scale** — the same pass then runs over the production-shaped
@@ -684,7 +684,7 @@ pub fn seeded_trace_rows() -> Vec<TraceSeedRow> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEffect {
     /// The recorded trace is byte-identical to the clean run on every
-    /// sampled schedule: only the DPOR invariant harness can see it.
+    /// sampled schedule: only the DPOR checker can see it.
     Invariant,
     /// The trace differs, but only through events that never executed
     /// (missing settles/shootdowns without a reorderable shadow).

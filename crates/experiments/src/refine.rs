@@ -1,5 +1,5 @@
 //! Refinement-verification campaign: exhaustive small-world enumeration
-//! driven through the DPOR explorer in refine mode.
+//! driven through the DPOR explorer.
 //!
 //! Where the modelcheck campaign explores ten hand-picked adversarial
 //! scenarios, this campaign enumerates *every* canonical program of a
@@ -9,11 +9,12 @@
 //! DPOR-distinct schedule, against the executable permission-oracle spec
 //! ([`pmo_modelcheck::SpecMachine`]):
 //!
-//! * **Refinement** — both concrete designs must stay in simulation with
-//!   the spec after every step: identical allow/deny verdicts, abstraction
-//!   functions mapping their state back onto the spec state exactly, and
-//!   no derived cache observably ahead of or behind it. Any divergence is
-//!   a `refinement-divergence` violation carrying a deterministic
+//! * **Refinement** — every concrete machine must stay in simulation with
+//!   the spec after every step: identical allow/deny verdicts
+//!   (`scheme-divergence`), no derived cache observably ahead of or behind
+//!   it (`stale-key-grant`, `pkru-desync`, `ptlb-desync`), and abstraction
+//!   functions mapping its state back onto the spec state exactly
+//!   (`refinement-divergence`). Every violation carries a deterministic
 //!   `world@program@schedule` repro id.
 //! * **Noninterference** — per explored schedule, a perturb-and-compare
 //!   pass proves no data flow from a domain's contents to any thread that
@@ -22,9 +23,9 @@
 //! The per-world canonical program count is cross-checked against the
 //! Burnside closed form: a mismatch means the enumerator dropped or
 //! duplicated an equivalence class and fails the campaign. `--seeded`
-//! re-validates every plantable [`ProtocolBug`]: each must surface as
-//! a refinement failure on some enumerated program, with the witness
-//! schedule re-verified by replay. Reports are byte-identical at any
+//! re-validates every plantable [`ProtocolBug`]: each must surface as a
+//! violation on some enumerated program, with the witness schedule
+//! re-verified by replay. Reports are byte-identical at any
 //! `--jobs` count.
 //!
 //! Scale caps are never silent: worlds excluded by the selected
@@ -37,9 +38,7 @@ use std::fmt;
 
 use pmo_analyzer::{json_string, ViolationClass};
 use pmo_modelcheck::enumerate::{self, Codes, WorldBounds};
-use pmo_modelcheck::{
-    explore_mode, model_config, replay_schedule_mode, CheckMode, ExploreLimits, Violation,
-};
+use pmo_modelcheck::{explore, model_config, replay_schedule, ExploreLimits, Violation};
 use pmo_protect::ProtocolBug;
 use pmo_simarch::SimConfig;
 
@@ -277,11 +276,11 @@ pub struct SeededOutcome {
 }
 
 impl SeededOutcome {
-    /// Whether the bug was caught as a refinement failure and the
-    /// witness replays.
+    /// Whether the bug was caught and the witness replays (a missed bug
+    /// never has a confirmed replay).
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.class == ViolationClass::RefinementDivergence && self.replay_confirmed
+        self.replay_confirmed
     }
 
     /// JSON object (stable field names).
@@ -414,7 +413,7 @@ impl fmt::Display for RefineReport {
             writeln!(f, "  {v}")?;
         }
         if !self.seeded.is_empty() {
-            writeln!(f, "\nseeded-bug re-validation (refinement mode):")?;
+            writeln!(f, "\nseeded-bug re-validation:")?;
             for s in &self.seeded {
                 writeln!(
                     f,
@@ -447,7 +446,7 @@ struct ChunkOutcome {
     violation_count: u64,
 }
 
-/// Explores one enumerated program in refine mode.
+/// Explores one enumerated program.
 fn check_program(
     world: &RefineWorld,
     index: usize,
@@ -456,7 +455,7 @@ fn check_program(
     limits: &ExploreLimits,
 ) -> pmo_modelcheck::ExploreOutcome {
     let scenario = enumerate::to_scenario(world.name, index, codes, &world.bounds, world.config());
-    explore_mode(&scenario, bug, limits, CheckMode::Refine)
+    explore(&scenario, bug, limits)
 }
 
 /// Exhaustively verifies one world, fanning program chunks across `jobs`
@@ -532,8 +531,8 @@ pub fn run_campaign(cfg: &RefineConfig, jobs: usize) -> RefineReport {
     }
 }
 
-/// Re-validates every plantable [`ProtocolBug`] through the refinement
-/// checker: scans the enumerated programs of each world in order (chunks
+/// Re-validates every plantable [`ProtocolBug`] through the checker:
+/// scans the enumerated programs of each world in order (chunks
 /// fanned across `jobs` workers, first witness in enumeration order
 /// regardless of job count) until the planted bug surfaces, then replays
 /// the witness schedule to confirm the counterexample is deterministic.
@@ -566,12 +565,7 @@ pub fn run_seeded(cfg: &RefineConfig, jobs: usize) -> Vec<SeededOutcome> {
                             &world.bounds,
                             world.config(),
                         );
-                        let replayed = replay_schedule_mode(
-                            &scenario,
-                            Some(bug),
-                            &witness.schedule,
-                            CheckMode::Refine,
-                        );
+                        let replayed = replay_schedule(&scenario, Some(bug), &witness.schedule);
                         let confirmed = replayed.is_ok_and(|r| {
                             r.violations.iter().any(|v| v.class == witness.class)
                                 && !r.report.passed()
@@ -599,8 +593,8 @@ pub fn run_seeded(cfg: &RefineConfig, jobs: usize) -> Vec<SeededOutcome> {
         .collect()
 }
 
-/// Replays one `world@program@schedule` repro id in refine mode and
-/// returns the analyzer report plus the violations it reproduced.
+/// Replays one `world@program@schedule` repro id and returns the
+/// analyzer report plus the violations it reproduced.
 ///
 /// # Errors
 ///
@@ -622,7 +616,7 @@ pub fn replay_repro(
     })?;
     let scenario =
         enumerate::to_scenario(world.name, program, codes, &world.bounds, world.config());
-    replay_schedule_mode(&scenario, bug, schedule, CheckMode::Refine)
+    replay_schedule(&scenario, bug, schedule)
 }
 
 #[cfg(test)]
@@ -709,5 +703,13 @@ mod tests {
         let schedule = pmo_modelcheck::parse_schedule(&row.schedule).unwrap();
         let replay = replay_repro(&cfg, world, program, &schedule, Some(row.bug)).unwrap();
         assert!(replay.violations.iter().any(|v| v.class == row.class));
+        // Every bug this world exposes is classified exactly as the
+        // hand-written DPOR matrix classifies it.
+        for check in pmo_modelcheck::seeded_checks() {
+            let row = rows.iter().find(|r| r.bug == check.bug).expect("row for every bug");
+            if row.passed() {
+                assert_eq!(row.class, check.expect, "{row:?}");
+            }
+        }
     }
 }

@@ -11,9 +11,12 @@
 //! pmo-modelcheck --replay setperm-vs-access@0.1.0 --bug skip-pkru-update-on-setperm
 //! ```
 //!
-//! Exits non-zero when any explored schedule violates an invariant
-//! (campaign mode), when a planted bug escapes detection (`--seeded`), or
-//! when a replayed schedule reports a violation.
+//! Every explored schedule runs the whole checker: verdicts, cache
+//! invariants and abstraction functions after every step, noninterference
+//! after every execution. Exits non-zero when any explored schedule
+//! violates a check (campaign mode), when a planted bug escapes detection
+//! (`--seeded`), when a replayed schedule reports a violation, or on a
+//! malformed command line.
 
 use std::io;
 use std::path::Path;
@@ -25,36 +28,64 @@ use pmo_modelcheck::{
 };
 use pmo_protect::ProtocolBug;
 
-fn arg_values(flag: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            if let Some(v) = args.next() {
-                out.push(v);
-            }
-        }
-    }
-    out
+/// The parsed command line.
+#[derive(Debug)]
+struct Cli {
+    list_scenarios: bool,
+    seeded: bool,
+    limits: ExploreLimits,
+    bug: Option<ProtocolBug>,
+    replay: Option<String>,
+    scenarios: Vec<String>,
+    json: Option<String>,
+    jobs: usize,
 }
 
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+/// Parses the arguments after the program name. A flag missing its
+/// value, a malformed number or label, or an unknown argument is an
+/// error; a repeated flag keeps its last value (`--scenario`
+/// accumulates), and `--jobs 0` runs serially.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value.parse().map_err(|_| format!("bad {flag} {value:?}"))
+    }
+    let mut cli = Cli {
+        list_scenarios: false,
+        seeded: false,
+        limits: ExploreLimits::default(),
+        bug: None,
+        replay: None,
+        scenarios: Vec::new(),
+        json: None,
+        jobs: 1,
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let flag = flag.as_str();
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag {
+            "--list-scenarios" => cli.list_scenarios = true,
+            "--seeded" => cli.seeded = true,
+            "--depth" => cli.limits.max_depth = number(flag, value()?)?,
+            "--max-schedules" => cli.limits.max_schedules = number(flag, value()?)?,
+            "--jobs" => cli.jobs = number::<usize>(flag, value()?)?.max(1),
+            "--bug" => {
+                let label = value()?;
+                cli.bug = Some(parse_bug(label).ok_or_else(|| {
+                    format!("unknown --bug {label:?} (known: {})", bug_labels().join(", "))
+                })?);
+            }
+            "--replay" => cli.replay = Some(value()?.clone()),
+            "--scenario" => cli.scenarios.push(value()?.clone()),
+            "--json" => cli.json = Some(value()?.clone()),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(cli)
 }
 
 fn parse_bug(label: &str) -> Option<ProtocolBug> {
     ProtocolBug::ALL.iter().copied().find(|b| b.label() == label)
-}
-
-fn limits_from_args() -> Result<ExploreLimits, String> {
-    let mut limits = ExploreLimits::default();
-    if let Some(depth) = arg_values("--depth").last() {
-        limits.max_depth = depth.parse().map_err(|_| format!("bad --depth {depth:?}"))?;
-    }
-    if let Some(cap) = arg_values("--max-schedules").last() {
-        limits.max_schedules = cap.parse().map_err(|_| format!("bad --max-schedules {cap:?}"))?;
-    }
-    Ok(limits)
 }
 
 fn list_scenarios() {
@@ -154,34 +185,25 @@ fn run_campaign(
 }
 
 fn real_main() -> Result<bool, String> {
-    if has_flag("--list-scenarios") {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_args(&args)?;
+    if cli.list_scenarios {
         list_scenarios();
         return Ok(true);
     }
-    let limits = limits_from_args()?;
-    let bug = match arg_values("--bug").last() {
-        Some(label) => Some(parse_bug(label).ok_or_else(|| {
-            format!("unknown --bug {label:?} (known: {})", bug_labels().join(", "))
-        })?),
-        None => None,
-    };
-    if let Some(spec) = arg_values("--replay").last() {
-        return run_replay(spec, bug);
+    if let Some(spec) = &cli.replay {
+        return run_replay(spec, cli.bug);
     }
-    if has_flag("--seeded") {
-        return Ok(run_seeded(&limits));
+    if cli.seeded {
+        return Ok(run_seeded(&cli.limits));
     }
-    if bug.is_some() {
+    if cli.bug.is_some() {
         return Err("--bug requires --replay (use --seeded for validation campaigns)".into());
     }
-    let jobs = match arg_values("--jobs").last() {
-        Some(n) => n.parse::<usize>().map_err(|_| format!("bad --jobs {n:?}"))?.max(1),
-        None => 1,
-    };
-    let campaign = run_campaign(&limits, &arg_values("--scenario"), jobs)?;
+    let campaign = run_campaign(&cli.limits, &cli.scenarios, cli.jobs)?;
     print!("{campaign}");
-    if let Some(path) = arg_values("--json").last() {
-        std::fs::write(Path::new(&path), campaign.to_json())
+    if let Some(path) = &cli.json {
+        std::fs::write(Path::new(path), campaign.to_json())
             .map_err(|e: io::Error| format!("writing {path}: {e}"))?;
         println!("wrote {path}");
     }
@@ -195,6 +217,66 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("pmo-modelcheck: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|a| (*a).to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn defaults_and_values_parse() {
+        let cli = parse(&[]).unwrap();
+        assert_eq!(cli.jobs, 1);
+        assert_eq!(cli.limits.max_depth, ExploreLimits::default().max_depth);
+        let cli = parse(&[
+            "--scenario",
+            "detach-race",
+            "--depth",
+            "16",
+            "--scenario",
+            "key-evict-storm",
+            "--jobs",
+            "4",
+            "--jobs",
+            "0",
+            "--max-schedules",
+            "9",
+            "--json",
+            "out.json",
+        ])
+        .unwrap();
+        assert_eq!(cli.scenarios, ["detach-race", "key-evict-storm"]);
+        assert_eq!(cli.limits.max_depth, 16);
+        assert_eq!(cli.limits.max_schedules, 9);
+        assert_eq!(cli.jobs, 1, "last --jobs wins and 0 clamps to serial");
+        assert_eq!(cli.json.as_deref(), Some("out.json"));
+        let cli = parse(&["--replay", "x@0.1", "--bug", "stale-cr3-on-switch"]).unwrap();
+        assert_eq!(cli.replay.as_deref(), Some("x@0.1"));
+        assert_eq!(cli.bug, Some(ProtocolBug::StaleCr3OnSwitch));
+    }
+
+    #[test]
+    fn malformed_arguments_are_errors() {
+        for args in [
+            &["--jobs"][..],
+            &["--jobs", "abc"],
+            &["--jobs", "-1"],
+            &["--depth", "deep"],
+            &["--max-schedules"],
+            &["--bug", "no-such-bug"],
+            &["--json"],
+            &["--replay"],
+            &["--scenario"],
+            &["--seed"],
+            &["stray"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} must be rejected");
         }
     }
 }

@@ -15,7 +15,7 @@ use pmo_protect::ProtocolBug;
 
 use crate::program::{dependent, Op, Scenario};
 use crate::report::{ExploreOutcome, Violation};
-use crate::world::{CheckMode, World};
+use crate::world::{Finding, World};
 
 /// Exploration bounds.
 #[derive(Clone, Copy, Debug)]
@@ -49,29 +49,18 @@ struct Frame {
     sleep: BTreeSet<usize>,
 }
 
-/// Exhaustively explores `scenario` under the given bounds in
-/// [`CheckMode::Invariants`], returning statistics and every distinct
-/// invariant violation found. A planted `bug` turns the run into a
+/// Exhaustively explores `scenario` under the given bounds, returning
+/// statistics and every distinct violation found. Every step of every
+/// schedule runs the [`World`]'s verdict, cache and abstraction checks;
+/// every completed (non-sleep-blocked) execution also runs its
+/// noninterference pass, and any leak is reported against the full
+/// schedule that produced it. A planted `bug` turns the run into a
 /// self-validation campaign.
 #[must_use]
 pub fn explore(
     scenario: &Scenario,
     bug: Option<ProtocolBug>,
     limits: &ExploreLimits,
-) -> ExploreOutcome {
-    explore_mode(scenario, bug, limits, CheckMode::Invariants)
-}
-
-/// [`explore`] with an explicit [`CheckMode`]. In [`CheckMode::Refine`]
-/// every completed (non-sleep-blocked) execution additionally runs the
-/// world's end-of-execution checks — the noninterference pass — and any
-/// leak is reported against the full schedule that produced it.
-#[must_use]
-pub fn explore_mode(
-    scenario: &Scenario,
-    bug: Option<ProtocolBug>,
-    limits: &ExploreLimits,
-    mode: CheckMode,
 ) -> ExploreOutcome {
     let nthreads = scenario.program.threads.len();
     let kp = scenario.key_pressure;
@@ -82,7 +71,7 @@ pub fn explore_mode(
     loop {
         // ---- Execute the schedule selected by `frames`, extending it to
         // a maximal (or bounded, or violating) execution. ----
-        let mut world = World::with_mode(scenario, bug, mode);
+        let mut world = World::new(scenario, bug);
         let mut consumed = vec![0usize; nthreads];
         let mut exec: Vec<(usize, Op)> = Vec::new();
         let mut sleep_blocked = false;
@@ -140,27 +129,7 @@ pub fn explore_mode(
                 .collect();
 
             if !findings.is_empty() {
-                let schedule: Vec<u32> = exec.iter().map(|&(t, _)| t as u32).collect();
-                for finding in findings {
-                    out.violation_count += 1;
-                    let key = format!(
-                        "{}|{}|{}|{}",
-                        finding.class,
-                        finding.thread,
-                        exec.len() - 1,
-                        finding.message
-                    );
-                    if seen.insert(key) {
-                        out.violations.push(Violation {
-                            scenario: scenario.name.to_string(),
-                            class: finding.class,
-                            thread: finding.thread,
-                            step: exec.len() - 1,
-                            schedule: schedule.clone(),
-                            message: finding.message,
-                        });
-                    }
-                }
+                record(&mut out, &mut seen, &exec, findings);
                 break; // prune below the violation
             }
         }
@@ -169,30 +138,9 @@ pub fn explore_mode(
             out.sleep_blocked += 1;
         } else {
             out.schedules += 1;
-            // End-of-execution checks (noninterference, refine mode only):
-            // anchored at the last executed step of this schedule.
-            let end = world.end_checks();
-            if !end.is_empty() {
-                let schedule: Vec<u32> = exec.iter().map(|&(t, _)| t as u32).collect();
-                let step = exec.len().saturating_sub(1);
-                for finding in end {
-                    out.violation_count += 1;
-                    let key = format!(
-                        "{}|{}|{}|{}",
-                        finding.class, finding.thread, step, finding.message
-                    );
-                    if seen.insert(key) {
-                        out.violations.push(Violation {
-                            scenario: scenario.name.to_string(),
-                            class: finding.class,
-                            thread: finding.thread,
-                            step,
-                            schedule: schedule.clone(),
-                            message: finding.message,
-                        });
-                    }
-                }
-            }
+            // End-of-execution checks (noninterference), anchored at the
+            // last executed step of this schedule.
+            record(&mut out, &mut seen, &exec, world.end_checks());
         }
 
         // ---- Vector-clock race analysis: seed backtrack points. ----
@@ -222,6 +170,25 @@ pub fn explore_mode(
         }
     }
     out
+}
+
+/// Counts every finding and keeps the first occurrence of each distinct
+/// one, anchored at the last step of `exec` with `exec` as its schedule.
+fn record(
+    out: &mut ExploreOutcome,
+    seen: &mut BTreeSet<String>,
+    exec: &[(usize, Op)],
+    findings: Vec<Finding>,
+) {
+    let step = exec.len().saturating_sub(1);
+    for finding in findings {
+        out.violation_count += 1;
+        let key = format!("{}|{}|{}|{}", finding.class, finding.thread, step, finding.message);
+        if seen.insert(key) {
+            let schedule = exec.iter().map(|&(t, _)| t as u32).collect();
+            out.violations.push(Violation::new(&out.scenario, schedule, step, finding));
+        }
+    }
 }
 
 /// Finds, for every executed step, the last concurrent dependent step of

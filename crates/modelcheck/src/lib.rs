@@ -15,18 +15,19 @@
 //! * [`program`] — the op/program/scenario model and the DPOR dependency
 //!   relation;
 //! * [`world`] — one explored state: the four verifiable protection
-//!   machines run in lockstep against a permission oracle, with the
-//!   invariants re-checked after every step;
+//!   machines run in lockstep against the executable spec, with verdicts,
+//!   cache invariants and abstraction functions checked after every step
+//!   and noninterference checked at the end of every execution;
 //! * [`explore`] — Flanagan–Godefroid dynamic partial-order reduction
 //!   with sleep sets over stateless re-execution;
 //! * [`scenarios`] — the built-in scenario suite and the seeded-bug
 //!   self-validation matrix;
-//! * [`replay`] — deterministic counterexample replay through
-//!   [`pmo_analyzer`] into positioned diagnostics;
+//! * [`replay`] — deterministic execution of one schedule (the executor
+//!   behind counterexample replay and the prediction oracle) and replay
+//!   through [`pmo_analyzer`] into positioned diagnostics;
 //! * [`oracle`] — the predictive-analysis ground truth: exhaustive
-//!   feasible-schedule enumeration, deterministic single-schedule
-//!   sampling, and the union of manifest violation classes across every
-//!   interleaving;
+//!   feasible-schedule enumeration and deterministic single-schedule
+//!   sampling;
 //! * [`spec`] — the executable abstract specification: a permission
 //!   oracle state machine with atomic transitions and no hardware state;
 //! * [`refine`] — abstraction functions mapping each design's concrete
@@ -55,19 +56,16 @@ pub mod spec;
 pub mod world;
 
 pub use enumerate::{enumerate_canonical, orbit_count, raw_count, to_scenario, WorldBounds};
-pub use explore::{explore, explore_mode, ExploreLimits};
-pub use oracle::{
-    all_schedules, feasible_manifest_classes, manifest_classes, sample_schedule, schedule_trace,
-    ScheduleRun,
-};
+pub use explore::{explore, ExploreLimits};
+pub use oracle::{all_schedules, sample_schedule};
 pub use program::{dependent, model_config, Op, Program, Scenario, GB1, POOL_BYTES};
 pub use refine::{
     alpha_dom, alpha_dpti, alpha_erim, alpha_mpk, noninterference, AccessObs, NiLeak,
 };
-pub use replay::{replay_schedule, replay_schedule_mode, ModelCheckPass, ReplayOutcome};
+pub use replay::{replay_schedule, schedule_trace, ModelCheckPass, ReplayOutcome, ScheduleRun};
 pub use report::{
     naive_schedules, parse_schedule, schedule_string, Campaign, ExploreOutcome, Violation,
 };
 pub use scenarios::{builtin, find, seeded_checks, SeededCheck};
 pub use spec::SpecMachine;
-pub use world::{CheckMode, Finding, World};
+pub use world::{Finding, World};

@@ -9,23 +9,12 @@
 //!   deterministic lexicographic order (tractable at enumerator scale,
 //!   where programs have a handful of ops — exactly the worlds DPOR
 //!   covers);
-//! * [`feasible_manifest_classes`] — the union of manifest analyzer
-//!   error classes over that whole set: a predicted class is *sound* iff
-//!   some real schedule manifests it;
 //! * [`sample_schedule`] — the single observed schedule, a pure
 //!   function of the scenario name (SplitMix64 over an FNV-1a seed, no
 //!   RNG state anywhere): byte-identical across runs and job counts;
-//! * [`schedule_trace`] — runs one schedule through a fresh [`World`]
-//!   and hands back the raw event trace the analyzer consumes.
-
-use std::collections::BTreeSet;
-
-use pmo_analyzer::{Analyzer, PersistOrderPass, RacePass};
-use pmo_protect::ProtocolBug;
-use pmo_trace::{TraceEvent, TraceSink};
-
-use crate::program::Scenario;
-use crate::world::{CheckMode, Finding, World};
+//! * [`crate::replay::schedule_trace`] — runs one schedule
+//!   through a fresh [`crate::World`] and hands back the raw event trace
+//!   the analyzer consumes.
 
 /// FNV-1a over the scenario name: the whole sampling seed.
 fn fnv1a(s: &str) -> u64 {
@@ -105,101 +94,10 @@ pub fn sample_schedule(name: &str, op_counts: &[usize]) -> Vec<u32> {
     out
 }
 
-/// One schedule executed to completion: the raw trace plus any invariant
-/// findings the world reported along the way.
-#[derive(Debug)]
-pub struct ScheduleRun {
-    /// The event stream the analyzer consumes. Events before
-    /// `steps[0].0` are scenario setup (attaches by thread 0).
-    pub trace: Vec<TraceEvent>,
-    /// Per schedule step, the half-open `[start, end)` range of trace
-    /// indices that step emitted (lets a consumer map events back onto
-    /// operations, e.g. to lift a witness reordering to an op schedule).
-    pub steps: Vec<(usize, usize)>,
-    /// Protocol-invariant findings (empty on clean worlds).
-    pub findings: Vec<Finding>,
-}
-
-/// Executes `schedule` against a fresh [`World`] for `scenario` and
-/// returns the recorded trace (the predict campaign's input).
-///
-/// # Errors
-///
-/// Returns a description when a schedule step names an out-of-range or
-/// exhausted thread.
-pub fn schedule_trace(
-    scenario: &Scenario,
-    bug: Option<ProtocolBug>,
-    schedule: &[u32],
-) -> Result<ScheduleRun, String> {
-    let nthreads = scenario.program.threads.len();
-    let mut world = World::with_mode(scenario, bug, CheckMode::Invariants);
-    let mut consumed = vec![0usize; nthreads];
-    let mut findings = Vec::new();
-    let mut steps = Vec::with_capacity(schedule.len());
-    for (step, &t) in schedule.iter().enumerate() {
-        let thread = t as usize;
-        if thread >= nthreads {
-            return Err(format!("step {step}: thread {t} out of range (program has {nthreads})"));
-        }
-        let Some(&op) = scenario.program.threads[thread].get(consumed[thread]) else {
-            return Err(format!("step {step}: thread {t} has no operations left"));
-        };
-        consumed[thread] += 1;
-        let start = world.trace().len();
-        findings.extend(world.step(t, op));
-        steps.push((start, world.trace().len()));
-    }
-    Ok(ScheduleRun { trace: world.trace().to_vec(), steps, findings })
-}
-
-/// Feeds a trace through the manifest passes the predictive analysis
-/// predicts for (happens-before races / stale windows and persist
-/// ordering — the same pair `predict` replays witnesses through) and
-/// returns the error class names.
-#[must_use]
-pub fn manifest_classes(trace: &[TraceEvent], source: &str) -> BTreeSet<&'static str> {
-    let mut a = Analyzer::new(source).with_pass(RacePass::new()).with_pass(PersistOrderPass::new());
-    for &ev in trace {
-        a.event(ev);
-    }
-    a.finish().errors().map(|d| d.class.name()).collect()
-}
-
-/// The DPOR-exhaustive feasible set of manifest violation classes: the
-/// union of [`manifest_classes`] over *every* maximal schedule of the
-/// program. A predicted class from one observed schedule is sound iff it
-/// is in this set; on clean worlds the set is empty, so *any* prediction
-/// is a false positive.
-///
-/// Returns the class set and whether the schedule cap truncated the
-/// enumeration (truncated programs cannot certify soundness and are
-/// counted separately by the campaign).
-///
-/// # Errors
-///
-/// Propagates [`schedule_trace`] failures (impossible for schedules this
-/// module enumerates itself).
-pub fn feasible_manifest_classes(
-    scenario: &Scenario,
-    bug: Option<ProtocolBug>,
-    cap: usize,
-) -> Result<(BTreeSet<&'static str>, bool), String> {
-    let counts: Vec<usize> = scenario.program.threads.iter().map(Vec::len).collect();
-    let (schedules, truncated) = all_schedules(&counts, cap);
-    let mut classes = BTreeSet::new();
-    for s in &schedules {
-        let run = schedule_trace(scenario, bug, s)?;
-        classes.extend(manifest_classes(&run.trace, &scenario.name));
-    }
-    Ok((classes, truncated))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::naive_schedules;
-    use crate::scenarios;
 
     #[test]
     fn all_schedules_match_the_multinomial_count() {
@@ -232,25 +130,5 @@ mod tests {
         // Different names may differ (and these do, witnessing that the
         // name actually feeds the choice).
         assert_ne!(sample_schedule("w1@17", &[4, 4]), sample_schedule("w1@18", &[4, 4]));
-    }
-
-    #[test]
-    fn schedule_trace_records_events() {
-        let scenario = scenarios::find("setperm-vs-access").unwrap();
-        let counts: Vec<usize> = scenario.program.threads.iter().map(Vec::len).collect();
-        let run = schedule_trace(&scenario, None, &sample_schedule(&scenario.name, &counts))
-            .expect("sampled schedule is executable");
-        assert!(!run.trace.is_empty());
-        assert!(run.findings.is_empty(), "builtin scenario is clean: {:?}", run.findings);
-        assert!(schedule_trace(&scenario, None, &[9]).is_err());
-    }
-
-    #[test]
-    fn clean_scenario_has_an_empty_feasible_set() {
-        let scenario = scenarios::find("setperm-vs-access").unwrap();
-        let (classes, truncated) =
-            feasible_manifest_classes(&scenario, None, 1 << 16).expect("enumerable");
-        assert!(!truncated);
-        assert!(classes.is_empty(), "{classes:?}");
     }
 }

@@ -1,12 +1,15 @@
-//! Deterministic counterexample replay.
+//! Deterministic schedule execution and counterexample replay.
 //!
-//! A violating schedule reported by [`crate::explore`] is re-executed
-//! verbatim; the [`World`]'s event stream (the same [`TraceEvent`]s the
-//! timing simulator records) is then fed through a [`pmo_analyzer::Analyzer`]
-//! carrying a [`ModelCheckPass`], producing positioned [`Diagnostic`]s
-//! whose `source` is the `scenario@schedule` repro string. Because the
-//! world is deterministic, replaying the schedule reproduces the exact
-//! violation — this is the checker's evidence trail.
+//! [`schedule_trace`] runs one schedule through a fresh [`World`]; it is
+//! the executor behind both counterexample replay and the
+//! predictive-analysis oracle. A violating schedule reported by
+//! [`crate::explore`] is re-executed verbatim; the [`World`]'s event
+//! stream (the same [`TraceEvent`]s the timing simulator records) is then
+//! fed through a [`pmo_analyzer::Analyzer`] carrying a [`ModelCheckPass`],
+//! producing positioned [`Diagnostic`]s whose `source` is the
+//! `scenario@schedule` repro string. Because the world is deterministic,
+//! replaying the schedule reproduces the exact violation — this is the
+//! checker's evidence trail.
 
 use pmo_analyzer::{
     AnalysisReport, Analyzer, AnalyzerPass, Diagnostic, EventCtx, Severity, ViolationClass,
@@ -16,7 +19,7 @@ use pmo_trace::{TraceEvent, TraceSink};
 
 use crate::program::Scenario;
 use crate::report::{schedule_string, Violation};
-use crate::world::{CheckMode, World};
+use crate::world::World;
 
 /// An [`AnalyzerPass`] that anchors model-checker findings to trace
 /// positions: the replay engine records at which event index each
@@ -77,58 +80,54 @@ impl AnalyzerPass for ModelCheckPass {
     }
 }
 
-/// The result of replaying one schedule.
+/// One schedule executed through the checker: the raw trace plus every
+/// violation the world reported along the way.
 #[derive(Debug)]
-pub struct ReplayOutcome {
-    /// Analyzer report over the replayed trace: one positioned
-    /// [`Diagnostic`] per invariant violation, `source` set to the
-    /// `scenario@schedule` repro string.
-    pub report: AnalysisReport,
-    /// The violations in model-checker form (with schedule context).
+pub struct ScheduleRun {
+    /// The event stream the analyzer consumes. Events before
+    /// `steps[0].0` are scenario setup (attaches by thread 0).
+    pub trace: Vec<TraceEvent>,
+    /// Per schedule step, the half-open `[start, end)` range of trace
+    /// indices that step emitted (lets a consumer map events back onto
+    /// operations, e.g. to lift a witness reordering to an op schedule).
+    pub steps: Vec<(usize, usize)>,
+    /// Every violation in execution order: each step's findings with the
+    /// schedule prefix up to that step, then the end-of-execution
+    /// noninterference leaks against the whole schedule (empty on clean
+    /// worlds).
     pub violations: Vec<Violation>,
 }
 
-/// Re-executes `schedule` (a sequence of thread indices) against a fresh
-/// [`World`] for `scenario` and runs the resulting event stream through
-/// the analyzer.
-///
-/// The schedule may be a prefix of a maximal execution (violation
-/// counterexamples are); steps naming an exhausted or out-of-range
-/// thread are rejected.
-///
-/// # Errors
-///
-/// Returns a description when a schedule step names a thread with no
-/// remaining operations.
-pub fn replay_schedule(
-    scenario: &Scenario,
-    bug: Option<ProtocolBug>,
-    schedule: &[u32],
-) -> Result<ReplayOutcome, String> {
-    replay_schedule_mode(scenario, bug, schedule, CheckMode::Invariants)
+impl ScheduleRun {
+    /// Trace index of the last event emitted up to and including `step`:
+    /// where a violation at that step is anchored.
+    fn position(&self, step: usize) -> u64 {
+        let end = self.steps.get(step).map_or(self.trace.len(), |&(_, end)| end);
+        (end as u64).saturating_sub(1)
+    }
 }
 
-/// [`replay_schedule`] with an explicit [`CheckMode`]. In
-/// [`CheckMode::Refine`] the end-of-execution noninterference pass runs
-/// after the last step and its findings are anchored at the final trace
-/// position.
+/// Executes `schedule` (a sequence of thread indices) against a fresh
+/// [`World`] for `scenario`, running every check after every step and
+/// the noninterference pass at the end.
+///
+/// The schedule may be a prefix of a maximal execution (violation
+/// counterexamples are).
 ///
 /// # Errors
 ///
-/// Returns a description when a schedule step names a thread with no
-/// remaining operations.
-pub fn replay_schedule_mode(
+/// Returns a description when a schedule step names an out-of-range or
+/// exhausted thread.
+pub fn schedule_trace(
     scenario: &Scenario,
     bug: Option<ProtocolBug>,
     schedule: &[u32],
-    mode: CheckMode,
-) -> Result<ReplayOutcome, String> {
+) -> Result<ScheduleRun, String> {
     let nthreads = scenario.program.threads.len();
-    let mut world = World::with_mode(scenario, bug, mode);
+    let mut world = World::new(scenario, bug);
     let mut consumed = vec![0usize; nthreads];
-    let mut pass = ModelCheckPass::new();
+    let mut steps = Vec::with_capacity(schedule.len());
     let mut violations = Vec::new();
-
     for (step, &t) in schedule.iter().enumerate() {
         let thread = t as usize;
         if thread >= nthreads {
@@ -138,43 +137,65 @@ pub fn replay_schedule_mode(
             return Err(format!("step {step}: thread {t} has no operations left"));
         };
         consumed[thread] += 1;
+        let start = world.trace().len();
         for finding in world.step(t, op) {
-            pass.record(world.position(), finding.class, finding.message.clone());
-            violations.push(Violation {
-                scenario: scenario.name.to_string(),
-                class: finding.class,
-                thread: finding.thread,
+            violations.push(Violation::new(
+                &scenario.name,
+                schedule[..=step].to_vec(),
                 step,
-                schedule: schedule[..=step].to_vec(),
-                message: finding.message,
-            });
+                finding,
+            ));
         }
+        steps.push((start, world.trace().len()));
     }
-
+    let last = schedule.len().saturating_sub(1);
     for finding in world.end_checks() {
-        pass.record(world.position(), finding.class, finding.message.clone());
-        violations.push(Violation {
-            scenario: scenario.name.to_string(),
-            class: finding.class,
-            thread: finding.thread,
-            step: schedule.len().saturating_sub(1),
-            schedule: schedule.to_vec(),
-            message: finding.message,
-        });
+        violations.push(Violation::new(&scenario.name, schedule.to_vec(), last, finding));
     }
+    Ok(ScheduleRun { trace: world.trace().to_vec(), steps, violations })
+}
 
+/// The result of replaying one schedule.
+#[derive(Debug)]
+pub struct ReplayOutcome {
+    /// Analyzer report over the replayed trace: one positioned
+    /// [`Diagnostic`] per violation, `source` set to the
+    /// `scenario@schedule` repro string.
+    pub report: AnalysisReport,
+    /// The violations in model-checker form (with schedule context).
+    pub violations: Vec<Violation>,
+}
+
+/// Re-executes `schedule` through [`schedule_trace`] and runs the
+/// resulting event stream through the analyzer, each violation anchored
+/// at the trace position its step reached.
+///
+/// # Errors
+///
+/// Returns a description when a schedule step names an out-of-range or
+/// exhausted thread.
+pub fn replay_schedule(
+    scenario: &Scenario,
+    bug: Option<ProtocolBug>,
+    schedule: &[u32],
+) -> Result<ReplayOutcome, String> {
+    let run = schedule_trace(scenario, bug, schedule)?;
+    let mut pass = ModelCheckPass::new();
+    for v in &run.violations {
+        pass.record(run.position(v.step), v.class, v.message.clone());
+    }
     let source = format!("{}@{}", scenario.name, schedule_string(schedule));
     let mut analyzer = Analyzer::new(source).with_pass(pass);
-    for &ev in world.trace() {
+    for &ev in &run.trace {
         analyzer.event(ev);
     }
-    Ok(ReplayOutcome { report: analyzer.finish(), violations })
+    Ok(ReplayOutcome { report: analyzer.finish(), violations: run.violations })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, ExploreLimits};
+    use crate::oracle::sample_schedule;
     use crate::scenarios;
 
     #[test]
@@ -188,36 +209,20 @@ mod tests {
     }
 
     #[test]
+    fn schedule_trace_records_events() {
+        let scenario = scenarios::find("setperm-vs-access").unwrap();
+        let counts: Vec<usize> = scenario.program.threads.iter().map(Vec::len).collect();
+        let run = schedule_trace(&scenario, None, &sample_schedule(&scenario.name, &counts))
+            .expect("sampled schedule is executable");
+        assert!(!run.trace.is_empty());
+        assert!(run.violations.is_empty(), "builtin scenario is clean: {:?}", run.violations);
+        assert!(schedule_trace(&scenario, None, &[9]).is_err());
+    }
+
+    #[test]
     fn replay_rejects_exhausted_threads() {
         let scenario = scenarios::find("setperm-vs-access").unwrap();
         assert!(replay_schedule(&scenario, None, &[0, 0, 0, 0]).is_err());
         assert!(replay_schedule(&scenario, None, &[7]).is_err());
-    }
-
-    #[test]
-    fn seeded_counterexamples_replay_deterministically() {
-        for check in scenarios::seeded_checks() {
-            let scenario = scenarios::find(check.scenario).unwrap();
-            let out = explore(&scenario, Some(check.bug), &ExploreLimits::default());
-            let witness = out
-                .violations
-                .iter()
-                .find(|v| v.class == check.expect)
-                .unwrap_or_else(|| panic!("{:?} not caught in {}", check.bug, check.scenario));
-            let replay = replay_schedule(&scenario, Some(check.bug), &witness.schedule)
-                .expect("reported schedule must be executable");
-            assert!(
-                replay.violations.iter().any(|v| v.class == check.expect),
-                "{:?}: replay of {} lost the violation",
-                check.bug,
-                witness.schedule_string()
-            );
-            let diag = replay
-                .report
-                .diagnostics
-                .iter()
-                .find(|d| d.pass == "modelcheck" && d.class == check.expect);
-            assert!(diag.is_some(), "{:?}: no positioned diagnostic in report", check.bug);
-        }
     }
 }

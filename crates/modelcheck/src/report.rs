@@ -7,10 +7,11 @@ use std::fmt;
 use pmo_analyzer::{json_string, ViolationClass};
 
 use crate::program::Scenario;
+use crate::world::Finding;
 
-/// One invariant violation, anchored to the exact schedule that triggers
-/// it: re-running the scenario under [`Violation::schedule`] reproduces
-/// the violation deterministically.
+/// One violation, anchored to the exact schedule that triggers it:
+/// re-running the scenario under [`Violation::schedule`] reproduces the
+/// violation deterministically.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Scenario that produced the violation.
@@ -28,6 +29,19 @@ pub struct Violation {
 }
 
 impl Violation {
+    /// Anchors a world [`Finding`] at `step` of `schedule` in `scenario`.
+    #[must_use]
+    pub fn new(scenario: &str, schedule: Vec<u32>, step: usize, finding: Finding) -> Self {
+        Violation {
+            scenario: scenario.to_string(),
+            class: finding.class,
+            thread: finding.thread,
+            step,
+            schedule,
+            message: finding.message,
+        }
+    }
+
     /// The repro schedule in CLI form (`"0.1.0.2"`).
     #[must_use]
     pub fn schedule_string(&self) -> String {

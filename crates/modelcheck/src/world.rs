@@ -1,66 +1,57 @@
-//! The checked state: both hardware designs run in lockstep against the
-//! executable abstract specification ([`SpecMachine`]), with safety
-//! checks evaluated after every operation.
+//! The checked state: every verifiable protection machine runs in
+//! lockstep against the executable abstract specification
+//! ([`SpecMachine`]), and one checker evaluates the whole refinement
+//! relation after every operation.
 //!
 //! The spec is the paper's §IV.A contract reduced to its logical core:
 //! a thread may access an attached PMO iff its last SETPERM for that
 //! domain allows the access kind; memory outside any attached PMO is
-//! ordinary anonymous memory (always accessible). Both schemes must agree
+//! ordinary anonymous memory (always accessible). Every scheme must agree
 //! with the spec (and hence each other) on every allow/deny decision,
 //! and their caches — TLB keys, DTTLB, PKRU, PTLB — must never be
 //! observably ahead of or behind that contract.
 //!
-//! Two check modes share this machinery:
+//! Every step checks three layers, each reported under its own class:
 //!
-//! * [`CheckMode::Invariants`] — the original campaign: verdict
-//!   comparison plus the five cache-coherence invariants, each reported
-//!   under its own diagnostic class.
-//! * [`CheckMode::Refine`] — the refinement checker: additionally
-//!   compares the abstraction of each concrete machine
-//!   ([`crate::refine::alpha_mpk`], [`crate::refine::alpha_dom`]) against
-//!   the spec state after every step, reports *every* divergence —
-//!   verdict, cache, or abstraction — uniformly as
-//!   `refinement-divergence` (the underlying condition is named in the
-//!   message), records an [`AccessObs`] per access, and runs the
-//!   perturb-and-compare noninterference pass over the recorded
-//!   observations at the end of each execution ([`World::end_checks`]).
+//! * **Verdicts** — every concrete allow/deny decision equals the spec's
+//!   (`scheme-divergence`).
+//! * **Caches** — the cache-coherence invariants: shootdown completeness,
+//!   no stale TLB or DTTLB key, PKRU consistency, PT/PTLB agreement, and
+//!   the ERIM-PKRU and DPTI loaded-table sweeps (`stale-key-grant`,
+//!   `pkru-desync`, `ptlb-desync`).
+//! * **Abstraction** — the abstraction of each concrete machine
+//!   ([`crate::refine::alpha_mpk`], [`crate::refine::alpha_dom`],
+//!   [`crate::refine::alpha_erim`], [`crate::refine::alpha_dpti`]) equals
+//!   the spec state (`refinement-divergence`).
+//!
+//! Every access is also recorded as an [`AccessObs`], and
+//! [`World::end_checks`] runs the perturb-and-compare noninterference
+//! pass over those observations at the end of each execution
+//! (`noninterference-leak`).
 
 use pmo_analyzer::ViolationClass;
 use pmo_protect::scheme::{DomainVirt, Dpti, Erim, MpkVirt, ProtectionScheme};
-use pmo_protect::{Perm, ProtocolBug};
+use pmo_protect::{KeyAllocator, Perm, Pkru, ProtocolBug};
 use pmo_simarch::PAGE_BITS;
 use pmo_trace::{AccessKind, PmoId, ThreadId, TraceEvent};
 
 use crate::program::{Op, Scenario, POOL_BYTES};
 use crate::refine::{
-    alpha_dom, alpha_dpti, alpha_erim, alpha_mpk, noninterference_all, render_abs, spec_state,
-    AccessObs,
+    alpha_dom, alpha_dpti, alpha_erim, alpha_mpk, is_spec_state, noninterference_all, render_abs,
+    spec_state, AccessObs,
 };
 use crate::spec::SpecMachine;
 
-/// One invariant violation detected at a step (scenario/schedule context
-/// is attached by the explorer, trace position by the replayer).
+/// One violation found by a check (scenario/schedule context is attached
+/// by the explorer, trace position by the replayer).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// The violated invariant's diagnostic class.
+    /// The violated check's diagnostic class.
     pub class: ViolationClass,
-    /// Thread (index) that was running when the invariant broke.
+    /// Thread (index) that was running when the check failed.
     pub thread: u32,
     /// What went wrong, with the observed vs expected state.
     pub message: String,
-}
-
-/// Which checks run after every step (see module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CheckMode {
-    /// Verdict comparison + the five cache invariants (per-class
-    /// diagnostics). The original campaign mode.
-    #[default]
-    Invariants,
-    /// Invariants plus abstraction-function equality after every step,
-    /// all reported as `refinement-divergence`, plus the end-of-execution
-    /// noninterference pass.
-    Refine,
 }
 
 /// Every concrete machine — the paper's two designs plus the
@@ -72,36 +63,27 @@ pub struct World {
     erim: Erim,
     dpti: Dpti,
     spec: SpecMachine,
-    mode: CheckMode,
     bug: Option<ProtocolBug>,
     /// The trace recorded so far (replayable through `pmo-analyzer`).
     trace: Vec<TraceEvent>,
-    /// Access observations recorded for the noninterference pass
-    /// (refine mode only; empty otherwise).
+    /// Access observations recorded for the noninterference pass.
     obs: Vec<AccessObs>,
     current: u32,
     shootdowns_drained: u64,
 }
 
 impl World {
-    /// Builds the initial state for a scenario in [`CheckMode::Invariants`],
-    /// attaching its setup domains; `bug` plants a [`ProtocolBug`] into
-    /// whichever scheme the bug targets (self-validation runs).
+    /// Builds the initial state for a scenario, attaching its setup
+    /// domains; `bug` plants a [`ProtocolBug`] into whichever scheme the
+    /// bug targets (self-validation runs).
     #[must_use]
     pub fn new(scenario: &Scenario, bug: Option<ProtocolBug>) -> Self {
-        Self::with_mode(scenario, bug, CheckMode::Invariants)
-    }
-
-    /// Builds the initial state with an explicit check mode.
-    #[must_use]
-    pub fn with_mode(scenario: &Scenario, bug: Option<ProtocolBug>, mode: CheckMode) -> Self {
         let mut world = World {
             mpk: MpkVirt::with_bug(&scenario.config, bug),
             dom: DomainVirt::with_bug(&scenario.config, bug),
             erim: Erim::with_bug(&scenario.config, bug),
             dpti: Dpti::with_bug(&scenario.config, bug),
             spec: SpecMachine::new(),
-            mode,
             bug,
             trace: Vec::new(),
             obs: Vec::new(),
@@ -120,22 +102,10 @@ impl World {
         &self.trace
     }
 
-    /// The spec machine's current state.
-    #[must_use]
-    pub fn spec(&self) -> &SpecMachine {
-        &self.spec
-    }
-
-    /// The access observations recorded so far (refine mode).
+    /// The access observations recorded so far.
     #[must_use]
     pub fn observations(&self) -> &[AccessObs] {
         &self.obs
-    }
-
-    /// Index of the last recorded trace event (diagnostic anchor).
-    #[must_use]
-    pub fn position(&self) -> u64 {
-        (self.trace.len() as u64).saturating_sub(1)
     }
 
     fn do_attach(&mut self, pmo: PmoId) {
@@ -155,7 +125,7 @@ impl World {
     }
 
     /// Executes one operation by thread index `thread` (context-switching
-    /// both schemes if it differs from the running thread) and returns
+    /// every scheme if it differs from the running thread) and returns
     /// every violation observable afterwards.
     pub fn step(&mut self, thread: u32, op: Op) -> Vec<Finding> {
         if thread != self.current {
@@ -217,20 +187,18 @@ impl World {
                         ),
                     });
                 }
-                if self.mode == CheckMode::Refine {
-                    self.obs.push(AccessObs {
-                        thread,
-                        pmo,
-                        offset,
-                        kind,
-                        attached: self.spec.is_attached(pmo),
-                        spec_allowed: expect,
-                        mpk_allowed: mpk_ok,
-                        dom_allowed: dom_ok,
-                        erim_allowed: erim_ok,
-                        dpti_allowed: dpti_ok,
-                    });
-                }
+                self.obs.push(AccessObs {
+                    thread,
+                    pmo,
+                    offset,
+                    kind,
+                    attached: self.spec.is_attached(pmo),
+                    spec_allowed: expect,
+                    mpk_allowed: mpk_ok,
+                    dom_allowed: dom_ok,
+                    erim_allowed: erim_ok,
+                    dpti_allowed: dpti_ok,
+                });
                 // Mirror the replay engine: denied accesses leave no
                 // memory event in the trace.
                 if expect {
@@ -254,26 +222,14 @@ impl World {
         let _ = self.erim.drain_events();
         let _ = self.dpti.drain_events();
         self.check_invariants(&mut findings);
-        if self.mode == CheckMode::Refine {
-            self.check_alpha(&mut findings);
-            for f in &mut findings {
-                if f.class != ViolationClass::RefinementDivergence {
-                    f.message = format!("{}: {}", f.class.name(), f.message);
-                    f.class = ViolationClass::RefinementDivergence;
-                }
-            }
-        }
+        self.check_alpha(&mut findings);
         findings
     }
 
-    /// End-of-execution checks: in refine mode, the perturb-and-compare
-    /// noninterference pass over every recorded access observation, one
-    /// sweep per domain the program touched. Empty in invariants mode.
+    /// End-of-execution checks: the perturb-and-compare noninterference
+    /// pass over every recorded access observation.
     #[must_use]
     pub fn end_checks(&self) -> Vec<Finding> {
-        if self.mode != CheckMode::Refine {
-            return Vec::new();
-        }
         noninterference_all(&self.obs, &self.spec)
             .into_iter()
             .map(|leak| Finding {
@@ -287,54 +243,24 @@ impl World {
     /// Simulation-relation core: the abstraction of each concrete machine
     /// must equal the spec state exactly after every step.
     fn check_alpha(&self, findings: &mut Vec<Finding>) {
-        let spec = spec_state(&self.spec);
-        let mpk = alpha_mpk(&self.mpk);
-        if mpk != spec {
-            findings.push(Finding {
-                class: ViolationClass::RefinementDivergence,
-                thread: self.current,
-                message: format!(
-                    "alpha-mpk: abstraction {} != spec {}",
-                    render_abs(&mpk),
-                    render_abs(&spec)
-                ),
-            });
-        }
-        let dom = alpha_dom(&self.dom, self.current);
-        if dom != spec {
-            findings.push(Finding {
-                class: ViolationClass::RefinementDivergence,
-                thread: self.current,
-                message: format!(
-                    "alpha-dom: abstraction {} != spec {}",
-                    render_abs(&dom),
-                    render_abs(&spec)
-                ),
-            });
-        }
-        let erim = alpha_erim(&self.erim);
-        if erim != spec {
-            findings.push(Finding {
-                class: ViolationClass::RefinementDivergence,
-                thread: self.current,
-                message: format!(
-                    "alpha-erim: abstraction {} != spec {}",
-                    render_abs(&erim),
-                    render_abs(&spec)
-                ),
-            });
-        }
-        let dpti = alpha_dpti(&self.dpti);
-        if dpti != spec {
-            findings.push(Finding {
-                class: ViolationClass::RefinementDivergence,
-                thread: self.current,
-                message: format!(
-                    "alpha-dpti: abstraction {} != spec {}",
-                    render_abs(&dpti),
-                    render_abs(&spec)
-                ),
-            });
+        let abstractions = [
+            ("alpha-mpk", alpha_mpk(&self.mpk)),
+            ("alpha-dom", alpha_dom(&self.dom, self.current)),
+            ("alpha-erim", alpha_erim(&self.erim)),
+            ("alpha-dpti", alpha_dpti(&self.dpti)),
+        ];
+        for (name, abs) in abstractions {
+            if !is_spec_state(&abs, &self.spec) {
+                findings.push(Finding {
+                    class: ViolationClass::RefinementDivergence,
+                    thread: self.current,
+                    message: format!(
+                        "{name}: abstraction {} != spec {}",
+                        render_abs(&abs),
+                        render_abs(&spec_state(&self.spec))
+                    ),
+                });
+            }
         }
     }
 
@@ -343,9 +269,9 @@ impl World {
         self.check_shootdown_completeness(findings);
         self.check_stale_tlb_keys(findings);
         self.check_stale_dttlb_keys(findings);
-        self.check_pkru(findings);
+        self.check_pkru("", self.mpk.pkru(), self.mpk.key_allocator(), findings);
         self.check_ptlb(findings);
-        self.check_erim_pkru(findings);
+        self.check_pkru("ERIM ", self.erim.pkru(), self.erim.key_allocator(), findings);
         self.check_dpti_space(findings);
     }
 
@@ -413,11 +339,14 @@ impl World {
         }
     }
 
-    /// The materialized PKRU must grant, for every assigned key, exactly
-    /// the running thread's logical permission for the owning domain.
-    fn check_pkru(&self, findings: &mut Vec<Finding>) {
-        let pkru = self.mpk.pkru();
-        for (key, pmo) in self.mpk.key_allocator().assignments() {
+    /// A materialized PKRU must grant, for every key its allocator has
+    /// assigned, exactly the running thread's logical permission for the
+    /// owning domain; `who` names the scheme in the message. For ERIM, a
+    /// call gate that skips the restore half of its exit path (the
+    /// planted [`ProtocolBug::SkipGateExitKeyRestore`]) leaves a wider
+    /// grant in PKRU than the session table records.
+    fn check_pkru(&self, who: &str, pkru: Pkru, keys: &KeyAllocator, findings: &mut Vec<Finding>) {
+        for (key, pmo) in keys.assignments() {
             let expect = if self.spec.is_attached(pmo) {
                 self.spec.perm(self.current, pmo)
             } else {
@@ -429,42 +358,7 @@ impl World {
                     class: ViolationClass::PkruDesync,
                     thread: self.current,
                     message: format!(
-                        "PKRU grants {actual:?} via key {key} for P{} but thread {} holds \
-                         {expect:?}",
-                        pmo.raw(),
-                        self.current
-                    ),
-                });
-            }
-        }
-    }
-
-    /// Every PTLB entry for an attached domain must hold exactly the
-    /// running thread's logical permission (the PTLB is thread-private
-    /// state: a context switch flushes it, a detach invalidates it).
-    /// Entries for detached domains are ignored — the DRT no longer maps
-    /// any VA to them, so they are unreachable until a re-attach makes
-    /// them (checkably) stale.
-    /// ERIM's materialized PKRU must grant, for every key the allocator
-    /// has assigned, exactly the running thread's session for the owning
-    /// domain. A call gate that skips the restore half of its exit path
-    /// (the planted [`ProtocolBug::SkipGateExitKeyRestore`]) leaves a
-    /// wider grant in PKRU than the session table records.
-    fn check_erim_pkru(&self, findings: &mut Vec<Finding>) {
-        let pkru = self.erim.pkru();
-        for (key, pmo) in self.erim.key_allocator().assignments() {
-            let expect = if self.spec.is_attached(pmo) {
-                self.spec.perm(self.current, pmo)
-            } else {
-                Perm::None
-            };
-            let actual = pkru.perm(key);
-            if actual != expect {
-                findings.push(Finding {
-                    class: ViolationClass::PkruDesync,
-                    thread: self.current,
-                    message: format!(
-                        "ERIM PKRU grants {actual:?} via key {key} for P{} but thread {} holds \
+                        "{who}PKRU grants {actual:?} via key {key} for P{} but thread {} holds \
                          {expect:?}",
                         pmo.raw(),
                         self.current
@@ -511,6 +405,12 @@ impl World {
         }
     }
 
+    /// Every PTLB entry for an attached domain must hold exactly the
+    /// running thread's logical permission (the PTLB is thread-private
+    /// state: a context switch flushes it, a detach invalidates it).
+    /// Entries for detached domains are ignored — the DRT no longer maps
+    /// any VA to them, so they are unreachable until a re-attach makes
+    /// them (checkably) stale.
     fn check_ptlb(&self, findings: &mut Vec<Finding>) {
         for entry in self.dom.ptlb().entries() {
             if !self.spec.is_attached(entry.pmo) {
@@ -569,12 +469,15 @@ mod tests {
             (1, Op::SetPerm { pmo: p1, perm: Perm::ReadOnly }),
             (1, Op::Access { pmo: p1, offset: 0, kind: AccessKind::Read }),
             (0, Op::Detach { pmo: p1 }),
+            (0, Op::Access { pmo: p1, offset: 0, kind: AccessKind::Read }),
         ];
         for (thread, op) in steps {
             let findings = world.step(thread, op);
             assert!(findings.is_empty(), "unexpected findings at {op}: {findings:?}");
         }
         assert!(world.trace().iter().any(|e| matches!(e, TraceEvent::ThreadSwitch { .. })));
+        assert_eq!(world.observations().len(), 4, "one observation per access");
+        assert!(world.end_checks().is_empty(), "clean run is noninterferent");
     }
 
     #[test]
@@ -597,16 +500,31 @@ mod tests {
     }
 
     #[test]
-    fn planted_ptlb_flush_skip_is_caught_on_switch() {
+    fn planted_ptlb_flush_skip_fails_every_check_layer() {
+        // Thread 0's grant survives in the PTLB across the switch, so
+        // thread 1's read is wrongly allowed: the verdict, the PTLB
+        // sweep, the abstraction function and the noninterference pass
+        // each see the same bug under their own class.
         let scenario = tiny_scenario();
         let mut world = World::new(&scenario, Some(ProtocolBug::SkipPtlbFlushOnSwitch));
         let p1 = PmoId::new(1);
         world.step(0, Op::SetPerm { pmo: p1, perm: Perm::ReadWrite });
         let findings = world.step(1, Op::Access { pmo: p1, offset: 0, kind: AccessKind::Read });
+        for class in [
+            ViolationClass::SchemeDivergence,
+            ViolationClass::PtlbDesync,
+            ViolationClass::RefinementDivergence,
+        ] {
+            assert!(findings.iter().any(|f| f.class == class), "no {class} in {findings:?}");
+        }
         assert!(
-            findings.iter().any(|f| f.class == ViolationClass::PtlbDesync
-                || f.class == ViolationClass::SchemeDivergence),
-            "stale PTLB for the incoming thread must be caught, got {findings:?}"
+            findings.iter().any(|f| f.message.starts_with("alpha-dom:")),
+            "the abstraction finding names its machine: {findings:?}"
+        );
+        let leaks = world.end_checks();
+        assert!(
+            leaks.iter().any(|f| f.class == ViolationClass::NoninterferenceLeak && f.thread == 1),
+            "thread 1 never held a grant on P1: {leaks:?}"
         );
     }
 
@@ -621,47 +539,5 @@ mod tests {
         assert!(world.step(0, Op::Detach { pmo: p1 }).is_empty());
         assert!(world.step(0, Op::Detach { pmo: p1 }).is_empty(), "ENOENT detach");
         assert!(world.step(0, Op::Attach { pmo: p1 }).is_empty(), "re-attach after detach");
-    }
-
-    #[test]
-    fn refine_mode_is_clean_on_clean_runs_and_records_observations() {
-        let scenario = tiny_scenario();
-        let mut world = World::with_mode(&scenario, None, CheckMode::Refine);
-        let p1 = PmoId::new(1);
-        let steps = [
-            (0, Op::SetPerm { pmo: p1, perm: Perm::ReadWrite }),
-            (0, Op::Access { pmo: p1, offset: 0, kind: AccessKind::Write }),
-            (1, Op::Access { pmo: p1, offset: 0, kind: AccessKind::Read }),
-            (0, Op::Detach { pmo: p1 }),
-            (0, Op::Access { pmo: p1, offset: 0, kind: AccessKind::Read }),
-        ];
-        for (thread, op) in steps {
-            let findings = world.step(thread, op);
-            assert!(findings.is_empty(), "refine divergence at {op}: {findings:?}");
-        }
-        assert_eq!(world.observations().len(), 3, "one observation per access");
-        assert!(world.end_checks().is_empty(), "clean run is noninterferent");
-    }
-
-    #[test]
-    fn refine_mode_reports_planted_bugs_as_refinement_divergence() {
-        let scenario = tiny_scenario();
-        let mut world = World::with_mode(
-            &scenario,
-            Some(ProtocolBug::SkipPkruUpdateOnSetPerm),
-            CheckMode::Refine,
-        );
-        let p1 = PmoId::new(1);
-        world.step(0, Op::SetPerm { pmo: p1, perm: Perm::ReadWrite });
-        world.step(0, Op::Access { pmo: p1, offset: 0, kind: AccessKind::Write });
-        let findings = world.step(0, Op::SetPerm { pmo: p1, perm: Perm::None });
-        assert!(
-            findings.iter().all(|f| f.class == ViolationClass::RefinementDivergence),
-            "refine mode reports uniformly, got {findings:?}"
-        );
-        assert!(
-            findings.iter().any(|f| f.message.starts_with("pkru-desync:")),
-            "the underlying condition is named in the message: {findings:?}"
-        );
     }
 }

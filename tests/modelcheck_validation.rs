@@ -1,14 +1,31 @@
 //! Self-validation of the DPOR model checker: planted protocol bugs must
 //! be caught with the expected diagnostic class, counterexamples must
 //! replay deterministically, and clean protocols must survive exhaustive
-//! exploration — in both the invariants mode and the refinement mode
-//! (executable spec + abstraction functions + noninterference).
+//! exploration under the one checker — verdicts, cache invariants and
+//! abstraction functions after every step, noninterference after every
+//! execution.
+
+use std::sync::OnceLock;
 
 use pmo_repro::analyzer::ViolationClass;
 use pmo_repro::modelcheck::{
-    builtin, explore, explore_mode, find, replay_schedule, replay_schedule_mode,
-    scenarios::seeded_checks, CheckMode, ExploreLimits,
+    builtin, explore, find, replay_schedule, sample_schedule, scenarios::seeded_checks,
+    ExploreLimits, ExploreOutcome,
 };
+use pmo_repro::protect::ProtocolBug;
+
+/// Every built-in scenario explored once with no planted bug, shared by
+/// the tests that read the clean campaign.
+fn clean_campaign() -> &'static [ExploreOutcome] {
+    static RUNS: OnceLock<Vec<ExploreOutcome>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        builtin().iter().map(|s| explore(s, None, &ExploreLimits::default())).collect()
+    })
+}
+
+fn clean_run(name: &str) -> &'static ExploreOutcome {
+    clean_campaign().iter().find(|r| r.scenario == name).expect("builtin scenario")
+}
 
 #[test]
 fn every_seeded_protocol_bug_is_caught_with_expected_class() {
@@ -53,6 +70,11 @@ fn counterexamples_replay_deterministically_through_the_analyzer() {
                 check.bug
             );
             assert!(!replay.report.passed(), "report must fail on a violation");
+            assert_eq!(
+                replay.report.source,
+                format!("{}@{}", check.scenario, witness.schedule_string()),
+                "repro id must be scenario@schedule"
+            );
             renders.push(replay.report.to_json());
         }
         assert_eq!(renders[0], renders[1], "{:?}: replay must be deterministic", check.bug);
@@ -61,20 +83,19 @@ fn counterexamples_replay_deterministically_through_the_analyzer() {
 
 #[test]
 fn clean_protocols_pass_exhaustive_exploration() {
-    // A cheap subset (the stress scenarios run in CI's quick campaign).
-    for name in ["setperm-vs-access", "key-evict-storm", "detach-race", "three-thread-handoff"] {
-        let scenario = find(name).unwrap();
-        let out = explore(&scenario, None, &ExploreLimits::default());
-        assert!(out.violations.is_empty(), "{name}: {:?}", out.violations);
-        assert!(!out.truncated, "{name} must be explored exhaustively");
-        assert!(out.schedules > 0);
+    // No planted bug: no verdict, cache or abstraction divergence on any
+    // step of any schedule, and no noninterference leak on any execution.
+    for run in clean_campaign() {
+        assert!(run.violations.is_empty(), "{}: {:?}", run.scenario, run.violations);
+        assert_eq!(run.violation_count, 0, "{}", run.scenario);
+        assert!(!run.truncated, "{} must be explored exhaustively", run.scenario);
+        assert!(run.schedules > 0);
     }
 }
 
 #[test]
 fn dpor_prunes_but_never_misses_dependent_interleavings() {
-    let disjoint = find("disjoint-domains").unwrap();
-    let out = explore(&disjoint, None, &ExploreLimits::default());
+    let out = clean_run("disjoint-domains");
     assert!(
         (out.schedules as u128) < out.naive,
         "independent threads must be pruned ({} vs {})",
@@ -85,89 +106,96 @@ fn dpor_prunes_but_never_misses_dependent_interleavings() {
     // Fully-dependent programs are the other extreme: nothing commutes,
     // so DPOR must degenerate to complete enumeration (a completeness
     // cross-check for the backtracking logic).
-    let contention = find("contention-stress").unwrap();
-    let out = explore(&contention, None, &ExploreLimits::default());
+    let out = clean_run("contention-stress");
     assert_eq!(out.schedules as u128, out.naive, "all-dependent ops admit no pruning");
 }
 
 #[test]
 fn every_seeded_bug_is_a_refinement_failure_with_a_replayable_witness() {
-    // The refinement checker subsumes the invariant campaign: every
-    // planted protocol bug must surface as a refinement divergence (the
-    // underlying condition named in the message), and the witness
-    // schedule must replay to a positioned diagnostic whose source is the
-    // scenario@schedule repro id.
+    // Every violation the explorer reports — whichever layer of the
+    // refinement relation found it — must replay from its own schedule
+    // to the identical violation and a positioned diagnostic.
     for check in seeded_checks() {
         let scenario = find(check.scenario).unwrap();
-        let out =
-            explore_mode(&scenario, Some(check.bug), &ExploreLimits::default(), CheckMode::Refine);
-        let witness = out
-            .violations
-            .iter()
-            .find(|v| v.class == ViolationClass::RefinementDivergence)
-            .unwrap_or_else(|| {
-                panic!(
-                    "{:?} not reported as refinement-divergence in {} (found {:?})",
-                    check.bug,
-                    check.scenario,
-                    out.violations.iter().map(|v| v.class).collect::<Vec<_>>()
-                )
-            });
-        assert!(
-            witness.message.contains(':'),
-            "{:?}: message must name the underlying condition: {}",
-            check.bug,
-            witness.message
-        );
-        let replay =
-            replay_schedule_mode(&scenario, Some(check.bug), &witness.schedule, CheckMode::Refine)
+        let out = explore(&scenario, Some(check.bug), &ExploreLimits::default());
+        assert!(!out.violations.is_empty(), "{:?} escaped", check.bug);
+        for witness in &out.violations {
+            let replay = replay_schedule(&scenario, Some(check.bug), &witness.schedule)
                 .expect("witness schedule is executable");
+            assert!(
+                replay.violations.contains(witness),
+                "{:?}: {witness} did not reproduce under replay (got {:?})",
+                check.bug,
+                replay.violations
+            );
+            assert!(
+                replay
+                    .report
+                    .diagnostics
+                    .iter()
+                    .any(|d| d.pass == "modelcheck" && d.class == witness.class),
+                "{:?}: no positioned {} diagnostic",
+                check.bug,
+                witness.class
+            );
+        }
+    }
+}
+
+#[test]
+fn exploration_runs_abstraction_and_noninterference_checks() {
+    // A PTLB that survives a context switch grants thread 1 thread 0's
+    // permission, and thread 1's load then reads P1 without ever holding
+    // a grant: the explorer must report it through the verdict check,
+    // the cache sweep, the abstraction function and the noninterference
+    // pass alike.
+    let scenario = find("setperm-vs-access").unwrap();
+    let out =
+        explore(&scenario, Some(ProtocolBug::SkipPtlbFlushOnSwitch), &ExploreLimits::default());
+    for class in [
+        ViolationClass::SchemeDivergence,
+        ViolationClass::PtlbDesync,
+        ViolationClass::RefinementDivergence,
+        ViolationClass::NoninterferenceLeak,
+    ] {
         assert!(
-            replay.violations.iter().any(|v| v.class == ViolationClass::RefinementDivergence),
-            "{:?}: witness {} did not reproduce under replay",
-            check.bug,
-            witness.schedule_string()
-        );
-        let diag = replay
-            .report
-            .diagnostics
-            .iter()
-            .find(|d| d.class == ViolationClass::RefinementDivergence)
-            .expect("positioned refinement diagnostic");
-        assert_eq!(diag.pass, "modelcheck");
-        assert!(
-            replay.report.source.starts_with(check.scenario),
-            "repro id must be scenario@schedule, got {}",
-            replay.report.source
+            out.violations.iter().any(|v| v.class == class),
+            "no {class} among {:?}",
+            out.violations.iter().map(|v| v.class).collect::<Vec<_>>()
         );
     }
 }
 
 #[test]
 fn clean_schemes_are_refinement_clean_and_noninterferent() {
-    // Refine mode must stay silent on every built-in scenario with no
-    // planted bug: no verdict/abstraction divergence on any schedule, and
-    // no noninterference leak on any completed execution.
+    // With no planted bug every built-in scenario must stay silent: no
+    // verdict or abstraction divergence on any explored schedule, no
+    // noninterference leak on any completed execution, and a sampled
+    // maximal schedule replayed through the analyzer must pass as well.
     for scenario in builtin() {
-        let out = explore_mode(&scenario, None, &ExploreLimits::default(), CheckMode::Refine);
+        let run = clean_run(&scenario.name);
+        assert!(run.violations.is_empty(), "{}: found {:?}", scenario.name, run.violations);
+        assert!(!run.truncated, "{} must be exhaustive", scenario.name);
+
+        let counts: Vec<usize> = scenario.program.threads.iter().map(Vec::len).collect();
+        let schedule = sample_schedule(&scenario.name, &counts);
+        let replay =
+            replay_schedule(&scenario, None, &schedule).expect("sampled schedule is executable");
         assert!(
-            out.violations.is_empty(),
-            "{}: refine mode found {:?}",
+            replay.violations.is_empty(),
+            "{}: replay found {:?}",
             scenario.name,
-            out.violations
+            replay.violations
         );
-        assert!(!out.truncated, "{} must be exhaustive", scenario.name);
+        assert!(replay.report.passed(), "{}: clean replay must pass", scenario.name);
     }
 }
 
 #[test]
 fn campaign_volume_meets_the_bar() {
     // The acceptance bar: >= 10k distinct schedules across >= 6 scenarios.
-    let mut schedules = 0u64;
-    let scenarios = builtin();
-    assert!(scenarios.len() >= 6);
-    for scenario in &scenarios {
-        schedules += explore(scenario, None, &ExploreLimits::default()).schedules;
-    }
+    let runs = clean_campaign();
+    assert!(runs.len() >= 6);
+    let schedules: u64 = runs.iter().map(|r| r.schedules).sum();
     assert!(schedules >= 10_000, "campaign explored only {schedules} schedules");
 }

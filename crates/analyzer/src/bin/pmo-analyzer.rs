@@ -15,16 +15,17 @@
 //! "≤2 enabled PMOs, all windows closed" discipline for WHISPER-style
 //! traces, the always-readable multi-PMO baseline for micro/server and
 //! recorded files — and can be forced with `--strict` / `--baseline`.
-//! Exits non-zero iff any source produces an error-severity diagnostic
-//! (lints never fail the run). Under `--strict` a truncated diagnostics
-//! log (findings dropped beyond the retained-log cap) also fails the
-//! run: a strict verdict must rest on the complete finding set, never a
-//! silently truncated sample.
+//! Exits 1 iff any source produces an error-severity diagnostic (lints
+//! never fail the run), and 2 on a malformed command line. Under
+//! `--strict` a truncated diagnostics log (findings dropped beyond the
+//! retained-log cap) also fails the run: a strict verdict must rest on
+//! the complete finding set, never a silently truncated sample.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use pmo_analyzer::cli::{from_env, write, Args};
 use pmo_analyzer::{standard_analyzer, validate_inspection, AnalysisReport, PermWindowPass};
 use pmo_trace::{BlockTrace, TeeSink, TraceSource};
 use pmo_workloads::{
@@ -33,6 +34,7 @@ use pmo_workloads::{
 };
 
 /// One analysis source.
+#[derive(Debug, PartialEq)]
 enum Job {
     File(PathBuf),
     Micro(MicroBench),
@@ -41,52 +43,81 @@ enum Job {
 }
 
 /// Forced window policy, overriding the per-family default.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Policy {
     Strict,
     Baseline,
 }
 
-fn arg_values(flag: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            if let Some(v) = args.next() {
-                out.push(v);
-            }
-        }
-    }
-    out
+/// The flags `pmo-analyzer` reads.
+const FLAGS: &str = "--help -h --trace FILE --workload SPEC --all --strict --baseline \
+                     --record DIR --json PATH --show-lints --inspect-validate --inspect-json PATH";
+
+/// The parsed command line.
+struct Cli {
+    help: bool,
+    forced: Option<Policy>,
+    /// The `--trace`s, then the `--workload`s, then `--all`'s workloads.
+    jobs: Vec<Job>,
+    inspect_validate: bool,
+    inspect_json: Option<String>,
+    record: Option<PathBuf>,
+    json: Option<String>,
+    show_lints: bool,
 }
 
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+/// Parses the arguments after the program name; an unknown workload spec,
+/// `--strict` with `--baseline`, and nothing to analyze are errors too.
+fn parse_args(argv: &[String]) -> Result<Cli, String> {
+    let args = Args::parse(argv, FLAGS)?;
+    let forced = match (args.has("--strict"), args.has("--baseline")) {
+        (true, true) => return Err("--strict and --baseline are mutually exclusive".into()),
+        (true, false) => Some(Policy::Strict),
+        (false, true) => Some(Policy::Baseline),
+        (false, false) => None,
+    };
+    let mut jobs: Vec<Job> =
+        args.values("--trace").iter().map(|path| Job::File(path.into())).collect();
+    for spec in args.values("--workload") {
+        jobs.extend(parse_spec(spec).ok_or_else(|| {
+            format!("bad --workload {spec:?}: want micro[:BENCH], whisper[:BENCH] or server")
+        })?);
+    }
+    if args.has("--all") {
+        jobs.extend(MicroBench::ALL.iter().copied().map(Job::Micro));
+        jobs.extend(WhisperBench::ALL.iter().copied().map(Job::Whisper));
+        jobs.push(Job::Server);
+    }
+    let help = args.has("--help") || args.has("-h");
+    if jobs.is_empty() && !help && !args.has("--inspect-validate") {
+        return Err("nothing to analyze (see --help)".into());
+    }
+    Ok(Cli {
+        help,
+        forced,
+        jobs,
+        inspect_validate: args.has("--inspect-validate"),
+        inspect_json: args.value("--inspect-json").map(String::from),
+        record: args.value("--record").map(PathBuf::from),
+        json: args.value("--json").map(String::from),
+        show_lints: args.has("--show-lints"),
+    })
 }
 
 fn parse_spec(spec: &str) -> Option<Vec<Job>> {
-    let lower = spec.to_ascii_lowercase();
-    if lower == "server" {
-        return Some(vec![Job::Server]);
-    }
-    if let Some(bench) = lower.strip_prefix("micro") {
-        let bench = bench.strip_prefix(':').unwrap_or("");
-        if bench.is_empty() {
-            return Some(MicroBench::ALL.iter().copied().map(Job::Micro).collect());
+    let (family, bench) = spec.split_once(':').unwrap_or((spec, ""));
+    let picked = |label: &str| bench.is_empty() || label.eq_ignore_ascii_case(bench);
+    let jobs: Vec<Job> = match family.to_ascii_lowercase().as_str() {
+        "server" if bench.is_empty() => vec![Job::Server],
+        "micro" => {
+            MicroBench::ALL.into_iter().filter(|b| picked(b.label())).map(Job::Micro).collect()
         }
-        let b = MicroBench::ALL.iter().copied().find(|b| b.label().eq_ignore_ascii_case(bench))?;
-        return Some(vec![Job::Micro(b)]);
-    }
-    if let Some(bench) = lower.strip_prefix("whisper") {
-        let bench = bench.strip_prefix(':').unwrap_or("");
-        if bench.is_empty() {
-            return Some(WhisperBench::ALL.iter().copied().map(Job::Whisper).collect());
+        "whisper" => {
+            WhisperBench::ALL.into_iter().filter(|b| picked(b.label())).map(Job::Whisper).collect()
         }
-        let b =
-            WhisperBench::ALL.iter().copied().find(|b| b.label().eq_ignore_ascii_case(bench))?;
-        return Some(vec![Job::Whisper(b)]);
-    }
-    None
+        _ => return None,
+    };
+    (!jobs.is_empty()).then_some(jobs)
 }
 
 fn window_pass(default_strict: bool, forced: Option<Policy>) -> PermWindowPass {
@@ -193,76 +224,41 @@ fn usage() -> &'static str {
 }
 
 fn main() -> ExitCode {
-    if has_flag("--help") || has_flag("-h") {
+    let cli = from_env(parse_args);
+    if cli.help {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
 
-    let forced = match (has_flag("--strict"), has_flag("--baseline")) {
-        (true, true) => {
-            eprintln!("--strict and --baseline are mutually exclusive");
-            return ExitCode::FAILURE;
-        }
-        (true, false) => Some(Policy::Strict),
-        (false, true) => Some(Policy::Baseline),
-        (false, false) => None,
-    };
-
-    let mut jobs: Vec<Job> = Vec::new();
-    for path in arg_values("--trace") {
-        jobs.push(Job::File(PathBuf::from(path)));
-    }
-    for spec in arg_values("--workload") {
-        match parse_spec(&spec) {
-            Some(parsed) => jobs.extend(parsed),
-            None => {
-                eprintln!("unknown workload spec '{spec}'\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if has_flag("--all") {
-        jobs.extend(MicroBench::ALL.iter().copied().map(Job::Micro));
-        jobs.extend(WhisperBench::ALL.iter().copied().map(Job::Whisper));
-        jobs.push(Job::Server);
-    }
     // Binary-inspection self-validation is its own job kind: success
     // means the seeded bugs WERE caught, so its verdict is tracked
     // separately from the trace reports (whose errors fail the run).
-    let inspect_validation = if has_flag("--inspect-validate") {
+    let inspect_validation = if cli.inspect_validate {
         let v = validate_inspection();
         print!("{v}");
-        if let Some(path) = arg_values("--inspect-json").pop() {
-            if let Err(e) = std::fs::write(&path, v.to_json()) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+        if !cli.inspect_json.iter().all(|path| write(path, &v.to_json())) {
+            return ExitCode::FAILURE;
         }
         Some(v)
     } else {
         None
     };
 
-    if jobs.is_empty() {
-        if let Some(v) = &inspect_validation {
-            return if v.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-        }
-        eprintln!("nothing to analyze\n{}", usage());
-        return ExitCode::FAILURE;
+    if cli.jobs.is_empty() {
+        let passed = inspect_validation.is_some_and(|v| v.passed());
+        return if passed { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    let record_dir = arg_values("--record").pop().map(PathBuf::from);
-    if let Some(dir) = &record_dir {
+    if let Some(dir) = &cli.record {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
     }
 
-    let show_lints = has_flag("--show-lints");
     let mut reports: Vec<AnalysisReport> = Vec::new();
-    for job in &jobs {
-        match run_job(job, forced, record_dir.as_deref()) {
+    for job in &cli.jobs {
+        match run_job(job, cli.forced, cli.record.as_deref()) {
             Ok(report) => {
                 let truncated = if report.complete() {
                     String::new()
@@ -279,7 +275,7 @@ fn main() -> ExitCode {
                 for d in report.errors() {
                     println!("  {d}");
                 }
-                if show_lints {
+                if cli.show_lints {
                     for d in report.lints() {
                         println!("  {d}");
                     }
@@ -299,16 +295,14 @@ fn main() -> ExitCode {
     println!("{} source(s) analyzed: {errors} error(s), {lints} lint(s)", reports.len());
 
     // Strict mode refuses to pass a verdict on a truncated finding set.
-    let strict_truncation = forced == Some(Policy::Strict) && dropped > 0;
+    let strict_truncation = cli.forced == Some(Policy::Strict) && dropped > 0;
     if strict_truncation {
         eprintln!("--strict: diagnostics log truncated ({dropped} finding(s) dropped); failing");
     }
 
-    if let Some(path) = arg_values("--json").pop() {
+    if let Some(path) = &cli.json {
         let body: Vec<String> = reports.iter().map(AnalysisReport::to_json).collect();
-        let json = format!("[{}]", body.join(","));
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("cannot write {path}: {e}");
+        if !write(path, &format!("[{}]", body.join(","))) {
             return ExitCode::FAILURE;
         }
     }
@@ -330,6 +324,43 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str) -> Result<Cli, String> {
+        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    /// The command lines README.md, EXPERIMENTS.md, the module doc and CI
+    /// run, and the malformed ones that are usage errors.
+    #[test]
+    fn command_lines_parse_strictly() {
+        let all = parse("--all").unwrap().jobs;
+        assert_eq!(all.len(), MicroBench::ALL.len() + WhisperBench::ALL.len() + 1);
+        let cli = parse("--workload micro:AVL --workload whisper:Echo --show-lints").unwrap();
+        assert_eq!(cli.jobs, [Job::Micro(MicroBench::Avl), Job::Whisper(WhisperBench::Echo)]);
+        assert!(cli.show_lints && cli.forced.is_none());
+        let cli = parse("--all --record traces/ --json report.json").unwrap();
+        assert_eq!((cli.jobs, cli.record), (all, Some(PathBuf::from("traces/"))));
+        let cli = parse("--trace run.pmob --strict").unwrap();
+        assert_eq!(cli.jobs, [Job::File("run.pmob".into())]);
+        assert_eq!(cli.forced, Some(Policy::Strict));
+        let line = "--all --inspect-validate --inspect-json inspect.json --json report.json";
+        let cli = parse(line).unwrap();
+        assert!(cli.inspect_validate && cli.inspect_json.as_deref() == Some("inspect.json"));
+        assert_eq!(cli.json.as_deref(), Some("report.json"));
+        assert!(parse("--inspect-validate").unwrap().jobs.is_empty() && parse("-h").unwrap().help);
+        for line in [
+            "",
+            "stray",
+            "--workload micro:AVL --bogus",
+            "--workload micro:NOPE",
+            "--workload microAVL",
+            "--all --json",
+            "--all --strict --baseline",
+            "--all --jobs 2",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} must be rejected");
+        }
+    }
 
     #[test]
     fn recorded_pmob_file_gives_the_live_report_and_bad_files_are_typed_errors() {

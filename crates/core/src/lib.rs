@@ -30,7 +30,7 @@
 //! use pmo_trace::{AccessKind, Perm, PmoId};
 //!
 //! let config = SimConfig::isca2020();
-//! let mut scheme = SchemeKind::DomainVirt.build(&config);
+//! let mut scheme = SchemeKind::DomainVirt.build_any(&config);
 //! let base = 0x40_0000_0000;
 //! scheme.attach(PmoId::new(1), base, 8 << 20, true);
 //!

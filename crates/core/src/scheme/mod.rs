@@ -279,7 +279,17 @@ impl fmt::Display for ProtocolBug {
     }
 }
 
-/// Identifies a scheme; use [`SchemeKind::build`] to construct one.
+impl std::str::FromStr for ProtocolBug {
+    type Err = String;
+
+    /// Parses a [`ProtocolBug::label`] back into the bug.
+    fn from_str(label: &str) -> Result<Self, String> {
+        let known = ProtocolBug::ALL.map(Self::label).join(", ");
+        ProtocolBug::ALL.into_iter().find(|b| b.label() == label).ok_or(format!("known: {known}"))
+    }
+}
+
+/// Identifies a scheme; use [`SchemeKind::build_any`] to construct one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// No protection (baseline).
@@ -313,21 +323,6 @@ impl SchemeKind {
         SchemeKind::Erim,
         SchemeKind::Dpti,
     ];
-
-    /// Constructs the scheme.
-    #[must_use]
-    pub fn build(self, config: &SimConfig) -> Box<dyn ProtectionScheme> {
-        match self {
-            SchemeKind::Unprotected => Box::new(Unprotected::new(config)),
-            SchemeKind::Lowerbound => Box::new(Lowerbound::new(config)),
-            SchemeKind::DefaultMpk => Box::new(DefaultMpk::new(config)),
-            SchemeKind::LibMpk => Box::new(LibMpk::new(config)),
-            SchemeKind::MpkVirt => Box::new(MpkVirt::new(config)),
-            SchemeKind::DomainVirt => Box::new(DomainVirt::new(config)),
-            SchemeKind::Erim => Box::new(Erim::new(config)),
-            SchemeKind::Dpti => Box::new(Dpti::new(config)),
-        }
-    }
 
     /// Constructs the scheme as a statically dispatched [`AnyScheme`]
     /// (what the replay engine uses on its hot path).
@@ -491,12 +486,19 @@ mod tests {
     fn build_all_schemes() {
         let config = SimConfig::isca2020();
         for kind in SchemeKind::ALL {
-            let scheme = kind.build(&config);
+            let scheme = kind.build_any(&config);
             assert_eq!(scheme.kind(), kind);
             assert!(!scheme.name().is_empty());
             assert!(!format!("{kind}").is_empty());
             assert_eq!(scheme.current_thread(), ThreadId::MAIN);
             assert_eq!(scheme.stats(), SchemeStats::default());
+        }
+    }
+
+    #[test]
+    fn protocol_bug_labels_parse_back() {
+        for bug in ProtocolBug::ALL {
+            assert_eq!(bug.label().parse(), Ok(bug));
         }
     }
 }

@@ -2,11 +2,12 @@
 //! context-switch quantum, MLP sensitivity). Pass --full for the paper's
 //! scale on the workload-driven sweeps.
 
-use pmo_experiments::{ablations, Scale};
+use pmo_experiments::ablations;
+use pmo_experiments::cli::{from_env, parse, ABLATIONS};
 use pmo_simarch::SimConfig;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = from_env(|argv| parse(argv, ABLATIONS)).0.scale;
     let sim = SimConfig::isca2020();
     println!("(scale: {scale:?})\n");
     println!("{}\n", ablations::buffer_capacity(scale, &sim));

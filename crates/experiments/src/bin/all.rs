@@ -1,13 +1,13 @@
 //! Runs every experiment in sequence (the full evaluation). Pass --full
 //! for the paper's scale.
 
-use pmo_experiments::{fig6, fig7, table5, table6, table7, table8, RunOptions, Scale};
+use pmo_experiments::cli::{from_env, parse, Cli, TABLES};
+use pmo_experiments::{fig6, fig7, table5, table6, table7, table8};
 use pmo_simarch::SimConfig;
 
 fn main() {
-    let scale = Scale::from_args();
+    let (Cli { scale, opts, .. }, _) = from_env(|argv| parse(argv, TABLES));
     let sim = SimConfig::isca2020();
-    let opts = RunOptions::from_args();
     println!("=== Reproduction run (scale: {scale:?}) ===\n");
     println!("Table II: simulation parameters\n\n{sim}\n");
     println!("{}\n", table5::table5(scale, &sim, opts));

@@ -17,56 +17,22 @@
 //!
 //! `--json PATH` writes the report as JSON; `--jobs N` fans image
 //! verification across N worker threads (the report is byte-identical
-//! at any job count). Exits non-zero on any violating image, membership
-//! miss, or missed plant.
+//! at any job count); `--seed N` replaces the campaign seed. Exits 1 on
+//! any violating image, membership miss, or missed plant, and 2 on a
+//! malformed command line.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
+use pmo_experiments::cli::{self, finish, from_env};
 use pmo_experiments::crashenum::{run_campaign, run_seeded, verify_one, CrashenumConfig};
-use pmo_experiments::faultsim::FaultWorkload;
-use pmo_experiments::{RunOptions, Scale};
-
-/// Returns the value following `flag` on the command line, if any.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn parse_u64(text: &str) -> Option<u64> {
-    if let Some(hex) = text.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        text.parse().ok()
-    }
-}
 
 fn main() -> ExitCode {
-    let scale = Scale::from_args();
-    let mut cfg = CrashenumConfig::for_scale(scale);
-    if let Some(seed) = arg_value("--seed").as_deref().and_then(parse_u64) {
-        cfg.campaign_seed = seed;
-    }
+    let (cli, image) = from_env(cli::crashenum);
+    let mut cfg = CrashenumConfig::for_scale(cli.scale);
+    cfg.campaign_seed = cli.seed.unwrap_or(cfg.campaign_seed);
 
     // Repro mode: re-verify exactly one image from a printed repro line.
-    let workload = arg_value("--workload");
-    let window = arg_value("--window").as_deref().and_then(parse_u64);
-    let rank = arg_value("--rank").as_deref().and_then(parse_u64);
-    if workload.is_some() || window.is_some() || rank.is_some() {
-        let (Some(workload), Some(window), Some(rank)) =
-            (workload.as_deref().and_then(FaultWorkload::from_label), window, rank)
-        else {
-            eprintln!(
-                "repro mode needs all of: --workload {{avl|rbtree|bplus|list|hashmap}} \
-                 --window N --rank N [--seed N]"
-            );
-            return ExitCode::FAILURE;
-        };
+    if let Some((workload, window, rank)) = image {
         let Some((hash, violation)) = verify_one(&cfg, workload, window, rank) else {
             eprintln!(
                 "no such image: workload {} has no window {window} rank {rank} \
@@ -88,31 +54,16 @@ fn main() -> ExitCode {
         };
     }
 
-    // Campaign mode. Recovery panics are part of the verdict, so silence
-    // the default "thread panicked" spew while images are checked.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    // Wall-clock stamping is the one sanctioned clock read: the campaign
-    // itself is deterministic and stamped only after it finishes.
-    #[allow(clippy::disallowed_methods)]
-    let started = Instant::now();
-    let mut report = run_campaign(&cfg, RunOptions::from_args().jobs);
-    if std::env::args().any(|a| a == "--seeded") {
-        report.seeded = run_seeded(&cfg);
-    }
-    report.wall_nanos = started.elapsed().as_nanos() as u64;
-    std::panic::set_hook(default_hook);
-
-    println!("(scale: {scale:?})\n{report}");
-    if let Some(path) = arg_value("--json") {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+    finish(&cli, || {
+        // Recovery panics are part of the verdict, so silence the
+        // default "thread panicked" spew while images are checked.
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut report = run_campaign(&cfg, cli.opts.jobs);
+        if cli.seeded {
+            report.seeded = run_seeded(&cfg);
         }
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+        std::panic::set_hook(default_hook);
+        report
+    })
 }

@@ -10,66 +10,28 @@
 //!     --workload avl --kind torn-write --after 37 --seed 0x1505
 //! ```
 //!
-//! Exits non-zero if any trial violates a workload invariant or panics.
-//! Each trial's trace is permission-audited by default (`--no-audit`
-//! opts out); `--json PATH` writes the survival matrix as JSON;
-//! `--jobs N` fans trials across N worker threads (the matrix is
-//! byte-identical at any job count).
+//! Exits 1 if any trial violates a workload invariant or panics, and 2 on
+//! a malformed command line. Each trial's trace is permission-audited by
+//! default (`--no-audit` opts out); `--json PATH` writes the survival
+//! matrix as JSON; `--jobs N` fans trials across N worker threads (the
+//! matrix is byte-identical at any job count); `--seed N` replaces the
+//! campaign seed.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
+use pmo_experiments::cli::{self, finish, from_env};
 use pmo_experiments::faultsim::{
-    fault_kind_from_label, measure_workload, run_campaign, run_trial, FaultWorkload,
-    FaultsimConfig, Outcome,
+    measure_workload, run_campaign, run_trial, FaultsimConfig, Outcome,
 };
-use pmo_experiments::{RunOptions, Scale};
-
-/// Returns the value following `flag` on the command line, if any.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn parse_u64(text: &str) -> Option<u64> {
-    if let Some(hex) = text.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        text.parse().ok()
-    }
-}
 
 fn main() -> ExitCode {
-    let scale = Scale::from_args();
-    let mut cfg = FaultsimConfig::for_scale(scale);
-    if let Some(seed) = arg_value("--seed").as_deref().and_then(parse_u64) {
-        cfg.campaign_seed = seed;
-    }
-    if std::env::args().any(|a| a == "--no-audit") {
-        cfg.audit = false;
-    }
+    let (cli, trial) = from_env(cli::faultsim);
+    let mut cfg = FaultsimConfig::for_scale(cli.scale);
+    cfg.campaign_seed = cli.seed.unwrap_or(cfg.campaign_seed);
+    cfg.audit = cli.opts.audit;
 
     // Repro mode: replay exactly one trial from a printed failure line.
-    let workload = arg_value("--workload");
-    let kind = arg_value("--kind");
-    let after = arg_value("--after").as_deref().and_then(parse_u64);
-    if workload.is_some() || kind.is_some() || after.is_some() {
-        let (Some(workload), Some(kind), Some(after)) = (
-            workload.as_deref().and_then(FaultWorkload::from_label),
-            kind.as_deref().and_then(fault_kind_from_label),
-            after,
-        ) else {
-            eprintln!(
-                "repro mode needs all of: --workload {{avl|rbtree|bplus|list|hashmap}} \
-                 --kind {{power-failure|torn-write|media-error}} --after N [--seed N]"
-            );
-            return ExitCode::FAILURE;
-        };
+    if let Some((workload, kind, after)) = trial {
         let op_stores = measure_workload(&cfg, workload);
         let result = run_trial(&cfg, workload, kind, after);
         println!(
@@ -88,28 +50,13 @@ fn main() -> ExitCode {
         };
     }
 
-    // Campaign mode. Trial panics are part of the survival matrix, so
-    // silence the default "thread panicked" spew while trials run.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    // Wall-clock stamping is the one sanctioned clock read: the campaign
-    // itself is deterministic and stamped only after it finishes.
-    #[allow(clippy::disallowed_methods)]
-    let started = Instant::now();
-    let mut report = run_campaign(&cfg, RunOptions::from_args().jobs);
-    report.wall_nanos = started.elapsed().as_nanos() as u64;
-    std::panic::set_hook(default_hook);
-
-    println!("(scale: {scale:?})\n{report}");
-    if let Some(path) = arg_value("--json") {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    finish(&cli, || {
+        // Trial panics are part of the survival matrix, so silence the
+        // default "thread panicked" spew while trials run.
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let report = run_campaign(&cfg, cli.opts.jobs);
+        std::panic::set_hook(default_hook);
+        report
+    })
 }

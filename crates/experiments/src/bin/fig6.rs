@@ -1,17 +1,15 @@
 //! Regenerates Figure 6 (overhead vs number of PMOs, per benchmark).
 //! Pass --full for the paper's scale.
 
-use pmo_experiments::{fig6::fig6, RunOptions, Scale};
+use std::process::ExitCode;
+
+use pmo_experiments::cli::{from_env, parse, write_csv, FIGURES};
+use pmo_experiments::fig6::fig6;
 use pmo_simarch::SimConfig;
 
-fn main() {
-    let scale = Scale::from_args();
-    let sim = SimConfig::isca2020();
-    let result = fig6(scale, &sim, RunOptions::from_args());
-    println!("(scale: {scale:?})\n{result}");
-    if std::env::args().any(|a| a == "--csv") {
-        std::fs::create_dir_all("results").expect("results dir");
-        std::fs::write("results/fig6.csv", result.to_csv()).expect("write csv");
-        eprintln!("wrote results/fig6.csv");
-    }
+fn main() -> ExitCode {
+    let (cli, _) = from_env(|argv| parse(argv, FIGURES));
+    let f6 = fig6(cli.scale, &SimConfig::isca2020(), cli.opts);
+    println!("(scale: {:?})\n{f6}", cli.scale);
+    write_csv(&cli, &[("fig6", f6.to_csv())])
 }

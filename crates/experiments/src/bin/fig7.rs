@@ -1,19 +1,16 @@
 //! Regenerates Figure 7 (average overheads and libmpk speedup factors).
 //! Pass --full for the paper's scale.
 
-use pmo_experiments::{fig6::fig6, fig7::fig7, RunOptions, Scale};
+use std::process::ExitCode;
+
+use pmo_experiments::cli::{from_env, parse, write_csv, FIGURES};
+use pmo_experiments::{fig6::fig6, fig7::fig7};
 use pmo_simarch::SimConfig;
 
-fn main() {
-    let scale = Scale::from_args();
-    let sim = SimConfig::isca2020();
-    let f6 = fig6(scale, &sim, RunOptions::from_args());
+fn main() -> ExitCode {
+    let (cli, _) = from_env(|argv| parse(argv, FIGURES));
+    let f6 = fig6(cli.scale, &SimConfig::isca2020(), cli.opts);
     let f7 = fig7(&f6);
-    println!("(scale: {scale:?})\n{f7}");
-    if std::env::args().any(|a| a == "--csv") {
-        std::fs::create_dir_all("results").expect("results dir");
-        std::fs::write("results/fig6.csv", f6.to_csv()).expect("write csv");
-        std::fs::write("results/fig7.csv", f7.to_csv()).expect("write csv");
-        eprintln!("wrote results/fig6.csv and results/fig7.csv");
-    }
+    println!("(scale: {:?})\n{f7}", cli.scale);
+    write_csv(&cli, &[("fig6", f6.to_csv()), ("fig7", f7.to_csv())])
 }

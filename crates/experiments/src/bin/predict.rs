@@ -24,67 +24,27 @@
 //!
 //! `--json PATH` writes the report as JSON; `--jobs N` fans program
 //! certification across N worker threads (the report is byte-identical
-//! at any job count). Exits non-zero on any false positive, count
-//! mismatch, missed plant, or prediction on a clean trace.
+//! at any job count). Exits 1 on any false positive, count mismatch,
+//! missed plant, or prediction on a clean trace, and 2 on a malformed
+//! command line.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
+use pmo_experiments::cli::{self, finish, from_env};
 use pmo_experiments::predict::{
     replay_repro, run_campaign, seeded_trace_rows, seeded_world_rows, PredictConfig,
 };
-use pmo_experiments::{RunOptions, Scale};
 use pmo_protect::ProtocolBug;
 
-/// Returns the value following `flag` on the command line, if any.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn bug_by_label(label: &str) -> Option<ProtocolBug> {
-    ProtocolBug::ALL.into_iter().find(|b| b.label() == label)
-}
-
 fn main() -> ExitCode {
-    let scale = Scale::from_args();
-    let cfg = PredictConfig::for_scale(scale);
-    let jobs = RunOptions::from_args().jobs;
-
-    let bug = match arg_value("--bug") {
-        Some(label) => match bug_by_label(&label) {
-            Some(bug) => Some(bug),
-            None => {
-                eprintln!(
-                    "unknown --bug {label:?}; have: {}",
-                    ProtocolBug::ALL.map(|b| b.label()).join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let (cli, replay) = from_env(cli::predict);
+    let cfg = PredictConfig::for_scale(cli.scale);
+    let jobs = cli.opts.jobs;
 
     // Repro mode: rebuild one witness and replay it through the
     // manifest passes.
-    if let Some(repro) = arg_value("--replay") {
-        let parsed = repro.split('@').collect::<Vec<_>>();
-        let [world, program, moved, anchor] = parsed[..] else {
-            eprintln!("--replay wants world@program@moved@anchor (e.g. w2@1763@4@6)");
-            return ExitCode::FAILURE;
-        };
-        let (Ok(program), Ok(moved), Ok(anchor)) =
-            (program.parse::<usize>(), moved.parse::<u64>(), anchor.parse::<u64>())
-        else {
-            eprintln!("bad --replay indices in {repro:?}");
-            return ExitCode::FAILURE;
-        };
-        let report = match replay_repro(&cfg, world, program, moved, anchor, bug) {
+    if let Some((world, program, moved, anchor)) = replay {
+        let report = match replay_repro(&cfg, &world, program, moved, anchor, cli.bug) {
             Ok(report) => report,
             Err(e) => {
                 eprintln!("{e}");
@@ -100,28 +60,12 @@ fn main() -> ExitCode {
         };
     }
 
-    // Campaign mode. Wall-clock stamping is the one sanctioned clock
-    // read: the campaign itself is deterministic and stamped only after
-    // it finishes.
-    #[allow(clippy::disallowed_methods)]
-    let started = Instant::now();
-    let mut report = run_campaign(&cfg, scale, jobs);
-    if std::env::args().any(|a| a == "--seeded") {
-        report.seeded_trace = seeded_trace_rows();
-        report.seeded_world = seeded_world_rows(&cfg, jobs, &ProtocolBug::ALL);
-    }
-    report.wall_nanos = started.elapsed().as_nanos() as u64;
-
-    println!("(scale: {scale:?})\n{report}");
-    if let Some(path) = arg_value("--json") {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+    finish(&cli, || {
+        let mut report = run_campaign(&cfg, cli.scale, jobs);
+        if cli.seeded {
+            report.seeded_trace = seeded_trace_rows();
+            report.seeded_world = seeded_world_rows(&cfg, jobs, &ProtocolBug::ALL);
         }
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+        report
+    })
 }

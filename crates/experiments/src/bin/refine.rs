@@ -19,70 +19,21 @@
 //!
 //! `--json PATH` writes the report as JSON; `--jobs N` fans program
 //! verification across N worker threads (the report is byte-identical at
-//! any job count). Exits non-zero on any violation, count mismatch, or
-//! missed plant.
+//! any job count). Exits 1 on any violation, count mismatch, or missed
+//! plant, and 2 on a malformed command line.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
+use pmo_experiments::cli::{self, finish, from_env};
 use pmo_experiments::refine::{replay_repro, run_campaign, run_seeded, RefineConfig};
-use pmo_experiments::{RunOptions, Scale};
-use pmo_modelcheck::parse_schedule;
-use pmo_protect::ProtocolBug;
-
-/// Returns the value following `flag` on the command line, if any.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn bug_by_label(label: &str) -> Option<ProtocolBug> {
-    ProtocolBug::ALL.into_iter().find(|b| b.label() == label)
-}
 
 fn main() -> ExitCode {
-    let scale = Scale::from_args();
-    let cfg = RefineConfig::for_scale(scale);
-    let jobs = RunOptions::from_args().jobs;
-
-    let bug = match arg_value("--bug") {
-        Some(label) => match bug_by_label(&label) {
-            Some(bug) => Some(bug),
-            None => {
-                eprintln!(
-                    "unknown --bug {label:?}; have: {}",
-                    ProtocolBug::ALL.map(|b| b.label()).join(", ")
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let (cli, replay) = from_env(cli::refine);
+    let cfg = RefineConfig::for_scale(cli.scale);
 
     // Repro mode: replay exactly one world@program@schedule id.
-    if let Some(repro) = arg_value("--replay") {
-        let parsed = repro.split('@').collect::<Vec<_>>();
-        let [world, program, schedule] = parsed[..] else {
-            eprintln!("--replay wants world@program@schedule (e.g. w2@1731@0.1.0.1)");
-            return ExitCode::FAILURE;
-        };
-        let Ok(program) = program.parse::<usize>() else {
-            eprintln!("bad program index {program:?}");
-            return ExitCode::FAILURE;
-        };
-        let schedule = match parse_schedule(schedule) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bad schedule: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let outcome = match replay_repro(&cfg, world, program, &schedule, bug) {
+    if let Some((world, program, schedule)) = replay {
+        let outcome = match replay_repro(&cfg, &world, program, &schedule, cli.bug) {
             Ok(outcome) => outcome,
             Err(e) => {
                 eprintln!("{e}");
@@ -98,27 +49,11 @@ fn main() -> ExitCode {
         };
     }
 
-    // Campaign mode. Wall-clock stamping is the one sanctioned clock
-    // read: the campaign itself is deterministic and stamped only after
-    // it finishes.
-    #[allow(clippy::disallowed_methods)]
-    let started = Instant::now();
-    let mut report = run_campaign(&cfg, jobs);
-    if std::env::args().any(|a| a == "--seeded") {
-        report.seeded = run_seeded(&cfg, jobs);
-    }
-    report.wall_nanos = started.elapsed().as_nanos() as u64;
-
-    println!("(scale: {scale:?})\n{report}");
-    if let Some(path) = arg_value("--json") {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+    finish(&cli, || {
+        let mut report = run_campaign(&cfg, cli.opts.jobs);
+        if cli.seeded {
+            report.seeded = run_seeded(&cfg, cli.opts.jobs);
         }
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+        report
+    })
 }

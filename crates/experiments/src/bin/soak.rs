@@ -9,49 +9,26 @@
 //! cargo run -p pmo-experiments --bin soak -- --tenant 23 --seed 0x50a5eed
 //! ```
 //!
-//! Exits non-zero on any invariant violation or analyzer audit error.
-//! `--json PATH` writes the report as JSON; `--jobs N` fans shards
-//! across N workers (the report is byte-identical at any job count);
-//! `--no-audit` skips the per-shard analyzer audit.
+//! Exits 1 on any invariant violation or analyzer audit error, and 2 on
+//! a malformed command line. `--json PATH` writes the report as JSON;
+//! `--jobs N` fans shards across N workers (the report is byte-identical
+//! at any job count); `--no-audit` skips the per-shard analyzer audit;
+//! `--seed N` replaces the soak seed.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
+use pmo_experiments::cli::{self, finish, from_env};
 use pmo_experiments::soak::{run_shard, run_soak, SoakConfig};
-use pmo_experiments::{RunOptions, Scale};
-
-/// Returns the value following `flag` on the command line, if any.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn parse_u64(text: &str) -> Option<u64> {
-    if let Some(hex) = text.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        text.parse().ok()
-    }
-}
 
 fn main() -> ExitCode {
-    let scale = Scale::from_args();
-    let mut cfg = SoakConfig::for_scale(scale);
-    if let Some(seed) = arg_value("--seed").as_deref().and_then(parse_u64) {
-        cfg.soak_seed = seed;
-    }
-    if std::env::args().any(|a| a == "--no-audit") {
-        cfg.audit = false;
-    }
+    let (cli, tenant) = from_env(cli::soak);
+    let mut cfg = SoakConfig::for_scale(cli.scale);
+    cfg.soak_seed = cli.seed.unwrap_or(cfg.soak_seed);
+    cfg.audit = cli.opts.audit;
 
     // Replay mode: re-run the one shard hosting a tenant and print that
     // tenant's op-by-op timeline.
-    if let Some(tenant) = arg_value("--tenant").as_deref().and_then(parse_u64) {
+    if let Some(tenant) = tenant {
         if tenant >= cfg.tenants() {
             eprintln!("--tenant {tenant} out of range (campaign has {} tenants)", cfg.tenants());
             return ExitCode::FAILURE;
@@ -72,23 +49,5 @@ fn main() -> ExitCode {
         return if report.is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    // Wall-clock stamping is the one sanctioned clock read: the campaign
-    // itself runs on logical time and is stamped only after it finishes.
-    #[allow(clippy::disallowed_methods)]
-    let started = Instant::now();
-    let mut report = run_soak(&cfg, RunOptions::from_args().jobs);
-    report.wall_nanos = started.elapsed().as_nanos() as u64;
-
-    println!("(scale: {scale:?})\n{report}");
-    if let Some(path) = arg_value("--json") {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    finish(&cli, || run_soak(&cfg, cli.opts.jobs))
 }

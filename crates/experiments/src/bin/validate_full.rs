@@ -2,33 +2,16 @@
 //! 1024 PMOs with the paper's population (1024 nodes/PMO), measuring the
 //! Figure 6/7 comparison where the paper reports its headline numbers.
 //!
-//! Usage: validate_full [--bench AVL|RBT|BT|LL|SS] [--ops N]
+//! Usage: validate_full [--bench AVL|RBT|BT|LL|SS] [--ops N] [--no-audit] [--jobs N]
 
-use pmo_experiments::{report_for, run_micro, RunOptions};
+use pmo_experiments::cli::{self, from_env};
+use pmo_experiments::{report_for, run_micro};
 use pmo_protect::SchemeKind;
 use pmo_simarch::SimConfig;
-use pmo_workloads::{MicroBench, MicroConfig};
+use pmo_workloads::MicroConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let bench = args
-        .iter()
-        .position(|a| a == "--bench")
-        .and_then(|i| args.get(i + 1))
-        .map(|name| {
-            MicroBench::ALL
-                .into_iter()
-                .find(|b| b.label() == name)
-                .unwrap_or_else(|| panic!("unknown benchmark {name}"))
-        })
-        .unwrap_or(MicroBench::Avl);
-    let ops = args
-        .iter()
-        .position(|a| a == "--ops")
-        .and_then(|i| args.get(i + 1))
-        .map(|n| n.parse().expect("--ops N"))
-        .unwrap_or(100_000);
-
+    let (cli, (bench, ops)) = from_env(cli::validate_full);
     let sim = SimConfig::isca2020();
     let config = MicroConfig { ops, ..MicroConfig::paper() };
     println!(
@@ -40,7 +23,7 @@ fn main() {
     );
     let kinds =
         [SchemeKind::Lowerbound, SchemeKind::LibMpk, SchemeKind::MpkVirt, SchemeKind::DomainVirt];
-    let reports = run_micro(bench, &config, &kinds, &sim, RunOptions::from_args());
+    let reports = run_micro(bench, &config, &kinds, &sim, cli.opts);
     let lb = report_for(&reports, SchemeKind::Lowerbound);
     println!("lowerbound: {} cycles, {:.0} switches/sec", lb.cycles, lb.switches_per_sec(&sim));
     let overhead_of = |kind: SchemeKind| report_for(&reports, kind).overhead_pct_over(lb);

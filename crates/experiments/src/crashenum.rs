@@ -47,7 +47,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pmo_analyzer::{enumerate, image_hash, seed_bug, EnumConfig, EnumResult, SeededBug};
-use pmo_runtime::{AttachIntent, FaultPlan, Mode, PmRuntime, RuntimeError};
+use pmo_runtime::{mix, AttachIntent, FaultPlan, Mode, PmRuntime, RuntimeError};
 use pmo_trace::{FaultKind, NullSink, Perm, PmoId, RecordedTrace, TraceEvent, TraceSink};
 use pmo_workloads::structs::{
     AvlTree, BplusTree, CheckedStructure, LinkedList, PersistentHashmap, RbTree,
@@ -62,14 +62,6 @@ const POOL_BYTES: u64 = 8 << 20;
 
 /// Pool name shared by the recording and every materialized image.
 const POOL_NAME: &str = "crashenum";
-
-/// SplitMix64-style finalizer for key streams and sample spacing.
-fn mix(seed: u64, lane: u64) -> u64 {
-    let mut z = seed ^ lane.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Campaign shape.
 #[derive(Clone, Copy, Debug)]

@@ -34,7 +34,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pmo_analyzer::{Analyzer, PermWindowPass};
-use pmo_runtime::{AttachIntent, FaultPlan, Mode, PmRuntime, RuntimeError};
+use pmo_runtime::{mix, AttachIntent, FaultPlan, Mode, PmRuntime, RuntimeError};
 use pmo_trace::{FaultKind, NullSink, Perm, PmoId, TraceEvent, TraceSink};
 use pmo_workloads::structs::{
     AvlTree, BplusTree, CheckedStructure, LinkedList, PersistentHashmap, RbTree,
@@ -62,16 +62,6 @@ pub const REAPPLY_LIMIT: u64 = 4;
 /// [`CampaignReport::failures_dropped`], which also fails
 /// [`CampaignReport::is_clean`].
 pub const FAILURE_LOG_CAP: usize = 64;
-
-/// SplitMix64-style finalizer used for all campaign-level derivations
-/// (key streams, per-trial fault seeds). Pure, so every trial is
-/// replayable from its printed parameters.
-fn mix(seed: u64, lane: u64) -> u64 {
-    let mut z = seed ^ lane.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The persistent structures the campaign drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,28 +1,35 @@
 //! Experiment runners regenerating every table and figure of the paper's
 //! evaluation (§V–§VI).
 //!
-//! | Paper artifact | Function | Binary |
-//! |---|---|---|
-//! | Table II (simulation parameters) | [`pmo_simarch::SimConfig::isca2020`] | `table2` |
-//! | Table V (WHISPER single-PMO overheads) | [`table5::table5`] | `table5` |
-//! | Table VI (multi-PMO lowerbound + switch rates) | [`table6::table6`] | `table6` |
-//! | Figure 6 (overhead vs #PMOs, per benchmark) | [`fig6::fig6`] | `fig6` |
-//! | Figure 7 (average overhead + libmpk speedups) | [`fig7::fig7`] | `fig7` |
-//! | Table VII (overhead breakdown at max PMOs) | [`table7::table7`] | `table7` |
-//! | Table VIII (area overheads) | [`table8::table8`] | `table8` |
-//! | Robustness (crash/fault survival matrix) | [`faultsim::run_campaign`] | `faultsim` |
-//! | Recovery verification (exhaustive crash images) | [`crashenum::run_campaign`] | `crashenum` |
-//! | Refinement + noninterference (exhaustive small worlds) | [`refine::run_campaign`] | `refine` |
-//! | Predictive-analysis certification (DPOR ground truth) | [`predict::run_campaign`] | `predict` |
+//! | Paper artifact | Function | Binary | Flags |
+//! |---|---|---|---|
+//! | Table II (simulation parameters) | [`pmo_simarch::SimConfig::isca2020`] | `table2` | none |
+//! | Table V (WHISPER single-PMO overheads) | [`table5::table5`] | `table5` | `--full --no-audit --jobs N` |
+//! | Table VI (multi-PMO lowerbound + switch rates) | [`table6::table6`] | `table6` | `--full --no-audit --jobs N` |
+//! | Figure 6 (overhead vs #PMOs, per benchmark) | [`fig6::fig6`] | `fig6` | `--full --no-audit --jobs N --csv` |
+//! | Figure 7 (average overhead + libmpk speedups) | [`fig7::fig7`] | `fig7` | `--full --no-audit --jobs N --csv` |
+//! | Table VII (overhead breakdown at max PMOs) | [`table7::table7`] | `table7` | `--full --no-audit --jobs N` |
+//! | Table VIII (area overheads) | [`table8::table8`] | `table8` | none |
+//! | All of the above in sequence | — | `all` | `--full --no-audit --jobs N` |
+//! | Design-choice ablations | [`ablations`] | `ablations` | `--full` |
+//! | One paper-scale operating point | [`run_micro`] | `validate_full` | `--bench B --ops N --no-audit --jobs N` |
+//! | Robustness (crash/fault survival matrix) | [`faultsim::run_campaign`] | `faultsim` | `--full --no-audit --jobs N --json PATH --seed N`; repro `--workload W --kind K --after N` |
+//! | Recovery verification (exhaustive crash images) | [`crashenum::run_campaign`] | `crashenum` | `--full --jobs N --json PATH --seeded --seed N`; repro `--workload W --window N --rank N` |
+//! | Multi-tenant chaos soak | [`soak::run_soak`] | `soak` | `--full --no-audit --jobs N --json PATH --seed N`; repro `--tenant N` |
+//! | Refinement + noninterference (exhaustive small worlds) | [`refine::run_campaign`] | `refine` | `--full --jobs N --json PATH --seeded`; repro `--replay ID [--bug B]` |
+//! | Predictive-analysis certification (DPOR ground truth) | [`predict::run_campaign`] | `predict` | `--full --jobs N --json PATH --seeded`; repro `--replay ID [--bug B]` |
 //!
-//! All binaries accept `--full` to run at the paper's scale; the default
-//! is a quick configuration that preserves every structural property
-//! (see [`Scale`]).
+//! `--full` (alias `--paper`) runs at the paper's scale; the default is a
+//! quick configuration that preserves every structural property (see
+//! [`Scale`]). On the one strict command line ([`cli`]) an unread flag, a
+//! missing value or a malformed one exits 2 before any work starts; a
+//! failed run or an unwritable `--json`/`--csv` file exits 1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod cli;
 pub mod crashenum;
 pub mod faultsim;
 pub mod fig6;

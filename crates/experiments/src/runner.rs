@@ -8,8 +8,12 @@
 //! simulator, and an audit error is a harness bug (panic). `--no-audit`
 //! drops the tee and changes nothing else, so reports are identical
 //! either way. Binaries parse `--no-audit` and `--jobs N` into
-//! [`RunOptions`] at the CLI layer and thread the options down
-//! explicitly — the library never sniffs `argv`.
+//! [`RunOptions`] through [`crate::cli`] (the one strict command line:
+//! an unread flag or a malformed value exits 2) and thread the options
+//! down explicitly — the library never sniffs `argv`. `table5`–`table7`,
+//! `all`, `fig6`, `fig7`, `validate_full`, `faultsim` and `soak` read
+//! both flags; `crashenum`, `refine`, `predict` and `pmo-modelcheck` read
+//! only `--jobs`.
 
 use pmo_analyzer::{Analyzer, InspectPass, PermWindowPass};
 use pmo_protect::SchemeKind;
@@ -45,43 +49,6 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parses `--no-audit` and `--jobs N` out of a command line; every
-    /// other argument is ignored. `--jobs 0` clamps to 1.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `--jobs` has no value or its value is not a count.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut opts = RunOptions::default();
-        let mut args = args.iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--no-audit" => opts.audit = false,
-                "--jobs" => {
-                    let value = args.next().ok_or("--jobs needs a worker count")?;
-                    let jobs: usize = value
-                        .parse()
-                        .map_err(|_| format!("--jobs needs a worker count, got {value:?}"))?;
-                    opts.jobs = jobs.max(1);
-                }
-                _ => {}
-            }
-        }
-        Ok(opts)
-    }
-
-    /// [`RunOptions::parse`] over the process arguments (CLI-layer helper
-    /// for the experiment binaries). A malformed option prints its message
-    /// and exits the process with status 2.
-    #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        Self::parse(&args).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2)
-        })
-    }
-
     /// This configuration with parallelism stripped — for nested drivers
     /// that already run inside a worker thread.
     #[must_use]
@@ -325,22 +292,5 @@ mod tests {
                 assert_eq!(on.to_json(), off.to_json(), "{kind}");
             }
         }
-    }
-
-    #[test]
-    fn run_options_parse_flags_and_reject_malformed_jobs() {
-        let parse = |args: &[&str]| {
-            RunOptions::parse(&args.iter().map(|a| (*a).to_string()).collect::<Vec<_>>())
-        };
-        assert_eq!(parse(&["table6"]), Ok(RunOptions::default()));
-        assert_eq!(
-            parse(&["table6", "--full", "--jobs", "4", "--no-audit"]),
-            Ok(RunOptions { audit: false, jobs: 4 })
-        );
-        assert_eq!(parse(&["table6", "--jobs", "0"]), Ok(RunOptions { audit: true, jobs: 1 }));
-        let bad = parse(&["table6", "--jobs", "abc"]).unwrap_err();
-        assert!(bad.contains("\"abc\""), "{bad}");
-        assert!(parse(&["table6", "--jobs"]).is_err(), "trailing --jobs");
-        assert!(parse(&["table6", "--jobs", "-1"]).is_err());
     }
 }

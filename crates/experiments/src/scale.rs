@@ -13,17 +13,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--full`/`--paper` style CLI args (anything else = quick).
-    #[must_use]
-    pub fn from_args() -> Self {
-        let full = std::env::args().any(|a| a == "--full" || a == "--paper");
-        if full {
-            Scale::Paper
-        } else {
-            Scale::Quick
-        }
-    }
-
     /// Micro-benchmark configuration for `active` PMOs at this scale.
     #[must_use]
     pub fn micro_config(self, active: u32) -> MicroConfig {

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pmo_analyzer::{Analyzer, GatePass, PermWindowPass};
-use pmo_runtime::FaultPlan;
+use pmo_runtime::{mix, FaultPlan};
 use pmo_server::{
     nearest_rank, Op, OpOutcome, PoolServer, RetryPolicy, ServerConfig, TenantHealth, WorkloadKind,
 };
@@ -42,16 +42,6 @@ use crate::Scale;
 /// Violation log entries kept per shard; overflow is counted in
 /// [`ShardReport::violations_dropped`], never silently discarded.
 pub const VIOLATION_LOG_CAP: usize = 64;
-
-/// SplitMix64-style finalizer for every schedule derivation (tenant
-/// order, op mix, chaos plan). Pure, so any tenant's entire timeline is
-/// replayable from `(soak_seed, shard, step)`.
-fn mix(seed: u64, lane: u64) -> u64 {
-    let mut z = seed ^ lane.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Campaign shape.
 #[derive(Clone, Copy, Debug)]

@@ -13,79 +13,70 @@
 //!
 //! Every explored schedule runs the whole checker: verdicts, cache
 //! invariants and abstraction functions after every step, noninterference
-//! after every execution. Exits non-zero when any explored schedule
-//! violates a check (campaign mode), when a planted bug escapes detection
-//! (`--seeded`), when a replayed schedule reports a violation, or on a
-//! malformed command line.
+//! after every execution. Exits 1 when any explored schedule violates a
+//! check (campaign mode), when a planted bug escapes detection
+//! (`--seeded`), or when a replayed schedule reports a violation, and 2
+//! on a malformed command line.
 
-use std::io;
-use std::path::Path;
 use std::process::ExitCode;
 
+use pmo_analyzer::cli::{from_env, Args};
 use pmo_modelcheck::{
     builtin, explore, find, parse_schedule, replay_schedule, scenarios::seeded_checks, Campaign,
-    ExploreLimits,
+    ExploreLimits, Scenario,
 };
 use pmo_protect::ProtocolBug;
 
+/// The flags `pmo-modelcheck` reads.
+const FLAGS: &str = "--list-scenarios --seeded --depth N --max-schedules N --jobs N --bug LABEL \
+                     --replay SCENARIO@SCHEDULE --scenario NAME --json PATH";
+
 /// The parsed command line.
-#[derive(Debug)]
 struct Cli {
     list_scenarios: bool,
     seeded: bool,
     limits: ExploreLimits,
-    bug: Option<ProtocolBug>,
-    replay: Option<String>,
-    scenarios: Vec<String>,
+    /// `--replay`: the scenario and schedule, with the `--bug` to plant.
+    replay: Option<(Scenario, Vec<u32>, Option<ProtocolBug>)>,
+    /// The `--scenario`s in order; every built-in one when none is named.
+    scenarios: Vec<Scenario>,
     json: Option<String>,
     jobs: usize,
 }
 
-/// Parses the arguments after the program name. A flag missing its
-/// value, a malformed number or label, or an unknown argument is an
-/// error; a repeated flag keeps its last value (`--scenario`
-/// accumulates), and `--jobs 0` runs serially.
-fn parse_args(args: &[String]) -> Result<Cli, String> {
-    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-        value.parse().map_err(|_| format!("bad {flag} {value:?}"))
-    }
-    let mut cli = Cli {
-        list_scenarios: false,
-        seeded: false,
-        limits: ExploreLimits::default(),
-        bug: None,
-        replay: None,
-        scenarios: Vec::new(),
-        json: None,
-        jobs: 1,
-    };
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        let flag = flag.as_str();
-        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag {
-            "--list-scenarios" => cli.list_scenarios = true,
-            "--seeded" => cli.seeded = true,
-            "--depth" => cli.limits.max_depth = number(flag, value()?)?,
-            "--max-schedules" => cli.limits.max_schedules = number(flag, value()?)?,
-            "--jobs" => cli.jobs = number::<usize>(flag, value()?)?.max(1),
-            "--bug" => {
-                let label = value()?;
-                cli.bug = Some(parse_bug(label).ok_or_else(|| {
-                    format!("unknown --bug {label:?} (known: {})", bug_labels().join(", "))
-                })?);
-            }
-            "--replay" => cli.replay = Some(value()?.clone()),
-            "--scenario" => cli.scenarios.push(value()?.clone()),
-            "--json" => cli.json = Some(value()?.clone()),
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(cli)
+fn scenario(name: &str) -> Result<Scenario, String> {
+    find(name).ok_or_else(|| format!("unknown scenario {name:?}"))
 }
 
-fn parse_bug(label: &str) -> Option<ProtocolBug> {
-    ProtocolBug::ALL.iter().copied().find(|b| b.label() == label)
+/// Parses the arguments after the program name; an unknown scenario, a
+/// malformed replay id and a `--bug` without `--replay` are errors too.
+fn parse_args(argv: &[String]) -> Result<Cli, String> {
+    let args = Args::parse(argv, FLAGS)?;
+    let mut limits = ExploreLimits::default();
+    limits.max_depth = args.get("--depth", str::parse)?.unwrap_or(limits.max_depth);
+    limits.max_schedules = args.get("--max-schedules", str::parse)?.unwrap_or(limits.max_schedules);
+    let bug = args.get("--bug", str::parse::<ProtocolBug>)?;
+    let replay = args.get("--replay", |spec| {
+        let (name, schedule) = spec.split_once('@').ok_or("want name@0.1.0")?;
+        Ok::<_, String>((scenario(name)?, parse_schedule(schedule)?, bug))
+    })?;
+    if bug.is_some() && replay.is_none() {
+        return Err("--bug requires --replay (use --seeded for validation campaigns)".into());
+    }
+    let named = args.values("--scenario");
+    Ok(Cli {
+        list_scenarios: args.has("--list-scenarios"),
+        seeded: args.has("--seeded"),
+        limits,
+        replay,
+        scenarios: if named.is_empty() {
+            builtin()
+        } else {
+            named.iter().map(|name| scenario(name)).collect::<Result<_, _>>()?
+        },
+        json: args.value("--json").map(String::from),
+        jobs: args.jobs()?,
+    })
 }
 
 fn list_scenarios() {
@@ -101,21 +92,7 @@ fn list_scenarios() {
         );
     }
     println!("\nreplay: pmo-modelcheck --replay <scenario>@<schedule> [--bug <label>]");
-    println!("bugs:   {}", bug_labels().join(", "));
-}
-
-fn bug_labels() -> Vec<&'static str> {
-    ProtocolBug::ALL.iter().map(|b| b.label()).collect()
-}
-
-fn run_replay(spec: &str, bug: Option<ProtocolBug>) -> Result<bool, String> {
-    let (name, sched) =
-        spec.split_once('@').ok_or_else(|| format!("bad --replay {spec:?} (want name@0.1.0)"))?;
-    let scenario = find(name).ok_or_else(|| format!("unknown scenario {name:?}"))?;
-    let schedule = parse_schedule(sched)?;
-    let outcome = replay_schedule(&scenario, bug, &schedule)?;
-    println!("{}", outcome.report);
-    Ok(outcome.violations.is_empty())
+    println!("bugs:   {}", ProtocolBug::ALL.map(ProtocolBug::label).join(", "));
 }
 
 fn run_seeded(limits: &ExploreLimits) -> bool {
@@ -163,55 +140,38 @@ fn run_seeded(limits: &ExploreLimits) -> bool {
     all_caught
 }
 
-fn run_campaign(
-    limits: &ExploreLimits,
-    selected: &[String],
-    jobs: usize,
-) -> Result<Campaign, String> {
-    let mut campaign = Campaign::default();
-    let scenarios = if selected.is_empty() {
-        builtin()
-    } else {
-        selected
-            .iter()
-            .map(|name| find(name).ok_or_else(|| format!("unknown scenario {name:?}")))
-            .collect::<Result<Vec<_>, _>>()?
-    };
-    // Scenario explorations are independent; fan them across the workers
-    // and keep the runs in the canonical scenario order so the campaign
-    // report is byte-identical at any job count.
-    campaign.runs = pmo_simarch::pool::parallel_map(jobs, scenarios, |s| explore(&s, None, limits));
-    Ok(campaign)
-}
-
-fn real_main() -> Result<bool, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = parse_args(&args)?;
+fn run(cli: Cli) -> Result<bool, String> {
     if cli.list_scenarios {
         list_scenarios();
         return Ok(true);
     }
-    if let Some(spec) = &cli.replay {
-        return run_replay(spec, cli.bug);
+    if let Some((scenario, schedule, bug)) = &cli.replay {
+        let outcome = replay_schedule(scenario, *bug, schedule)?;
+        println!("{}", outcome.report);
+        return Ok(outcome.violations.is_empty());
     }
     if cli.seeded {
         return Ok(run_seeded(&cli.limits));
     }
-    if cli.bug.is_some() {
-        return Err("--bug requires --replay (use --seeded for validation campaigns)".into());
-    }
-    let campaign = run_campaign(&cli.limits, &cli.scenarios, cli.jobs)?;
+    // Scenario explorations are independent; fan them across the workers
+    // and keep the runs in the canonical scenario order so the campaign
+    // report is byte-identical at any job count.
+    let campaign = Campaign {
+        runs: pmo_simarch::pool::parallel_map(cli.jobs, cli.scenarios, |s| {
+            explore(&s, None, &cli.limits)
+        }),
+    };
     print!("{campaign}");
     if let Some(path) = &cli.json {
-        std::fs::write(Path::new(path), campaign.to_json())
-            .map_err(|e: io::Error| format!("writing {path}: {e}"))?;
+        std::fs::write(path, campaign.to_json())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
     Ok(campaign.passed())
 }
 
 fn main() -> ExitCode {
-    match real_main() {
+    match run(from_env(parse_args)) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(msg) => {
@@ -225,58 +185,46 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Cli, String> {
-        parse_args(&args.iter().map(|a| (*a).to_string()).collect::<Vec<_>>())
+    fn parse(line: &str) -> Result<Cli, String> {
+        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
+    /// The command lines README.md, EXPERIMENTS.md, the verify notes and
+    /// CI run, and the malformed ones that are usage errors.
     #[test]
-    fn defaults_and_values_parse() {
-        let cli = parse(&[]).unwrap();
-        assert_eq!(cli.jobs, 1);
-        assert_eq!(cli.limits.max_depth, ExploreLimits::default().max_depth);
-        let cli = parse(&[
-            "--scenario",
-            "detach-race",
-            "--depth",
-            "16",
-            "--scenario",
-            "key-evict-storm",
-            "--jobs",
-            "4",
-            "--jobs",
-            "0",
-            "--max-schedules",
-            "9",
+    fn command_lines_parse_strictly() {
+        let cli = parse("").unwrap();
+        assert_eq!((cli.scenarios.len(), cli.jobs, cli.limits.max_depth), (builtin().len(), 1, 24));
+        assert!(!cli.seeded && !cli.list_scenarios && parse("--seeded").unwrap().seeded);
+        assert!(parse("--list-scenarios").unwrap().list_scenarios);
+        let cli = parse("--jobs 8 --json modelcheck-report.json").unwrap();
+        assert_eq!((cli.jobs, cli.json.as_deref()), (8, Some("modelcheck-report.json")));
+        let line = "--scenario detach-race --depth 16 --scenario key-evict-storm --jobs 4 --jobs 0";
+        let cli = parse(&format!("{line} --max-schedules 9")).unwrap();
+        let names: Vec<&str> = cli.scenarios.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["detach-race", "key-evict-storm"]);
+        assert_eq!((cli.limits.max_depth, cli.limits.max_schedules, cli.jobs), (16, 9, 1));
+        let line = "--replay key-evict-storm@0.0.0.0.1.1 --bug skip-eviction-shootdown";
+        let (scenario, schedule, bug) = parse(line).unwrap().replay.unwrap();
+        assert_eq!((scenario.name.as_str(), schedule), ("key-evict-storm", vec![0, 0, 0, 0, 1, 1]));
+        assert_eq!(bug, Some(ProtocolBug::SkipEvictionShootdown));
+        for line in [
             "--json",
-            "out.json",
-        ])
-        .unwrap();
-        assert_eq!(cli.scenarios, ["detach-race", "key-evict-storm"]);
-        assert_eq!(cli.limits.max_depth, 16);
-        assert_eq!(cli.limits.max_schedules, 9);
-        assert_eq!(cli.jobs, 1, "last --jobs wins and 0 clamps to serial");
-        assert_eq!(cli.json.as_deref(), Some("out.json"));
-        let cli = parse(&["--replay", "x@0.1", "--bug", "stale-cr3-on-switch"]).unwrap();
-        assert_eq!(cli.replay.as_deref(), Some("x@0.1"));
-        assert_eq!(cli.bug, Some(ProtocolBug::StaleCr3OnSwitch));
-    }
-
-    #[test]
-    fn malformed_arguments_are_errors() {
-        for args in [
-            &["--jobs"][..],
-            &["--jobs", "abc"],
-            &["--jobs", "-1"],
-            &["--depth", "deep"],
-            &["--max-schedules"],
-            &["--bug", "no-such-bug"],
-            &["--json"],
-            &["--replay"],
-            &["--scenario"],
-            &["--seed"],
-            &["stray"],
+            "--jobs -1",
+            "--depth deep",
+            "--max-schedules 9x",
+            "--replay",
+            "--scenario",
+            "--bug no-such-bug --replay key-evict-storm@0.1",
+            "--bug stale-cr3-on-switch",
+            "--replay key-evict-storm",
+            "--replay no-such-scenario@0.1",
+            "--scenario no-such-scenario",
+            "--seed 1",
+            "stray",
         ] {
-            assert!(parse(args).is_err(), "{args:?} must be rejected");
+            assert!(parse(line).is_err(), "{line:?} must be rejected");
         }
+        assert!(matches!(parse("--jobs abc"), Err(e) if e.contains("--jobs \"abc\"")));
     }
 }

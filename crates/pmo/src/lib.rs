@@ -55,5 +55,5 @@ pub use layout::{hdr, heap_base_for, log_bytes_for, HEADER_SIZE};
 pub use namespace::{AttachIntent, Mode, Namespace, PoolEntry, PoolHealth, Uid};
 pub use oid::Oid;
 pub use runtime::{Attachment, PmRuntime, RecoveryReport, ScrubReport};
-pub use storage::{FaultPlan, PoolStorage, LINE};
+pub use storage::{mix, FaultPlan, PoolStorage, LINE};
 pub use txn::Transaction;

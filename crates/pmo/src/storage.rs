@@ -78,10 +78,11 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64-style finalizer keyed on `(seed, lane)`: every per-line
-/// crash decision hashes through this, making outcomes independent of
-/// container iteration order and bit-for-bit replayable.
-fn mix(seed: u64, lane: u64) -> u64 {
+/// SplitMix64-style finalizer keyed on `(seed, lane)`: crash decisions,
+/// retry jitter and campaign schedules hash through it, so they replay bit
+/// for bit from their seeds, independent of container iteration order.
+#[must_use]
+pub fn mix(seed: u64, lane: u64) -> u64 {
     let mut z = seed ^ lane.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -7,16 +7,7 @@
 //! media damage escalates to the scrub/quarantine recovery path, and
 //! anything unexpected propagates as a hard error.
 
-use pmo_runtime::RuntimeError;
-
-/// SplitMix64-style finalizer used for jitter derivation. Pure, so every
-/// backoff schedule is replayable from `(seed, lane, attempt)`.
-fn mix(seed: u64, lane: u64) -> u64 {
-    let mut z = seed ^ lane.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use pmo_runtime::{mix, RuntimeError};
 
 /// What kind of failure an error represents, policy-wise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -16,5 +16,5 @@
 mod replay;
 mod report;
 
-pub use replay::{replay_block_trace, replay_source, replay_source_all, FaultPolicy, Replay};
+pub use replay::{replay_block_trace, replay_source, replay_source_all, Replay};
 pub use report::{ReplayReport, ReplaySnapshot};

@@ -20,17 +20,6 @@ use pmo_trace::{
 
 use crate::report::{ReplayReport, ReplaySnapshot};
 
-/// What to do when a trace access violates the protection policy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FaultPolicy {
-    /// Record the fault and continue (the access is suppressed).
-    #[default]
-    Record,
-    /// Panic immediately — for debugging workloads that are expected to be
-    /// permission-clean.
-    Panic,
-}
-
 /// Maximum number of individual faults retained in the report; faults
 /// beyond the cap are counted in [`ReplayReport::faults_dropped`].
 const FAULT_LOG_CAP: usize = 32;
@@ -131,7 +120,6 @@ pub struct Replay {
     counts: EventCounts,
     faults: Vec<ProtectionFault>,
     faults_dropped: u64,
-    policy: FaultPolicy,
     ops: u64,
     fast_enabled: bool,
     fast: Option<FastEntry>,
@@ -166,7 +154,6 @@ impl Replay {
             counts: EventCounts::default(),
             faults: Vec::new(),
             faults_dropped: 0,
-            policy: FaultPolicy::Record,
             ops: 0,
             fast_enabled: true,
             fast: None,
@@ -179,14 +166,6 @@ impl Replay {
             line_shift: config.line_bytes.trailing_zeros(),
             l1_hit_cycles: config.l1d_latency,
         }
-    }
-
-    /// Creates a replay that panics on the first protection fault.
-    #[must_use]
-    pub fn strict(kind: SchemeKind, config: &SimConfig) -> Self {
-        let mut replay = Self::new(kind, config);
-        replay.policy = FaultPolicy::Panic;
-        replay
     }
 
     /// Enables or disables the same-page fast path (on by default). The
@@ -383,11 +362,7 @@ impl Replay {
                     self.charge_data_access(va, hint.mem, kind);
                 } else {
                     entry.denied += 1;
-                    let fault = hint.fault(va, kind);
-                    if self.policy == FaultPolicy::Panic {
-                        panic!("protection fault during strict replay: {fault}");
-                    }
-                    self.record_fault(fault);
+                    self.record_fault(hint.fault(va, kind));
                 }
                 return;
             }
@@ -409,11 +384,7 @@ impl Replay {
                         self.charge_data_access(va, hint.mem, kind);
                     } else {
                         denied = 1;
-                        let fault = hint.fault(va, kind);
-                        if self.policy == FaultPolicy::Panic {
-                            panic!("protection fault during strict replay: {fault}");
-                        }
-                        self.record_fault(fault);
+                        self.record_fault(hint.fault(va, kind));
                     }
                     // Re-arm with this access's scheme-side accounting
                     // (one L1 TLB stats hit, one fault if denied) still
@@ -427,12 +398,7 @@ impl Replay {
         self.cycles += result.cycles;
         match result.fault {
             None => self.charge_data_access(va, result.mem, kind),
-            Some(fault) => {
-                if self.policy == FaultPolicy::Panic {
-                    panic!("protection fault during strict replay: {fault}");
-                }
-                self.record_fault(fault);
-            }
+            Some(fault) => self.record_fault(fault),
         }
         if self.fast_enabled {
             self.fast = match self.scheme.fast_hint(va) {
@@ -548,8 +514,8 @@ impl Replay {
     /// struct-of-arrays lanes.
     /// Denied accesses and page/line changes never batch — they fall back
     /// to [`Replay::memory_access`], so fault logging (including the
-    /// [`FAULT_LOG_CAP`] truncation discipline) and strict-mode panics
-    /// are byte-identical to the streamed path.
+    /// [`FAULT_LOG_CAP`] truncation discipline) is byte-identical to the
+    /// streamed path.
     pub fn replay_block(&mut self, block: &EventBlock) {
         self.counts.merge(block.counts());
         let tags = block.tags();
@@ -933,36 +899,6 @@ mod tests {
         assert!(report.faulted());
         assert_eq!(report.faults.len(), 1);
         assert!(report.faults[0].is_domain_violation());
-    }
-
-    #[test]
-    #[should_panic(expected = "protection fault")]
-    fn strict_mode_panics() {
-        let cfg = SimConfig::isca2020();
-        let mut replay = Replay::strict(SchemeKind::DomainVirt, &cfg);
-        replay.event(TraceEvent::Attach {
-            pmo: PmoId::new(1),
-            base: BASE,
-            size: 1 << 20,
-            nvm: true,
-        });
-        replay.store(BASE, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "protection fault")]
-    fn strict_mode_panics_on_fast_path_denial() {
-        let cfg = SimConfig::isca2020();
-        let mut replay = Replay::strict(SchemeKind::DomainVirt, &cfg);
-        replay.event(TraceEvent::Attach {
-            pmo: PmoId::new(1),
-            base: BASE,
-            size: 1 << 20,
-            nvm: true,
-        });
-        replay.event(TraceEvent::SetPerm { pmo: PmoId::new(1), perm: Perm::ReadOnly });
-        replay.load(BASE, 8); // arms the fast entry
-        replay.store(BASE + 8, 8); // fast-path deny must still panic
     }
 
     #[test]

@@ -45,11 +45,11 @@ fn main() {
     let config = SimConfig::isca2020();
 
     for kind in [SchemeKind::DefaultMpk, SchemeKind::MpkVirt, SchemeKind::DomainVirt] {
-        let mut scheme = kind.build(&config);
-        provision(scheme.as_mut());
+        let mut scheme = kind.build_any(&config);
+        provision(&mut scheme);
 
         // Handler thread 7 is compromised and sweeps all client PMOs.
-        let leaked = heartbleed_sweep(scheme.as_mut(), 7);
+        let leaked = heartbleed_sweep(&mut scheme, 7);
         println!("[{kind}] compromised handler 7 reads {CLIENTS} client PMOs:");
         println!("    leaked {} client(s): {:?}", leaked.len(), leaked);
         match kind {

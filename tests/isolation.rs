@@ -2,7 +2,7 @@
 //! and spatial isolation) must hold under every protective scheme, and
 //! the specific guarantees of each design must hold at scale.
 
-use pmo_repro::protect::scheme::{ProtectionScheme, SchemeKind};
+use pmo_repro::protect::scheme::{AnyScheme, ProtectionScheme, SchemeKind};
 use pmo_repro::simarch::SimConfig;
 use pmo_repro::trace::{AccessKind, Perm, PmoId, ThreadId};
 
@@ -17,9 +17,9 @@ const PROTECTIVE: [SchemeKind; 5] = [
     SchemeKind::DomainVirt,
 ];
 
-fn scheme_with_domains(kind: SchemeKind, n: u32) -> Box<dyn ProtectionScheme> {
+fn scheme_with_domains(kind: SchemeKind, n: u32) -> AnyScheme {
     let config = SimConfig::isca2020();
-    let mut scheme = kind.build(&config);
+    let mut scheme = kind.build_any(&config);
     for i in 1..=n {
         scheme.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
     }

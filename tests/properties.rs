@@ -459,13 +459,13 @@ proptest! {
     fn audit_matches_lowerbound_denials(
         ops in prop::collection::vec((0u8..8, 1u32..6, 0u64..4096u64), 1..150)
     ) {
-        use pmo_repro::protect::scheme::SchemeKind;
+        use pmo_repro::protect::scheme::{ProtectionScheme, SchemeKind};
         use pmo_repro::simarch::SimConfig;
         use pmo_repro::trace::{AuditViolation, PermAudit, TraceEvent, TraceSink};
 
         const GB1: u64 = 1 << 30;
         let config = SimConfig::isca2020();
-        let mut scheme = SchemeKind::Lowerbound.build(&config);
+        let mut scheme = SchemeKind::Lowerbound.build_any(&config);
         let mut audit = PermAudit::with_max_open_windows(usize::MAX);
 
         // Attach five domains in both views.

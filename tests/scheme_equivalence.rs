@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pmo_repro::protect::scheme::SchemeKind;
+use pmo_repro::protect::scheme::{ProtectionScheme, SchemeKind};
 use pmo_repro::simarch::SimConfig;
 use pmo_repro::trace::{AccessKind, Perm, PmoId, ThreadId};
 
@@ -51,7 +51,7 @@ fn random_ops(seed: u64, domains: u32, ops: usize) -> Vec<Op> {
 /// Applies the sequence, returning the allow/deny outcome of each access.
 fn decisions(kind: SchemeKind, domains: u32, ops: &[Op]) -> Vec<bool> {
     let config = SimConfig::isca2020();
-    let mut scheme = kind.build(&config);
+    let mut scheme = kind.build_any(&config);
     for i in 1..=domains {
         scheme.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
     }

@@ -160,18 +160,23 @@ impl PoolEntry {
 /// attached by many readers or one writer ("a PMO may be attached
 /// exclusively to only one process for writing, but may be attached to
 /// multiple processes for reading").
+///
+/// Pools are stored by PMO ID, so the by-ID lookup every PMO load and
+/// store goes through is a single index. A name→ID index serves the
+/// by-name API and keeps [`Namespace::names`] sorted by name.
 #[derive(Debug, Default)]
 pub struct Namespace {
-    pools: BTreeMap<String, PoolEntry>,
-    names_by_id: BTreeMap<PmoId, String>,
-    next_id: u32,
+    /// Every pool ever created, by ID; a destroyed pool's slot stays
+    /// empty, so the next ID is always one past the last slot.
+    pools: PmoTable<PoolEntry>,
+    ids_by_name: BTreeMap<String, PmoId>,
 }
 
 impl Namespace {
     /// Creates an empty namespace.
     #[must_use]
     pub fn new() -> Self {
-        Namespace { pools: BTreeMap::new(), names_by_id: BTreeMap::new(), next_id: 1 }
+        Self::default()
     }
 
     /// Registers a new pool; returns its stable PMO ID.
@@ -179,15 +184,14 @@ impl Namespace {
         if size == 0 {
             return Err(RuntimeError::InvalidSize(size));
         }
-        if self.pools.contains_key(name) {
+        if self.ids_by_name.contains_key(name) {
             return Err(RuntimeError::PoolExists(name.to_string()));
         }
-        let id = PmoId::new(self.next_id);
-        self.next_id += 1;
+        let id = self.pools.next_id();
         let mut storage = PoolStorage::new(size);
         storage.set_owner(id);
         self.pools.insert(
-            name.to_string(),
+            id,
             PoolEntry {
                 id,
                 name: name.to_string(),
@@ -200,7 +204,7 @@ impl Namespace {
                 quarantined: None,
             },
         );
-        self.names_by_id.insert(id, name.to_string());
+        self.ids_by_name.insert(name.to_string(), id);
         Ok(id)
     }
 
@@ -269,20 +273,19 @@ impl Namespace {
 
     /// Looks up a pool by ID.
     pub fn entry(&self, id: PmoId) -> Result<&PoolEntry> {
-        let name = self.names_by_id.get(&id).ok_or(RuntimeError::NotAttached(id))?;
-        Ok(&self.pools[name])
+        self.pools.get(id).ok_or(RuntimeError::NotAttached(id))
     }
 
     /// Looks up a pool mutably by ID.
     pub fn entry_mut(&mut self, id: PmoId) -> Result<&mut PoolEntry> {
-        let name = self.names_by_id.get(&id).ok_or(RuntimeError::NotAttached(id))?.clone();
-        Ok(self.pools.get_mut(&name).expect("indexes in sync"))
+        self.pools.get_mut(id).ok_or(RuntimeError::NotAttached(id))
     }
 
     /// Looks up a pool mutably by name (the scrub/quarantine-release
     /// path operates on pools that may refuse ID-based attach).
     pub fn entry_mut_by_name(&mut self, name: &str) -> Result<&mut PoolEntry> {
-        self.pools.get_mut(name).ok_or_else(|| RuntimeError::NoSuchPool(name.to_string()))
+        let id = self.id_of(name)?;
+        self.entry_mut(id)
     }
 
     /// Destroys a pool and its data. Only the owner may destroy it, and
@@ -299,20 +302,20 @@ impl Namespace {
             return Err(RuntimeError::ExclusivelyHeld(name.to_string()));
         }
         let id = entry.id;
-        self.pools.remove(name);
-        self.names_by_id.remove(&id);
+        self.pools.remove(id);
+        self.ids_by_name.remove(name);
         Ok(())
     }
 
-    /// Iterates over registered pool names.
+    /// Iterates over registered pool names, sorted by name.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.pools.keys().map(String::as_str)
+        self.ids_by_name.keys().map(String::as_str)
     }
 
     /// Whether a pool with this name exists.
     #[must_use]
     pub fn contains(&self, name: &str) -> bool {
-        self.pools.contains_key(name)
+        self.ids_by_name.contains_key(name)
     }
 
     /// A pool's current health.
@@ -321,22 +324,20 @@ impl Namespace {
     ///
     /// Fails if no pool with this name exists.
     pub fn health(&self, name: &str) -> Result<PoolHealth> {
-        self.pools
-            .get(name)
-            .map(PoolEntry::health)
-            .ok_or_else(|| RuntimeError::NoSuchPool(name.to_string()))
+        let id = self.id_of(name)?;
+        Ok(self.entry(id)?.health())
     }
 
     /// Number of registered pools.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pools.len()
+        self.ids_by_name.len()
     }
 
     /// Whether no pools are registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.pools.is_empty()
+        self.ids_by_name.is_empty()
     }
 
     /// Simulates machine power loss: every pool's unflushed lines revert
@@ -350,11 +351,142 @@ impl Namespace {
         }
         lost
     }
+
+    fn id_of(&self, name: &str) -> Result<PmoId> {
+        self.ids_by_name
+            .get(name)
+            .copied()
+            .ok_or_else(|| RuntimeError::NoSuchPool(name.to_string()))
+    }
+}
+
+/// A table keyed by PMO ID. PMO IDs are handed out densely from 1, so
+/// slot `id - 1` of a vector holds the value for `id` and every lookup is
+/// one index.
+#[derive(Debug)]
+pub(crate) struct PmoTable<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> Default for PmoTable<T> {
+    fn default() -> Self {
+        PmoTable { slots: Vec::new() }
+    }
+}
+
+impl<T> PmoTable<T> {
+    /// The slot of `id`; the NULL ID maps past every slot.
+    fn index(id: PmoId) -> usize {
+        (id.raw() as usize).wrapping_sub(1)
+    }
+
+    /// The ID one past the last slot.
+    fn next_id(&self) -> PmoId {
+        PmoId::new(u32::try_from(self.slots.len() + 1).expect("PMO IDs fit in 32 bits"))
+    }
+
+    pub(crate) fn get(&self, id: PmoId) -> Option<&T> {
+        self.slots.get(Self::index(id)).and_then(Option::as_ref)
+    }
+
+    pub(crate) fn get_mut(&mut self, id: PmoId) -> Option<&mut T> {
+        self.slots.get_mut(Self::index(id)).and_then(Option::as_mut)
+    }
+
+    /// Stores `value` under `id`, growing the table as needed.
+    pub(crate) fn insert(&mut self, id: PmoId, value: T) {
+        let index = Self::index(id);
+        if index >= self.slots.len() {
+            self.slots.resize_with(index + 1, || None);
+        }
+        self.slots[index] = Some(value);
+    }
+
+    pub(crate) fn remove(&mut self, id: PmoId) -> Option<T> {
+        self.slots.get_mut(Self::index(id)).and_then(Option::take)
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    /// The stored values in ID order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().flatten()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Creates and destroys pools over a small name set and checks the
+        /// ID-keyed store against its name index after every step.
+        #[test]
+        fn by_id_and_by_name_lookups_agree(
+            steps in prop::collection::vec((any::<bool>(), 0usize..6), 0..80),
+        ) {
+            const NAMES: [&str; 6] = ["pmo-b", "a", "pmo-a", "z", "pmo-0010", "pmo-002"];
+            let mut ns = Namespace::new();
+            let mut live: BTreeMap<&str, PmoId> = BTreeMap::new();
+            let mut dead: Vec<PmoId> = Vec::new();
+            let mut next = 1u32;
+            for (create, which) in steps {
+                let name = NAMES[which];
+                if create {
+                    let got = ns.create(name, 4096, Mode::private(), 1);
+                    if live.contains_key(name) {
+                        prop_assert_eq!(got, Err(RuntimeError::PoolExists(name.to_string())));
+                    } else {
+                        // IDs are dense and never reused, even for a re-created name.
+                        prop_assert_eq!(got.clone(), Ok(PmoId::new(next)));
+                        next += 1;
+                        live.insert(name, got.unwrap());
+                    }
+                } else {
+                    let got = ns.destroy(name, 1);
+                    match live.remove(name) {
+                        Some(id) => {
+                            prop_assert_eq!(got, Ok(()));
+                            dead.push(id);
+                        }
+                        None => {
+                            prop_assert_eq!(got, Err(RuntimeError::NoSuchPool(name.to_string())));
+                        }
+                    }
+                }
+                prop_assert!(ns.names().eq(live.keys().copied()), "names() sorted by name");
+                prop_assert_eq!(ns.len(), live.len());
+                for (&name, &id) in &live {
+                    prop_assert_eq!(ns.entry(id).map(|e| e.name.as_str()), Ok(name));
+                    prop_assert_eq!(ns.entry_mut(id).map(|e| e.id), Ok(id));
+                    prop_assert_eq!(ns.entry_mut_by_name(name).map(|e| e.id), Ok(id));
+                    prop_assert!(ns.contains(name));
+                    prop_assert_eq!(ns.health(name), Ok(PoolHealth::Healthy));
+                }
+                for &id in dead.iter().chain(&[PmoId::NULL, PmoId::new(next)]) {
+                    prop_assert_eq!(ns.entry(id).err(), Some(RuntimeError::NotAttached(id)));
+                    prop_assert_eq!(ns.entry_mut(id).err(), Some(RuntimeError::NotAttached(id)));
+                    prop_assert_eq!(ns.release(id, AttachIntent::Read), Err(RuntimeError::NotAttached(id)));
+                }
+                for name in NAMES.iter().filter(|n| !live.contains_key(*n)) {
+                    let missing = RuntimeError::NoSuchPool(name.to_string());
+                    prop_assert!(!ns.contains(name));
+                    prop_assert_eq!(ns.health(name), Err(missing.clone()));
+                    prop_assert_eq!(ns.entry_mut_by_name(name).err(), Some(missing.clone()));
+                    prop_assert_eq!(ns.acquire(name, 1, AttachIntent::Read, None), Err(missing));
+                }
+            }
+        }
+    }
 
     #[test]
     fn create_and_ids_are_stable() {

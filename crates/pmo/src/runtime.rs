@@ -10,7 +10,7 @@ use crate::layout::{
     hdr, heap_base_for, log_bytes_for, slot_size, ALLOC_HEADER, ALLOC_MAGIC, FREED_MAGIC,
     HEADER_SIZE, POOL_MAGIC,
 };
-use crate::namespace::{AttachIntent, Mode, Namespace, PoolHealth, Uid};
+use crate::namespace::{AttachIntent, Mode, Namespace, PmoTable, PoolHealth, Uid};
 use crate::oid::Oid;
 use crate::storage::{FaultPlan, LINE};
 
@@ -96,7 +96,7 @@ struct ActiveTxn {
 pub struct PmRuntime {
     ns: Namespace,
     aspace: AddressSpace,
-    attached: BTreeMap<PmoId, Attachment>,
+    attached: PmoTable<Attachment>,
     free_lists: BTreeMap<PmoId, BTreeMap<u64, Vec<u32>>>,
     uid: Uid,
     last_recovery: Option<RecoveryReport>,
@@ -116,7 +116,7 @@ impl PmRuntime {
         PmRuntime {
             ns: Namespace::new(),
             aspace: AddressSpace::new(),
-            attached: BTreeMap::new(),
+            attached: PmoTable::default(),
             free_lists: BTreeMap::new(),
             uid: 0,
             last_recovery: None,
@@ -247,7 +247,7 @@ impl PmRuntime {
         sink: &mut dyn TraceSink,
     ) -> Result<PmoId> {
         let id = self.ns.acquire(name, self.uid, intent, key)?;
-        if self.attached.contains_key(&id) {
+        if self.attached.get(id).is_some() {
             self.ns.release(id, intent)?;
             return Err(RuntimeError::AlreadyAttached(id));
         }
@@ -269,7 +269,7 @@ impl PmRuntime {
                 // roll the attach back completely so no half-attached state
                 // lingers — release the VA reservation and the namespace
                 // lock, and undo the trace event.
-                let att = self.attached.remove(&id).expect("inserted above");
+                let att = self.attached.remove(id).expect("inserted above");
                 self.aspace.release(att.base, att.region);
                 self.ns.release(id, intent)?;
                 sink.event(TraceEvent::Detach { pmo: id });
@@ -285,7 +285,7 @@ impl PmRuntime {
     ///
     /// Fails if the pool is not attached.
     pub fn pool_close(&mut self, id: PmoId, sink: &mut dyn TraceSink) -> Result<()> {
-        let att = self.attached.remove(&id).ok_or(RuntimeError::NotAttached(id))?;
+        let att = self.attached.remove(id).ok_or(RuntimeError::NotAttached(id))?;
         self.aspace.release(att.base, att.region);
         self.free_lists.remove(&id);
         self.ns.release(id, att.intent)?;
@@ -811,7 +811,7 @@ impl PmRuntime {
     ///
     /// Fails if the pool is not attached.
     pub fn crash_pool(&mut self, id: PmoId, sink: &mut dyn TraceSink) -> Result<u64> {
-        let att = self.attached.remove(&id).ok_or(RuntimeError::NotAttached(id))?;
+        let att = self.attached.remove(id).ok_or(RuntimeError::NotAttached(id))?;
         if self.txn.as_ref().is_some_and(|t| t.pool == id) {
             self.txn = None;
         }
@@ -826,7 +826,7 @@ impl PmRuntime {
 
     /// Info about one attachment.
     pub fn attachment(&self, id: PmoId) -> Result<&Attachment> {
-        self.attached.get(&id).ok_or(RuntimeError::NotAttached(id))
+        self.attached.get(id).ok_or(RuntimeError::NotAttached(id))
     }
 
     /// Iterates over all current attachments.

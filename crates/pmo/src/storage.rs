@@ -3,7 +3,9 @@
 //! Each pool is a *sparse* byte space representing the current
 //! (CPU-visible) contents: 4KB chunks materialize on first write, so a
 //! benchmark can declare 1024 x 8MB pools (as the paper's multi-PMO
-//! experiments do) while only touched bytes consume host memory.
+//! experiments do) while only touched bytes consume host memory. Chunks
+//! are found by index in a vector that grows to the highest chunk written
+//! (8 bytes per 4KB below it; the allocator fills pools from the bottom).
 //!
 //! Persistence is modelled at cache-line granularity: a store makes its
 //! lines "unflushed" (the NVM still holds the old bytes); an explicit
@@ -93,7 +95,8 @@ pub fn mix(seed: u64, lane: u64) -> u64 {
 #[derive(Clone, Debug, Default)]
 pub struct PoolStorage {
     size: u64,
-    chunks: BTreeMap<u64, Box<[u8; CHUNK as usize]>>,
+    /// Slot `i` holds chunk `i` once written.
+    chunks: Vec<Option<Box<[u8; CHUNK as usize]>>>,
     /// line index -> persisted (pre-write) contents of that line.
     unflushed: BTreeMap<u64, [u8; LINE as usize]>,
     stores: u64,
@@ -130,7 +133,7 @@ impl PoolStorage {
     /// Host-memory chunks materialized so far (diagnostic).
     #[must_use]
     pub fn resident_chunks(&self) -> usize {
-        self.chunks.len()
+        self.chunks.iter().flatten().count()
     }
 
     fn check(&self, offset: u64, len: u64) -> Result<()> {
@@ -149,7 +152,7 @@ impl PoolStorage {
             let chunk_idx = offset / CHUNK;
             let within = (offset % CHUNK) as usize;
             let take = (buf.len() - done).min(CHUNK as usize - within);
-            match self.chunks.get(&chunk_idx) {
+            match self.chunks.get(chunk_idx as usize).and_then(Option::as_ref) {
                 Some(chunk) => {
                     buf[done..done + take].copy_from_slice(&chunk[within..within + take])
                 }
@@ -166,8 +169,11 @@ impl PoolStorage {
             let chunk_idx = offset / CHUNK;
             let within = (offset % CHUNK) as usize;
             let take = (bytes.len() - done).min(CHUNK as usize - within);
-            let chunk =
-                self.chunks.entry(chunk_idx).or_insert_with(|| Box::new([0u8; CHUNK as usize]));
+            let idx = chunk_idx as usize;
+            if idx >= self.chunks.len() {
+                self.chunks.resize_with(idx + 1, || None);
+            }
+            let chunk = self.chunks[idx].get_or_insert_with(|| Box::new([0u8; CHUNK as usize]));
             chunk[within..within + take].copy_from_slice(&bytes[done..done + take]);
             done += take;
             offset += take as u64;
@@ -374,11 +380,10 @@ impl PoolStorage {
     /// reproduces the image exactly.
     #[must_use]
     pub fn line_image(&self) -> Vec<(u64, [u8; LINE as usize])> {
-        let mut chunk_indices: Vec<u64> = self.chunks.keys().copied().collect();
-        chunk_indices.sort_unstable();
         let mut out = Vec::new();
-        for chunk_idx in chunk_indices {
-            let chunk = &self.chunks[&chunk_idx];
+        for (chunk_idx, chunk) in self.chunks.iter().enumerate() {
+            let Some(chunk) = chunk else { continue };
+            let chunk_idx = chunk_idx as u64;
             for i in 0..(CHUNK / LINE) {
                 let span = (i * LINE) as usize..((i + 1) * LINE) as usize;
                 let bytes = &chunk[span];

@@ -57,12 +57,14 @@ pub fn run_micro_once(
     sim: &SimConfig,
 ) -> ReplayReport {
     let mut workload = MicroWorkload::new(bench, bench_micro_config(active));
-    pmo_experiments::run_windowed(&mut workload, kind, sim, pmo_experiments::RunOptions::default())
+    let opts = pmo_experiments::RunOptions::default();
+    pmo_experiments::run_windowed(&mut workload, &[kind], sim, opts).remove(0)
 }
 
 /// Runs one WHISPER benchmark under one scheme (measured window only).
 #[must_use]
 pub fn run_whisper_once(bench: WhisperBench, kind: SchemeKind, sim: &SimConfig) -> ReplayReport {
     let mut workload = WhisperWorkload::new(bench, bench_whisper_config());
-    pmo_experiments::run_windowed(&mut workload, kind, sim, pmo_experiments::RunOptions::default())
+    let opts = pmo_experiments::RunOptions::default();
+    pmo_experiments::run_windowed(&mut workload, &[kind], sim, opts).remove(0)
 }

@@ -6,8 +6,9 @@
 use std::fmt;
 
 use pmo_protect::SchemeKind;
+use pmo_sim::ReplayReport;
 use pmo_simarch::SimConfig;
-use pmo_workloads::{MicroBench, ServerConfig, ServerWorkload};
+use pmo_workloads::{MicroBench, ServerConfig, ServerWorkload, Workload};
 
 use crate::runner::{report_for, run_micro, run_windowed, RunOptions};
 use crate::text::{f, TextTable};
@@ -51,6 +52,18 @@ fn both_overheads(sim: &SimConfig, scale: Scale, active: u32) -> (f64, f64) {
         report_for(&reports, SchemeKind::MpkVirt).overhead_pct_over(lb),
         report_for(&reports, SchemeKind::DomainVirt).overhead_pct_over(lb),
     )
+}
+
+/// Runs `workload` once under `reference` and both designs, returning
+/// the three reports in that order.
+fn designs_over(
+    workload: &mut dyn Workload,
+    reference: SchemeKind,
+    sim: &SimConfig,
+) -> [ReplayReport; 3] {
+    let kinds = [reference, SchemeKind::MpkVirt, SchemeKind::DomainVirt];
+    let reports = run_windowed(workload, &kinds, sim, RunOptions::default());
+    reports.try_into().expect("one report per scheme")
 }
 
 /// Sweeps the DTTLB/PTLB capacity (both designs' per-core buffer).
@@ -106,20 +119,18 @@ pub fn context_switch_quantum(base: &SimConfig) -> Ablation {
     let points = [1u32, 4, 16, 64]
         .into_iter()
         .map(|quantum| {
-            let run = |kind| {
-                let mut workload = ServerWorkload::new(ServerConfig {
-                    clients: 24,
-                    requests: 3_000,
-                    quantum,
-                    initial_records: 48,
-                    pmo_bytes: 8 << 20,
-                    seed: 0x5e7e,
-                });
-                run_windowed(&mut workload, kind, base, RunOptions::default())
-            };
-            let lb = run(SchemeKind::Lowerbound);
-            let d1 = run(SchemeKind::MpkVirt).overhead_pct_over(&lb);
-            let d2 = run(SchemeKind::DomainVirt).overhead_pct_over(&lb);
+            let mut workload = ServerWorkload::new(ServerConfig {
+                clients: 24,
+                requests: 3_000,
+                quantum,
+                initial_records: 48,
+                pmo_bytes: 8 << 20,
+                seed: 0x5e7e,
+            });
+            let [lb, mpk_virt, domain_virt] =
+                designs_over(&mut workload, SchemeKind::Lowerbound, base);
+            let d1 = mpk_virt.overhead_pct_over(&lb);
+            let d2 = domain_virt.overhead_pct_over(&lb);
             AblationPoint { value: u64::from(quantum), mpk_virt_pct: d1, domain_virt_pct: d2 }
         })
         .collect();
@@ -196,22 +207,20 @@ pub fn switch_granularity(base: &SimConfig) -> Ablation {
     let points = [false, true]
         .into_iter()
         .map(|per_access| {
-            let run = |kind| {
-                let mut workload = WhisperWorkload::new(
-                    WhisperBench::Echo,
-                    WhisperConfig {
-                        txns: 2_000,
-                        records: 2_048,
-                        pmo_bytes: 64 << 20,
-                        per_access_guard: per_access,
-                        seed: 0x7ab1e5,
-                    },
-                );
-                run_windowed(&mut workload, kind, base, RunOptions::default())
-            };
-            let baseline = run(SchemeKind::Unprotected);
-            let d1 = run(SchemeKind::MpkVirt).overhead_pct_over(&baseline);
-            let d2 = run(SchemeKind::DomainVirt).overhead_pct_over(&baseline);
+            let mut workload = WhisperWorkload::new(
+                WhisperBench::Echo,
+                WhisperConfig {
+                    txns: 2_000,
+                    records: 2_048,
+                    pmo_bytes: 64 << 20,
+                    per_access_guard: per_access,
+                    seed: 0x7ab1e5,
+                },
+            );
+            let [baseline, mpk_virt, domain_virt] =
+                designs_over(&mut workload, SchemeKind::Unprotected, base);
+            let d1 = mpk_virt.overhead_pct_over(&baseline);
+            let d2 = domain_virt.overhead_pct_over(&baseline);
             AblationPoint { value: u64::from(per_access), mpk_virt_pct: d1, domain_virt_pct: d2 }
         })
         .collect();

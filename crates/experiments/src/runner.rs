@@ -14,6 +14,34 @@
 //! `all`, `fig6`, `fig7`, `validate_full`, `faultsim` and `soak` read
 //! both flags; `crashenum`, `refine`, `predict` and `pmo-modelcheck` read
 //! only `--jobs`.
+//!
+//! # Record once, replay many
+//!
+//! A bench is generated once, audited once and simulated through one
+//! memory hierarchy for all of its schemes: [`run_windowed`] tees one
+//! workload stream into one multi-lane [`Replay`] (one lane per scheme)
+//! and one analyzer. [`run_micro`] and [`run_whisper`] split their
+//! schemes into `min(jobs, schemes)` contiguous groups and run one such
+//! pass per group, so a campaign cell (always `jobs = 1`) generates its
+//! bench exactly once. Each step is scheme-independent:
+//!
+//! - **Generation.** A workload is built from its bench and config alone
+//!   (`MicroWorkload::new(bench, config)`) and emits into a `TraceSink`
+//!   that returns nothing, so the scheme cannot steer the stream: every
+//!   scheme sees the same events in the same order.
+//! - **The audit.** The analyzer sees only the workload stream. The
+//!   schemes' own protocol events (key-eviction shootdowns) are drained
+//!   from every lane and dropped: `PermWindowPass` ignores `Shootdown`
+//!   and `InspectPass` reads no events, so auditing the workload stream
+//!   plus any lane's protocol events gives the same verdict as the
+//!   workload stream alone (`audit_once_matches_every_lane`).
+//! - **The memory hierarchy.** The caches see exactly the accesses a
+//!   scheme allows, in order. Campaign streams are permission-clean — a
+//!   fault fails the run — so every scheme allows every access and the
+//!   hierarchy evolves identically under each; only TLB, key and
+//!   permission state differ, and those live in the lanes. A stream on
+//!   which two schemes disagree is a typed error from
+//!   `Replay::finish_lanes`, never an inexact report.
 
 use pmo_analyzer::{Analyzer, InspectPass, PermWindowPass};
 use pmo_protect::SchemeKind;
@@ -57,10 +85,10 @@ impl RunOptions {
     }
 }
 
-/// Tees each workload event into the replay, then (when auditing) forwards
-/// the event plus any protocol events the scheme emitted while handling it
-/// (key-eviction shootdowns) to the analyzer — so the audit sees the same
-/// shootdown signal on the eviction path as on `pool_close`/attach-rollback.
+/// Tees each workload event into the replay and (when auditing) the
+/// analyzer. The lanes' protocol events are drained and dropped after
+/// every event — the audit does not read them (see the module doc), and
+/// a scheme queues them until drained.
 struct AuditedSink<'a> {
     replay: &'a mut Replay,
     analyzer: Option<&'a mut Analyzer>,
@@ -69,36 +97,33 @@ struct AuditedSink<'a> {
 impl TraceSink for AuditedSink<'_> {
     fn event(&mut self, ev: TraceEvent) {
         self.replay.event(ev);
-        // Drained even when unaudited: the scheme queues these until
-        // drained, so skipping the drain would grow memory with the trace.
-        let protocol = self.replay.drain_protocol_events();
+        let _ = self.replay.drain_protocol_events();
         if let Some(analyzer) = self.analyzer.as_deref_mut() {
             analyzer.event(ev);
-            for protocol_ev in protocol {
-                analyzer.event(protocol_ev);
-            }
         }
     }
 }
 
-/// Runs `workload` under `kind`, returning the report windowed to the
-/// measured (post-setup) phase. Events stream straight into the
-/// simulator; `opts.audit` only decides whether the permission audit
-/// tees along, so the report is the same either way.
+/// Runs `workload` once under every scheme in `kinds` — one generation,
+/// one audit, one memory hierarchy and one lane per scheme — returning
+/// the reports, in `kinds` order, windowed to the measured (post-setup)
+/// phase. `opts.audit` only decides whether the permission audit tees
+/// along, so the reports are the same either way.
 ///
 /// # Panics
 ///
-/// Panics if the workload raises any protection fault or fails the
-/// permission-window audit: benchmark traces are permission-clean by
-/// construction, so either is a harness bug.
+/// Panics if the workload raises any protection fault, if two schemes
+/// disagree on an access, or if it fails the permission-window audit:
+/// benchmark traces are permission-clean by construction, so each is a
+/// harness bug.
 pub fn run_windowed(
     workload: &mut dyn Workload,
-    kind: SchemeKind,
+    kinds: &[SchemeKind],
     config: &SimConfig,
     opts: RunOptions,
-) -> ReplayReport {
+) -> Vec<ReplayReport> {
     let name = workload.name();
-    let mut replay = Replay::new(kind, config);
+    let mut replay = Replay::with_lanes(kinds, config);
     // The multi-PMO baseline policy covers every workload family: no
     // window cap, held read grants allowed, unguarded accesses flagged.
     // Binary inspection of the trusted-monitor image rides along (ERIM's
@@ -110,32 +135,55 @@ pub fn run_windowed(
             .with_pass(InspectPass::standard())
     });
     workload.setup(&mut AuditedSink { replay: &mut replay, analyzer: analyzer.as_mut() });
-    let snapshot = replay.snapshot();
+    let snapshots = replay.snapshot_lanes();
     workload.run(&mut AuditedSink { replay: &mut replay, analyzer: analyzer.as_mut() });
     if let Some(analyzer) = analyzer {
         let audit = analyzer.finish();
-        assert!(audit.passed(), "[{kind}] {name}: permission audit failed:\n{audit}");
+        assert!(audit.passed(), "{name}: permission audit failed:\n{audit}");
         assert!(
             audit.complete(),
-            "[{kind}] {name}: permission audit truncated ({} finding(s) dropped)",
+            "{name}: permission audit truncated ({} finding(s) dropped)",
             audit.dropped()
         );
     }
-    let report = replay.finish().since(&snapshot);
-    assert!(
-        !report.faulted(),
-        "[{kind}] {name}: {} protection faults ({} dropped from the log), first: {:?}",
-        report.scheme_stats.faults,
-        report.faults_dropped,
-        report.faults.first()
-    );
-    report
+    let reports = replay.finish_lanes().unwrap_or_else(|divergence| panic!("{name}: {divergence}"));
+    reports
+        .into_iter()
+        .zip(&snapshots)
+        .map(|(report, snapshot)| {
+            let report = report.since(snapshot);
+            assert!(
+                !report.faulted(),
+                "[{}] {name}: {} protection faults ({} dropped from the log), first: {:?}",
+                report.scheme,
+                report.scheme_stats.faults,
+                report.faults_dropped,
+                report.faults.first()
+            );
+            report
+        })
+        .collect()
 }
 
-/// Runs a fresh instance of a microbenchmark under every scheme in
-/// `kinds` (same seed → same trace, the paper's methodology). Schemes
-/// are independent cells, fanned across `opts.jobs` workers; reports
-/// come back in `kinds` order regardless.
+/// Runs `run` over `min(opts.jobs, kinds.len())` contiguous groups of
+/// `kinds` (`jobs = 0` counts as 1) across `opts.jobs` workers,
+/// concatenating the reports in `kinds` order.
+fn run_grouped(
+    kinds: &[SchemeKind],
+    opts: RunOptions,
+    run: impl Fn(&[SchemeKind]) -> Vec<ReplayReport> + Sync,
+) -> Vec<ReplayReport> {
+    let groups = opts.jobs.max(1).min(kinds.len());
+    let bounds = |g: usize| g * kinds.len() / groups;
+    let groups: Vec<&[SchemeKind]> =
+        (0..groups).map(|g| &kinds[bounds(g)..bounds(g + 1)]).collect();
+    parallel_map(opts.jobs, groups, run).into_iter().flatten().collect()
+}
+
+/// Runs a microbenchmark under every scheme in `kinds` (same seed → same
+/// trace, the paper's methodology): one fresh instance per group of
+/// schemes (see the module doc), groups fanned across `opts.jobs`
+/// workers. Reports come back in `kinds` order regardless.
 pub fn run_micro(
     bench: MicroBench,
     config: &MicroConfig,
@@ -143,14 +191,14 @@ pub fn run_micro(
     sim: &SimConfig,
     opts: RunOptions,
 ) -> Vec<ReplayReport> {
-    parallel_map(opts.jobs, kinds.to_vec(), |kind| {
+    run_grouped(kinds, opts, |group| {
         let mut workload = MicroWorkload::new(bench, config.clone());
-        run_windowed(&mut workload, kind, sim, opts)
+        run_windowed(&mut workload, group, sim, opts)
     })
 }
 
-/// Runs a fresh instance of a WHISPER benchmark under every scheme, one
-/// independent cell per scheme across `opts.jobs` workers.
+/// Runs a WHISPER benchmark under every scheme in `kinds`, one fresh
+/// instance per group of schemes across `opts.jobs` workers.
 pub fn run_whisper(
     bench: WhisperBench,
     config: &WhisperConfig,
@@ -158,9 +206,9 @@ pub fn run_whisper(
     sim: &SimConfig,
     opts: RunOptions,
 ) -> Vec<ReplayReport> {
-    parallel_map(opts.jobs, kinds.to_vec(), |kind| {
+    run_grouped(kinds, opts, |group| {
         let mut workload = WhisperWorkload::new(bench, config.clone());
-        run_windowed(&mut workload, kind, sim, opts)
+        run_windowed(&mut workload, group, sim, opts)
     })
 }
 
@@ -234,6 +282,13 @@ mod tests {
             assert_eq!(s.to_json(), p.to_json());
             assert_eq!(format!("{s}"), format!("{p}"));
         }
+        // Eight workers give every scheme a group, and so a generation
+        // and a one-lane replay, of its own; zero workers run serially.
+        for jobs in [0, 8] {
+            let opts = RunOptions { jobs, ..RunOptions::default() };
+            let grouped = run_micro(MicroBench::Avl, &cfg, &SchemeKind::ALL, &sim, opts);
+            assert_eq!(serial, grouped, "jobs {jobs}");
+        }
     }
 
     #[test]
@@ -259,7 +314,7 @@ mod tests {
         let cfg = tiny_micro();
         let report = {
             let mut w = MicroWorkload::new(MicroBench::LinkedList, cfg.clone());
-            run_windowed(&mut w, SchemeKind::Lowerbound, &sim, RunOptions::default())
+            run_windowed(&mut w, &[SchemeKind::Lowerbound], &sim, RunOptions::default()).remove(0)
         };
         // 2 switches per measured op only (population switches windowed out).
         assert_eq!(report.counts.set_perms, 2 * 60);
@@ -270,27 +325,92 @@ mod tests {
     fn audit_on_and_off_give_identical_reports() {
         // The audit only tees: it must not change a single report field.
         // Twenty PMOs puts the micro AVL past the 15-key cliff, so ERIM,
-        // mpk-virt and DPTI emit protocol events into the audit stream.
+        // mpk-virt and DPTI emit protocol events.
         let sim = SimConfig::isca2020();
         let audited = RunOptions::default();
         let unaudited = RunOptions { audit: false, ..audited };
-        let whisper_cfg =
-            WhisperConfig { txns: 50, records: 128, pmo_bytes: 8 << 20, ..WhisperConfig::quick() };
-        for kind in SchemeKind::ALL {
-            let micro = |opts| {
-                let mut w = MicroWorkload::new(MicroBench::Avl, tiny_micro());
-                run_windowed(&mut w, kind, &sim, opts)
-            };
-            let whisper = |opts| {
-                let mut w = WhisperWorkload::new(WhisperBench::Echo, whisper_cfg.clone());
-                run_windowed(&mut w, kind, &sim, opts)
-            };
-            for (on, off) in
-                [(micro(audited), micro(unaudited)), (whisper(audited), whisper(unaudited))]
-            {
-                assert_eq!(on, off, "{kind}: audit changed the report");
-                assert_eq!(on.to_json(), off.to_json(), "{kind}");
+        let micro = |opts| {
+            let mut w = MicroWorkload::new(MicroBench::Avl, tiny_micro());
+            run_windowed(&mut w, &SchemeKind::ALL, &sim, opts)
+        };
+        let whisper = |opts| {
+            let mut w = WhisperWorkload::new(WhisperBench::Echo, tiny_whisper());
+            run_windowed(&mut w, &SchemeKind::ALL, &sim, opts)
+        };
+        for (on, off) in
+            [(micro(audited), micro(unaudited)), (whisper(audited), whisper(unaudited))]
+        {
+            assert_eq!(on, off, "the audit changed a report");
+            for (on, off) in on.iter().zip(&off) {
+                assert_eq!(on.to_json(), off.to_json(), "{}", on.scheme);
             }
         }
+    }
+
+    fn tiny_whisper() -> WhisperConfig {
+        WhisperConfig { txns: 50, records: 128, pmo_bytes: 8 << 20, ..WhisperConfig::quick() }
+    }
+
+    fn campaign_analyzer(name: &str) -> Analyzer {
+        Analyzer::new(name).with_pass(PermWindowPass::baseline()).with_pass(InspectPass::standard())
+    }
+
+    /// Tees a workload into a one-lane replay and an analyzer that also
+    /// reads the lane's protocol events, the way each scheme's run was
+    /// audited while every scheme generated its own stream.
+    struct LaneAuditSink<'a> {
+        replay: Replay,
+        analyzer: &'a mut Analyzer,
+        protocol: u64,
+    }
+
+    impl TraceSink for LaneAuditSink<'_> {
+        fn event(&mut self, ev: TraceEvent) {
+            self.replay.event(ev);
+            self.analyzer.event(ev);
+            for protocol_ev in self.replay.drain_protocol_events() {
+                self.protocol += 1;
+                self.analyzer.event(protocol_ev);
+            }
+        }
+    }
+
+    #[test]
+    fn audit_once_matches_every_lane() {
+        // The runner audits the workload stream once per bench. Auditing
+        // it merged with any one scheme's protocol events must give the
+        // same verdict, or a pass has started reading protocol events and
+        // the runner's single audit no longer covers every lane.
+        let sim = SimConfig::isca2020();
+        let fresh: [&dyn Fn() -> Box<dyn Workload>; 2] =
+            [&|| Box::new(MicroWorkload::new(MicroBench::Avl, tiny_micro())), &|| {
+                Box::new(WhisperWorkload::new(WhisperBench::Echo, tiny_whisper()))
+            }];
+        let mut protocol = 0;
+        for workload in fresh {
+            let mut w = workload();
+            let mut analyzer = campaign_analyzer(&w.name());
+            w.setup(&mut analyzer);
+            w.run(&mut analyzer);
+            let once = analyzer.finish();
+            assert!(once.passed() && once.complete(), "{once}");
+            for kind in SchemeKind::ALL {
+                let mut w = workload();
+                let mut analyzer = campaign_analyzer(&w.name());
+                let mut sink = LaneAuditSink {
+                    replay: Replay::new(kind, &sim),
+                    analyzer: &mut analyzer,
+                    protocol: 0,
+                };
+                w.setup(&mut sink);
+                w.run(&mut sink);
+                protocol += sink.protocol;
+                let lane = analyzer.finish();
+                assert_eq!(lane.passed(), once.passed(), "{kind}: passed");
+                assert_eq!(lane.complete(), once.complete(), "{kind}: complete");
+                assert!(lane.errors().eq(once.errors()), "{kind}: errors\n{lane}\n{once}");
+            }
+        }
+        assert!(protocol > 0, "past the 15-key cliff some scheme must emit protocol events");
     }
 }

@@ -11,8 +11,9 @@
 //! - [`Tlb`]/[`TlbHierarchy`] — two-level TLBs generic over the payload a
 //!   protection scheme stores per page (protection key or domain ID), with
 //!   the ranged shootdown the MPK-virtualization design relies on;
-//! - [`PageTable`] — a functional four-level radix page table whose
-//!   per-PTE protection-key rewrites give the libmpk baseline its cost.
+//! - [`PageTable`] — a functional sparse page table (only touched pages
+//!   are stored) whose per-PTE protection-key rewrites give the libmpk
+//!   baseline its cost.
 //!
 //! The protection schemes themselves (PKRU, DTT/DTTLB, DRT/PT/PTLB) live in
 //! `pmo-protect`; the replay engine that stitches everything together lives

@@ -1,4 +1,6 @@
 //! Microbenchmarks of the paper's new hardware structures in isolation.
+//! The campaign code paths (`run_micro`, `run_whisper`, `replay_blocks`)
+//! are timed, under gates, by the repository benchmark in `pmobench/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

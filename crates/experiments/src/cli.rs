@@ -14,9 +14,10 @@ use pmo_analyzer::cli::{write, Args};
 use pmo_modelcheck::parse_schedule;
 use pmo_protect::ProtocolBug;
 use pmo_trace::FaultKind;
+use pmo_workloads::structs::StructureKind;
 use pmo_workloads::MicroBench;
 
-use crate::faultsim::{fault_kind_from_label, FaultWorkload};
+use crate::faultsim::fault_kind_from_label;
 use crate::{crashenum, faultsim, predict, refine, soak, RunOptions, Scale};
 
 // The scale, the `RunOptions` and the JSON-report campaigns' flags.
@@ -80,12 +81,12 @@ pub fn validate_full(argv: &[String]) -> Result<(Cli, (MicroBench, u64)), String
 /// repro flag.
 pub type Parsed<T> = Result<(Cli, Option<T>), String>;
 
-fn workload(label: &str) -> Result<FaultWorkload, &'static str> {
-    FaultWorkload::from_label(label).ok_or("want avl|rbtree|bplus|list|hashmap")
+fn workload(label: &str) -> Result<StructureKind, &'static str> {
+    StructureKind::from_label(label).ok_or("want avl|rbtree|bplus|list|hashmap")
 }
 
 /// `faultsim`: the settings, and the trial to replay (all repro flags or none).
-pub fn faultsim(argv: &[String]) -> Parsed<(FaultWorkload, FaultKind, u64)> {
+pub fn faultsim(argv: &[String]) -> Parsed<(StructureKind, FaultKind, u64)> {
     let repro = "--workload W --kind K --after N";
     let (cli, args) = parse(argv, &[CAMPAIGN, "--no-audit --seed N", repro])?;
     let kind = |label: &str| {
@@ -99,7 +100,7 @@ pub fn faultsim(argv: &[String]) -> Parsed<(FaultWorkload, FaultKind, u64)> {
 }
 
 /// `crashenum`: the settings, and the image to re-verify (all repro flags or none).
-pub fn crashenum(argv: &[String]) -> Parsed<(FaultWorkload, u64, u64)> {
+pub fn crashenum(argv: &[String]) -> Parsed<(StructureKind, u64, u64)> {
     let repro = "--workload W --window N --rank N";
     let (cli, args) = parse(argv, &[CAMPAIGN, "--seeded --seed N", repro])?;
     match (args.get("--workload", workload)?, args.u64("--window")?, args.u64("--rank")?) {

@@ -9,8 +9,8 @@
 //! persistency model allows a power failure to leave behind per
 //! fence-delimited window, and each distinct image is materialized into
 //! a real pool ([`PmRuntime::materialize_pool`]), re-opened through
-//! normal recovery, and checked with the workload's
-//! [`CheckedStructure`] invariant verifier.
+//! normal recovery, and checked with the workload's invariant verifier
+//! ([`AnyStructure::verify`]).
 //!
 //! Acceptable outcomes per image are *recovered clean* or *typed
 //! quarantine* (graceful refusal — e.g. images from the pool-creation
@@ -49,11 +49,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use pmo_analyzer::{enumerate, image_hash, seed_bug, EnumConfig, EnumResult, SeededBug};
 use pmo_runtime::{mix, AttachIntent, FaultPlan, Mode, PmRuntime, RuntimeError};
 use pmo_trace::{FaultKind, NullSink, Perm, PmoId, RecordedTrace, TraceEvent, TraceSink};
-use pmo_workloads::structs::{
-    AvlTree, BplusTree, CheckedStructure, LinkedList, PersistentHashmap, RbTree,
-};
+use pmo_workloads::structs::{AnyStructure, StructureKind};
 
-use crate::faultsim::FaultWorkload;
+use crate::faultsim::{panic_message, txn_insert};
 use crate::pool::parallel_map;
 use crate::Scale;
 
@@ -108,7 +106,7 @@ impl CrashenumConfig {
 
     /// The `op`-th key of the deterministic key stream for `workload`.
     #[must_use]
-    pub fn key_at(&self, workload: FaultWorkload, op: u64) -> u64 {
+    pub fn key_at(&self, workload: StructureKind, op: u64) -> u64 {
         mix(self.campaign_seed ^ (workload_tag(workload) << 56), op + 1)
     }
 
@@ -120,23 +118,18 @@ impl CrashenumConfig {
     }
 }
 
-/// Seed lane separating each workload's derived randomness (private to
-/// `faultsim`, mirrored here so the two campaigns stay independent).
-fn workload_tag(w: FaultWorkload) -> u64 {
-    match w {
-        FaultWorkload::Avl => 0x11,
-        FaultWorkload::Rbt => 0x12,
-        FaultWorkload::Bplus => 0x13,
-        FaultWorkload::List => 0x14,
-        FaultWorkload::Hashmap => 0x15,
-    }
+/// Seed lane separating each workload's derived randomness: `0x10` plus
+/// the [`StructureKind`] discriminant that is `faultsim`'s lane, so the
+/// two campaigns stay independent.
+fn workload_tag(w: StructureKind) -> u64 {
+    0x10 | w as u64
 }
 
 /// A recorded workload: its full trace (from pool birth) and the keys
 /// whose transactions committed, in insert order.
 pub struct RecordedWorkload {
     /// The workload.
-    pub workload: FaultWorkload,
+    pub workload: StructureKind,
     /// Pool id assigned during recording (constant: fresh runtime).
     pub pool: PmoId,
     /// Every trace event, pool creation included.
@@ -145,10 +138,9 @@ pub struct RecordedWorkload {
     pub keys: Vec<u64>,
 }
 
-fn record_structure<S: CheckedStructure>(
-    cfg: &CrashenumConfig,
-    workload: FaultWorkload,
-) -> RecordedWorkload {
+/// Records one workload's trace (public for repro runs).
+#[must_use]
+pub fn record_workload(cfg: &CrashenumConfig, workload: StructureKind) -> RecordedWorkload {
     let mut trace = RecordedTrace::new();
     let mut rt = PmRuntime::new();
     let pool = rt
@@ -157,29 +149,16 @@ fn record_structure<S: CheckedStructure>(
     // One write window around the recording (the harness plays the
     // application's permission protocol).
     trace.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::ReadWrite });
-    let mut s = S::create(&mut rt, pool, cfg.value_bytes, &mut trace).expect("crashenum: create");
+    let mut s = AnyStructure::create(workload, &mut rt, pool, cfg.value_bytes, &mut trace)
+        .expect("crashenum: create");
     let mut keys = Vec::new();
     for op in 0..cfg.inserts {
         let key = cfg.key_at(workload, op);
-        rt.txn_begin(pool).expect("crashenum: txn_begin");
-        s.insert(&mut rt, key, &mut trace).expect("crashenum: insert");
-        rt.txn_commit(&mut trace).expect("crashenum: txn_commit");
+        txn_insert(&mut rt, pool, &mut s, key, &mut trace).expect("crashenum: insert");
         keys.push(key);
     }
     trace.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::None });
     RecordedWorkload { workload, pool, events: trace.into_events(), keys }
-}
-
-/// Records one workload's trace (public for repro runs).
-#[must_use]
-pub fn record_workload(cfg: &CrashenumConfig, workload: FaultWorkload) -> RecordedWorkload {
-    match workload {
-        FaultWorkload::Avl => record_structure::<AvlTree>(cfg, workload),
-        FaultWorkload::Rbt => record_structure::<RbTree>(cfg, workload),
-        FaultWorkload::Bplus => record_structure::<BplusTree>(cfg, workload),
-        FaultWorkload::List => record_structure::<LinkedList>(cfg, workload),
-        FaultWorkload::Hashmap => record_structure::<PersistentHashmap>(cfg, workload),
-    }
 }
 
 /// How recovering one materialized image went.
@@ -195,8 +174,10 @@ enum ImageOutcome {
     Violation(String),
 }
 
-fn check_structure_image<S: CheckedStructure>(
+/// Materializes one image, recovers it and verifies the structure.
+fn recover_image(
     cfg: &CrashenumConfig,
+    workload: StructureKind,
     lines: &[(u64, [u8; 64])],
     keys: &[u64],
 ) -> ImageOutcome {
@@ -207,13 +188,10 @@ fn check_structure_image<S: CheckedStructure>(
     }
     let pool = match rt.pool_open(POOL_NAME, AttachIntent::ReadWrite, &mut sink) {
         Ok(id) => id,
-        Err(RuntimeError::PoolQuarantined { reason, .. }) => {
-            let _ = reason;
-            return ImageOutcome::Quarantined;
-        }
+        Err(RuntimeError::PoolQuarantined { .. }) => return ImageOutcome::Quarantined,
         Err(other) => return ImageOutcome::Violation(format!("unexpected attach error: {other}")),
     };
-    let s = match S::create(&mut rt, pool, cfg.value_bytes, &mut sink) {
+    let s = match AnyStructure::create(workload, &mut rt, pool, cfg.value_bytes, &mut sink) {
         Ok(s) => s,
         Err(other) => return ImageOutcome::Violation(format!("unexpected reopen error: {other}")),
     };
@@ -228,37 +206,24 @@ fn check_structure_image<S: CheckedStructure>(
     }
 }
 
+/// [`recover_image`], with a recovery panic reported as a violation.
 fn check_image(
     cfg: &CrashenumConfig,
-    workload: FaultWorkload,
+    workload: StructureKind,
     lines: &[(u64, [u8; 64])],
     keys: &[u64],
 ) -> ImageOutcome {
-    let body = || match workload {
-        FaultWorkload::Avl => check_structure_image::<AvlTree>(cfg, lines, keys),
-        FaultWorkload::Rbt => check_structure_image::<RbTree>(cfg, lines, keys),
-        FaultWorkload::Bplus => check_structure_image::<BplusTree>(cfg, lines, keys),
-        FaultWorkload::List => check_structure_image::<LinkedList>(cfg, lines, keys),
-        FaultWorkload::Hashmap => check_structure_image::<PersistentHashmap>(cfg, lines, keys),
-    };
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            ImageOutcome::Violation(format!("recovery panicked: {msg}"))
-        }
-    }
+    let body = AssertUnwindSafe(|| recover_image(cfg, workload, lines, keys));
+    catch_unwind(body).unwrap_or_else(|payload| {
+        ImageOutcome::Violation(format!("recovery panicked: {}", panic_message(&*payload)))
+    })
 }
 
 /// Per-workload enumeration + verification tallies.
 #[derive(Clone, Debug)]
 pub struct WorkloadRow {
     /// Workload enumerated.
-    pub workload: FaultWorkload,
+    pub workload: StructureKind,
     /// Fence-delimited windows in the trace.
     pub windows: u64,
     /// Distinct images enumerated (summed over windows).
@@ -279,7 +244,7 @@ pub struct WorkloadRow {
 #[derive(Clone, Debug)]
 pub struct ImageFailure {
     /// Workload whose trace produced the image.
-    pub workload: FaultWorkload,
+    pub workload: StructureKind,
     /// Fence-delimited window ordinal.
     pub window: u64,
     /// Mixed-radix rank within the window (repro id).
@@ -296,7 +261,7 @@ pub struct ImageFailure {
 #[derive(Clone, Debug)]
 pub struct MembershipRow {
     /// Workload crashed by sampled power failures.
-    pub workload: FaultWorkload,
+    pub workload: StructureKind,
     /// Crash points sampled.
     pub samples: u64,
     /// Samples whose post-crash pool image hashed into the enumerated set.
@@ -579,7 +544,7 @@ pub fn run_campaign(cfg: &CrashenumConfig, jobs: usize) -> CrashenumReport {
         result: EnumResult,
     }
     // Phase 1 (serial): record + enumerate. This is the cheap part.
-    let preps: Vec<Prep> = FaultWorkload::ALL
+    let preps: Vec<Prep> = StructureKind::ALL
         .into_iter()
         .map(|w| {
             let recorded = record_workload(cfg, w);
@@ -646,7 +611,7 @@ pub fn run_campaign(cfg: &CrashenumConfig, jobs: usize) -> CrashenumReport {
         }
     }
     report.rows = rows;
-    report.membership = FaultWorkload::ALL.into_iter().map(|w| membership_check(cfg, w)).collect();
+    report.membership = StructureKind::ALL.into_iter().map(|w| membership_check(cfg, w)).collect();
     report
 }
 
@@ -656,7 +621,7 @@ pub fn run_campaign(cfg: &CrashenumConfig, jobs: usize) -> CrashenumReport {
 #[must_use]
 pub fn verify_one(
     cfg: &CrashenumConfig,
-    workload: FaultWorkload,
+    workload: StructureKind,
     window: u64,
     rank: u64,
 ) -> Option<(u64, Option<String>)> {
@@ -679,7 +644,7 @@ pub fn verify_one(
 /// require every post-crash pool image to hash into the enumerated set
 /// of its own recorded trace.
 #[must_use]
-pub fn membership_check(cfg: &CrashenumConfig, workload: FaultWorkload) -> MembershipRow {
+pub fn membership_check(cfg: &CrashenumConfig, workload: StructureKind) -> MembershipRow {
     // Armable store count (the storage-level counter the fault armer
     // compares against), from a dry run: total media stores minus the
     // pool-creation stores executed before the fault could be injected.
@@ -714,30 +679,20 @@ enum SampleVerdict {
 
 /// Dry run: counts the media stores the armable phase (structure create
 /// plus inserts) performs, so membership samples cover the whole space.
-fn measure_armable(cfg: &CrashenumConfig, workload: FaultWorkload) -> u64 {
-    fn body<S: CheckedStructure>(cfg: &CrashenumConfig, workload: FaultWorkload) -> u64 {
-        let mut sink = NullSink::new();
-        let mut rt = PmRuntime::new();
-        let pool = rt
-            .pool_create(POOL_NAME, POOL_BYTES, Mode::private(), &mut sink)
-            .expect("measure: pool_create");
-        let before = rt.storage(pool).expect("pool exists").stores();
-        let mut s = S::create(&mut rt, pool, cfg.value_bytes, &mut sink).expect("measure: create");
-        for op in 0..cfg.inserts {
-            let key = cfg.key_at(workload, op);
-            rt.txn_begin(pool).expect("measure: txn_begin");
-            s.insert(&mut rt, key, &mut sink).expect("measure: insert");
-            rt.txn_commit(&mut sink).expect("measure: txn_commit");
-        }
-        rt.storage(pool).expect("pool exists").stores() - before
+fn measure_armable(cfg: &CrashenumConfig, workload: StructureKind) -> u64 {
+    let mut sink = NullSink::new();
+    let mut rt = PmRuntime::new();
+    let pool = rt
+        .pool_create(POOL_NAME, POOL_BYTES, Mode::private(), &mut sink)
+        .expect("measure: pool_create");
+    let before = rt.storage(pool).expect("pool exists").stores();
+    let mut s = AnyStructure::create(workload, &mut rt, pool, cfg.value_bytes, &mut sink)
+        .expect("measure: create");
+    for op in 0..cfg.inserts {
+        let key = cfg.key_at(workload, op);
+        txn_insert(&mut rt, pool, &mut s, key, &mut sink).expect("measure: insert");
     }
-    match workload {
-        FaultWorkload::Avl => body::<AvlTree>(cfg, workload),
-        FaultWorkload::Rbt => body::<RbTree>(cfg, workload),
-        FaultWorkload::Bplus => body::<BplusTree>(cfg, workload),
-        FaultWorkload::List => body::<LinkedList>(cfg, workload),
-        FaultWorkload::Hashmap => body::<PersistentHashmap>(cfg, workload),
-    }
+    rt.storage(pool).expect("pool exists").stores() - before
 }
 
 /// Runs one power-failure sample: record the workload with a fault armed
@@ -746,71 +701,50 @@ fn measure_armable(cfg: &CrashenumConfig, workload: FaultWorkload) -> u64 {
 /// Returns `None` when the fault never fired.
 fn membership_sample(
     cfg: &CrashenumConfig,
-    workload: FaultWorkload,
+    workload: StructureKind,
     after: u64,
     seed: u64,
 ) -> Option<SampleVerdict> {
-    fn body<S: CheckedStructure>(
-        cfg: &CrashenumConfig,
-        workload: FaultWorkload,
-        after: u64,
-        seed: u64,
-    ) -> Option<SampleVerdict> {
-        let mut trace = RecordedTrace::new();
-        let mut rt = PmRuntime::new();
-        let pool = rt
-            .pool_create(POOL_NAME, POOL_BYTES, Mode::private(), &mut trace)
-            .expect("membership: pool_create");
-        rt.inject_fault(
-            pool,
-            FaultPlan { kind: FaultKind::PowerFailure, after_stores: after, seed },
-        )
+    let mut trace = RecordedTrace::new();
+    let mut rt = PmRuntime::new();
+    let pool = rt
+        .pool_create(POOL_NAME, POOL_BYTES, Mode::private(), &mut trace)
+        .expect("membership: pool_create");
+    rt.inject_fault(pool, FaultPlan { kind: FaultKind::PowerFailure, after_stores: after, seed })
         .expect("membership: arm fault");
-        trace.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::ReadWrite });
-        let mut crashed = false;
-        match S::create(&mut rt, pool, cfg.value_bytes, &mut trace) {
-            Ok(mut s) => {
-                for op in 0..cfg.inserts {
-                    let key = cfg.key_at(workload, op);
-                    let r = rt.txn_begin(pool).and_then(|()| {
-                        s.insert(&mut rt, key, &mut trace)?;
-                        rt.txn_commit(&mut trace)
-                    });
-                    match r {
-                        Ok(()) => {}
-                        Err(RuntimeError::PowerFailure) => {
-                            crashed = true;
-                            break;
-                        }
-                        Err(other) => panic!("membership: unexpected op error: {other}"),
+    trace.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::ReadWrite });
+    let mut crashed = false;
+    match AnyStructure::create(workload, &mut rt, pool, cfg.value_bytes, &mut trace) {
+        Ok(mut s) => {
+            for op in 0..cfg.inserts {
+                let key = cfg.key_at(workload, op);
+                match txn_insert(&mut rt, pool, &mut s, key, &mut trace) {
+                    Ok(()) => {}
+                    Err(RuntimeError::PowerFailure) => {
+                        crashed = true;
+                        break;
                     }
+                    Err(other) => panic!("membership: unexpected op error: {other}"),
                 }
             }
-            // A failed create is still a crash point: the fault fired
-            // mid-setup.
-            Err(RuntimeError::PowerFailure) => crashed = true,
-            Err(other) => panic!("membership: unexpected setup error: {other}"),
         }
-        if !crashed {
-            return None;
-        }
-        rt.crash();
-        let survivor = image_hash(&rt.storage(pool).expect("pool survives").line_image());
-        let result = enumerate(&trace.into_events(), cfg.enum_config());
-        if result.pool_hashes(pool).contains(&survivor) {
-            Some(SampleVerdict::Member)
-        } else if !result.exhaustive() {
-            Some(SampleVerdict::Capped)
-        } else {
-            Some(SampleVerdict::Miss)
-        }
+        // A failed create is still a crash point: the fault fired
+        // mid-setup.
+        Err(RuntimeError::PowerFailure) => crashed = true,
+        Err(other) => panic!("membership: unexpected setup error: {other}"),
     }
-    match workload {
-        FaultWorkload::Avl => body::<AvlTree>(cfg, workload, after, seed),
-        FaultWorkload::Rbt => body::<RbTree>(cfg, workload, after, seed),
-        FaultWorkload::Bplus => body::<BplusTree>(cfg, workload, after, seed),
-        FaultWorkload::List => body::<LinkedList>(cfg, workload, after, seed),
-        FaultWorkload::Hashmap => body::<PersistentHashmap>(cfg, workload, after, seed),
+    if !crashed {
+        return None;
+    }
+    rt.crash();
+    let survivor = image_hash(&rt.storage(pool).expect("pool survives").line_image());
+    let result = enumerate(&trace.into_events(), cfg.enum_config());
+    if result.pool_hashes(pool).contains(&survivor) {
+        Some(SampleVerdict::Member)
+    } else if !result.exhaustive() {
+        Some(SampleVerdict::Capped)
+    } else {
+        Some(SampleVerdict::Miss)
     }
 }
 
@@ -993,7 +927,7 @@ mod tests {
     #[test]
     fn recorded_traces_are_value_complete() {
         let cfg = tiny();
-        let rec = record_workload(&cfg, FaultWorkload::List);
+        let rec = record_workload(&cfg, StructureKind::List);
         let result = enumerate_workload(&cfg, &rec);
         assert!(result.opaque_pools.is_empty(), "every store must carry its bytes");
         assert!(result.total_windows > 4, "creation + two txns span many fences");
@@ -1003,7 +937,7 @@ mod tests {
     #[test]
     fn clean_list_images_all_recover_or_quarantine() {
         let cfg = tiny();
-        let rec = record_workload(&cfg, FaultWorkload::List);
+        let rec = record_workload(&cfg, StructureKind::List);
         let result = enumerate_workload(&cfg, &rec);
         assert!(result.exhaustive());
         let mut seen = std::collections::BTreeSet::new();
@@ -1014,7 +948,7 @@ mod tests {
                     continue;
                 }
                 let lines = w.image_lines(img.rank);
-                match check_image(&cfg, FaultWorkload::List, &lines, &rec.keys) {
+                match check_image(&cfg, StructureKind::List, &lines, &rec.keys) {
                     ImageOutcome::Violation(d) => {
                         panic!("window {} rank {}: {d}", w.window, img.rank)
                     }
@@ -1047,7 +981,7 @@ mod tests {
     #[test]
     fn sampled_power_failure_images_are_members() {
         let cfg = tiny();
-        let row = membership_check(&cfg, FaultWorkload::List);
+        let row = membership_check(&cfg, StructureKind::List);
         assert!(row.samples > 0, "some sampled fault must fire");
         assert_eq!(row.misses, 0, "{row:?}");
         assert!(row.members > 0, "at least one exhaustive membership proof");

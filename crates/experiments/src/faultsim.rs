@@ -6,8 +6,8 @@
 //! the media fails after exactly `crash_point` further stores, transactional
 //! inserts run until the injected power failure fires, the process "dies"
 //! ([`PmRuntime::crash`]), and the pool is re-opened through normal
-//! recovery. The re-opened structure is then checked with its
-//! [`CheckedStructure`] invariant checker against the exact set of keys
+//! recovery. The re-opened structure is then checked with its invariant
+//! checker ([`AnyStructure::verify`]) against the exact set of keys
 //! whose transactions committed (plus the single in-flight key, which may
 //! legally be present or absent).
 //!
@@ -30,15 +30,14 @@
 //! Crash-point sweeps are exhaustive when the op phase is small enough
 //! and evenly sampled otherwise; the matrix reports both counts.
 
+use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pmo_analyzer::{Analyzer, PermWindowPass};
 use pmo_runtime::{mix, AttachIntent, FaultPlan, Mode, PmRuntime, RuntimeError};
 use pmo_trace::{FaultKind, NullSink, Perm, PmoId, TraceEvent, TraceSink};
-use pmo_workloads::structs::{
-    AvlTree, BplusTree, CheckedStructure, LinkedList, PersistentHashmap, RbTree,
-};
+use pmo_workloads::structs::{AnyStructure, StructureKind};
 
 use crate::Scale;
 
@@ -62,61 +61,6 @@ pub const REAPPLY_LIMIT: u64 = 4;
 /// [`CampaignReport::failures_dropped`], which also fails
 /// [`CampaignReport::is_clean`].
 pub const FAILURE_LOG_CAP: usize = 64;
-
-/// The persistent structures the campaign drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultWorkload {
-    /// AVL tree (balance + BST order invariants).
-    Avl,
-    /// Red-black tree (color + black-height invariants).
-    Rbt,
-    /// B+tree (fanout, ordering, uniform depth, leaf chain).
-    Bplus,
-    /// Sorted linked list (reachability + order).
-    List,
-    /// Chained hashmap (bucket placement + key integrity).
-    Hashmap,
-}
-
-impl FaultWorkload {
-    /// Every campaign workload, in matrix order.
-    pub const ALL: [FaultWorkload; 5] = [
-        FaultWorkload::Avl,
-        FaultWorkload::Rbt,
-        FaultWorkload::Bplus,
-        FaultWorkload::List,
-        FaultWorkload::Hashmap,
-    ];
-
-    /// Short label used in the survival matrix and repro lines.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultWorkload::Avl => "avl",
-            FaultWorkload::Rbt => "rbtree",
-            FaultWorkload::Bplus => "bplus",
-            FaultWorkload::List => "list",
-            FaultWorkload::Hashmap => "hashmap",
-        }
-    }
-
-    /// Parses a label back into a workload (for `--workload` repro runs).
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Self> {
-        FaultWorkload::ALL.into_iter().find(|w| w.label() == label)
-    }
-
-    /// Seed lane separating this workload's derived randomness.
-    fn tag(self) -> u64 {
-        match self {
-            FaultWorkload::Avl => 1,
-            FaultWorkload::Rbt => 2,
-            FaultWorkload::Bplus => 3,
-            FaultWorkload::List => 4,
-            FaultWorkload::Hashmap => 5,
-        }
-    }
-}
 
 /// Parses a [`FaultKind`] label (for `--kind` repro runs).
 #[must_use]
@@ -171,16 +115,17 @@ impl FaultsimConfig {
 
     /// The `op`-th key of this campaign's deterministic key stream for
     /// `workload` (identical across the dry run and every crash point).
+    /// Each structure's seed lane is its [`StructureKind`] discriminant.
     #[must_use]
-    pub fn key_at(&self, workload: FaultWorkload, op: u64) -> u64 {
-        mix(self.campaign_seed ^ (workload.tag() << 56), op + 1)
+    pub fn key_at(&self, workload: StructureKind, op: u64) -> u64 {
+        mix(self.campaign_seed ^ ((workload as u64) << 56), op + 1)
     }
 
     /// The fault seed for one trial — a pure hash of the trial
     /// coordinates, printed in every repro line.
     #[must_use]
-    pub fn fault_seed(&self, workload: FaultWorkload, kind: FaultKind, after: u64) -> u64 {
-        let lane = (workload.tag() << 32) ^ ((kind as u64) << 24) ^ after;
+    pub fn fault_seed(&self, workload: StructureKind, kind: FaultKind, after: u64) -> u64 {
+        let lane = ((workload as u64) << 32) ^ ((kind as u64) << 24) ^ after;
         mix(self.campaign_seed, lane)
     }
 }
@@ -264,7 +209,7 @@ impl CellCounts {
 #[derive(Clone, Debug)]
 pub struct MatrixCell {
     /// Workload driven in this cell.
-    pub workload: FaultWorkload,
+    pub workload: StructureKind,
     /// Fault kind injected in this cell.
     pub kind: FaultKind,
     /// Outcome tallies.
@@ -279,7 +224,7 @@ pub struct MatrixCell {
 #[derive(Clone, Debug)]
 pub struct TrialFailure {
     /// Workload driven.
-    pub workload: FaultWorkload,
+    pub workload: StructureKind,
     /// Fault kind injected.
     pub kind: FaultKind,
     /// Crash point (stores into the op phase).
@@ -527,11 +472,12 @@ impl fmt::Display for CampaignReport {
 }
 
 /// Begins a transaction, runs one insert, and commits — the unit of work
-/// the fault sweep crashes at every store of.
-fn txn_insert<S: CheckedStructure>(
+/// the fault sweep crashes at every store of, and the one `crashenum`
+/// records, measures and arms.
+pub(crate) fn txn_insert(
     rt: &mut PmRuntime,
     pool: PmoId,
-    s: &mut S,
+    s: &mut AnyStructure,
     key: u64,
     sink: &mut dyn TraceSink,
 ) -> Result<(), RuntimeError> {
@@ -540,13 +486,22 @@ fn txn_insert<S: CheckedStructure>(
     rt.txn_commit(sink)
 }
 
+/// The message a caught panic carried.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(ToString::to_string)
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Builds a fresh pool with `cfg.warmup_inserts` committed keys and
 /// returns the runtime, pool id, structure handle, and committed keys.
-fn setup<S: CheckedStructure>(
+fn setup(
     cfg: &FaultsimConfig,
-    workload: FaultWorkload,
+    workload: StructureKind,
     sink: &mut dyn TraceSink,
-) -> (PmRuntime, PmoId, S, Vec<u64>) {
+) -> (PmRuntime, PmoId, AnyStructure, Vec<u64>) {
     let mut rt = PmRuntime::new();
     let pool = rt
         .pool_create(POOL_NAME, POOL_BYTES, Mode::private(), sink)
@@ -555,7 +510,8 @@ fn setup<S: CheckedStructure>(
     // protocol: one write window around the trial's life, revoked at the
     // end, so the audit can prove every access lands inside it.
     sink.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::ReadWrite });
-    let mut s = S::create(&mut rt, pool, cfg.value_bytes, sink).expect("faultsim: create");
+    let mut s = AnyStructure::create(workload, &mut rt, pool, cfg.value_bytes, sink)
+        .expect("faultsim: create");
     let mut committed = Vec::new();
     for op in 0..cfg.warmup_inserts {
         let key = cfg.key_at(workload, op);
@@ -565,12 +521,13 @@ fn setup<S: CheckedStructure>(
     (rt, pool, s, committed)
 }
 
-/// Dry run: counts the op-phase stores of one workload so the sweep
-/// knows the crash-point space. The key stream is identical to the
-/// armed runs, so the count is exact.
-fn measure<S: CheckedStructure>(cfg: &FaultsimConfig, workload: FaultWorkload) -> u64 {
+/// Counts the op-phase stores for `workload` with a dry run, so the sweep
+/// knows the crash-point space (public so repro runs can print it). The
+/// key stream is identical to the armed runs, so the count is exact.
+#[must_use]
+pub fn measure_workload(cfg: &FaultsimConfig, workload: StructureKind) -> u64 {
     let mut sink = NullSink::new();
-    let (mut rt, pool, mut s, _) = setup::<S>(cfg, workload, &mut sink);
+    let (mut rt, pool, mut s, _) = setup(cfg, workload, &mut sink);
     let before = rt.storage(pool).expect("pool exists").stores();
     for op in 0..cfg.fault_inserts {
         let key = cfg.key_at(workload, cfg.warmup_inserts + op);
@@ -579,34 +536,21 @@ fn measure<S: CheckedStructure>(cfg: &FaultsimConfig, workload: FaultWorkload) -
     rt.storage(pool).expect("pool exists").stores() - before
 }
 
-/// Counts the op-phase stores for `workload` (public so repro runs can
-/// print the crash-point space).
-#[must_use]
-pub fn measure_workload(cfg: &FaultsimConfig, workload: FaultWorkload) -> u64 {
-    match workload {
-        FaultWorkload::Avl => measure::<AvlTree>(cfg, workload),
-        FaultWorkload::Rbt => measure::<RbTree>(cfg, workload),
-        FaultWorkload::Bplus => measure::<BplusTree>(cfg, workload),
-        FaultWorkload::List => measure::<LinkedList>(cfg, workload),
-        FaultWorkload::Hashmap => measure::<PersistentHashmap>(cfg, workload),
-    }
-}
-
 /// Runs one trial, auditing its trace when [`FaultsimConfig::audit`] is
 /// set: an audit error on an otherwise-passing trial is reclassified as
 /// [`Outcome::Violation`].
-fn trial<S: CheckedStructure>(
+fn trial(
     cfg: &FaultsimConfig,
-    workload: FaultWorkload,
+    workload: StructureKind,
     kind: FaultKind,
     after: u64,
     fault_seed: u64,
 ) -> TrialResult {
     if !cfg.audit {
-        return trial_body::<S>(cfg, workload, kind, after, fault_seed, &mut NullSink::new());
+        return trial_body(cfg, workload, kind, after, fault_seed, &mut NullSink::new());
     }
     let mut analyzer = Analyzer::new("faultsim-trial").with_pass(PermWindowPass::baseline());
-    let result = trial_body::<S>(cfg, workload, kind, after, fault_seed, &mut analyzer);
+    let result = trial_body(cfg, workload, kind, after, fault_seed, &mut analyzer);
     let audit = analyzer.finish();
     if matches!(result.outcome, Outcome::Violation | Outcome::Panicked) {
         return result;
@@ -636,15 +580,15 @@ fn trial<S: CheckedStructure>(
 
 /// One trial body (everything that may legitimately return a typed
 /// error). Panics escape to the [`catch_unwind`] in [`run_trial`].
-fn trial_body<S: CheckedStructure>(
+fn trial_body(
     cfg: &FaultsimConfig,
-    workload: FaultWorkload,
+    workload: StructureKind,
     kind: FaultKind,
     after: u64,
     fault_seed: u64,
     sink: &mut dyn TraceSink,
 ) -> TrialResult {
-    let (mut rt, pool, mut s, mut required) = setup::<S>(cfg, workload, sink);
+    let (mut rt, pool, mut s, mut required) = setup(cfg, workload, sink);
 
     // Arm the fault only for the op phase: the sweep space is "every
     // store a post-warmup transactional insert performs".
@@ -680,7 +624,6 @@ fn trial_body<S: CheckedStructure>(
     // The process dies; unflushed lines revert, torn/media damage lands.
     // Permission state is volatile, so the crash also ends the window.
     sink.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::None });
-    drop(s);
     rt.crash();
 
     // Re-open through normal recovery.
@@ -699,7 +642,7 @@ fn trial_body<S: CheckedStructure>(
             );
         }
     };
-    let mut s = match S::create(&mut rt, pool, cfg.value_bytes, &mut *sink) {
+    let mut s = match AnyStructure::create(workload, &mut rt, pool, cfg.value_bytes, &mut *sink) {
         Ok(s) => s,
         Err(RuntimeError::MediaError { offset, .. }) => {
             return TrialResult::new(
@@ -738,10 +681,10 @@ fn trial_body<S: CheckedStructure>(
 /// required. The replay is idempotent whether or not the original commit
 /// survived (inserts overwrite values in place), mirroring how a real
 /// application retries its interrupted write after crash recovery.
-fn reapply_in_flight<S: CheckedStructure>(
+fn reapply_in_flight(
     rt: &mut PmRuntime,
     pool: PmoId,
-    s: &mut S,
+    s: &mut AnyStructure,
     in_flight: &[u64],
     required: &mut Vec<u64>,
     sink: &mut dyn TraceSink,
@@ -810,31 +753,15 @@ fn reapply_in_flight<S: CheckedStructure>(
 #[must_use]
 pub fn run_trial(
     cfg: &FaultsimConfig,
-    workload: FaultWorkload,
+    workload: StructureKind,
     kind: FaultKind,
     after: u64,
 ) -> TrialResult {
     let fault_seed = cfg.fault_seed(workload, kind, after);
-    let body = AssertUnwindSafe(|| match workload {
-        FaultWorkload::Avl => trial::<AvlTree>(cfg, workload, kind, after, fault_seed),
-        FaultWorkload::Rbt => trial::<RbTree>(cfg, workload, kind, after, fault_seed),
-        FaultWorkload::Bplus => trial::<BplusTree>(cfg, workload, kind, after, fault_seed),
-        FaultWorkload::List => trial::<LinkedList>(cfg, workload, kind, after, fault_seed),
-        FaultWorkload::Hashmap => {
-            trial::<PersistentHashmap>(cfg, workload, kind, after, fault_seed)
-        }
-    });
-    match catch_unwind(body) {
-        Ok(result) => result,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            TrialResult::new(Outcome::Panicked, format!("panicked: {msg}"))
-        }
-    }
+    let body = AssertUnwindSafe(|| trial(cfg, workload, kind, after, fault_seed));
+    catch_unwind(body).unwrap_or_else(|payload| {
+        TrialResult::new(Outcome::Panicked, format!("panicked: {}", panic_message(&*payload)))
+    })
 }
 
 /// Picks the crash points for a cell: every store when the op phase fits
@@ -861,7 +788,7 @@ pub fn run_campaign(cfg: &FaultsimConfig, jobs: usize) -> CampaignReport {
         CampaignReport { campaign_seed: cfg.campaign_seed, ..CampaignReport::default() };
     // Phase 1: size each workload's op phase (one cheap fault-free run
     // per workload, itself fanned out).
-    let sized = crate::pool::parallel_map(jobs, FaultWorkload::ALL.to_vec(), |workload| {
+    let sized = crate::pool::parallel_map(jobs, StructureKind::ALL.to_vec(), |workload| {
         let op_stores = measure_workload(cfg, workload);
         let points = crash_points(op_stores, cfg.max_points_per_cell);
         (workload, op_stores, points)
@@ -935,14 +862,14 @@ mod tests {
             campaign_seed: 7,
             trials: 2,
             cells: vec![MatrixCell {
-                workload: FaultWorkload::Avl,
+                workload: StructureKind::Avl,
                 kind: FaultKind::TornWrite,
                 counts: CellCounts { recovered: 2, retried: 5, ..CellCounts::default() },
                 points: 2,
                 op_stores: 2,
             }],
             failures: vec![TrialFailure {
-                workload: FaultWorkload::List,
+                workload: StructureKind::List,
                 kind: FaultKind::MediaError,
                 after: 3,
                 fault_seed: 9,
@@ -991,7 +918,7 @@ mod tests {
         // attempt — no fault is armed anymore) and re-verifies with the
         // key required.
         let cfg = tiny();
-        let r = run_trial(&cfg, FaultWorkload::List, FaultKind::PowerFailure, 0);
+        let r = run_trial(&cfg, StructureKind::List, FaultKind::PowerFailure, 0);
         assert_eq!(r.outcome, Outcome::Recovered, "{}", r.detail);
         assert_eq!(r.retries, 1, "{}", r.detail);
         assert!(!r.retry_exhausted);
@@ -1000,15 +927,15 @@ mod tests {
     #[test]
     fn key_stream_and_fault_seeds_are_deterministic() {
         let cfg = tiny();
-        assert_eq!(cfg.key_at(FaultWorkload::Avl, 3), cfg.key_at(FaultWorkload::Avl, 3));
-        assert_ne!(cfg.key_at(FaultWorkload::Avl, 3), cfg.key_at(FaultWorkload::Rbt, 3));
+        assert_eq!(cfg.key_at(StructureKind::Avl, 3), cfg.key_at(StructureKind::Avl, 3));
+        assert_ne!(cfg.key_at(StructureKind::Avl, 3), cfg.key_at(StructureKind::Rbt, 3));
         assert_eq!(
-            cfg.fault_seed(FaultWorkload::List, FaultKind::TornWrite, 9),
-            cfg.fault_seed(FaultWorkload::List, FaultKind::TornWrite, 9)
+            cfg.fault_seed(StructureKind::List, FaultKind::TornWrite, 9),
+            cfg.fault_seed(StructureKind::List, FaultKind::TornWrite, 9)
         );
         assert_ne!(
-            cfg.fault_seed(FaultWorkload::List, FaultKind::TornWrite, 9),
-            cfg.fault_seed(FaultWorkload::List, FaultKind::MediaError, 9)
+            cfg.fault_seed(StructureKind::List, FaultKind::TornWrite, 9),
+            cfg.fault_seed(StructureKind::List, FaultKind::MediaError, 9)
         );
     }
 
@@ -1025,8 +952,8 @@ mod tests {
     #[test]
     fn trials_are_replayable() {
         let cfg = tiny();
-        let a = run_trial(&cfg, FaultWorkload::List, FaultKind::MediaError, 5);
-        let b = run_trial(&cfg, FaultWorkload::List, FaultKind::MediaError, 5);
+        let a = run_trial(&cfg, StructureKind::List, FaultKind::MediaError, 5);
+        let b = run_trial(&cfg, StructureKind::List, FaultKind::MediaError, 5);
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.detail, b.detail);
     }
@@ -1062,7 +989,7 @@ mod tests {
         // Clean power failures never damage media: every crash point of
         // every workload must recover with invariants intact.
         let cfg = tiny();
-        for workload in FaultWorkload::ALL {
+        for workload in StructureKind::ALL {
             let stores = measure_workload(&cfg, workload);
             for after in crash_points(stores, 16) {
                 let r = run_trial(&cfg, workload, FaultKind::PowerFailure, after);

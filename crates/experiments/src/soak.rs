@@ -32,9 +32,10 @@ use std::fmt;
 use pmo_analyzer::{Analyzer, GatePass, PermWindowPass};
 use pmo_runtime::{mix, FaultPlan};
 use pmo_server::{
-    nearest_rank, Op, OpOutcome, PoolServer, RetryPolicy, ServerConfig, TenantHealth, WorkloadKind,
+    nearest_rank, Op, OpOutcome, PoolServer, RetryPolicy, ServerConfig, TenantHealth,
 };
 use pmo_trace::{FaultKind, NullSink, RecordedTrace, TraceEvent, TraceSink};
+use pmo_workloads::structs::StructureKind;
 
 use crate::faultsim::FAULT_KINDS;
 use crate::Scale;
@@ -123,8 +124,8 @@ impl SoakConfig {
     /// The workload mix assigns structures round-robin by global tenant
     /// index, so every shard runs all five families.
     #[must_use]
-    pub fn workload_of(&self, tenant: u64) -> WorkloadKind {
-        WorkloadKind::ALL[(tenant % WorkloadKind::ALL.len() as u64) as usize]
+    pub fn workload_of(&self, tenant: u64) -> StructureKind {
+        StructureKind::ALL[(tenant % StructureKind::ALL.len() as u64) as usize]
     }
 }
 
@@ -154,7 +155,7 @@ pub struct TenantSummary {
     /// Global tenant id.
     pub tenant: u64,
     /// Workload family the tenant ran.
-    pub workload: WorkloadKind,
+    pub workload: StructureKind,
     /// Final health ladder position.
     pub health: TenantHealth,
     /// Operations served (must equal `ops_per_tenant`: completing the

@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use pmo_analyzer::cli::{from_env, Args};
+use pmo_analyzer::cli::{from_env, write, Args};
 use pmo_modelcheck::{
     builtin, explore, find, parse_schedule, replay_schedule, scenarios::seeded_checks, Campaign,
     ExploreLimits, Scenario,
@@ -163,8 +163,9 @@ fn run(cli: Cli) -> Result<bool, String> {
     };
     print!("{campaign}");
     if let Some(path) = &cli.json {
-        std::fs::write(path, campaign.to_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        if !write(path, &campaign.to_json()) {
+            return Ok(false);
+        }
         println!("wrote {path}");
     }
     Ok(campaign.passed())

@@ -38,5 +38,5 @@ pub use health::{HealthCounters, HealthSlot, TenantHealth};
 pub use policy::{classify, FaultClass, RetryDecision, RetryPolicy};
 pub use server::{
     nearest_rank, LatencySummary, Op, OpOutcome, OpReport, PoolServer, ServerConfig, Tenant,
-    TenantCounters, TenantId, WorkloadKind, LATENCY_SAMPLE_CAP,
+    TenantCounters, TenantId, LATENCY_SAMPLE_CAP,
 };

@@ -27,9 +27,7 @@ use std::collections::BTreeMap;
 use pmo_protect::KeyAllocator;
 use pmo_runtime::{AttachIntent, FaultPlan, Mode, PmRuntime, PoolHealth, RuntimeError};
 use pmo_trace::{FaultKind, Perm, PmoId, ThreadId, TraceEvent, TraceSink};
-use pmo_workloads::structs::{
-    AvlTree, BplusTree, KeyedStructure, LinkedList, PersistentHashmap, RbTree,
-};
+use pmo_workloads::structs::{AnyStructure, StructureKind};
 
 use crate::clock::LogicalClock;
 use crate::health::{HealthCounters, HealthSlot, TenantHealth};
@@ -41,125 +39,6 @@ pub type TenantId = u32;
 /// Latency samples kept per tenant; beyond the cap samples are counted
 /// but dropped (counted truncation, never silent).
 pub const LATENCY_SAMPLE_CAP: usize = 4096;
-
-/// The persistent structure a tenant runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkloadKind {
-    /// AVL tree.
-    Avl,
-    /// Red-black tree.
-    Rbt,
-    /// B+tree.
-    Bplus,
-    /// Sorted linked list.
-    List,
-    /// Chained hashmap.
-    Hashmap,
-}
-
-impl WorkloadKind {
-    /// Every workload, in canonical order.
-    pub const ALL: [WorkloadKind; 5] = [
-        WorkloadKind::Avl,
-        WorkloadKind::Rbt,
-        WorkloadKind::Bplus,
-        WorkloadKind::List,
-        WorkloadKind::Hashmap,
-    ];
-
-    /// Short label for reports and repro lines.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            WorkloadKind::Avl => "avl",
-            WorkloadKind::Rbt => "rbtree",
-            WorkloadKind::Bplus => "bplus",
-            WorkloadKind::List => "list",
-            WorkloadKind::Hashmap => "hashmap",
-        }
-    }
-
-    /// Parses a label back into a workload.
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Self> {
-        WorkloadKind::ALL.into_iter().find(|w| w.label() == label)
-    }
-}
-
-/// Type-erased handle over the tenant's structure.
-#[derive(Debug)]
-enum Handle {
-    Avl(AvlTree),
-    Rbt(RbTree),
-    Bplus(BplusTree),
-    List(LinkedList),
-    Hashmap(PersistentHashmap),
-}
-
-impl Handle {
-    fn create(
-        kind: WorkloadKind,
-        rt: &mut PmRuntime,
-        pool: PmoId,
-        value_bytes: u32,
-        sink: &mut dyn TraceSink,
-    ) -> Result<Handle, RuntimeError> {
-        Ok(match kind {
-            WorkloadKind::Avl => Handle::Avl(AvlTree::create(rt, pool, value_bytes, sink)?),
-            WorkloadKind::Rbt => Handle::Rbt(RbTree::create(rt, pool, value_bytes, sink)?),
-            WorkloadKind::Bplus => Handle::Bplus(BplusTree::create(rt, pool, value_bytes, sink)?),
-            WorkloadKind::List => Handle::List(LinkedList::create(rt, pool, value_bytes, sink)?),
-            WorkloadKind::Hashmap => {
-                Handle::Hashmap(PersistentHashmap::create(rt, pool, value_bytes, sink)?)
-            }
-        })
-    }
-
-    fn insert(
-        &mut self,
-        rt: &mut PmRuntime,
-        key: u64,
-        sink: &mut dyn TraceSink,
-    ) -> Result<(), RuntimeError> {
-        match self {
-            Handle::Avl(s) => s.insert(rt, key, sink),
-            Handle::Rbt(s) => s.insert(rt, key, sink),
-            Handle::Bplus(s) => s.insert(rt, key, sink),
-            Handle::List(s) => s.insert(rt, key, sink),
-            Handle::Hashmap(s) => s.insert(rt, key, sink),
-        }
-    }
-
-    fn remove(
-        &mut self,
-        rt: &mut PmRuntime,
-        key: u64,
-        sink: &mut dyn TraceSink,
-    ) -> Result<bool, RuntimeError> {
-        match self {
-            Handle::Avl(s) => s.remove(rt, key, sink),
-            Handle::Rbt(s) => s.remove(rt, key, sink),
-            Handle::Bplus(s) => s.remove(rt, key, sink),
-            Handle::List(s) => s.remove(rt, key, sink),
-            Handle::Hashmap(s) => s.remove(rt, key, sink),
-        }
-    }
-
-    fn contains(
-        &mut self,
-        rt: &mut PmRuntime,
-        key: u64,
-        sink: &mut dyn TraceSink,
-    ) -> Result<bool, RuntimeError> {
-        match self {
-            Handle::Avl(s) => s.contains(rt, key, sink),
-            Handle::Rbt(s) => s.contains(rt, key, sink),
-            Handle::Bplus(s) => s.contains(rt, key, sink),
-            Handle::List(s) => s.contains(rt, key, sink),
-            Handle::Hashmap(s) => s.contains(rt, key, sink),
-        }
-    }
-}
 
 /// One tenant operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -278,9 +157,9 @@ pub fn nearest_rank(sorted: &[u64], numer: u64, denom: u64) -> u64 {
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
-    workload: WorkloadKind,
+    workload: StructureKind,
     pool: Option<PmoId>,
-    handle: Option<Handle>,
+    handle: Option<AnyStructure>,
     health: HealthSlot,
     counters: TenantCounters,
     armed: Option<FaultKind>,
@@ -296,7 +175,7 @@ impl Tenant {
 
     /// The structure this tenant runs.
     #[must_use]
-    pub fn workload(&self) -> WorkloadKind {
+    pub fn workload(&self) -> StructureKind {
         self.workload
     }
 
@@ -422,7 +301,7 @@ impl PoolServer {
     /// # Panics
     ///
     /// Panics if the tenant id is already registered.
-    pub fn register(&mut self, t: TenantId, workload: WorkloadKind) {
+    pub fn register(&mut self, t: TenantId, workload: StructureKind) {
         let prev = self.tenants.insert(
             t,
             Tenant {
@@ -718,7 +597,7 @@ impl PoolServer {
         // plays the application's permission protocol, as faultsim
         // does); every detach path below revokes it first.
         sink.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::ReadWrite });
-        match Handle::create(workload, &mut self.rt, pool, self.cfg.value_bytes, sink) {
+        match AnyStructure::create(workload, &mut self.rt, pool, self.cfg.value_bytes, sink) {
             Ok(handle) => {
                 let ten = self.tenants.get_mut(&t).expect("registered");
                 ten.pool = Some(pool);
@@ -853,7 +732,7 @@ impl PoolServer {
 /// chaos fault can never tear a structure operation in half.
 fn run_txn_op(
     rt: &mut PmRuntime,
-    handle: &mut Handle,
+    handle: &mut AnyStructure,
     pool: PmoId,
     op: Op,
     sink: &mut dyn TraceSink,
@@ -889,8 +768,8 @@ mod tests {
     fn healthy_tenants_serve_ops_and_record_latency() {
         let mut srv = server();
         let mut sink = NullSink::new();
-        srv.register(1, WorkloadKind::Avl);
-        srv.register(2, WorkloadKind::Hashmap);
+        srv.register(1, StructureKind::Avl);
+        srv.register(2, StructureKind::Hashmap);
         for k in 0..20u64 {
             let r = srv.op(1, Op::Insert(k), &mut sink).unwrap();
             assert_eq!(r.outcome, OpOutcome::Applied { present: true });
@@ -919,8 +798,8 @@ mod tests {
     fn power_failure_chaos_retries_and_isolates() {
         let mut srv = server();
         let mut sink = NullSink::new();
-        srv.register(1, WorkloadKind::List);
-        srv.register(2, WorkloadKind::Rbt);
+        srv.register(1, StructureKind::List);
+        srv.register(2, StructureKind::Rbt);
         for k in 0..8u64 {
             srv.op(1, Op::Insert(k), &mut sink).unwrap();
             srv.op(2, Op::Insert(k), &mut sink).unwrap();
@@ -960,8 +839,8 @@ mod tests {
         for seed in 0..32u64 {
             let mut srv = server();
             let mut sink = NullSink::new();
-            srv.register(1, WorkloadKind::Hashmap);
-            srv.register(2, WorkloadKind::Avl);
+            srv.register(1, StructureKind::Hashmap);
+            srv.register(2, StructureKind::Avl);
             for k in 0..6u64 {
                 srv.op(1, Op::Insert(k), &mut sink).unwrap();
                 srv.op(2, Op::Insert(k), &mut sink).unwrap();
@@ -1004,7 +883,7 @@ mod tests {
         let mut srv = PoolServer::new(ServerConfig { keys: 4, ..ServerConfig::default() });
         let mut sink = NullSink::new();
         for t in 1..=6u32 {
-            srv.register(t, WorkloadKind::List);
+            srv.register(t, StructureKind::List);
         }
         let mut evictions = 0;
         for round in 0..4u64 {
@@ -1034,8 +913,8 @@ mod tests {
             .with_pass(PermWindowPass::baseline())
             .with_pass(GatePass::new());
         let mut srv = server();
-        srv.register(1, WorkloadKind::Avl);
-        srv.register(2, WorkloadKind::Bplus);
+        srv.register(1, StructureKind::Avl);
+        srv.register(2, StructureKind::Bplus);
         for k in 0..6u64 {
             srv.op(1, Op::Insert(k), &mut analyzer).unwrap();
             srv.op(2, Op::Insert(k), &mut analyzer).unwrap();
@@ -1069,7 +948,7 @@ mod tests {
                 .with_pass(GatePass::new());
             let mut srv = PoolServer::new(ServerConfig { keys: 4, ..ServerConfig::default() });
             for t in 0..6u32 {
-                srv.register(t, WorkloadKind::ALL[t as usize % WorkloadKind::ALL.len()]);
+                srv.register(t, StructureKind::ALL[t as usize % StructureKind::ALL.len()]);
             }
             let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
             let mut next = move || {
@@ -1127,7 +1006,7 @@ mod tests {
             ..ServerConfig::default()
         });
         let mut sink = NullSink::new();
-        srv.register(1, WorkloadKind::List);
+        srv.register(1, StructureKind::List);
         srv.op(1, Op::Insert(1), &mut sink).unwrap();
         srv.inject_chaos(1, FaultPlan::power_failure(1), &mut sink).unwrap();
         let mut gave_up = false;
@@ -1154,13 +1033,5 @@ mod tests {
         assert_eq!(nearest_rank(&sorted, 999, 1000), 100);
         assert_eq!(nearest_rank(&[], 50, 100), 0);
         assert_eq!(nearest_rank(&[7], 999, 1000), 7);
-    }
-
-    #[test]
-    fn workload_labels_roundtrip() {
-        for w in WorkloadKind::ALL {
-            assert_eq!(WorkloadKind::from_label(w.label()), Some(w));
-        }
-        assert_eq!(WorkloadKind::from_label("nope"), None);
     }
 }

@@ -17,7 +17,7 @@ use pmo_runtime::{Mode, PmRuntime};
 use pmo_trace::{OpKind, Perm, PmoId, TraceEvent, TraceSink};
 
 use crate::config::MicroConfig;
-use crate::structs::{AvlTree, BplusTree, KeyedStructure, LinkedList, RbTree, StringArray};
+use crate::structs::{AnyStructure, StringArray, StructureKind};
 use crate::Workload;
 
 /// Which microbenchmark to run (Table IV).
@@ -56,6 +56,17 @@ impl MicroBench {
             MicroBench::StringSwap => "SS",
         }
     }
+
+    /// The keyed structure each PMO holds (`None`: string swap's array).
+    fn structure(self) -> Option<StructureKind> {
+        match self {
+            MicroBench::Avl => Some(StructureKind::Avl),
+            MicroBench::Rbt => Some(StructureKind::Rbt),
+            MicroBench::BplusTree => Some(StructureKind::Bplus),
+            MicroBench::LinkedList => Some(StructureKind::List),
+            MicroBench::StringSwap => None,
+        }
+    }
 }
 
 impl std::fmt::Display for MicroBench {
@@ -65,10 +76,7 @@ impl std::fmt::Display for MicroBench {
 }
 
 enum Structures {
-    Avl(Vec<AvlTree>),
-    Rbt(Vec<RbTree>),
-    Bplus(Vec<BplusTree>),
-    List(Vec<LinkedList>),
+    Keyed(Vec<AnyStructure>),
     Strings(Vec<StringArray>),
 }
 
@@ -108,27 +116,37 @@ impl MicroWorkload {
     }
 
     fn insert_one(state: &mut State, idx: usize, key: u64, sink: &mut dyn TraceSink) {
-        let rt = &mut state.rt;
-        match &mut state.structures {
-            Structures::Avl(v) => v[idx].insert(rt, key, sink).expect("insert"),
-            Structures::Rbt(v) => v[idx].insert(rt, key, sink).expect("insert"),
-            Structures::Bplus(v) => v[idx].insert(rt, key, sink).expect("insert"),
-            Structures::List(v) => v[idx].insert(rt, key, sink).expect("insert"),
-            Structures::Strings(_) => unreachable!("string swap has no insert"),
-        }
+        let Structures::Keyed(v) = &mut state.structures else {
+            unreachable!("string swap has no insert")
+        };
+        v[idx].insert(&mut state.rt, key, sink).expect("insert");
         state.live_keys[idx].push(key);
     }
 
     fn delete_one(state: &mut State, idx: usize, key: u64, sink: &mut dyn TraceSink) -> bool {
-        let rt = &mut state.rt;
-        match &mut state.structures {
-            Structures::Avl(v) => v[idx].remove(rt, key, sink).expect("remove"),
-            Structures::Rbt(v) => v[idx].remove(rt, key, sink).expect("remove"),
-            Structures::Bplus(v) => v[idx].remove(rt, key, sink).expect("remove"),
-            Structures::List(v) => v[idx].remove(rt, key, sink).expect("remove"),
-            Structures::Strings(_) => unreachable!("string swap has no delete"),
-        }
+        let Structures::Keyed(v) = &mut state.structures else {
+            unreachable!("string swap has no delete")
+        };
+        v[idx].remove(&mut state.rt, key, sink).expect("remove")
     }
+}
+
+/// Creates one structure in each of the first `active` pools, each inside
+/// its own write window (creation writes metadata).
+fn create_all<T>(
+    rt: &mut PmRuntime,
+    pools: &[PmoId],
+    active: usize,
+    sink: &mut dyn TraceSink,
+    mut create: impl FnMut(&mut PmRuntime, PmoId, &mut dyn TraceSink) -> pmo_runtime::Result<T>,
+) -> Vec<T> {
+    let mut all = Vec::with_capacity(active);
+    for &pool in pools.iter().take(active) {
+        sink.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::ReadWrite });
+        all.push(create(rt, pool, sink).expect("create"));
+        sink.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::ReadOnly });
+    }
+    all
 }
 
 impl Workload for MicroWorkload {
@@ -155,57 +173,17 @@ impl Workload for MicroWorkload {
         }
 
         let active = cfg.active_pmos as usize;
-        let structures = {
-            // Structure creation writes metadata: wrap in a write window.
-            let mut create_all = |mk: &mut dyn FnMut(&mut PmRuntime, PmoId, &mut dyn TraceSink)| {
-                for &pool in pools.iter().take(active) {
-                    sink.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::ReadWrite });
-                    mk(&mut rt, pool, sink);
-                    sink.event(TraceEvent::SetPerm { pmo: pool, perm: Perm::ReadOnly });
-                }
-            };
-            match self.bench {
-                MicroBench::Avl => {
-                    let mut v = Vec::with_capacity(active);
-                    create_all(&mut |rt, pool, sink| {
-                        v.push(AvlTree::create(rt, pool, cfg.value_bytes, sink).expect("create"));
-                    });
-                    Structures::Avl(v)
-                }
-                MicroBench::Rbt => {
-                    let mut v = Vec::with_capacity(active);
-                    create_all(&mut |rt, pool, sink| {
-                        v.push(RbTree::create(rt, pool, cfg.value_bytes, sink).expect("create"));
-                    });
-                    Structures::Rbt(v)
-                }
-                MicroBench::BplusTree => {
-                    let mut v = Vec::with_capacity(active);
-                    create_all(&mut |rt, pool, sink| {
-                        v.push(BplusTree::create(rt, pool, cfg.value_bytes, sink).expect("create"));
-                    });
-                    Structures::Bplus(v)
-                }
-                MicroBench::LinkedList => {
-                    let mut v = Vec::with_capacity(active);
-                    create_all(&mut |rt, pool, sink| {
-                        v.push(
-                            LinkedList::create(rt, pool, cfg.value_bytes, sink).expect("create"),
-                        );
-                    });
-                    Structures::List(v)
-                }
-                MicroBench::StringSwap => {
-                    let mut v = Vec::with_capacity(active);
-                    let slots = u64::from(cfg.initial_nodes.max(2));
-                    create_all(&mut |rt, pool, sink| {
-                        v.push(
-                            StringArray::create(rt, pool, slots, cfg.value_bytes, sink)
-                                .expect("create"),
-                        );
-                    });
-                    Structures::Strings(v)
-                }
+        let structures = match self.bench.structure() {
+            Some(kind) => {
+                Structures::Keyed(create_all(&mut rt, &pools, active, sink, |rt, pool, sink| {
+                    AnyStructure::create(kind, rt, pool, cfg.value_bytes, sink)
+                }))
+            }
+            None => {
+                let slots = u64::from(cfg.initial_nodes.max(2));
+                Structures::Strings(create_all(&mut rt, &pools, active, sink, |rt, pool, sink| {
+                    StringArray::create(rt, pool, slots, cfg.value_bytes, sink)
+                }))
             }
         };
 
@@ -214,7 +192,7 @@ impl Workload for MicroWorkload {
         // Population: each structure starts with `initial_nodes` elements,
         // inserted under the same per-op permission protocol as the
         // measured phase (string arrays were populated at creation).
-        if !matches!(state.structures, Structures::Strings(_)) {
+        if matches!(state.structures, Structures::Keyed(_)) {
             for idx in 0..active {
                 let pool = state.pools[idx];
                 for _ in 0..cfg.initial_nodes {

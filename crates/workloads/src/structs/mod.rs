@@ -10,7 +10,11 @@
 //! rebalancing (heights/colors are left stale), a common simplification
 //! that preserves functional correctness and the access-pattern shape the
 //! evaluation depends on (the op mix is 90% inserts).
+//!
+//! [`StructureKind`] and [`AnyStructure`] close the set of keyed
+//! structures: every caller that picks one at run time goes through them.
 
+mod any;
 mod avl;
 mod bplus;
 mod hashmap;
@@ -20,6 +24,7 @@ mod rbtree;
 mod strings;
 mod verify;
 
+pub use any::{AnyStructure, StructureKind};
 pub use avl::AvlTree;
 pub use bplus::BplusTree;
 pub use hashmap::PersistentHashmap;

@@ -20,13 +20,7 @@ use crate::fault::ProtectionFault;
 /// to the derived granule.
 #[must_use]
 pub fn granule_covering(base: Va, size: u64) -> u64 {
-    assert!(size > 0, "PMO size must be positive");
-    let granule = [0x1000u64, 0x20_0000, 0x4000_0000, 0x80_0000_0000]
-        .into_iter()
-        .find(|g| size <= *g)
-        .expect("PMO larger than 512GB");
-    assert_eq!(base % granule, 0, "attach base {base:#x} not aligned to granule {granule:#x}");
-    granule
+    pmo_trace::attach_granule(base, size).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// An attached PMO's reserved VA region.

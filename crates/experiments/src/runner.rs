@@ -2,8 +2,9 @@
 //! the measurement to the operation phase (the paper measures steady
 //! state, not population).
 //!
-//! Workload events stream straight into the simulator; nothing is
-//! recorded. Every run is statically audited by default: the stream is
+//! Workload events stream straight into the simulator, which buffers
+//! them into blocks for its batched engine; nothing is recorded. Every
+//! run is statically audited by default: the stream is
 //! teed into a [`pmo_analyzer`] permission-window pass alongside the
 //! simulator, and an audit error is a harness bug (panic). `--no-audit`
 //! drops the tee and changes nothing else, so reports are identical
@@ -86,9 +87,11 @@ impl RunOptions {
 }
 
 /// Tees each workload event into the replay and (when auditing) the
-/// analyzer. The lanes' protocol events are drained and dropped after
-/// every event — the audit does not read them (see the module doc), and
-/// a scheme queues them until drained.
+/// analyzer. The replay buffers events into blocks; the lanes' protocol
+/// events are drained and dropped each time a full block has run, so no
+/// drain forces a partial block through and a scheme's queue never holds
+/// more than one block's worth. The audit does not read them (see the
+/// module doc).
 struct AuditedSink<'a> {
     replay: &'a mut Replay,
     analyzer: Option<&'a mut Analyzer>,
@@ -97,7 +100,9 @@ struct AuditedSink<'a> {
 impl TraceSink for AuditedSink<'_> {
     fn event(&mut self, ev: TraceEvent) {
         self.replay.event(ev);
-        let _ = self.replay.drain_protocol_events();
+        if self.replay.buffered_events() == 0 {
+            let _ = self.replay.drain_protocol_events();
+        }
         if let Some(analyzer) = self.analyzer.as_deref_mut() {
             analyzer.event(ev);
         }

@@ -10,14 +10,7 @@
 use std::collections::BTreeMap;
 
 use pmo_trace::Va;
-
-/// Page-table-level granularities a PMO region may occupy.
-pub const GRANULES: [u64; 4] = [
-    4 << 10,      // 4KB   (PTE level)
-    2 << 20,      // 2MB   (PMD level)
-    1 << 30,      // 1GB   (PUD level)
-    512u64 << 30, // 512GB (PGD level)
-];
+pub use pmo_trace::GRANULES;
 
 /// The smallest page-table granule that covers `size` bytes.
 ///
@@ -26,13 +19,7 @@ pub const GRANULES: [u64; 4] = [
 /// Panics if `size` is zero or exceeds 512GB.
 #[must_use]
 pub fn granule_for(size: u64) -> u64 {
-    assert!(size > 0, "PMO size must be positive");
-    for g in GRANULES {
-        if size <= g {
-            return g;
-        }
-    }
-    panic!("PMO of {size} bytes exceeds the largest supported granule");
+    pmo_trace::granule_for(size).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Bump-with-free-list allocator over the PMO attachment arena, with

@@ -12,6 +12,14 @@
 //! hierarchy is simulated once, and each lane keeps only its scheme's
 //! state. Lanes that disagree on an access cannot share the hierarchy;
 //! [`Replay::finish_lanes`] then returns a [`LaneDivergence`].
+//!
+//! With the fast path on, one engine simulates every event: the batched
+//! block loop behind [`Replay::replay_block`]. A live stream is buffered
+//! into one reusable 4096-event block that runs when it fills, and every
+//! method that reads the simulator or feeds it another way flushes the
+//! partial block first (the flush points are listed on [`Replay`]). Walk
+//! mode (fast path off) simulates each event as it arrives, as the
+//! reference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,5 +27,5 @@
 mod replay;
 mod report;
 
-pub use replay::{replay_block_trace, replay_source, replay_source_all, LaneDivergence, Replay};
+pub use replay::{replay_block_trace, replay_source, LaneDivergence, Replay};
 pub use report::{ReplayReport, ReplaySnapshot};

@@ -32,8 +32,9 @@ use std::{error::Error, fmt, io};
 use pmo_protect::{AnyScheme, FastHint, ProtectionFault, ProtectionScheme, SchemeKind};
 use pmo_simarch::{vpn, CacheHierarchy, MemKind, SimConfig};
 use pmo_trace::{
-    block::tag, AccessKind, BlockReader, BlockTrace, EventBlock, EventCounts, OpKind, ThreadId,
-    TraceEvent, TraceSink, TraceSource,
+    block::{tag, DEFAULT_BLOCK_EVENTS},
+    AccessKind, BlockReader, BlockTrace, EventBlock, EventCounts, OpKind, ThreadId, TraceEvent,
+    TraceSink, TraceSource,
 };
 
 use crate::report::{ReplayReport, ReplaySnapshot};
@@ -300,6 +301,22 @@ impl Error for LaneDivergence {}
 /// can stream events straight into it; call [`Replay::finish`] (one lane)
 /// or [`Replay::finish_lanes`] for the reports.
 ///
+/// With the fast path on (the default), every event is simulated inside
+/// an [`EventBlock`] by the batched engine of [`Replay::replay_block`],
+/// which serves a same-page run once for all lanes. Streamed events are
+/// buffered into one reusable block of [`DEFAULT_BLOCK_EVENTS`] events,
+/// which runs when it fills. Buffered events must be simulated before
+/// anything reads the simulator or feeds it another way, so every such
+/// method flushes the partial block first: the readers
+/// ([`Replay::cycles`], [`Replay::scheme`], the hit counters, the
+/// snapshots, the finishes and [`Replay::drain_protocol_events`]),
+/// [`Replay::set_fast_path`] and the explicit block entry points. Where
+/// the blocks are cut never changes a report.
+///
+/// Walk mode (fast path off) is the reference the engine is checked
+/// against, so it shares neither the buffer nor the block loop: it
+/// simulates each streamed event as it arrives.
+///
 /// # Example
 ///
 /// ```
@@ -350,6 +367,8 @@ pub struct Replay {
     l1_hit_cycles: u64,
     lanes: Vec<Lane>,
     divergence: Option<LaneDivergence>,
+    /// Streamed events not yet simulated: the next block.
+    pending: EventBlock,
 }
 
 impl Replay {
@@ -386,13 +405,35 @@ impl Replay {
             l1_hit_cycles: config.l1d_latency,
             lanes: kinds.iter().map(|kind| Lane::new(*kind, config)).collect(),
             divergence: None,
+            pending: EventBlock::with_capacity(DEFAULT_BLOCK_EVENTS),
         }
+    }
+
+    /// Simulates the buffered events as one block and empties the buffer,
+    /// keeping its allocation.
+    fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            let block = std::mem::take(&mut self.pending);
+            self.run_block(&block);
+            self.pending = block;
+            self.pending.clear();
+        }
+    }
+
+    /// Events streamed in and not yet simulated. It reads zero right after
+    /// a full block has run, so a sink can act between blocks without
+    /// forcing a partial one through; reading it flushes nothing.
+    #[must_use]
+    pub fn buffered_events(&self) -> usize {
+        self.pending.len()
     }
 
     /// Enables or disables the same-page fast path (on by default). The
     /// modeled results are identical either way — this exists so the
-    /// equivalence can be asserted and the speedup measured.
+    /// equivalence can be asserted and the speedup measured. With it off
+    /// (walk mode), streamed events bypass the buffer and the block engine.
     pub fn set_fast_path(&mut self, enabled: bool) {
+        self.flush();
         if !enabled {
             self.lanes.iter_mut().for_each(Lane::flush_fast);
             self.settle_lines();
@@ -405,38 +446,49 @@ impl Replay {
 
     /// Accesses served by the memoized fast path so far, summed over
     /// lanes (observability for benchmarks and invalidation tests; not
-    /// part of the report).
+    /// part of the report). Flushes the buffered events first.
     #[must_use]
-    pub fn fast_path_hits(&self) -> u64 {
+    pub fn fast_path_hits(&mut self) -> u64 {
+        self.flush();
         self.lanes.iter().map(|lane| lane.fast_hits).sum()
     }
 
     /// Page-change accesses whose walk was skipped because a still-valid
     /// permission-summary row re-armed the fast entry, summed over lanes
-    /// (observability; not part of the report).
+    /// (observability; not part of the report). Flushes the buffered
+    /// events first.
     #[must_use]
-    pub fn summary_hits(&self) -> u64 {
+    pub fn summary_hits(&mut self) -> u64 {
+        self.flush();
         self.lanes.iter().map(|lane| lane.summary_hits).sum()
     }
 
-    /// Cycles simulated so far in the first lane.
+    /// Cycles simulated so far in the first lane. Flushes the buffered
+    /// events first.
     #[must_use]
-    pub fn cycles(&self) -> u64 {
+    pub fn cycles(&mut self) -> u64 {
+        self.flush();
         self.cycles + self.lanes[0].cycles
     }
 
-    /// The first lane's scheme (for inspection in tests). Scheme-side
-    /// counters are settled at [`Replay::snapshot`]/[`Replay::finish`];
-    /// between accesses they may lag by the currently batched fast hits.
+    /// The first lane's scheme (for inspection in tests), after flushing
+    /// the buffered events. Scheme-side counters are settled at
+    /// [`Replay::snapshot`]/[`Replay::finish`]; between accesses they may
+    /// lag by the currently batched fast hits.
     #[must_use]
-    pub fn scheme(&self) -> &dyn ProtectionScheme {
+    pub fn scheme(&mut self) -> &dyn ProtectionScheme {
+        self.flush();
         &self.lanes[0].scheme
     }
 
     /// Drains protocol-level events the schemes emitted internally since
     /// the last drain (ranged shootdowns on the key-eviction path), lane
     /// by lane, so audit sinks can fold them into the analyzed stream.
+    /// Flushes the buffered events first, so draining after every event
+    /// simulates one-event blocks; a sink that drains only while
+    /// [`Replay::buffered_events`] is zero keeps the full blocks.
     pub fn drain_protocol_events(&mut self) -> Vec<TraceEvent> {
+        self.flush();
         self.lanes.iter_mut().flat_map(|lane| lane.scheme.drain_events()).collect()
     }
 
@@ -558,8 +610,10 @@ impl Replay {
     /// Captures every lane's cumulative state at a phase boundary, in lane
     /// order, so each report can later be windowed to just the measured
     /// phase (e.g. excluding population) via [`ReplayReport::since`].
+    /// Flushes the buffered events first.
     #[must_use]
     pub fn snapshot_lanes(&mut self) -> Vec<ReplaySnapshot> {
+        self.flush();
         let (cycles, set_perms, ops) = (self.cycles, self.counts.set_perms, self.ops);
         self.lanes
             .iter_mut()
@@ -604,6 +658,7 @@ impl Replay {
     /// Returns the first [`LaneDivergence`] if two lanes disagreed on an
     /// access: the shared hierarchy then matches at most one of them.
     pub fn finish_lanes(mut self) -> Result<Vec<ReplayReport>, LaneDivergence> {
+        self.flush();
         if let Some(divergence) = self.divergence {
             return Err(divergence);
         }
@@ -641,9 +696,9 @@ impl Replay {
 
 impl Replay {
     /// Applies one event's simulation effects; `pos` is its position in
-    /// the stream. Event counting is the caller's job: the streaming sink
-    /// observes events one by one, the batched block driver merges
-    /// whole-block counts up front.
+    /// the stream. Event counting is the caller's job: walk mode observes
+    /// events one by one, the block engine merges whole-block counts up
+    /// front.
     fn handle(&mut self, ev: TraceEvent, pos: u64) {
         match ev {
             TraceEvent::Compute { count } => self.charge_compute(count),
@@ -697,7 +752,14 @@ impl Replay {
         Some((entry.page, entry.hint.mem, reads, writes))
     }
 
-    /// Replays one decoded event block through the batched engine.
+    /// Replays one decoded event block through the batched engine, after
+    /// the buffered events (so the stream keeps its order).
+    pub fn replay_block(&mut self, block: &EventBlock) {
+        self.flush();
+        self.run_block(block);
+    }
+
+    /// The batched engine: simulates one block.
     ///
     /// Counts are merged per block instead of per event, and runs of
     /// same-page accesses every lane allows — interleaved with any
@@ -708,8 +770,8 @@ impl Replay {
     /// Denied accesses and page/line changes never batch — they fall back
     /// to the per-event path, so fault logging (including the
     /// [`FAULT_LOG_CAP`] truncation discipline) and divergence detection
-    /// are byte-identical to the streamed path.
-    pub fn replay_block(&mut self, block: &EventBlock) {
+    /// are byte-identical to the walk.
+    fn run_block(&mut self, block: &EventBlock) {
         let base = self.counts.events;
         self.counts.merge(block.counts());
         let tags = block.tags();
@@ -727,7 +789,7 @@ impl Replay {
                     // Window settlement: while the following accesses stay
                     // on the armed page and every lane allows them, serve
                     // them from the armed hints + line memo without
-                    // re-entering the per-event path (this is the streamed
+                    // re-entering the per-event path (the one-entry
                     // same-page fast path, inlined). Events that touch
                     // neither scheme nor summary state (computes, fences,
                     // op markers, fault markers, clwbs) are absorbed inline
@@ -798,36 +860,51 @@ impl Replay {
         }
     }
 
-    /// Replays a decoded block trace through the batched engine.
+    /// Replays a decoded block trace through the batched engine, after the
+    /// buffered events.
     pub fn replay_blocks(&mut self, trace: &BlockTrace) {
+        self.flush();
         for block in trace.blocks() {
-            self.replay_block(block);
+            self.run_block(block);
         }
     }
 
-    /// Replays an encoded block-trace image zero-copy: lanes are borrowed
-    /// straight from `bytes` and decoded block-at-a-time into one scratch
-    /// [`EventBlock`] that is reused across the whole trace.
+    /// Replays an encoded block-trace image zero-copy, after the buffered
+    /// events: lanes are borrowed straight from `bytes` and decoded
+    /// block-at-a-time into one scratch [`EventBlock`] that is reused
+    /// across the whole trace.
     ///
     /// # Errors
     ///
-    /// Fails if the image's header, framing, or any record is invalid.
+    /// Fails if the image's header, framing, or any record is invalid
+    /// (see [`pmo_trace::LaneView::read_into`]); blocks before the invalid
+    /// one have been replayed.
     pub fn replay_encoded(&mut self, bytes: &[u8]) -> io::Result<()> {
         let reader = BlockReader::new(bytes)?;
+        self.flush();
         let mut scratch = EventBlock::with_capacity(reader.block_events());
         for lanes in reader.blocks() {
             lanes.read_into(&mut scratch)?;
-            self.replay_block(&scratch);
+            self.run_block(&scratch);
         }
         Ok(())
     }
 }
 
 impl TraceSink for Replay {
+    /// Buffers the event into the next block, which runs when it fills or
+    /// at the next flush point; in walk mode, simulates it at once.
     fn event(&mut self, ev: TraceEvent) {
-        let pos = self.counts.events;
-        self.counts.observe(&ev);
-        self.handle(ev, pos);
+        if self.fast_enabled {
+            self.pending.push(&ev);
+            if self.pending.len() == DEFAULT_BLOCK_EVENTS as usize {
+                self.flush();
+            }
+        } else {
+            let pos = self.counts.events;
+            self.counts.observe(&ev);
+            self.handle(ev, pos);
+        }
     }
 }
 
@@ -841,17 +918,6 @@ pub fn replay_source(
     let mut replay = Replay::new(kind, config);
     source.replay(&mut replay);
     replay.finish()
-}
-
-/// Replays a recorded trace under several schemes (the paper's single-
-/// trace, many-schemes methodology).
-#[must_use]
-pub fn replay_source_all(
-    source: &dyn TraceSource,
-    kinds: &[SchemeKind],
-    config: &SimConfig,
-) -> Vec<ReplayReport> {
-    kinds.iter().map(|kind| replay_source(source, *kind, config)).collect()
 }
 
 /// Replays a block trace under one scheme through the batched engine.
@@ -952,8 +1018,9 @@ mod tests {
     #[test]
     fn scheme_ordering_on_protected_trace() {
         let trace = legit_trace();
-        let cfg = SimConfig::isca2020();
-        let reports = replay_source_all(&trace, &SchemeKind::ALL, &cfg);
+        let mut replay = Replay::with_lanes(&SchemeKind::ALL, &SimConfig::isca2020());
+        trace.replay(&mut replay);
+        let reports = replay.finish_lanes().expect("every access sits in a read-write window");
         let cycles = |k: SchemeKind| reports.iter().find(|r| r.scheme == k).unwrap().cycles;
         // Baseline is fastest; lowerbound adds only WRPKRU cost.
         assert!(cycles(SchemeKind::Unprotected) < cycles(SchemeKind::Lowerbound));
@@ -1172,23 +1239,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_block_replay_matches_streamed_replay() {
-        // The batched engine's acceptance bar: per-block count merging,
-        // run-length settlement, and the summary table must leave every
-        // modeled number byte-identical to the streamed sink, for every
-        // scheme, on both traces — and the zero-copy encoded path must
-        // agree too.
+    fn buffered_stream_matches_explicit_blocks() {
+        // A stream buffered into blocks inside the replay, explicit
+        // blocks, and the zero-copy encoded image run through one engine:
+        // every modeled number must be byte-identical across the three,
+        // for every scheme, on both traces.
         for trace in [legit_trace(), stress_trace()] {
             let cfg = SimConfig::isca2020();
             let blocks = pmo_trace::block::block_trace_of(&trace);
             let encoded = blocks.encode();
             for kind in SchemeKind::ALL {
-                let streamed = replay_source(&trace, kind, &cfg);
+                let buffered = replay_source(&trace, kind, &cfg);
                 let batched = replay_block_trace(&blocks, kind, &cfg);
-                assert_eq!(streamed, batched, "{kind}: batched replay diverged");
+                assert_eq!(buffered, batched, "{kind}: explicit blocks diverged");
                 let mut replay = Replay::new(kind, &cfg);
                 replay.replay_encoded(&encoded).unwrap();
-                assert_eq!(streamed, replay.finish(), "{kind}: encoded replay diverged");
+                assert_eq!(buffered, replay.finish(), "{kind}: encoded replay diverged");
             }
         }
     }
@@ -1388,15 +1454,20 @@ mod tests {
     /// How a lane-equivalence run feeds the engine.
     #[derive(Clone, Copy, Debug)]
     enum Mode {
-        /// `Replay::event`, fast path on.
-        Streamed,
+        /// `Replay::event`, fast path on: full buffered blocks.
+        Buffered,
+        /// `Replay::event` then `drain_protocol_events` after every event,
+        /// as pmobench's traced mirror does: a flush forced at every
+        /// position, so one-event blocks.
+        Drained,
         /// `replay_blocks` over blocks of this many events.
         Batched(u32),
         /// `Replay::event`, fast path off.
         Walk,
     }
 
-    const MODES: [Mode; 4] = [Mode::Streamed, Mode::Batched(4096), Mode::Batched(7), Mode::Walk];
+    const MODES: [Mode; 5] =
+        [Mode::Buffered, Mode::Drained, Mode::Batched(4096), Mode::Batched(7), Mode::Walk];
 
     type Lanes = Result<Vec<ReplayReport>, LaneDivergence>;
 
@@ -1412,7 +1483,11 @@ mod tests {
         let mut replay = Replay::with_lanes(kinds, &SimConfig::isca2020());
         replay.set_fast_path(!matches!(mode, Mode::Walk));
         let feed = |replay: &mut Replay, events: &[TraceEvent]| match mode {
-            Mode::Streamed | Mode::Walk => events.iter().for_each(|ev| replay.event(*ev)),
+            Mode::Buffered | Mode::Walk => events.iter().for_each(|ev| replay.event(*ev)),
+            Mode::Drained => events.iter().for_each(|ev| {
+                replay.event(*ev);
+                let _ = replay.drain_protocol_events();
+            }),
             Mode::Batched(block_events) => {
                 let mut blocks = BlockTrace::with_block_events(block_events);
                 events.iter().for_each(|ev| blocks.event(*ev));
@@ -1433,12 +1508,15 @@ mod tests {
     /// The lane-equivalence bar: in every mode, each lane of one replay
     /// over `kinds` reports exactly — field for field and in JSON — what
     /// a one-lane replay of its scheme reports, and the lanes' fast-path
-    /// and summary hits add up to the one-lane replays' hits.
+    /// and summary hits add up to the one-lane replays' hits. Every mode
+    /// also reports exactly what the walk does, wherever its flushes fell.
     fn assert_lanes_match_alone(trace: &RecordedTrace, split: usize, kinds: &[SchemeKind]) {
+        let walk = drive(kinds, trace, split, Mode::Walk).0;
+        let walk = walk.unwrap_or_else(|d| panic!("{kinds:?} walk: {d}"));
         for mode in MODES {
             let (lanes, fast, summary) = drive(kinds, trace, split, mode);
             let lanes = lanes.unwrap_or_else(|d| panic!("{kinds:?} {mode:?}: {d}"));
-            assert_eq!(lanes.len(), kinds.len());
+            assert_eq!(lanes, walk, "{kinds:?} {mode:?}: differs from the walk");
             let (mut want_fast, mut want_summary) = (0, 0);
             for (kind, lane) in kinds.iter().zip(&lanes) {
                 let (alone, f, s) = drive(&[*kind], trace, split, mode);
@@ -1536,6 +1614,111 @@ mod tests {
         let message = want.to_string();
         assert!(message.starts_with("event 5: store at 0x4000000040"), "{message}");
         assert!(message.contains("allowed (NVM) under baseline but denied under domain-virt"));
+        // Past the first buffered block the position is still exact.
+        let (t, at) = divergent_trace(u64::from(DEFAULT_BLOCK_EVENTS) + 100);
+        assert!(at > u64::from(DEFAULT_BLOCK_EVENTS), "test premise: past the first block");
+        for mode in MODES {
+            let divergence = drive(&[SchemeKind::Unprotected, SchemeKind::DomainVirt], &t, 0, mode);
+            let divergence = divergence.0.unwrap_err();
+            assert_eq!((divergence.event, divergence.va), (at, BASE + 64), "{mode:?}");
+        }
+    }
+
+    /// A lane-disagreement trace: a read-write window, then `loads` more
+    /// same-window loads, a revoke, and an unguarded store the baseline
+    /// lets through and domain-virt denies. Returns it with the store's
+    /// position.
+    fn divergent_trace(loads: u64) -> (RecordedTrace, u64) {
+        let mut t = RecordedTrace::new();
+        t.event(TraceEvent::Attach { pmo: PmoId::new(1), base: BASE, size: 1 << 20, nvm: true });
+        t.event(TraceEvent::SetPerm { pmo: PmoId::new(1), perm: Perm::ReadWrite });
+        for i in 0..loads {
+            t.load(BASE + (i % 512) * 8, 8);
+        }
+        t.event(TraceEvent::SetPerm { pmo: PmoId::new(1), perm: Perm::None });
+        t.store(BASE + 64, 8);
+        let at = t.len() as u64 - 1;
+        (t, at)
+    }
+
+    #[test]
+    fn replay_block_runs_after_the_buffered_events() {
+        // Three events sit in the buffer when an explicit block arrives:
+        // they must run first, and count, so the divergent access in the
+        // block keeps its stream position.
+        let kinds = [SchemeKind::Unprotected, SchemeKind::DomainVirt];
+        let (t, at) = divergent_trace(1);
+        let (buffered, rest) = t.events().split_at(3);
+        let mut replay = Replay::with_lanes(&kinds, &SimConfig::isca2020());
+        buffered.iter().for_each(|ev| replay.event(*ev));
+        assert_eq!(replay.buffered_events(), 3);
+        let mut block = EventBlock::with_capacity(8);
+        rest.iter().for_each(|ev| block.push(ev));
+        replay.replay_block(&block);
+        assert_eq!(replay.buffered_events(), 0);
+        let divergence = replay.finish_lanes().unwrap_err();
+        assert_eq!((divergence.event, divergence.va), (at, BASE + 64));
+        assert_eq!(at, 4);
+    }
+
+    #[test]
+    fn protocol_events_drain_at_the_event_that_raised_them() {
+        // Draining after every event forces a one-event block, so each
+        // protocol event comes out after exactly the event that raised
+        // it, as in the walk. Twenty PMOs pass the 15-key cliff.
+        let trace = clean_stress_trace();
+        for kind in [SchemeKind::MpkVirt, SchemeKind::Erim, SchemeKind::Dpti] {
+            let drained = |fast: bool| {
+                let mut replay = Replay::new(kind, &SimConfig::isca2020());
+                replay.set_fast_path(fast);
+                let mut out = Vec::new();
+                for (i, ev) in trace.iter().enumerate() {
+                    replay.event(*ev);
+                    out.extend(replay.drain_protocol_events().into_iter().map(|p| (i, p)));
+                }
+                out
+            };
+            let walk = drained(false);
+            assert!(!walk.is_empty(), "{kind}: evictions must emit protocol events");
+            assert_eq!(drained(true), walk, "{kind}");
+        }
+    }
+
+    #[test]
+    fn malformed_records_are_invalid_data_not_panics() {
+        // One image per per-record rule the replay relies on: each record
+        // follows a clean prefix and must be rejected at decode, so no
+        // scheme ever simulates it.
+        let attach = |base, size| TraceEvent::Attach { pmo: PmoId::new(2), base, size, nvm: true };
+        let cases = [
+            TraceEvent::Load { va: BASE, size: 0 },
+            TraceEvent::Load { va: BASE, size: 65 },
+            TraceEvent::Store { va: BASE, size: 0 },
+            TraceEvent::Store { va: BASE, size: 136 },
+            TraceEvent::StoreData { va: BASE, size: 0, data: 1 },
+            TraceEvent::StoreData { va: BASE, size: 9, data: 1 },
+            attach(2 << 30, 0),
+            attach(0, (512 << 30) + 1),
+            attach((2 << 30) + 4096, 8 << 20),
+        ];
+        let cfg = SimConfig::isca2020();
+        for bad in cases {
+            let mut t = legit_trace();
+            t.event(bad);
+            let image = pmo_trace::block::block_trace_of(&t).encode();
+            let err = BlockTrace::decode(&image).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}: {err}");
+            for kind in SchemeKind::ALL {
+                let err = Replay::new(kind, &cfg).replay_encoded(&image).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind} {bad:?}: {err}");
+            }
+        }
+        // The largest legal sizes still decode.
+        let mut t = legit_trace();
+        t.event(TraceEvent::Load { va: BASE, size: 64 });
+        t.event(TraceEvent::StoreData { va: BASE, size: 8, data: 1 });
+        let image = pmo_trace::block::block_trace_of(&t).encode();
+        assert_eq!(BlockTrace::decode(&image).unwrap().len(), t.len() as u64);
     }
 
     #[test]

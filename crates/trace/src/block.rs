@@ -26,8 +26,8 @@
 use std::io;
 
 use crate::{
-    EventCounts, FaultKind, OpKind, Perm, PmoId, RecordedTrace, ThreadId, TraceEvent, TraceSink,
-    TraceSource,
+    attach_granule, EventCounts, FaultKind, OpKind, Perm, PmoId, RecordedTrace, ThreadId,
+    TraceEvent, TraceSink, TraceSource,
 };
 
 /// Block-format magic: "PMOB".
@@ -141,11 +141,35 @@ fn unpack_record(t: u8, a: u64, b: u64, c: u8, d: u32) -> io::Result<TraceEvent>
     })
 }
 
+/// Decodes one record read from an encoded image: unpacks it, then
+/// rejects what the replay cannot simulate (an access size no single
+/// instruction moves, or an attach the granule rule cannot place), so a
+/// malformed image is an `InvalidData` error, never a panic in a replay.
+fn decode_record(t: u8, a: u64, b: u64, c: u8, d: u32) -> io::Result<TraceEvent> {
+    let ev = unpack_record(t, a, b, c, d)?;
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    match ev {
+        TraceEvent::Load { size, .. } | TraceEvent::Store { size, .. }
+            if !(1..=64).contains(&size) =>
+        {
+            Err(bad(format!("access size {size} outside 1..=64")))
+        }
+        TraceEvent::StoreData { size, .. } if !(1..=8).contains(&size) => {
+            Err(bad(format!("valued store size {size} outside 1..=8")))
+        }
+        TraceEvent::Attach { base, size, .. } => {
+            attach_granule(base, size).map(|_| ev).map_err(|e| bad(e.to_string()))
+        }
+        _ => Ok(ev),
+    }
+}
+
 /// One struct-of-arrays block of events.
 ///
 /// Invariant: all five lanes have equal length, every record unpacks
-/// cleanly (tags and fault codes validated on construction), and `counts`
-/// reflects exactly the events in the lanes.
+/// cleanly (tags and fault codes validated on construction; a decoded
+/// block also passes the per-record checks of the encoded format), and
+/// `counts` reflects exactly the events in the lanes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EventBlock {
     tags: Vec<u8>,
@@ -242,7 +266,8 @@ impl EventBlock {
             .expect("block records are validated at construction")
     }
 
-    fn clear(&mut self) {
+    /// Empties the block, keeping its lane allocations.
+    pub fn clear(&mut self) {
         self.tags.clear();
         self.va.clear();
         self.aux.clear();
@@ -591,7 +616,7 @@ impl LaneView<'_> {
     /// Panics if `i` is out of bounds.
     pub fn event(&self, i: usize) -> io::Result<TraceEvent> {
         assert!(i < self.n, "event index out of bounds");
-        unpack_record(self.tags[i], self.va_at(i), self.aux_at(i), self.size[i], self.id_at(i))
+        decode_record(self.tags[i], self.va_at(i), self.aux_at(i), self.size[i], self.id_at(i))
     }
 
     /// Decodes this view into an owned block, reusing `block`'s lane
@@ -600,7 +625,9 @@ impl LaneView<'_> {
     ///
     /// # Errors
     ///
-    /// Fails on an invalid record (unknown tag or fault code).
+    /// Fails on an invalid record: an unknown tag or fault code, a load or
+    /// store size outside 1..=64, a valued-store size outside 1..=8, or an
+    /// attach that is empty, larger than 512GB or off its granule.
     pub fn read_into(&self, block: &mut EventBlock) -> io::Result<()> {
         block.clear();
         block.tags.extend_from_slice(self.tags);
@@ -615,12 +642,12 @@ impl LaneView<'_> {
             self.aux.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
         );
         for i in 0..self.n {
-            if block.tags[i] > tag::MAX || (block.tags[i] == tag::FAULT && block.size[i] > 2) {
-                let err = self.event(i).expect_err("tag or fault code is invalid");
+            let (t, a, c) = (block.tags[i], block.va[i], block.size[i]);
+            if let Err(err) = decode_record(t, a, block.aux[i], c, block.id[i]) {
                 block.clear();
                 return Err(err);
             }
-            block.counts.observe_packed(block.tags[i], block.va[i], block.size[i]);
+            block.counts.observe_packed(t, a, c);
         }
         Ok(())
     }
@@ -693,10 +720,11 @@ mod tests {
                 pmo: PmoId::new(pmo),
                 perm: Perm::decode(code),
             }),
-            (1u32..64, any::<u64>(), 1u64..(1 << 30), any::<bool>()).prop_map(
-                |(pmo, base, size, nvm)| TraceEvent::Attach {
+            // Attach bases sit on their granule, as the format requires.
+            (1u32..64, 0u64..1 << 24, 1u64..(1 << 30), any::<bool>()).prop_map(
+                |(pmo, slot, size, nvm)| TraceEvent::Attach {
                     pmo: PmoId::new(pmo),
-                    base,
+                    base: slot * crate::granule_for(size).expect("size in 1..1GB"),
                     size,
                     nvm,
                 }

@@ -32,6 +32,7 @@ mod audit;
 pub mod block;
 mod code;
 mod event;
+mod granule;
 mod ids;
 mod perm;
 mod sink;
@@ -41,6 +42,7 @@ pub use audit::{AuditViolation, PermAudit};
 pub use block::{BlockReader, BlockTrace, EventBlock, LaneView};
 pub use code::{CodeImage, GateRegion};
 pub use event::{FaultKind, OpKind, TraceEvent};
+pub use granule::{attach_granule, granule_for, GranuleError, GRANULES};
 pub use ids::{PmoId, ThreadId, Va};
 pub use perm::{AccessKind, Perm};
 pub use sink::{CountingSink, NullSink, RecordedTrace, TeeSink, TraceSink, TraceSource};

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Determinism: the zero-copy replay equals streaming the decoded
-    // file event by event.
+    // file into a replay, which re-buffers the events into its own blocks.
     let zero_copy = replay_file(SchemeKind::MpkVirt)?;
     let streamed = replay_source(&BlockTrace::decode(&image)?, SchemeKind::MpkVirt, &config);
     assert_eq!(zero_copy, streamed, "file replay is deterministic");

@@ -27,7 +27,7 @@ use std::process::ExitCode;
 
 use pmo_analyzer::cli::{from_env, write, Args};
 use pmo_analyzer::{standard_analyzer, validate_inspection, AnalysisReport, PermWindowPass};
-use pmo_trace::{BlockTrace, TeeSink, TraceSource};
+use pmo_trace::{json, BlockTrace, TeeSink, TraceSource};
 use pmo_workloads::{
     MicroBench, MicroConfig, MicroWorkload, ServerConfig, ServerWorkload, WhisperBench,
     WhisperConfig, WhisperWorkload, Workload,
@@ -301,8 +301,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &cli.json {
-        let body: Vec<String> = reports.iter().map(AnalysisReport::to_json).collect();
-        if !write(path, &format!("[{}]", body.join(","))) {
+        if !write(path, &json::to_string(&reports)) {
             return ExitCode::FAILURE;
         }
     }

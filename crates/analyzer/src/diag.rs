@@ -3,6 +3,7 @@
 
 use std::fmt;
 
+use pmo_trace::json::{self, Object, Value};
 use pmo_trace::{ThreadId, TraceEvent, TraceSink};
 
 /// How bad a diagnostic is.
@@ -360,34 +361,37 @@ impl AnalysisReport {
         self.errors_dropped + self.lints_dropped
     }
 
-    /// Machine-readable JSON (hand-rolled; stable field names).
+    /// Machine-readable JSON (stable field names).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"source\":{},", json_string(&self.source)));
-        out.push_str(&format!("\"events\":{},", self.events));
-        out.push_str(&format!("\"errors\":{},", self.errors().count()));
-        out.push_str(&format!("\"lints\":{},", self.lints().count()));
-        out.push_str(&format!("\"errors_dropped\":{},", self.errors_dropped));
-        out.push_str(&format!("\"lints_dropped\":{},", self.lints_dropped));
-        out.push_str("\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"pass\":{},\"class\":{},\"severity\":\"{}\",\"thread\":{},\
-                 \"position\":{},\"message\":{}}}",
-                json_string(d.pass),
-                json_string(d.class.name()),
-                d.severity,
-                d.thread.raw(),
-                d.position,
-                json_string(&d.message),
-            ));
-        }
-        out.push_str("]}");
-        out
+        json::to_string(self)
+    }
+}
+
+impl Value for AnalysisReport {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("source", &self.source)
+            .field("events", self.events)
+            .field("errors", self.errors().count())
+            .field("lints", self.lints().count())
+            .field("errors_dropped", self.errors_dropped)
+            .field("lints_dropped", self.lints_dropped)
+            .field("diagnostics", &self.diagnostics)
+            .end();
+    }
+}
+
+impl Value for Diagnostic {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("pass", self.pass)
+            .field("class", self.class.name())
+            .field("severity", self.severity.to_string())
+            .field("thread", self.thread.raw())
+            .field("position", self.position)
+            .field("message", &self.message)
+            .end();
     }
 }
 
@@ -410,26 +414,6 @@ impl fmt::Display for AnalysisReport {
         }
         Ok(())
     }
-}
-
-/// Escapes a string as a JSON string literal.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -548,10 +532,39 @@ mod tests {
         assert_eq!(report.dropped(), 0);
     }
 
+    /// The exact `--json` bytes of a report with an error and a lint,
+    /// one message needing escaping.
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    fn report_json_bytes_are_pinned() {
+        let diagnostic = |severity, message: &str| Diagnostic {
+            pass: "persist-order",
+            class: ViolationClass::DuplicateFlush,
+            severity,
+            thread: ThreadId::new(3),
+            position: 4,
+            message: message.into(),
+        };
+        let report = AnalysisReport {
+            source: "a \"q\" \\ b".into(),
+            events: 5,
+            errors_dropped: 6,
+            lints_dropped: 7,
+            diagnostics: vec![
+                diagnostic(Severity::Error, "a \"q\" \\ b\nc\u{1}"),
+                diagnostic(Severity::Lint, "plain"),
+            ],
+        };
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"source":"a \"q\" \\ b","events":5,"errors":1,"lints":1,"errors_dropped":6,"#,
+                r#""lints_dropped":7,"diagnostics":[{"pass":"persist-order","#,
+                r#""class":"duplicate-flush","severity":"error","thread":3,"position":4,"#,
+                r#""message":"a \"q\" \\ b\nc\u0001"},{"pass":"persist-order","#,
+                r#""class":"duplicate-flush","severity":"lint","thread":3,"position":4,"#,
+                r#""message":"plain"}]}"#,
+            )
+        );
     }
 
     #[test]

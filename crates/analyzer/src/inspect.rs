@@ -30,6 +30,7 @@
 //! pseudo-NOP between the offending bytes) or move the update into a
 //! registered gate.
 
+use pmo_trace::json::{self, Object, Value};
 use pmo_trace::{CodeImage, ThreadId, TraceEvent, Va};
 
 use crate::diag::{AnalyzerPass, Diagnostic, EventCtx, Severity, ViolationClass};
@@ -285,28 +286,31 @@ impl InspectValidation {
         self.control_findings == 0 && self.cases.iter().all(|c| c.caught)
     }
 
-    /// Hand-rolled JSON (the workspace's no-new-dependencies policy).
+    /// The self-validation as JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let cases: Vec<String> = self
-            .cases
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"bug\":{},\"caught\":{},\"errors\":{},\"lints\":{}}}",
-                    crate::diag::json_string(c.bug.label()),
-                    c.caught,
-                    c.errors,
-                    c.lints
-                )
-            })
-            .collect();
-        format!(
-            "{{\"control_findings\":{},\"passed\":{},\"cases\":[{}]}}",
-            self.control_findings,
-            self.passed(),
-            cases.join(",")
-        )
+        json::to_string(self)
+    }
+}
+
+impl Value for InspectValidation {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("control_findings", self.control_findings)
+            .field("passed", self.passed())
+            .field("cases", &self.cases)
+            .end();
+    }
+}
+
+impl Value for InspectCase {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("bug", self.bug.label())
+            .field("caught", self.caught)
+            .field("errors", self.errors)
+            .field("lints", self.lints)
+            .end();
     }
 }
 

@@ -66,8 +66,7 @@ pub use crashenum::{
     EnumConfig, EnumResult, LineChoices, LineImage, WindowImages,
 };
 pub use diag::{
-    json_string, AnalysisReport, Analyzer, AnalyzerPass, Diagnostic, EventCtx, Severity,
-    ViolationClass,
+    AnalysisReport, Analyzer, AnalyzerPass, Diagnostic, EventCtx, Severity, ViolationClass,
 };
 pub use gate::GatePass;
 pub use inspect::{

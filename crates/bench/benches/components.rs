@@ -8,7 +8,7 @@ use std::hint::black_box;
 use pmo_protect::{
     Dttlb, DttlbEntry, KeyAllocator, PermissionTable, Pkru, Ptlb, PtlbEntry, RangeRadix,
 };
-use pmo_simarch::{Policy, SetState};
+use pmo_simarch::SetState;
 use pmo_trace::{Perm, PmoId, ThreadId};
 
 const GB1: u64 = 1 << 30;
@@ -107,7 +107,7 @@ fn permission_table(c: &mut Criterion) {
 
 fn plru(c: &mut Criterion) {
     c.bench_function("tree_plru_touch_victim_16way", |b| {
-        let mut s = SetState::new(Policy::TreePlru, 16);
+        let mut s = SetState::new(16);
         let mut way = 0u8;
         b.iter(|| {
             way = (way + 1) % 16;

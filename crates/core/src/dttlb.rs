@@ -7,7 +7,7 @@
 //! and a dirty bit set when the cached key mapping or permission diverges
 //! from the DTT.
 
-use pmo_simarch::{Policy, SetState};
+use pmo_simarch::SetState;
 use pmo_trace::{Perm, PmoId, Va};
 
 /// One DTTLB entry.
@@ -52,10 +52,7 @@ impl Dttlb {
     #[must_use]
     pub fn new(capacity: u32) -> Self {
         assert!((1..=64).contains(&capacity), "DTTLB capacity must be 1..=64");
-        Dttlb {
-            entries: vec![None; capacity as usize],
-            repl: SetState::new(Policy::TreePlru, capacity as u8),
-        }
+        Dttlb { entries: vec![None; capacity as usize], repl: SetState::new(capacity as u8) }
     }
 
     /// Associative lookup by address; touches the entry on hit.

@@ -4,7 +4,7 @@
 //! hardware "Free Keys" structure of the MPK-virtualization design, plus
 //! pseudo-LRU victim selection among mapped domains for key reassignment.
 
-use pmo_simarch::{Policy, SetState};
+use pmo_simarch::SetState;
 use pmo_trace::PmoId;
 
 /// Allocator over protection keys `1..count` (key 0 is the reserved NULL
@@ -31,7 +31,7 @@ impl KeyAllocator {
         KeyAllocator {
             owner: vec![None; count as usize],
             reserved: Vec::new(),
-            repl: SetState::new(Policy::TreePlru, count as u8),
+            repl: SetState::new(count as u8),
         }
     }
 

@@ -6,7 +6,7 @@
 //! PTLB; dirty evictions and context-switch flushes write back to the
 //! Permission Table.
 
-use pmo_simarch::{Policy, SetState};
+use pmo_simarch::SetState;
 use pmo_trace::{Perm, PmoId};
 
 /// One PTLB entry.
@@ -36,10 +36,7 @@ impl Ptlb {
     #[must_use]
     pub fn new(capacity: u32) -> Self {
         assert!((1..=64).contains(&capacity), "PTLB capacity must be 1..=64");
-        Ptlb {
-            entries: vec![None; capacity as usize],
-            repl: SetState::new(Policy::TreePlru, capacity as u8),
-        }
+        Ptlb { entries: vec![None; capacity as usize], repl: SetState::new(capacity as u8) }
     }
 
     /// Associative lookup by domain ID; touches on hit.

@@ -1,9 +1,9 @@
 //! libmpk — the software MPK-virtualization baseline (Park et al., USENIX
 //! ATC'19), as the paper models it (§VI.B).
 //!
-//! A user-level library caches up to 15 domains in protection keys
-//! (key 0 = NULL; optionally key 15 is reserved as a *guard* key that
-//! traps stray accesses to evicted domains — `SimConfig::libmpk_guard_key`).
+//! A user-level library caches up to 14 domains in protection keys
+//! (key 0 = NULL; key 15 is reserved as a *guard* key that traps stray
+//! accesses to evicted domains).
 //! When a permission change or access targets an unmapped
 //! domain, the library evicts a victim: two `pkey_mprotect` system calls
 //! rewrite the pkey field of **every PTE of both domains** — cost
@@ -22,8 +22,8 @@ use crate::keys::KeyAllocator;
 use crate::mmu::{granule_covering, MmuBase, PkPayload, Region};
 use crate::scheme::{AccessResult, FastHint, ProtectionScheme, SchemeKind, SchemeStats};
 
-/// The guard key tagging pages of evicted (unmapped) domains, when the
-/// guard-key mode is enabled (`SimConfig::libmpk_guard_key`).
+/// The guard key tagging pages of evicted (unmapped) domains. Linux
+/// reserves key 15 for kernel use anyway, so libmpk has 14 usable keys.
 pub const GUARD_KEY: u8 = 15;
 
 /// Software MPK virtualization.
@@ -42,14 +42,12 @@ pub struct LibMpk {
 }
 
 impl LibMpk {
-    /// Creates the scheme per the configuration's `libmpk_guard_key`
-    /// setting.
+    /// Creates the scheme: 14 usable keys, fault-and-remap on stray
+    /// accesses to evicted domains.
     #[must_use]
     pub fn new(config: &SimConfig) -> Self {
         let mut keys = KeyAllocator::new(config.pkeys);
-        if config.libmpk_guard_key {
-            keys.reserve(GUARD_KEY);
-        }
+        keys.reserve(GUARD_KEY);
         LibMpk {
             mmu: MmuBase::new(config),
             keys,
@@ -58,24 +56,6 @@ impl LibMpk {
             current: ThreadId::MAIN,
             stats: SchemeStats::default(),
             breakdown: CostBreakdown::default(),
-        }
-    }
-
-    /// Creates the scheme with the guard key forced on (14 usable keys,
-    /// fault-and-remap on stray accesses to evicted domains).
-    #[must_use]
-    pub fn with_guard_key(config: &SimConfig) -> Self {
-        let mut config = config.clone();
-        config.libmpk_guard_key = true;
-        Self::new(&config)
-    }
-
-    /// The PTE key used for pages of unmapped domains.
-    fn unmapped_key(&self) -> u8 {
-        if self.cfg.libmpk_guard_key {
-            GUARD_KEY
-        } else {
-            0
         }
     }
 
@@ -115,8 +95,7 @@ impl LibMpk {
                 let (key, victim) = self.keys.evict_and_assign(pmo);
                 self.stats.key_evictions += 1;
                 if let Some(victim_region) = self.mmu.region_of(victim) {
-                    let unmapped = self.unmapped_key();
-                    cycles += self.pkey_mprotect(&victim_region, unmapped);
+                    cycles += self.pkey_mprotect(&victim_region, GUARD_KEY);
                 }
                 key
             }
@@ -181,13 +160,12 @@ impl ProtectionScheme for LibMpk {
     }
 
     fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult {
-        let unmapped = self.unmapped_key();
         let (payload, _, mut cycles) = self.mmu.tlb.lookup(vpn(va));
         let mut payload = match payload {
             Some(p) => p,
             None => {
                 let keys = &self.keys;
-                match self.mmu.walk_or_map(va, |r| keys.key_of(r.pmo).unwrap_or(unmapped)) {
+                match self.mmu.walk_or_map(va, |r| keys.key_of(r.pmo).unwrap_or(GUARD_KEY)) {
                     Ok((pte, _)) => {
                         let p = PkPayload { pkey: pte.pkey, page_perm: pte.perm, mem: pte.mem };
                         self.mmu.tlb.fill(vpn(va), p);
@@ -200,7 +178,7 @@ impl ProtectionScheme for LibMpk {
                 }
             }
         };
-        if self.cfg.libmpk_guard_key && payload.pkey == GUARD_KEY {
+        if payload.pkey == GUARD_KEY {
             // Access to an unmapped domain: the PKRU denies the guard key,
             // the signal handler maps the domain lazily and retries.
             self.stats.sw_faults += 1;
@@ -213,7 +191,7 @@ impl ProtectionScheme for LibMpk {
             // Retry: the shootdown removed the stale entry; re-walk.
             cycles += self.cfg.tlb_miss_penalty;
             let keys = &self.keys;
-            match self.mmu.walk_or_map(va, |r| keys.key_of(r.pmo).unwrap_or(unmapped)) {
+            match self.mmu.walk_or_map(va, |r| keys.key_of(r.pmo).unwrap_or(GUARD_KEY)) {
                 Ok((pte, _)) => {
                     payload = PkPayload { pkey: pte.pkey, page_perm: pte.perm, mem: pte.mem };
                     self.mmu.tlb.fill(vpn(va), payload);
@@ -273,7 +251,7 @@ impl ProtectionScheme for LibMpk {
 
     fn fast_hint(&self, va: Va) -> Option<FastHint> {
         let payload = self.mmu.tlb.probe_l1(vpn(va))?;
-        if self.cfg.libmpk_guard_key && payload.pkey == GUARD_KEY {
+        if payload.pkey == GUARD_KEY {
             // Guard-keyed accesses fault into the library and remap the
             // domain — they mutate cross-page state and must stay slow.
             return None;
@@ -308,7 +286,7 @@ impl ProtectionScheme for LibMpk {
             // guard-keyed payload here can only mean a fresh walk brought
             // the page back in; its summary entry must not be served (the
             // warm guard-fault path mutates cross-page state).
-            Some(payload) => !(self.cfg.libmpk_guard_key && payload.pkey == GUARD_KEY),
+            Some(payload) => payload.pkey != GUARD_KEY,
             None => false,
         }
     }
@@ -348,7 +326,7 @@ mod tests {
 
     #[test]
     fn eviction_cost_scales_with_domain_pages() {
-        // 15 domains map into 14 usable keys (guard on) -> one eviction.
+        // 15 domains map into 14 usable keys -> one eviction.
         let mut s = scheme_with(15);
         for i in 1..=14 {
             s.set_perm(PmoId::new(i), Perm::ReadOnly);
@@ -362,17 +340,9 @@ mod tests {
         assert!(cycles >= min_expected, "{cycles} >= {min_expected}");
     }
 
-    fn guarded_scheme_with(n: u32) -> LibMpk {
-        let mut s = LibMpk::with_guard_key(&SimConfig::isca2020());
-        for i in 1..=n {
-            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
-        }
-        s
-    }
-
     #[test]
     fn guard_faults_on_unmapped_domain_access() {
-        let mut s = guarded_scheme_with(15);
+        let mut s = scheme_with(15);
         // Map all 14 keys and grant read everywhere.
         for i in 1..=14 {
             s.set_perm(PmoId::new(i), Perm::ReadOnly);
@@ -391,7 +361,7 @@ mod tests {
 
     #[test]
     fn evicted_domain_pages_are_guarded() {
-        let mut s = guarded_scheme_with(15);
+        let mut s = scheme_with(15);
         for i in 1..=14 {
             s.set_perm(PmoId::new(i), Perm::ReadWrite);
         }

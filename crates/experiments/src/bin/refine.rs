@@ -13,8 +13,8 @@
 //! A single counterexample replays from its printed repro id:
 //!
 //! ```text
-//! cargo run -p pmo-experiments --bin refine -- --replay w2@1731@0.1.0.1
-//! cargo run -p pmo-experiments --bin refine -- --replay w2@1731@0.1.0.1 --bug skip-ptlb-flush-on-switch
+//! cargo run -p pmo-experiments --bin refine -- --replay w1@81@1.1
+//! cargo run -p pmo-experiments --bin refine -- --replay w1@109@1.0 --bug skip-ptlb-flush-on-switch
 //! ```
 //!
 //! `--json PATH` writes the report as JSON; `--jobs N` fans program

@@ -81,6 +81,21 @@ pub fn validate_full(argv: &[String]) -> Result<(Cli, (MicroBench, u64)), String
 /// repro flag.
 pub type Parsed<T> = Result<(Cli, Option<T>), String>;
 
+/// The settings with the repro they name, if any. A repro replays one
+/// trial, image, tenant or witness and writes no report, so `--json` and
+/// `--seeded`, which only a campaign reads, are errors beside it.
+fn campaign_or_repro<T>(cli: Cli, repro: Option<T>) -> Parsed<T> {
+    if repro.is_some() {
+        if cli.json.is_some() {
+            return Err("--json writes a campaign report; a repro run has none".into());
+        }
+        if cli.seeded {
+            return Err("--seeded runs with a campaign, not with a repro".into());
+        }
+    }
+    Ok((cli, repro))
+}
+
 fn workload(label: &str) -> Result<StructureKind, &'static str> {
     StructureKind::from_label(label).ok_or("want avl|rbtree|bplus|list|hashmap")
 }
@@ -93,7 +108,9 @@ pub fn faultsim(argv: &[String]) -> Parsed<(StructureKind, FaultKind, u64)> {
         fault_kind_from_label(label).ok_or("want power-failure|torn-write|media-error")
     };
     match (args.get("--workload", workload)?, args.get("--kind", kind)?, args.u64("--after")?) {
-        (Some(workload), Some(kind), Some(after)) => Ok((cli, Some((workload, kind, after)))),
+        (Some(workload), Some(kind), Some(after)) => {
+            campaign_or_repro(cli, Some((workload, kind, after)))
+        }
         (None, None, None) => Ok((cli, None)),
         _ => Err(format!("repro mode needs all of {repro}")),
     }
@@ -104,7 +121,9 @@ pub fn crashenum(argv: &[String]) -> Parsed<(StructureKind, u64, u64)> {
     let repro = "--workload W --window N --rank N";
     let (cli, args) = parse(argv, &[CAMPAIGN, "--seeded --seed N", repro])?;
     match (args.get("--workload", workload)?, args.u64("--window")?, args.u64("--rank")?) {
-        (Some(workload), Some(window), Some(rank)) => Ok((cli, Some((workload, window, rank)))),
+        (Some(workload), Some(window), Some(rank)) => {
+            campaign_or_repro(cli, Some((workload, window, rank)))
+        }
         (None, None, None) => Ok((cli, None)),
         _ => Err(format!("repro mode needs all of {repro}")),
     }
@@ -118,7 +137,7 @@ fn replay<T>(argv: &[String], id: impl FnOnce(&[&str]) -> Result<T, String>) -> 
     if cli.bug.is_some() && replay.is_none() {
         return Err("--bug needs --replay".into());
     }
-    Ok((cli, replay))
+    campaign_or_repro(cli, replay)
 }
 
 fn index<T: FromStr>(part: &str) -> Result<T, String> {
@@ -131,7 +150,7 @@ pub fn refine(argv: &[String]) -> Parsed<(String, usize, Vec<u32>)> {
         &[world, program, schedule] => {
             Ok((world.into(), index(program)?, parse_schedule(schedule)?))
         }
-        _ => Err("want world@program@schedule (e.g. w2@1731@0.1.0.1)".into()),
+        _ => Err("want world@program@schedule (e.g. w1@81@1.1)".into()),
     })
 }
 
@@ -148,7 +167,7 @@ pub fn predict(argv: &[String]) -> Parsed<(String, usize, u64, u64)> {
 /// `soak`: the settings, and the tenant to replay.
 pub fn soak(argv: &[String]) -> Parsed<u64> {
     let (cli, args) = parse(argv, &[CAMPAIGN, "--no-audit --seed N --tenant N"])?;
-    Ok((cli, args.u64("--tenant")?))
+    campaign_or_repro(cli, args.u64("--tenant")?)
 }
 
 /// A campaign report, as [`finish`] handles it.
@@ -256,7 +275,8 @@ mod tests {
     /// Every command line README.md, EXPERIMENTS.md, the verify notes and
     /// CI run keeps its settings from before the shared parser, as do `0x`
     /// numbers; malformed lines the binaries ran anyway, ran wrongly or
-    /// panicked on, and flags a binary does not read, are usage errors.
+    /// panicked on, flags a binary does not read, and `--json` or
+    /// `--seeded` beside a repro flag, are usage errors.
     #[test]
     fn command_lines_keep_their_settings_or_are_usage_errors() {
         let bare = ["table2", "table5", "table6", "table7", "table8", "fig6", "fig7", "all"];
@@ -299,6 +319,10 @@ mod tests {
             ("refine --seeded --json refine-report.json", "json=refine-report.json seeded"),
             ("refine --replay w2@1731@0.1.0.1", r#"("w2", 1731, [0, 1, 0, 1])"#),
             (
+                "refine --replay w1@109@1.0 --bug skip-ptlb-flush-on-switch",
+                r#"("w1", 109, [1, 0]) SkipPtlbFlushOnSwitch"#,
+            ),
+            (
                 "refine --replay w1@81@1.1 --bug skip-pkru-update-on-setperm",
                 r#"("w1", 81, [1, 1]) SkipPkruUpdateOnSetPerm"#,
             ),
@@ -330,6 +354,17 @@ mod tests {
             ("predict --replay w2@1763@4", "usage"),
             ("soak --tenant abc", "usage"),
             ("soak --seeded", "usage"),
+            ("faultsim --workload avl --kind media-error --after 12 --json q.json", "usage"),
+            ("crashenum --workload avl --window 12 --rank 3 --json q.json", "usage"),
+            ("crashenum --seeded --workload avl --window 12 --rank 3", "usage"),
+            ("soak --tenant 23 --json q.json", "usage"),
+            ("refine --replay w1@81@1.1 --json q.json", "usage"),
+            ("refine --seeded --replay w1@81@1.1", "usage"),
+            (
+                "predict --replay w2@1763@4@6 --bug skip-ptlb-invalidate-on-detach --json q.json",
+                "usage",
+            ),
+            ("predict --seeded --replay w2@1763@4@6", "usage"),
         ] {
             assert_eq!(settings(line).unwrap_or_else(|_| "usage".into()), want, "{line}");
         }

@@ -48,6 +48,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pmo_analyzer::{enumerate, image_hash, seed_bug, EnumConfig, EnumResult, SeededBug};
 use pmo_runtime::{mix, AttachIntent, FaultPlan, Mode, PmRuntime, RuntimeError};
+use pmo_trace::json::{self, Object, Value};
 use pmo_trace::{FaultKind, NullSink, Perm, PmoId, RecordedTrace, TraceEvent, TraceSink};
 use pmo_workloads::structs::{AnyStructure, StructureKind};
 
@@ -339,103 +340,81 @@ impl CrashenumReport {
         self.rows.iter().map(|r| r.unique_images).sum()
     }
 
-    /// Images verified per host wall-clock second (0.0 until
-    /// `wall_nanos` is stamped).
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.total_unique_images() as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-
     /// Renders the report as a JSON object (for CI artifacts).
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut rows = String::new();
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                rows.push(',');
-            }
-            let _ = write!(
-                rows,
-                "{{\"workload\":{},\"windows\":{},\"images\":{},\"images_dropped\":{},\
-                 \"unique_images\":{},\"recovered\":{},\"quarantined\":{},\"violations\":{}}}",
-                pmo_analyzer::json_string(r.workload.label()),
-                r.windows,
-                r.images,
-                r.images_dropped,
-                r.unique_images,
-                r.recovered,
-                r.quarantined,
-                r.violations,
-            );
-        }
-        let mut failures = String::new();
-        for (i, fail) in self.failures.iter().enumerate() {
-            if i > 0 {
-                failures.push(',');
-            }
-            let _ = write!(
-                failures,
-                "{{\"workload\":{},\"window\":{},\"rank\":{},\"hash\":{},\"end_pos\":{},\
-                 \"detail\":{}}}",
-                pmo_analyzer::json_string(fail.workload.label()),
-                fail.window,
-                fail.rank,
-                fail.hash,
-                fail.end_pos,
-                pmo_analyzer::json_string(&fail.detail),
-            );
-        }
-        let mut membership = String::new();
-        for (i, m) in self.membership.iter().enumerate() {
-            if i > 0 {
-                membership.push(',');
-            }
-            let _ = write!(
-                membership,
-                "{{\"workload\":{},\"samples\":{},\"members\":{},\"capped\":{},\"misses\":{}}}",
-                pmo_analyzer::json_string(m.workload.label()),
-                m.samples,
-                m.members,
-                m.capped,
-                m.misses,
-            );
-        }
-        let mut seeded = String::new();
-        for (i, s) in self.seeded.iter().enumerate() {
-            if i > 0 {
-                seeded.push(',');
-            }
-            let _ = write!(
-                seeded,
-                "{{\"plant\":{},\"control\":{},\"windows\":{},\"images\":{},\"violations\":{},\
-                 \"passed\":{}}}",
-                pmo_analyzer::json_string(s.plant),
-                s.control,
-                s.windows,
-                s.images,
-                s.violations,
-                s.passed(),
-            );
-        }
-        format!(
-            "{{\"campaign_seed\":{},\"clean\":{},\"unique_images\":{},\"wall_nanos\":{},\
-             \"events_per_sec\":{:.1},\"rows\":[{}],\"failures\":[{}],\"membership\":[{}],\
-             \"seeded\":[{}]}}",
-            self.campaign_seed,
-            self.is_clean(),
-            self.total_unique_images(),
-            self.wall_nanos,
-            self.events_per_sec(),
-            rows,
-            failures,
-            membership,
-            seeded,
-        )
+        json::to_string(self)
+    }
+}
+
+impl Value for CrashenumReport {
+    fn write_json(&self, out: &mut String) {
+        let images = self.total_unique_images();
+        Object::new(out)
+            .field("campaign_seed", self.campaign_seed)
+            .field("clean", self.is_clean())
+            .field("unique_images", images)
+            .field("wall_nanos", self.wall_nanos)
+            // An image verified is the campaign's unit of work.
+            .field("events_per_sec", json::per_sec(images, self.wall_nanos))
+            .field("rows", &self.rows)
+            .field("failures", &self.failures)
+            .field("membership", &self.membership)
+            .field("seeded", &self.seeded)
+            .end();
+    }
+}
+
+impl Value for WorkloadRow {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("workload", self.workload.label())
+            .field("windows", self.windows)
+            .field("images", self.images)
+            .field("images_dropped", self.images_dropped)
+            .field("unique_images", self.unique_images)
+            .field("recovered", self.recovered)
+            .field("quarantined", self.quarantined)
+            .field("violations", self.violations)
+            .end();
+    }
+}
+
+impl Value for ImageFailure {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("workload", self.workload.label())
+            .field("window", self.window)
+            .field("rank", self.rank)
+            .field("hash", self.hash)
+            .field("end_pos", self.end_pos)
+            .field("detail", &self.detail)
+            .end();
+    }
+}
+
+impl Value for MembershipRow {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("workload", self.workload.label())
+            .field("samples", self.samples)
+            .field("members", self.members)
+            .field("capped", self.capped)
+            .field("misses", self.misses)
+            .end();
+    }
+}
+
+impl Value for SeededRow {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("plant", self.plant)
+            .field("control", self.control)
+            .field("windows", self.windows)
+            .field("images", self.images)
+            .field("violations", self.violations)
+            .field("passed", self.passed())
+            .end();
     }
 }
 
@@ -922,6 +901,62 @@ mod tests {
             max_windows: 4096,
             membership_samples: 3,
         }
+    }
+
+    /// The exact `--json` bytes of a report whose every list is filled,
+    /// whose detail needs escaping and whose wall time is stamped.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let report = CrashenumReport {
+            campaign_seed: 1,
+            rows: vec![WorkloadRow {
+                workload: StructureKind::Avl,
+                windows: 2,
+                images: 3,
+                images_dropped: 4,
+                unique_images: 5,
+                recovered: 6,
+                quarantined: 7,
+                violations: 8,
+            }],
+            failures: vec![ImageFailure {
+                workload: StructureKind::Bplus,
+                window: 9,
+                rank: 10,
+                hash: u64::MAX,
+                end_pos: 11,
+                detail: "a \"q\" \\ b\nc\u{1}".to_string(),
+            }],
+            membership: vec![MembershipRow {
+                workload: StructureKind::Hashmap,
+                samples: 12,
+                members: 13,
+                capped: 14,
+                misses: 15,
+            }],
+            seeded: vec![SeededRow {
+                plant: "torn-write",
+                control: false,
+                windows: 16,
+                images: 17,
+                violations: 18,
+                first_repro: Some((19, 20)),
+            }],
+            wall_nanos: 3_000_000_000,
+        };
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"campaign_seed":1,"clean":false,"unique_images":5,"wall_nanos":3000000000,"#,
+                r#""events_per_sec":1.7,"rows":[{"workload":"avl","windows":2,"images":3,"#,
+                r#""images_dropped":4,"unique_images":5,"recovered":6,"quarantined":7,"#,
+                r#""violations":8}],"failures":[{"workload":"bplus","window":9,"rank":10,"#,
+                r#""hash":18446744073709551615,"end_pos":11,"detail":"a \"q\" \\ b\nc\u0001"}],"#,
+                r#""membership":[{"workload":"hashmap","samples":12,"members":13,"capped":14,"#,
+                r#""misses":15}],"seeded":[{"plant":"torn-write","control":false,"windows":16,"#,
+                r#""images":17,"violations":18,"passed":true}]}"#,
+            )
+        );
     }
 
     #[test]

@@ -36,6 +36,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pmo_analyzer::{Analyzer, PermWindowPass};
 use pmo_runtime::{mix, AttachIntent, FaultPlan, Mode, PmRuntime, RuntimeError};
+use pmo_trace::json::{self, Object, Value};
 use pmo_trace::{FaultKind, NullSink, Perm, PmoId, TraceEvent, TraceSink};
 use pmo_workloads::structs::{AnyStructure, StructureKind};
 
@@ -299,93 +300,71 @@ impl CampaignReport {
             .collect()
     }
 
-    /// Trials completed per host wall-clock second — the campaign-level
-    /// throughput metric of the bench trajectory (named uniformly with
-    /// [`pmo_sim::ReplayReport::events_per_sec`]; a trial is the
-    /// campaign's unit of replayed work). 0.0 until `wall_nanos` has
-    /// been stamped.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.trials as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-
     /// Renders the survival matrix as a JSON object (for CI artifacts).
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut cells = String::new();
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                cells.push(',');
-            }
-            let _ = write!(
-                cells,
-                "{{\"workload\":{},\"fault\":{},\"points\":{},\"op_stores\":{},\
-                 \"recovered\":{},\"degraded\":{},\"quarantined\":{},\"violations\":{},\
-                 \"panics\":{},\"unreached\":{},\"retried\":{},\"retry_exhausted\":{}}}",
-                pmo_analyzer::json_string(c.workload.label()),
-                pmo_analyzer::json_string(&c.kind.to_string()),
-                c.points,
-                c.op_stores,
-                c.counts.recovered,
-                c.counts.degraded,
-                c.counts.quarantined,
-                c.counts.violations,
-                c.counts.panics,
-                c.counts.unreached,
-                c.counts.retried,
-                c.counts.retry_exhausted,
-            );
-        }
-        let mut kinds = String::new();
-        for (i, t) in self.kind_totals().iter().enumerate() {
-            if i > 0 {
-                kinds.push(',');
-            }
-            let _ = write!(
-                kinds,
-                "{{\"fault\":{},\"retries\":{},\"retry_exhausted\":{},\"degraded\":{}}}",
-                pmo_analyzer::json_string(&t.kind.to_string()),
-                t.retries,
-                t.retry_exhausted,
-                t.degraded,
-            );
-        }
-        let mut failures = String::new();
-        for (i, fail) in self.failures.iter().enumerate() {
-            if i > 0 {
-                failures.push(',');
-            }
-            let _ = write!(
-                failures,
-                "{{\"workload\":{},\"fault\":{},\"after\":{},\"fault_seed\":{},\
-                 \"outcome\":{},\"detail\":{}}}",
-                pmo_analyzer::json_string(fail.workload.label()),
-                pmo_analyzer::json_string(&fail.kind.to_string()),
-                fail.after,
-                fail.fault_seed,
-                pmo_analyzer::json_string(&format!("{:?}", fail.outcome)),
-                pmo_analyzer::json_string(&fail.detail),
-            );
-        }
-        format!(
-            "{{\"campaign_seed\":{},\"trials\":{},\"clean\":{},\"wall_nanos\":{},\
-             \"events_per_sec\":{:.1},\"cells\":[{}],\"kinds\":[{}],\"failures\":[{}],\
-             \"failures_dropped\":{}}}",
-            self.campaign_seed,
-            self.trials,
-            self.is_clean(),
-            self.wall_nanos,
-            self.events_per_sec(),
-            cells,
-            kinds,
-            failures,
-            self.failures_dropped,
-        )
+        json::to_string(self)
+    }
+}
+
+impl Value for CampaignReport {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("campaign_seed", self.campaign_seed)
+            .field("trials", self.trials)
+            .field("clean", self.is_clean())
+            .field("wall_nanos", self.wall_nanos)
+            // A trial is the campaign's unit of replayed work.
+            .field("events_per_sec", json::per_sec(self.trials, self.wall_nanos))
+            .field("cells", &self.cells)
+            .field("kinds", self.kind_totals())
+            .field("failures", &self.failures)
+            .field("failures_dropped", self.failures_dropped)
+            .end();
+    }
+}
+
+impl Value for MatrixCell {
+    fn write_json(&self, out: &mut String) {
+        let c = &self.counts;
+        Object::new(out)
+            .field("workload", self.workload.label())
+            .field("fault", self.kind.to_string())
+            .field("points", self.points)
+            .field("op_stores", self.op_stores)
+            .field("recovered", c.recovered)
+            .field("degraded", c.degraded)
+            .field("quarantined", c.quarantined)
+            .field("violations", c.violations)
+            .field("panics", c.panics)
+            .field("unreached", c.unreached)
+            .field("retried", c.retried)
+            .field("retry_exhausted", c.retry_exhausted)
+            .end();
+    }
+}
+
+impl Value for KindTotals {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("fault", self.kind.to_string())
+            .field("retries", self.retries)
+            .field("retry_exhausted", self.retry_exhausted)
+            .field("degraded", self.degraded)
+            .end();
+    }
+}
+
+impl Value for TrialFailure {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("workload", self.workload.label())
+            .field("fault", self.kind.to_string())
+            .field("after", self.after)
+            .field("fault_seed", self.fault_seed)
+            .field("outcome", format!("{:?}", self.outcome))
+            .field("detail", &self.detail)
+            .end();
     }
 }
 
@@ -894,6 +873,58 @@ mod tests {
         );
         // Quotes inside failure details are escaped.
         assert!(json.contains("broke a \\\"chain\\\""), "{json}");
+    }
+
+    /// The exact `--json` bytes of a report whose every list is filled,
+    /// whose detail needs escaping and whose wall time is stamped.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let counts = CellCounts {
+            recovered: 1,
+            degraded: 2,
+            quarantined: 3,
+            violations: 4,
+            panics: 5,
+            unreached: 6,
+            retried: 7,
+            retry_exhausted: 8,
+        };
+        let report = CampaignReport {
+            cells: vec![MatrixCell {
+                workload: StructureKind::Avl,
+                kind: FaultKind::TornWrite,
+                counts,
+                points: 9,
+                op_stores: 10,
+            }],
+            failures: vec![TrialFailure {
+                workload: StructureKind::List,
+                kind: FaultKind::MediaError,
+                after: 11,
+                fault_seed: 12,
+                outcome: Outcome::Panicked,
+                detail: "a \"q\" \\ b\nc\u{1}".to_string(),
+            }],
+            failures_dropped: 13,
+            campaign_seed: 14,
+            trials: 3,
+            wall_nanos: 2_000_000_000,
+        };
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"campaign_seed":14,"trials":3,"clean":false,"wall_nanos":2000000000,"#,
+                r#""events_per_sec":1.5,"cells":[{"workload":"avl","fault":"torn-write","#,
+                r#""points":9,"op_stores":10,"recovered":1,"degraded":2,"quarantined":3,"#,
+                r#""violations":4,"panics":5,"unreached":6,"retried":7,"retry_exhausted":8}],"#,
+                r#""kinds":[{"fault":"power-failure","retries":0,"retry_exhausted":0,"#,
+                r#""degraded":0},{"fault":"torn-write","retries":7,"retry_exhausted":8,"#,
+                r#""degraded":2},{"fault":"media-error","retries":0,"retry_exhausted":0,"#,
+                r#""degraded":0}],"failures":[{"workload":"list","fault":"media-error","#,
+                r#""after":11,"fault_seed":12,"outcome":"Panicked","#,
+                r#""detail":"a \"q\" \\ b\nc\u0001"}],"failures_dropped":13}"#,
+            )
+        );
     }
 
     #[test]

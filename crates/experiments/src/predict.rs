@@ -44,8 +44,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pmo_analyzer::{
-    json_string, predict, seed_bug, witness_events, Analyzer, GatePass, InspectPass,
-    PermWindowPass, PersistOrderPass, PredictedFinding, RacePass, SeededBug, ViolationClass,
+    predict, seed_bug, witness_events, Analyzer, GatePass, InspectPass, PermWindowPass,
+    PersistOrderPass, PredictedFinding, RacePass, SeededBug, ViolationClass,
 };
 use pmo_modelcheck::enumerate::{self, Codes, WorldBounds};
 use pmo_modelcheck::{
@@ -54,6 +54,7 @@ use pmo_modelcheck::{
 };
 use pmo_protect::ProtocolBug;
 use pmo_runtime::{Mode, PmRuntime};
+use pmo_trace::json::{self, Object, Value};
 use pmo_trace::{Perm, RecordedTrace, TraceEvent, TraceSink};
 use pmo_workloads::{
     MicroBench, MicroConfig, MicroWorkload, ServerConfig, ServerWorkload, WhisperBench,
@@ -354,28 +355,25 @@ impl PredictWorldOutcome {
     pub fn passed(&self) -> bool {
         u128::from(self.canonical) == self.burnside && self.fp_total == 0
     }
+}
 
-    /// JSON object (stable field names).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let fps = self.false_positives.iter().map(|f| json_string(f)).collect::<Vec<_>>().join(",");
-        format!(
-            "{{\"world\":{},\"ops\":{},\"threads\":{},\"domains\":{},\"raw\":{},\
-             \"burnside\":{},\"canonical\":{},\"feasible_schedules\":{},\"events\":{},\
-             \"candidates\":{},\"findings\":{},\"false_positives\":{},\"fp_detail\":[{fps}]}}",
-            json_string(&self.world),
-            self.bounds.ops,
-            self.bounds.threads,
-            self.bounds.domains,
-            self.raw,
-            self.burnside,
-            self.canonical,
-            self.feasible,
-            self.events,
-            self.candidates,
-            self.findings,
-            self.fp_total,
-        )
+impl Value for PredictWorldOutcome {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("world", &self.world)
+            .field("ops", self.bounds.ops)
+            .field("threads", self.bounds.threads)
+            .field("domains", self.bounds.domains)
+            .field("raw", self.raw)
+            .field("burnside", self.burnside)
+            .field("canonical", self.canonical)
+            .field("feasible_schedules", self.feasible)
+            .field("events", self.events)
+            .field("candidates", self.candidates)
+            .field("findings", self.findings)
+            .field("false_positives", self.fp_total)
+            .field("fp_detail", &self.false_positives)
+            .end();
     }
 }
 
@@ -451,17 +449,16 @@ impl ScaleRow {
     pub fn passed(&self) -> bool {
         self.findings == 0
     }
+}
 
-    /// JSON object (stable field names).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"source\":{},\"events\":{},\"candidates\":{},\"findings\":{}}}",
-            json_string(&self.source),
-            self.events,
-            self.candidates,
-            self.findings,
-        )
+impl Value for ScaleRow {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("source", &self.source)
+            .field("events", self.events)
+            .field("candidates", self.candidates)
+            .field("findings", self.findings)
+            .end();
     }
 }
 
@@ -587,20 +584,18 @@ impl TraceSeedRow {
             caught
         }
     }
+}
 
-    /// JSON object (stable field names).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bug\":{},\"expected\":{},\"manifest_caught\":{},\"predict_caught\":{},\
-             \"witness_replayed\":{},\"passed\":{}}}",
-            json_string(self.bug.label()),
-            json_string(self.expected.name()),
-            self.manifest_caught,
-            self.predict_caught,
-            self.witness_replayed,
-            self.passed(),
-        )
+impl Value for TraceSeedRow {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("bug", self.bug.label())
+            .field("expected", self.expected.name())
+            .field("manifest_caught", self.manifest_caught)
+            .field("predict_caught", self.predict_caught)
+            .field("witness_replayed", self.witness_replayed)
+            .field("passed", self.passed())
+            .end();
     }
 }
 
@@ -753,23 +748,21 @@ impl WorldSeedRow {
     pub fn passed(&self) -> bool {
         self.effect == self.expected && self.dpor_caught
     }
+}
 
-    /// JSON object (stable field names).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bug\":{},\"effect\":{},\"expected\":{},\"scenario\":{},\"class\":{},\
-             \"witness\":{},\"programs_scanned\":{},\"dpor_caught\":{},\"passed\":{}}}",
-            json_string(self.bug.label()),
-            json_string(self.effect.label()),
-            json_string(self.expected.label()),
-            json_string(&self.scenario),
-            json_string(self.class.map_or("-", ViolationClass::name)),
-            json_string(&self.witness),
-            self.programs_scanned,
-            self.dpor_caught,
-            self.passed(),
-        )
+impl Value for WorldSeedRow {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("bug", self.bug.label())
+            .field("effect", self.effect.label())
+            .field("expected", self.expected.label())
+            .field("scenario", &self.scenario)
+            .field("class", self.class.map_or("-", ViolationClass::name))
+            .field("witness", &self.witness)
+            .field("programs_scanned", self.programs_scanned)
+            .field("dpor_caught", self.dpor_caught)
+            .field("passed", self.passed())
+            .end();
     }
 }
 
@@ -923,22 +916,24 @@ impl PredictReport {
     /// nondeterministic field).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let worlds =
-            self.worlds.iter().map(PredictWorldOutcome::to_json).collect::<Vec<_>>().join(",");
-        let skipped = self.skipped.iter().map(SkippedWorld::to_json).collect::<Vec<_>>().join(",");
-        let scale = self.scale.iter().map(ScaleRow::to_json).collect::<Vec<_>>().join(",");
-        let st = self.seeded_trace.iter().map(TraceSeedRow::to_json).collect::<Vec<_>>().join(",");
-        let sw = self.seeded_world.iter().map(WorldSeedRow::to_json).collect::<Vec<_>>().join(",");
-        format!(
-            "{{\"clean\":{},\"programs\":{},\"events\":{},\"false_positives\":{},\
-             \"wall_nanos\":{},\"worlds\":[{worlds}],\"skipped_worlds\":[{skipped}],\
-             \"scale\":[{scale}],\"seeded_trace\":[{st}],\"seeded_world\":[{sw}]}}",
-            self.is_clean(),
-            self.total_programs(),
-            self.total_events(),
-            self.total_false_positives(),
-            self.wall_nanos,
-        )
+        json::to_string(self)
+    }
+}
+
+impl Value for PredictReport {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("clean", self.is_clean())
+            .field("programs", self.total_programs())
+            .field("events", self.total_events())
+            .field("false_positives", self.total_false_positives())
+            .field("wall_nanos", self.wall_nanos)
+            .field("worlds", &self.worlds)
+            .field("skipped_worlds", &self.skipped)
+            .field("scale", &self.scale)
+            .field("seeded_trace", &self.seeded_trace)
+            .field("seeded_world", &self.seeded_world)
+            .end();
     }
 }
 
@@ -1126,7 +1121,74 @@ mod tests {
         let cfg = tiny_config();
         let serial = run_world(&cfg.worlds[0], &cfg, 1);
         let parallel = run_world(&cfg.worlds[0], &cfg, 4);
-        assert_eq!(serial.to_json(), parallel.to_json());
+        assert_eq!(json::to_string(&serial), json::to_string(&parallel));
+    }
+
+    /// The exact `--json` bytes of a report whose every list is filled,
+    /// whose strings need escaping and whose wall time is stamped.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let bounds = WorldBounds { ops: 3, threads: 2, domains: 2 };
+        let report = PredictReport {
+            worlds: vec![PredictWorldOutcome {
+                world: "w1".to_string(),
+                bounds,
+                raw: 1,
+                burnside: 2,
+                canonical: 3,
+                feasible: u128::from(u64::MAX) + 4,
+                events: 5,
+                candidates: 6,
+                findings: 7,
+                false_positives: vec!["a \"q\" \\ b\nc\u{1}".to_string(), "fp2".to_string()],
+                fp_total: 8,
+            }],
+            skipped: vec![SkippedWorld { world: "w3".to_string(), bounds, raw: 9, unverified: 10 }],
+            scale: vec![ScaleRow {
+                source: "micro-AVL".to_string(),
+                events: 11,
+                candidates: 12,
+                findings: 13,
+            }],
+            seeded_trace: vec![TraceSeedRow {
+                bug: SeededBug::KeyReuseAfterEvict,
+                expected: ViolationClass::StaleWindowAccess,
+                manifest_caught: false,
+                predict_caught: true,
+                witness_replayed: true,
+            }],
+            seeded_world: vec![WorldSeedRow {
+                bug: ProtocolBug::SkipPtlbInvalidateOnDetach,
+                effect: TraceEffect::Predicted,
+                expected: TraceEffect::Predicted,
+                scenario: "w2@1763".to_string(),
+                class: Some(ViolationClass::StaleWindowAccess),
+                witness: "4@6".to_string(),
+                programs_scanned: 14,
+                dpor_caught: true,
+            }],
+            wall_nanos: 16,
+        };
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"clean":false,"programs":3,"events":16,"false_positives":8,"wall_nanos":16,"#,
+                r#""worlds":[{"world":"w1","ops":3,"threads":2,"domains":2,"raw":1,"#,
+                r#""burnside":2,"canonical":3,"feasible_schedules":18446744073709551619,"#,
+                r#""events":5,"candidates":6,"findings":7,"false_positives":8,"#,
+                r#""fp_detail":["a \"q\" \\ b\nc\u0001","fp2"]}],"#,
+                r#""skipped_worlds":[{"world":"w3","ops":3,"threads":2,"domains":2,"raw":9,"#,
+                r#""unverified":10}],"scale":[{"source":"micro-AVL","events":11,"#,
+                r#""candidates":12,"findings":13}],"#,
+                r#""seeded_trace":[{"bug":"key-reuse-after-evict","#,
+                r#""expected":"stale-window-access","manifest_caught":false,"#,
+                r#""predict_caught":true,"witness_replayed":true,"passed":true}],"#,
+                r#""seeded_world":[{"bug":"skip-ptlb-invalidate-on-detach","#,
+                r#""effect":"predicted","expected":"predicted","scenario":"w2@1763","#,
+                r#""class":"stale-window-access","witness":"4@6","programs_scanned":14,"#,
+                r#""dpor_caught":true,"passed":true}]}"#,
+            )
+        );
     }
 
     #[test]

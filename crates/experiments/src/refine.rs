@@ -36,11 +36,12 @@
 
 use std::fmt;
 
-use pmo_analyzer::{json_string, ViolationClass};
+use pmo_analyzer::ViolationClass;
 use pmo_modelcheck::enumerate::{self, Codes, WorldBounds};
 use pmo_modelcheck::{explore, model_config, replay_schedule, ExploreLimits, Violation};
 use pmo_protect::ProtocolBug;
 use pmo_simarch::SimConfig;
+use pmo_trace::json::{self, Object, Value};
 
 use crate::pool::parallel_map;
 use crate::Scale;
@@ -188,30 +189,25 @@ impl WorldOutcome {
             && self.violations_total == 0
             && self.truncated == 0
     }
+}
 
-    /// JSON object (stable field names).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let violations =
-            self.violations.iter().map(Violation::to_json).collect::<Vec<_>>().join(",");
-        format!(
-            "{{\"world\":{},\"ops\":{},\"threads\":{},\"domains\":{},\"raw\":{},\
-             \"burnside\":{},\"canonical\":{},\"schedules\":{},\"steps\":{},\
-             \"sleep_blocked\":{},\"truncated\":{},\"violations_total\":{},\
-             \"violations\":[{violations}]}}",
-            json_string(&self.world),
-            self.bounds.ops,
-            self.bounds.threads,
-            self.bounds.domains,
-            self.raw,
-            self.burnside,
-            self.canonical,
-            self.schedules,
-            self.steps,
-            self.sleep_blocked,
-            self.truncated,
-            self.violations_total,
-        )
+impl Value for WorldOutcome {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("world", &self.world)
+            .field("ops", self.bounds.ops)
+            .field("threads", self.bounds.threads)
+            .field("domains", self.bounds.domains)
+            .field("raw", self.raw)
+            .field("burnside", self.burnside)
+            .field("canonical", self.canonical)
+            .field("schedules", self.schedules)
+            .field("steps", self.steps)
+            .field("sleep_blocked", self.sleep_blocked)
+            .field("truncated", self.truncated)
+            .field("violations_total", self.violations_total)
+            .field("violations", &self.violations)
+            .end();
     }
 }
 
@@ -240,20 +236,18 @@ impl SkippedWorld {
             unverified: enumerate::orbit_count(&world.bounds),
         }
     }
+}
 
-    /// JSON object (stable field names).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"world\":{},\"ops\":{},\"threads\":{},\"domains\":{},\"raw\":{},\
-             \"unverified\":{}}}",
-            json_string(&self.world),
-            self.bounds.ops,
-            self.bounds.threads,
-            self.bounds.domains,
-            self.raw,
-            self.unverified,
-        )
+impl Value for SkippedWorld {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("world", &self.world)
+            .field("ops", self.bounds.ops)
+            .field("threads", self.bounds.threads)
+            .field("domains", self.bounds.domains)
+            .field("raw", self.raw)
+            .field("unverified", self.unverified)
+            .end();
     }
 }
 
@@ -282,21 +276,19 @@ impl SeededOutcome {
     pub fn passed(&self) -> bool {
         self.replay_confirmed
     }
+}
 
-    /// JSON object (stable field names).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"bug\":{},\"scenario\":{},\"class\":{},\"schedule\":{},\
-             \"programs_scanned\":{},\"replay_confirmed\":{},\"passed\":{}}}",
-            json_string(self.bug.label()),
-            json_string(&self.scenario),
-            json_string(self.class.name()),
-            json_string(&self.schedule),
-            self.programs_scanned,
-            self.replay_confirmed,
-            self.passed(),
-        )
+impl Value for SeededOutcome {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("bug", self.bug.label())
+            .field("scenario", &self.scenario)
+            .field("class", self.class.name())
+            .field("schedule", &self.schedule)
+            .field("programs_scanned", self.programs_scanned)
+            .field("replay_confirmed", self.replay_confirmed)
+            .field("passed", self.passed())
+            .end();
     }
 }
 
@@ -345,20 +337,23 @@ impl RefineReport {
     /// nondeterministic field).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let worlds = self.worlds.iter().map(WorldOutcome::to_json).collect::<Vec<_>>().join(",");
-        let skipped = self.skipped.iter().map(SkippedWorld::to_json).collect::<Vec<_>>().join(",");
-        let seeded = self.seeded.iter().map(SeededOutcome::to_json).collect::<Vec<_>>().join(",");
-        format!(
-            "{{\"clean\":{},\"programs\":{},\"schedules\":{},\
-             \"skipped_world_count\":{},\"unverified_programs\":{},\"wall_nanos\":{},\
-             \"worlds\":[{worlds}],\"skipped_worlds\":[{skipped}],\"seeded\":[{seeded}]}}",
-            self.is_clean(),
-            self.total_programs(),
-            self.total_schedules(),
-            self.skipped.len(),
-            self.total_unverified(),
-            self.wall_nanos,
-        )
+        json::to_string(self)
+    }
+}
+
+impl Value for RefineReport {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("clean", self.is_clean())
+            .field("programs", self.total_programs())
+            .field("schedules", self.total_schedules())
+            .field("skipped_world_count", self.skipped.len())
+            .field("unverified_programs", self.total_unverified())
+            .field("wall_nanos", self.wall_nanos)
+            .field("worlds", &self.worlds)
+            .field("skipped_worlds", &self.skipped)
+            .field("seeded", &self.seeded)
+            .end();
     }
 }
 
@@ -657,6 +652,70 @@ mod tests {
         let serial = run_campaign(&cfg, 1);
         let parallel = run_campaign(&cfg, 4);
         assert_eq!(serial.to_json(), parallel.to_json());
+    }
+
+    /// The exact `--json` bytes of a report whose every list is filled,
+    /// whose violation message needs escaping and whose wall time is
+    /// stamped.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let bounds = WorldBounds { ops: 3, threads: 2, domains: 2 };
+        let violation = Violation {
+            scenario: "w1@7".to_string(),
+            class: ViolationClass::StaleWindowAccess,
+            thread: 1,
+            step: 2,
+            schedule: vec![0, 1, 1],
+            message: "a \"q\" \\ b\nc\u{1}".to_string(),
+        };
+        let report = RefineReport {
+            worlds: vec![WorldOutcome {
+                world: "w1".to_string(),
+                bounds,
+                raw: u128::from(u64::MAX) + 1,
+                burnside: 4,
+                canonical: 5,
+                schedules: 6,
+                steps: 7,
+                sleep_blocked: 8,
+                truncated: 9,
+                violations: vec![violation.clone(), violation],
+                violations_total: 10,
+            }],
+            skipped: vec![SkippedWorld {
+                world: "w3".to_string(),
+                bounds,
+                raw: 11,
+                unverified: 12,
+            }],
+            seeded: vec![SeededOutcome {
+                bug: ProtocolBug::StaleCr3OnSwitch,
+                scenario: "w2@13".to_string(),
+                class: ViolationClass::StaleWindowAccess,
+                schedule: "0.1".to_string(),
+                programs_scanned: 14,
+                replay_confirmed: true,
+            }],
+            wall_nanos: 15,
+        };
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"clean":false,"programs":5,"schedules":6,"skipped_world_count":1,"#,
+                r#""unverified_programs":12,"wall_nanos":15,"worlds":[{"world":"w1","ops":3,"#,
+                r#""threads":2,"domains":2,"raw":18446744073709551616,"burnside":4,"#,
+                r#""canonical":5,"schedules":6,"steps":7,"sleep_blocked":8,"truncated":9,"#,
+                r#""violations_total":10,"violations":[{"scenario":"w1@7","#,
+                r#""class":"stale-window-access","thread":1,"step":2,"schedule":"0.1.1","#,
+                r#""message":"a \"q\" \\ b\nc\u0001"},{"scenario":"w1@7","#,
+                r#""class":"stale-window-access","thread":1,"step":2,"schedule":"0.1.1","#,
+                r#""message":"a \"q\" \\ b\nc\u0001"}]}],"skipped_worlds":[{"world":"w3","#,
+                r#""ops":3,"threads":2,"domains":2,"raw":11,"unverified":12}],"#,
+                r#""seeded":[{"bug":"stale-cr3-on-switch","scenario":"w2@13","#,
+                r#""class":"stale-window-access","schedule":"0.1","programs_scanned":14,"#,
+                r#""replay_confirmed":true,"passed":true}]}"#,
+            )
+        );
     }
 
     #[test]

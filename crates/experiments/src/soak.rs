@@ -34,6 +34,7 @@ use pmo_runtime::{mix, FaultPlan};
 use pmo_server::{
     nearest_rank, Op, OpOutcome, PoolServer, RetryPolicy, ServerConfig, TenantHealth,
 };
+use pmo_trace::json::{self, Object, Value};
 use pmo_trace::{FaultKind, NullSink, RecordedTrace, TraceEvent, TraceSink};
 use pmo_workloads::structs::StructureKind;
 
@@ -262,18 +263,6 @@ impl SoakReport {
         self.shards.iter().map(|s| s.ops).sum()
     }
 
-    /// Campaign throughput: tenant operations per host wall-clock
-    /// second (tenants × ops / wall time). 0.0 until `wall_nanos` is
-    /// stamped.
-    #[must_use]
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.total_ops() as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-
     /// Global latency percentiles (merged across every shard).
     #[must_use]
     pub fn latency_percentiles(&self) -> (u64, u64, u64, u64) {
@@ -296,80 +285,71 @@ impl SoakReport {
     /// Renders the campaign as JSON (for CI artifacts).
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
+        json::to_string(self)
+    }
+}
+
+impl Value for SoakReport {
+    fn write_json(&self, out: &mut String) {
         let (p50, p99, p999, max) = self.latency_percentiles();
-        let mut shards = String::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                shards.push(',');
-            }
-            let mut kinds = String::new();
-            for (j, (kind, k)) in FAULT_KINDS.iter().zip(s.kinds.iter()).enumerate() {
-                if j > 0 {
-                    kinds.push(',');
-                }
-                let _ = write!(
-                    kinds,
-                    "{{\"fault\":{},\"armed\":{},\"fired\":{},\"retries\":{},\
-                     \"exhausted\":{},\"degradations\":{},\"wipes\":{}}}",
-                    pmo_analyzer::json_string(&kind.to_string()),
-                    k.armed,
-                    k.fired,
-                    k.retries,
-                    k.exhausted,
-                    k.degradations,
-                    k.wipes,
-                );
-            }
-            let mut violations = String::new();
-            for (j, v) in s.violations.iter().enumerate() {
-                if j > 0 {
-                    violations.push(',');
-                }
-                violations.push_str(&pmo_analyzer::json_string(v));
-            }
-            let _ = write!(
-                shards,
-                "{{\"shard\":{},\"ops\":{},\"applied\":{},\"media_faults\":{},\
-                 \"gave_up\":{},\"retries\":{},\"chaos_skipped\":{},\"evictions\":{},\
-                 \"quarantines\":{},\"recoveries\":{},\"readmissions\":{},\"wipes\":{},\
-                 \"latency_dropped\":{},\"violations_dropped\":{},\"kinds\":[{}],\
-                 \"violations\":[{}]}}",
-                s.shard,
-                s.ops,
-                s.applied,
-                s.media_faults,
-                s.gave_up,
-                s.retries,
-                s.chaos_skipped,
-                s.evictions,
-                s.quarantines,
-                s.recoveries,
-                s.readmissions,
-                s.wipes,
-                s.latency_dropped,
-                s.violations_dropped,
-                kinds,
-                violations,
-            );
-        }
-        format!(
-            "{{\"soak_seed\":{},\"tenants\":{},\"ops\":{},\"clean\":{},\"violations\":{},\
-             \"wall_nanos\":{},\"ops_per_sec\":{:.1},\"latency_p50\":{},\"latency_p99\":{},\
-             \"latency_p999\":{},\"latency_max\":{},\"shards\":[{}]}}",
-            self.soak_seed,
-            self.tenants,
-            self.total_ops(),
-            self.is_clean(),
-            self.violation_count(),
-            self.wall_nanos,
-            self.ops_per_sec(),
-            p50,
-            p99,
-            p999,
-            max,
-            shards,
-        )
+        let ops = self.total_ops();
+        Object::new(out)
+            .field("soak_seed", self.soak_seed)
+            .field("tenants", self.tenants)
+            .field("ops", ops)
+            .field("clean", self.is_clean())
+            .field("violations", self.violation_count())
+            .field("wall_nanos", self.wall_nanos)
+            .field("ops_per_sec", json::per_sec(ops, self.wall_nanos))
+            .field("latency_p50", p50)
+            .field("latency_p99", p99)
+            .field("latency_p999", p999)
+            .field("latency_max", max)
+            .field("shards", &self.shards)
+            .end();
+    }
+}
+
+impl Value for ShardReport {
+    fn write_json(&self, out: &mut String) {
+        let kinds: Vec<KindRow> =
+            FAULT_KINDS.into_iter().zip(&self.kinds).map(|(kind, k)| KindRow(kind, k)).collect();
+        Object::new(out)
+            .field("shard", self.shard)
+            .field("ops", self.ops)
+            .field("applied", self.applied)
+            .field("media_faults", self.media_faults)
+            .field("gave_up", self.gave_up)
+            .field("retries", self.retries)
+            .field("chaos_skipped", self.chaos_skipped)
+            .field("evictions", self.evictions)
+            .field("quarantines", self.quarantines)
+            .field("recoveries", self.recoveries)
+            .field("readmissions", self.readmissions)
+            .field("wipes", self.wipes)
+            .field("latency_dropped", self.latency_dropped)
+            .field("violations_dropped", self.violations_dropped)
+            .field("kinds", kinds)
+            .field("violations", &self.violations)
+            .end();
+    }
+}
+
+/// One fault kind's chaos counters, labelled, as a shard report lists them.
+struct KindRow<'a>(FaultKind, &'a KindCounters);
+
+impl Value for KindRow<'_> {
+    fn write_json(&self, out: &mut String) {
+        let KindRow(kind, k) = self;
+        Object::new(out)
+            .field("fault", kind.to_string())
+            .field("armed", k.armed)
+            .field("fired", k.fired)
+            .field("retries", k.retries)
+            .field("exhausted", k.exhausted)
+            .field("degradations", k.degradations)
+            .field("wipes", k.wipes)
+            .end();
     }
 }
 
@@ -902,6 +882,59 @@ mod tests {
         let unwatched = run_shard(&cfg, 1, None);
         assert_eq!(report.ops, unwatched.ops);
         assert_eq!(report.violations, unwatched.violations);
+    }
+
+    /// The exact `--json` bytes of a report whose every list is filled,
+    /// whose violation needs escaping and whose wall time is stamped.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let kind = |n: u64| KindCounters {
+            armed: n,
+            fired: n + 1,
+            retries: n + 2,
+            exhausted: n + 3,
+            degradations: n + 4,
+            wipes: n + 5,
+        };
+        let shard = ShardReport {
+            shard: 1,
+            ops: 2,
+            applied: 3,
+            media_faults: 4,
+            gave_up: 5,
+            retries: 6,
+            kinds: [kind(10), kind(20), kind(30)],
+            chaos_skipped: 7,
+            evictions: 8,
+            quarantines: 9,
+            recoveries: 10,
+            readmissions: 11,
+            wipes: 12,
+            latencies: vec![1, 2, 3, 40],
+            latency_dropped: 13,
+            violations: vec!["a \"q\" \\ b\nc\u{1}".to_string(), "second".to_string()],
+            violations_dropped: 14,
+            ..ShardReport::default()
+        };
+        let report =
+            SoakReport { soak_seed: 15, tenants: 16, shards: vec![shard], wall_nanos: 4_000 };
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"soak_seed":15,"tenants":16,"ops":2,"clean":false,"violations":16,"#,
+                r#""wall_nanos":4000,"ops_per_sec":500000.0,"latency_p50":2,"latency_p99":40,"#,
+                r#""latency_p999":40,"latency_max":40,"shards":[{"shard":1,"ops":2,"applied":3,"#,
+                r#""media_faults":4,"gave_up":5,"retries":6,"chaos_skipped":7,"evictions":8,"#,
+                r#""quarantines":9,"recoveries":10,"readmissions":11,"wipes":12,"#,
+                r#""latency_dropped":13,"violations_dropped":14,"#,
+                r#""kinds":[{"fault":"power-failure","armed":10,"fired":11,"retries":12,"#,
+                r#""exhausted":13,"degradations":14,"wipes":15},{"fault":"torn-write","#,
+                r#""armed":20,"fired":21,"retries":22,"exhausted":23,"degradations":24,"#,
+                r#""wipes":25},{"fault":"media-error","armed":30,"fired":31,"retries":32,"#,
+                r#""exhausted":33,"degradations":34,"wipes":35}],"#,
+                r#""violations":["a \"q\" \\ b\nc\u0001","second"]}]}"#,
+            )
+        );
     }
 
     #[test]

@@ -63,10 +63,20 @@ fn parse_args(argv: &[String]) -> Result<Cli, String> {
     if bug.is_some() && replay.is_none() {
         return Err("--bug requires --replay (use --seeded for validation campaigns)".into());
     }
+    // Listing, the seeded self-validation and a replay are modes of their
+    // own, and only the campaign writes a report.
+    let (list_scenarios, seeded) = (args.has("--list-scenarios"), args.has("--seeded"));
+    let modes = usize::from(list_scenarios) + usize::from(seeded) + usize::from(replay.is_some());
+    if modes > 1 {
+        return Err("--list-scenarios, --seeded and --replay are exclusive".into());
+    }
+    if modes == 1 && args.has("--json") {
+        return Err("--json writes the campaign report, which only a campaign run makes".into());
+    }
     let named = args.values("--scenario");
     Ok(Cli {
-        list_scenarios: args.has("--list-scenarios"),
-        seeded: args.has("--seeded"),
+        list_scenarios,
+        seeded,
         limits,
         replay,
         scenarios: if named.is_empty() {
@@ -223,6 +233,12 @@ mod tests {
             "--scenario no-such-scenario",
             "--seed 1",
             "stray",
+            "--seeded --json q.json",
+            "--replay setperm-vs-access@0.1.0 --json q.json",
+            "--list-scenarios --json q.json",
+            "--seeded --replay setperm-vs-access@0.1.0",
+            "--list-scenarios --seeded",
+            "--list-scenarios --replay setperm-vs-access@0.1.0",
         ] {
             assert!(parse(line).is_err(), "{line:?} must be rejected");
         }

@@ -4,7 +4,8 @@
 
 use std::fmt;
 
-use pmo_analyzer::{json_string, ViolationClass};
+use pmo_analyzer::ViolationClass;
+use pmo_trace::json::{self, Object, Value};
 
 use crate::program::Scenario;
 use crate::world::Finding;
@@ -47,20 +48,18 @@ impl Violation {
     pub fn schedule_string(&self) -> String {
         schedule_string(&self.schedule)
     }
+}
 
-    /// JSON object (stable field names).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"scenario\":{},\"class\":{},\"thread\":{},\"step\":{},\"schedule\":{},\
-             \"message\":{}}}",
-            json_string(&self.scenario),
-            json_string(self.class.name()),
-            self.thread,
-            self.step,
-            json_string(&self.schedule_string()),
-            json_string(&self.message),
-        )
+impl Value for Violation {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("scenario", &self.scenario)
+            .field("class", self.class.name())
+            .field("thread", self.thread)
+            .field("step", self.step)
+            .field("schedule", self.schedule_string())
+            .field("message", &self.message)
+            .end();
     }
 }
 
@@ -141,23 +140,20 @@ impl ExploreOutcome {
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
     }
+}
 
-    /// JSON object (stable field names).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let violations =
-            self.violations.iter().map(Violation::to_json).collect::<Vec<_>>().join(",");
-        format!(
-            "{{\"scenario\":{},\"schedules\":{},\"steps\":{},\"sleep_blocked\":{},\"naive\":{},\
-             \"truncated\":{},\"violation_count\":{},\"violations\":[{violations}]}}",
-            json_string(&self.scenario),
-            self.schedules,
-            self.steps,
-            self.sleep_blocked,
-            self.naive,
-            self.truncated,
-            self.violation_count,
-        )
+impl Value for ExploreOutcome {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("scenario", &self.scenario)
+            .field("schedules", self.schedules)
+            .field("steps", self.steps)
+            .field("sleep_blocked", self.sleep_blocked)
+            .field("naive", self.naive)
+            .field("truncated", self.truncated)
+            .field("violation_count", self.violation_count)
+            .field("violations", &self.violations)
+            .end();
     }
 }
 
@@ -196,15 +192,19 @@ impl Campaign {
     /// JSON document (stable field names).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let runs = self.runs.iter().map(ExploreOutcome::to_json).collect::<Vec<_>>().join(",");
-        format!(
-            "{{\"total_schedules\":{},\"total_naive\":{},\"total_violations\":{},\
-             \"passed\":{},\"scenarios\":[{runs}]}}",
-            self.total_schedules(),
-            self.total_naive(),
-            self.total_violations(),
-            self.passed(),
-        )
+        json::to_string(self)
+    }
+}
+
+impl Value for Campaign {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("total_schedules", self.total_schedules())
+            .field("total_naive", self.total_naive())
+            .field("total_violations", self.total_violations())
+            .field("passed", self.passed())
+            .field("scenarios", &self.runs)
+            .end();
     }
 }
 
@@ -286,6 +286,50 @@ mod tests {
         // Length-2 prefixes of two 2-op threads: 00, 01, 10, 11.
         assert_eq!(naive_schedules(&[2, 2], 2), 4);
         assert_eq!(naive_schedules(&[2, 2], 1), 2);
+    }
+
+    /// The exact `--json` bytes of a campaign whose every list is filled
+    /// and whose violation message needs escaping.
+    #[test]
+    fn campaign_json_bytes_are_pinned() {
+        let violation = Violation {
+            scenario: "detach-race".to_string(),
+            class: ViolationClass::StaleWindowAccess,
+            thread: 1,
+            step: 2,
+            schedule: vec![0, 1, 1],
+            message: "a \"q\" \\ b\nc\u{1}".to_string(),
+        };
+        let run = ExploreOutcome {
+            scenario: "detach-race".to_string(),
+            schedules: 3,
+            steps: 4,
+            sleep_blocked: 5,
+            naive: u128::from(u64::MAX) + 6,
+            truncated: true,
+            violations: vec![violation.clone(), violation],
+            violation_count: 7,
+        };
+        let campaign = Campaign { runs: vec![run.clone(), run] };
+        assert_eq!(
+            campaign.to_json(),
+            concat!(
+                r#"{"total_schedules":6,"total_naive":36893488147419103242,"#,
+                r#""total_violations":4,"passed":false,"scenarios":[{"scenario":"detach-race","#,
+                r#""schedules":3,"steps":4,"sleep_blocked":5,"naive":18446744073709551621,"#,
+                r#""truncated":true,"violation_count":7,"#,
+                r#""violations":[{"scenario":"detach-race","class":"stale-window-access","#,
+                r#""thread":1,"step":2,"schedule":"0.1.1","message":"a \"q\" \\ b\nc\u0001"},"#,
+                r#"{"scenario":"detach-race","class":"stale-window-access","thread":1,"step":2,"#,
+                r#""schedule":"0.1.1","message":"a \"q\" \\ b\nc\u0001"}]},"#,
+                r#"{"scenario":"detach-race","schedules":3,"steps":4,"sleep_blocked":5,"#,
+                r#""naive":18446744073709551621,"truncated":true,"violation_count":7,"#,
+                r#""violations":[{"scenario":"detach-race","class":"stale-window-access","#,
+                r#""thread":1,"step":2,"schedule":"0.1.1","message":"a \"q\" \\ b\nc\u0001"},"#,
+                r#"{"scenario":"detach-race","class":"stale-window-access","thread":1,"step":2,"#,
+                r#""schedule":"0.1.1","message":"a \"q\" \\ b\nc\u0001"}]}]}"#,
+            )
+        );
     }
 
     #[test]

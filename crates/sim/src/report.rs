@@ -4,6 +4,7 @@ use std::fmt;
 
 use pmo_protect::{CostBreakdown, ProtectionFault, SchemeKind, SchemeStats};
 use pmo_simarch::{CacheStats, SimConfig, TlbStats};
+use pmo_trace::json::{self, Fixed, Object, Value};
 use pmo_trace::EventCounts;
 
 /// Everything a replay run produces.
@@ -133,37 +134,27 @@ impl ReplayReport {
         self.faults_dropped == 0
     }
 
-    /// Trace events replayed per host wall-clock second — the simulator-
-    /// throughput metric tracked by the bench trajectory. 0.0 until
-    /// `wall_nanos` has been stamped.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.counts.events as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-
-    /// Serializes the headline numbers as one JSON object (hand-rolled;
-    /// the workspace has no serde).
+    /// The headline numbers as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"scheme\":\"{}\",\"cycles\":{},\"instructions\":{},\"events\":{},\
-             \"ops\":{},\"ipc\":{:.4},\"faults\":{},\"faults_dropped\":{},\
-             \"wall_nanos\":{},\"events_per_sec\":{:.1}}}",
-            self.scheme,
-            self.cycles,
-            self.instructions,
-            self.counts.events,
-            self.ops,
-            self.ipc(),
-            self.scheme_stats.faults,
-            self.faults_dropped,
-            self.wall_nanos,
-            self.events_per_sec(),
-        )
+        json::to_string(self)
+    }
+}
+
+impl Value for ReplayReport {
+    fn write_json(&self, out: &mut String) {
+        Object::new(out)
+            .field("scheme", self.scheme.label())
+            .field("cycles", self.cycles)
+            .field("instructions", self.instructions)
+            .field("events", self.counts.events)
+            .field("ops", self.ops)
+            .field("ipc", Fixed(self.ipc(), 4))
+            .field("faults", self.scheme_stats.faults)
+            .field("faults_dropped", self.faults_dropped)
+            .field("wall_nanos", self.wall_nanos)
+            .field("events_per_sec", json::per_sec(self.counts.events, self.wall_nanos))
+            .end();
     }
 }
 
@@ -240,7 +231,7 @@ mod tests {
         assert_eq!(zero.ipc(), 0.0);
         assert_eq!(zero.overhead_pct_over(&zero), 0.0);
         assert_eq!(zero.speedup_over(&zero), 0.0);
-        assert_eq!(zero.events_per_sec(), 0.0, "unstamped wall clock yields no rate");
+        assert!(zero.to_json().contains("\"events_per_sec\":0.0"), "unstamped wall clock");
         let mut no_ops = report(10);
         no_ops.ops = 0;
         assert_eq!(no_ops.cycles_per_op(), 0.0);
@@ -251,11 +242,30 @@ mod tests {
         let mut r = report(1000);
         r.counts.events = 500;
         r.wall_nanos = 250_000_000; // 0.25 s -> 2000 events/sec
-        assert!((r.events_per_sec() - 2000.0).abs() < 1e-9);
         let json = r.to_json();
         assert!(json.contains("\"wall_nanos\":250000000"), "{json}");
         assert!(json.contains("\"events_per_sec\":2000.0"), "{json}");
         assert!(json.contains("\"faults_dropped\":0"), "{json}");
+    }
+
+    /// The exact JSON bytes of a stamped report: the `{:.4}` IPC and the
+    /// `{:.1}` rate.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let mut r = report(1000);
+        r.instructions = 333;
+        r.counts.events = 7;
+        r.scheme_stats.faults = 2;
+        r.faults_dropped = 1;
+        r.wall_nanos = 3;
+        assert_eq!(
+            r.to_json(),
+            concat!(
+                r#"{"scheme":"lowerbound","cycles":1000,"instructions":333,"events":7,"ops":10,"#,
+                r#""ipc":0.3330,"faults":2,"faults_dropped":1,"wall_nanos":3,"#,
+                r#""events_per_sec":2333333333.3}"#,
+            )
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::SetAssocGeometry;
 use crate::memory::{MainMemory, MemKind};
-use crate::replacement::{Policy, ReplArray};
+use crate::replacement::ReplArray;
 use crate::stats::CacheStats;
 
 /// A functional (tags-only) set-associative cache.
@@ -55,12 +55,7 @@ impl Cache {
     ///
     /// Panics if `line_bytes` is not a power of two.
     #[must_use]
-    pub fn new(
-        name: &'static str,
-        geometry: SetAssocGeometry,
-        line_bytes: u32,
-        policy: Policy,
-    ) -> Self {
+    pub fn new(name: &'static str, geometry: SetAssocGeometry, line_bytes: u32) -> Self {
         assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
         let sets = geometry.sets() as usize;
         let ways = geometry.ways as usize;
@@ -72,7 +67,7 @@ impl Cache {
             set_mask: (sets as u64).wrapping_sub(1),
             pow2_sets: sets.is_power_of_two(),
             tags: vec![EMPTY_LINE; sets * ways],
-            repl: ReplArray::new(policy, ways as u8, sets),
+            repl: ReplArray::new(ways as u8, sets),
             stats: CacheStats::default(),
         }
     }
@@ -244,8 +239,8 @@ impl CacheHierarchy {
         let mlp = config.mem_level_parallelism.max(1.0);
         let scale = |lat: u64| (lat as f64 / mlp).round() as u64;
         CacheHierarchy {
-            l1: Cache::new("L1D", config.l1d, config.line_bytes, Policy::TreePlru),
-            l2: Cache::new("L2", config.l2, config.line_bytes, Policy::TreePlru),
+            l1: Cache::new("L1D", config.l1d, config.line_bytes),
+            l2: Cache::new("L2", config.l2, config.line_bytes),
             l1_latency: config.l1d_latency,
             l2_latency: config.l2_latency,
             scaled_read: [scale(config.dram_latency), scale(config.nvm_latency)],
@@ -355,7 +350,7 @@ mod tests {
     use crate::SimConfig;
 
     fn small_cache() -> Cache {
-        Cache::new("test", SetAssocGeometry::new(8, 2), 64, Policy::Lru)
+        Cache::new("test", SetAssocGeometry::new(8, 2), 64)
     }
 
     #[test]

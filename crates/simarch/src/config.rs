@@ -136,15 +136,6 @@ pub struct SimConfig {
     /// Canella et al. measure ~hundreds of cycles without PCID reuse).
     pub cr3_write_cycles: u64,
 
-    /// Whether libmpk reserves a *guard* protection key (key 15, which
-    /// Linux reserves for kernel use anyway) to trap accesses to evicted
-    /// domains via fault-and-remap. Default true: 14 usable keys and
-    /// faithful deny-on-stray-access semantics. Set false to give libmpk
-    /// the same 15-key capacity as the hardware designs (evicted domains'
-    /// pages then return to the NULL key and stray accesses go unchecked —
-    /// an ablation, not the faithful model).
-    pub libmpk_guard_key: bool,
-
     // ---- Software cost model (libmpk and system calls) ----
     /// Cycles for one kernel entry/exit round trip (`pkey_mprotect`,
     /// attach/detach). Calibrated; see EXPERIMENTS.md.
@@ -198,7 +189,6 @@ impl SimConfig {
             domain_id_bits: 10,
             erim_gate_cycles: 30,
             cr3_write_cycles: 300,
-            libmpk_guard_key: true,
             syscall_cycles: 1500,
             pte_write_cycles: 2,
             attach_kernel_cycles: 2000,

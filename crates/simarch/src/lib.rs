@@ -47,6 +47,6 @@ pub use cache::{Cache, CacheAccess, CacheHierarchy};
 pub use config::{SetAssocGeometry, SimConfig};
 pub use memory::{MainMemory, MemKind};
 pub use page_table::{PageTable, Pte};
-pub use replacement::{Policy, SetState};
+pub use replacement::SetState;
 pub use stats::{CacheStats, TlbStats};
 pub use tlb::{vpn, Tlb, TlbHierarchy, TlbLevel, PAGE_BITS, PAGE_SIZE};

@@ -3,7 +3,7 @@
 //! domain-virtualization design).
 
 use crate::config::SetAssocGeometry;
-use crate::replacement::{Policy, ReplArray};
+use crate::replacement::ReplArray;
 use crate::stats::TlbStats;
 
 /// Base page size: 4KB.
@@ -58,7 +58,7 @@ const EMPTY_VPN: u64 = u64::MAX;
 impl<P: Copy> Tlb<P> {
     /// Creates an empty TLB.
     #[must_use]
-    pub fn new(geometry: SetAssocGeometry, policy: Policy) -> Self {
+    pub fn new(geometry: SetAssocGeometry) -> Self {
         let sets = geometry.sets() as usize;
         let ways = geometry.ways as usize;
         let pow2_sets = sets.is_power_of_two();
@@ -71,7 +71,7 @@ impl<P: Copy> Tlb<P> {
             vpns: vec![EMPTY_VPN; sets * ways],
             valid: vec![0; sets],
             payloads: vec![None; sets * ways],
-            repl: ReplArray::new(policy, ways as u8, sets),
+            repl: ReplArray::new(ways as u8, sets),
         }
     }
 
@@ -232,8 +232,8 @@ impl<P: Copy> TlbHierarchy<P> {
     #[must_use]
     pub fn new(config: &crate::SimConfig) -> Self {
         TlbHierarchy {
-            l1: Tlb::new(config.l1_tlb, Policy::TreePlru),
-            l2: Tlb::new(config.l2_tlb, Policy::TreePlru),
+            l1: Tlb::new(config.l1_tlb),
+            l2: Tlb::new(config.l2_tlb),
             l1_latency: config.l1_tlb_latency,
             l2_latency: config.l2_tlb_latency,
             miss_penalty: config.tlb_miss_penalty,
@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn lookup_insert_evict() {
-        let mut tlb: Tlb<u32> = Tlb::new(SetAssocGeometry::new(4, 2), Policy::Lru);
+        let mut tlb: Tlb<u32> = Tlb::new(SetAssocGeometry::new(4, 2));
         assert_eq!(tlb.lookup(1), None);
         assert_eq!(tlb.insert(1, 10), None);
         assert_eq!(tlb.lookup(1), Some(10));
@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn reinsert_updates_payload() {
-        let mut tlb: Tlb<u32> = Tlb::new(SetAssocGeometry::new(4, 2), Policy::Lru);
+        let mut tlb: Tlb<u32> = Tlb::new(SetAssocGeometry::new(4, 2));
         tlb.insert(1, 10);
         assert_eq!(tlb.insert(1, 11), None);
         assert_eq!(tlb.lookup(1), Some(11));
@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn range_invalidation() {
-        let mut tlb: Tlb<u32> = Tlb::new(SetAssocGeometry::new(16, 4), Policy::TreePlru);
+        let mut tlb: Tlb<u32> = Tlb::new(SetAssocGeometry::new(16, 4));
         for v in 0..8 {
             tlb.insert(v, v as u32);
         }

@@ -34,6 +34,7 @@ mod code;
 mod event;
 mod granule;
 mod ids;
+pub mod json;
 mod perm;
 mod sink;
 mod stats;

@@ -49,6 +49,17 @@ pub enum ProtectionFault {
         /// The domain that could not get a key.
         pmo: PmoId,
     },
+    /// The attach was refused, and nothing changed: the PMO is already
+    /// attached, or its reserved granule overlaps an attached region.
+    AttachConflict {
+        /// The PMO whose attach was refused.
+        pmo: PmoId,
+        /// The base it asked for.
+        base: Va,
+        /// The attached PMO it conflicts with (`pmo` itself when it is
+        /// already attached).
+        attached: PmoId,
+    },
 }
 
 impl ProtectionFault {
@@ -59,7 +70,7 @@ impl ProtectionFault {
             ProtectionFault::DomainDenied { va, .. }
             | ProtectionFault::PageDenied { va, .. }
             | ProtectionFault::PageFault { va } => Some(*va),
-            ProtectionFault::KeysExhausted { .. } => None,
+            ProtectionFault::KeysExhausted { .. } | ProtectionFault::AttachConflict { .. } => None,
         }
     }
 
@@ -84,6 +95,9 @@ impl fmt::Display for ProtectionFault {
             ProtectionFault::PageFault { va } => write!(f, "page fault at {va:#x}"),
             ProtectionFault::KeysExhausted { pmo } => {
                 write!(f, "no free protection key for pmo {pmo}")
+            }
+            ProtectionFault::AttachConflict { pmo, base, attached } => {
+                write!(f, "attach of pmo {pmo} at {base:#x} conflicts with attached pmo {attached}")
             }
         }
     }
@@ -111,7 +125,14 @@ mod tests {
         assert_eq!(p.va(), Some(0x2000));
         let k = ProtectionFault::KeysExhausted { pmo: PmoId::new(1) };
         assert_eq!(k.va(), None);
-        for fault in [d, p, k] {
+        let a = ProtectionFault::AttachConflict {
+            pmo: PmoId::new(2),
+            base: 0x4000,
+            attached: PmoId::new(1),
+        };
+        assert!(!a.is_domain_violation());
+        assert_eq!(a.va(), None);
+        for fault in [d, p, k, a] {
             assert!(!format!("{fault}").is_empty());
         }
     }

@@ -15,12 +15,23 @@
 //!   shootdowns.
 //! - Baselines: [`scheme::Unprotected`], [`scheme::Lowerbound`],
 //!   [`scheme::DefaultMpk`], and [`scheme::LibMpk`] (the software
-//!   virtualization this paper beats by 11-52x).
+//!   virtualization this paper beats by 11-52x), plus the related-work
+//!   designs [`scheme::Erim`] and [`scheme::Dpti`].
 //!
 //! Every scheme implements [`scheme::ProtectionScheme`]: it *functionally*
 //! enforces the paper's three-legality rule (page permission ∧ attached ∧
 //! per-thread domain permission, §IV.A) and *charges* the Table II cycle
 //! costs, attributed into [`CostBreakdown`] buckets for Table VII.
+//!
+//! All of them run one MMU front end: TLB lookup, walk and fill on a
+//! miss, one permission check, the fault. A scheme supplies only what its
+//! design changes — its miss path, the permission a resident
+//! [`TlbEntry`] grants, and its attach, detach, SETPERM and
+//! context-switch mechanism — so [`scheme::ProtectionScheme::access`]
+//! returns the verdict it reached as the page's warm verdict
+//! ([`FastHint`]) for the replay to memoize. A second attach of a PMO, or
+//! an attach over an attached region, is refused with
+//! [`ProtectionFault::AttachConflict`] before any state changes.
 //!
 //! # Example
 //!
@@ -32,7 +43,7 @@
 //! let config = SimConfig::isca2020();
 //! let mut scheme = SchemeKind::DomainVirt.build_any(&config);
 //! let base = 0x40_0000_0000;
-//! scheme.attach(PmoId::new(1), base, 8 << 20, true);
+//! scheme.attach(PmoId::new(1), base, 8 << 20, true).expect("nothing else is attached");
 //!
 //! // Inaccessible by default; SETPERM grants, the MMU checks.
 //! assert!(!scheme.access(base, AccessKind::Read).allowed());
@@ -64,7 +75,7 @@ pub use dtt::{DomainTranslationTable, DttEntry};
 pub use dttlb::{Dttlb, DttlbEntry};
 pub use fault::ProtectionFault;
 pub use keys::KeyAllocator;
-pub use mmu::{granule_covering, DomPayload, MmuBase, PkPayload, PlainPayload, Region};
+pub use mmu::{granule_covering, DomPayload, MmuBase, PkPayload, PlainPayload, Region, TlbEntry};
 pub use pkru::{Pkru, NUM_KEYS};
 pub use pt::PermissionTable;
 pub use ptlb::{Ptlb, PtlbEntry};

@@ -65,44 +65,45 @@ impl Region {
     }
 }
 
-/// TLB payload for MPK-based schemes: the PTE's protection key plus the
-/// page attributes every scheme needs.
+/// A TLB entry: the page's permission and backing memory, which every
+/// scheme needs, plus the scheme's per-page tag. The designs differ only
+/// in the tag (§IV.D–E): a protection key under the MPK schemes, a domain
+/// ID under domain virtualization and DPTI, nothing under the baselines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PkPayload {
-    /// Protection key (0 = NULL key, domainless).
-    pub pkey: u8,
+pub struct TlbEntry<T> {
+    /// The scheme's tag ([`PkPayload`], [`DomPayload`], [`PlainPayload`]).
+    pub tag: T,
     /// Page-level permission.
     pub page_perm: Perm,
     /// Backing memory kind.
     pub mem: MemKind,
 }
 
-/// TLB payload for the domain-virtualization scheme: the 10-bit domain ID
-/// stored in place of the protection key (§IV.E).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DomPayload {
-    /// Domain ID ([`PmoId::NULL`] = domainless).
-    pub domain: PmoId,
-    /// Page-level permission.
-    pub page_perm: Perm,
-    /// Backing memory kind.
-    pub mem: MemKind,
+impl<T> TlbEntry<T> {
+    /// The entry for a walked PTE, tagged `tag`.
+    #[must_use]
+    pub fn new(tag: T, pte: &Pte) -> Self {
+        TlbEntry { tag, page_perm: pte.perm, mem: pte.mem }
+    }
 }
 
-/// TLB payload for unprotected / lowerbound schemes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlainPayload {
-    /// Page-level permission.
-    pub page_perm: Perm,
-    /// Backing memory kind.
-    pub mem: MemKind,
-}
+/// TLB entry of the MPK-based schemes: the tag is the PTE's protection
+/// key (0 = NULL key, domainless).
+pub type PkPayload = TlbEntry<u8>;
 
-/// The MMU state a scheme embeds.
+/// TLB entry of domain virtualization and DPTI: the tag is the domain ID
+/// stored in place of the protection key (§IV.E; [`PmoId::NULL`] =
+/// domainless).
+pub type DomPayload = TlbEntry<PmoId>;
+
+/// TLB entry of the unprotected and lowerbound schemes: no tag.
+pub type PlainPayload = TlbEntry<()>;
+
+/// The MMU state a scheme embeds; `T` is the tag its TLB entries carry.
 #[derive(Debug)]
-pub struct MmuBase<P> {
+pub struct MmuBase<T> {
     /// Two-level TLB hierarchy.
-    pub tlb: TlbHierarchy<P>,
+    pub tlb: TlbHierarchy<TlbEntry<T>>,
     /// The process page table.
     pub page_table: PageTable,
     regions: BTreeMap<Va, Region>,
@@ -116,7 +117,7 @@ pub struct MmuBase<P> {
     demand_maps: u64,
 }
 
-impl<P: Copy> MmuBase<P> {
+impl<T: Copy> MmuBase<T> {
     /// Creates an MMU from the simulation config.
     #[must_use]
     pub fn new(config: &SimConfig) -> Self {
@@ -139,13 +140,29 @@ impl<P: Copy> MmuBase<P> {
     /// the re-attached domain's addresses). Returns the number of TLB
     /// entries invalidated.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the PMO is already attached (attach-layer invariant).
-    pub fn attach_region(&mut self, region: Region) -> u64 {
-        let prior = self.by_pmo.insert(region.pmo, region.base);
-        assert!(prior.is_none(), "PMO already attached in MMU");
-        let end = region.base + region.granule;
+    /// Returns [`ProtectionFault::AttachConflict`], changing nothing, if
+    /// the PMO is already attached or the region's granule overlaps an
+    /// attached region.
+    pub fn attach_region(&mut self, region: Region) -> Result<u64, ProtectionFault> {
+        let end = region.base.saturating_add(region.granule);
+        // Regions are disjoint, so only the last one starting below `end`
+        // can overlap the new granule.
+        let last = self.regions.range(..end).next_back().map(|(_, r)| r);
+        let attached = if self.by_pmo.contains_key(&region.pmo) {
+            Some(region.pmo)
+        } else {
+            last.filter(|r| r.base.saturating_add(r.granule) > region.base).map(|r| r.pmo)
+        };
+        if let Some(attached) = attached {
+            return Err(ProtectionFault::AttachConflict {
+                pmo: region.pmo,
+                base: region.base,
+                attached,
+            });
+        }
+        self.by_pmo.insert(region.pmo, region.base);
         let stale: Vec<Va> = self.anon_pages.range(region.base..end).copied().collect();
         let mut removed = 0;
         for va in stale {
@@ -154,7 +171,7 @@ impl<P: Copy> MmuBase<P> {
             removed += self.tlb.invalidate_range(vpn(va), vpn(va) + 1);
         }
         self.regions.insert(region.base, region);
-        removed
+        Ok(removed)
     }
 
     /// Removes a region on detach: unmaps its pages and invalidates its
@@ -266,14 +283,14 @@ mod tests {
         Region { pmo: PmoId::new(id), base, granule: GB1, pool_size: 8 << 20, nvm: true }
     }
 
-    fn mmu() -> MmuBase<PkPayload> {
+    fn mmu() -> MmuBase<u8> {
         MmuBase::new(&SimConfig::isca2020())
     }
 
     #[test]
     fn demand_maps_pmo_pages_as_nvm() {
         let mut m = mmu();
-        m.attach_region(region(1, GB1));
+        m.attach_region(region(1, GB1)).unwrap();
         let (pte, r) = m.walk_or_map(GB1 + 0x1234, |_| 7).unwrap();
         assert_eq!(pte.mem, MemKind::Nvm);
         assert_eq!(pte.pkey, 7);
@@ -287,7 +304,7 @@ mod tests {
     #[test]
     fn unbacked_region_addresses_fault() {
         let mut m = mmu();
-        m.attach_region(region(1, GB1));
+        m.attach_region(region(1, GB1)).unwrap();
         // The 8MB pool backs only the first 8MB of the 1GB reservation.
         let beyond = GB1 + (8 << 20) + 0x1000;
         assert!(matches!(m.walk_or_map(beyond, |_| 0), Err(ProtectionFault::PageFault { .. })));
@@ -305,8 +322,8 @@ mod tests {
     #[test]
     fn region_lookup_boundaries() {
         let mut m = mmu();
-        m.attach_region(region(1, GB1));
-        m.attach_region(region(2, 2 * GB1));
+        m.attach_region(region(1, GB1)).unwrap();
+        m.attach_region(region(2, 2 * GB1)).unwrap();
         assert_eq!(m.region_at(GB1).unwrap().pmo, PmoId::new(1));
         assert_eq!(m.region_at(2 * GB1 - 1).unwrap().pmo, PmoId::new(1));
         assert_eq!(m.region_at(2 * GB1).unwrap().pmo, PmoId::new(2));
@@ -323,25 +340,50 @@ mod tests {
         let (pte, r) = m.walk_or_map(GB1 + 0x1000, |_| 0).unwrap();
         assert!(r.is_none());
         assert_eq!(pte.mem, MemKind::Dram);
-        m.tlb.fill(vpn(GB1 + 0x1000), PkPayload { pkey: 0, page_perm: pte.perm, mem: pte.mem });
+        m.tlb.fill(vpn(GB1 + 0x1000), TlbEntry::new(0, &pte));
         // Attaching over it must discard the anonymous page and its TLB
         // entries (MAP_FIXED), so the next touch maps the PMO page.
-        let removed = m.attach_region(region(1, GB1));
+        let removed = m.attach_region(region(1, GB1)).unwrap();
         assert_eq!(removed, 2, "stale entry removed from both TLB levels");
         let (pte2, r2) = m.walk_or_map(GB1 + 0x1000, |_| 3).unwrap();
         assert_eq!(r2.unwrap().pmo, PmoId::new(1));
         assert_eq!(pte2.mem, MemKind::Nvm, "PMO page, not the stale anonymous one");
         assert_eq!(pte2.pkey, 3);
         // A second attach elsewhere with no stale pages removes nothing.
-        assert_eq!(m.attach_region(region(2, 2 * GB1)), 0);
+        assert_eq!(m.attach_region(region(2, 2 * GB1)), Ok(0));
+    }
+
+    #[test]
+    fn conflicting_attaches_change_nothing() {
+        let mut m = mmu();
+        m.attach_region(region(1, 2 * GB1)).unwrap();
+        let refused = |r: Region| {
+            Err(ProtectionFault::AttachConflict {
+                pmo: r.pmo,
+                base: r.base,
+                attached: PmoId::new(1),
+            })
+        };
+        // PMO 1 again (at its base or elsewhere), or another PMO at its
+        // base, inside its granule, or around it.
+        let inside = Region { base: 2 * GB1 + (4 << 20), granule: 2 << 20, ..region(3, 0) };
+        let around = Region { granule: 512 * GB1, ..region(4, 0) };
+        for r in [region(1, 2 * GB1), region(1, 4 * GB1), region(2, 2 * GB1), inside, around] {
+            assert_eq!(m.attach_region(r), refused(r), "{r:?}");
+        }
+        assert_eq!(m.regions_len(), 1);
+        assert_eq!(m.region_at(2 * GB1 + (4 << 20)).unwrap().pmo, PmoId::new(1));
+        // Granules that only touch it do not conflict.
+        assert_eq!(m.attach_region(region(5, GB1)), Ok(0));
+        assert_eq!(m.attach_region(region(6, 3 * GB1)), Ok(0));
     }
 
     #[test]
     fn detach_unmaps_and_invalidates() {
         let mut m = mmu();
-        m.attach_region(region(1, GB1));
+        m.attach_region(region(1, GB1)).unwrap();
         let (pte, _) = m.walk_or_map(GB1, |_| 1).unwrap();
-        m.tlb.fill(vpn(GB1), PkPayload { pkey: 1, page_perm: pte.perm, mem: pte.mem });
+        m.tlb.fill(vpn(GB1), TlbEntry::new(1, &pte));
         let (r, removed) = m.detach_region(PmoId::new(1)).unwrap();
         assert_eq!(r.pmo, PmoId::new(1));
         assert_eq!(removed, 2, "entry removed from both TLB levels");
@@ -352,11 +394,11 @@ mod tests {
     #[test]
     fn shootdown_counts_entries() {
         let mut m = mmu();
-        m.attach_region(region(1, GB1));
+        m.attach_region(region(1, GB1)).unwrap();
         for i in 0..4 {
             let va = GB1 + i * PAGE_SIZE;
             let (pte, _) = m.walk_or_map(va, |_| 1).unwrap();
-            m.tlb.fill(vpn(va), PkPayload { pkey: 1, page_perm: pte.perm, mem: pte.mem });
+            m.tlb.fill(vpn(va), TlbEntry::new(1, &pte));
         }
         let r = m.region_of(PmoId::new(1)).unwrap();
         assert_eq!(m.shootdown(&r), 8, "4 pages x 2 TLB levels");

@@ -7,31 +7,25 @@
 //! remapping — and with it every TLB shootdown — disappears. The price is
 //! one PTLB lookup cycle on every domain access.
 
-use pmo_simarch::{vpn, MemKind, SimConfig, TlbStats};
-use pmo_trace::{AccessKind, Perm, PmoId, ThreadId, Va};
+use pmo_simarch::SimConfig;
+use pmo_trace::{Perm, PmoId, ThreadId, Va};
 
-use crate::breakdown::CostBreakdown;
 use crate::drt::DomainRangeTable;
 use crate::fault::ProtectionFault;
-use crate::mmu::{granule_covering, DomPayload, MmuBase, Region};
+use crate::mmu::{DomPayload, MmuBase, Region, TlbEntry};
 use crate::pt::PermissionTable;
 use crate::ptlb::{Ptlb, PtlbEntry};
-use crate::scheme::{
-    AccessResult, FastHint, ProtectionScheme, ProtocolBug, SchemeKind, SchemeStats,
-};
+use crate::scheme::front::{Front, Grant, Mechanism};
+use crate::scheme::{ProtocolBug, SchemeKind};
 
 /// Hardware domain virtualization.
 #[derive(Debug)]
 pub struct DomainVirt {
-    mmu: MmuBase<DomPayload>,
+    front: Front<PmoId>,
     drt: DomainRangeTable,
     pt: PermissionTable,
     ptlb: Ptlb,
     bug: Option<ProtocolBug>,
-    cfg: SimConfig,
-    current: ThreadId,
-    stats: SchemeStats,
-    breakdown: CostBreakdown,
 }
 
 impl DomainVirt {
@@ -46,15 +40,11 @@ impl DomainVirt {
     #[must_use]
     pub fn with_bug(config: &SimConfig, bug: Option<ProtocolBug>) -> Self {
         DomainVirt {
-            mmu: MmuBase::new(config),
+            front: Front::new(config),
             drt: DomainRangeTable::new(),
             pt: PermissionTable::new(),
             ptlb: Ptlb::new(config.ptlb_entries),
             bug,
-            cfg: config.clone(),
-            current: ThreadId::MAIN,
-            stats: SchemeStats::default(),
-            breakdown: CostBreakdown::default(),
         }
     }
 
@@ -78,75 +68,94 @@ impl DomainVirt {
 
     /// The MMU (TLB hierarchy + regions; model-checker inspection).
     #[must_use]
-    pub fn mmu(&self) -> &MmuBase<DomPayload> {
-        &self.mmu
+    pub fn mmu(&self) -> &MmuBase<PmoId> {
+        &self.front.mmu
     }
 
-    /// The PTLB/PT permission check for a domain access (Figure 5, steps
-    /// 4 and 8-9). Returns the domain permission and adds its latency.
-    fn domain_perm(&mut self, domain: PmoId, cycles: &mut u64) -> Perm {
-        // Every domain access pays the PTLB lookup.
-        *cycles += self.cfg.ptlb_access_cycles;
-        self.breakdown.access_latency += self.cfg.ptlb_access_cycles;
-        if let Some(entry) = self.ptlb.lookup(domain) {
-            return entry.perm;
-        }
-        // PTLB miss: Permission Table lookup plus a fill.
-        *cycles += self.cfg.ptlb_miss_cycles;
-        self.breakdown.translation_miss += self.cfg.ptlb_miss_cycles;
-        self.stats.ptlb_misses += 1;
-        let perm = self.pt.get(domain, self.current);
-        if let Some(victim) = self.ptlb.insert(PtlbEntry { pmo: domain, perm, dirty: false }) {
+    /// Inserts a PTLB entry, writing a dirty victim back to the PT.
+    fn ptlb_fill(&mut self, entry: PtlbEntry, cycles: &mut u64) {
+        if let Some(victim) = self.ptlb.insert(entry) {
             if victim.dirty {
-                self.pt.set(victim.pmo, self.current, victim.perm);
-                *cycles += self.cfg.ptlb_entry_op_cycles;
-                self.breakdown.entry_changes += self.cfg.ptlb_entry_op_cycles;
+                let front = &mut self.front;
+                self.pt.set(victim.pmo, front.current, victim.perm);
+                *cycles += front.cfg.ptlb_entry_op_cycles;
+                front.breakdown.entry_changes += front.cfg.ptlb_entry_op_cycles;
             }
         }
-        perm
     }
 }
 
-impl ProtectionScheme for DomainVirt {
-    fn name(&self) -> &'static str {
-        "hardware domain virtualization (DRT + PT + PTLB)"
+impl Mechanism for DomainVirt {
+    type Tag = PmoId;
+    const KIND: SchemeKind = SchemeKind::DomainVirt;
+
+    fn front(&self) -> &Front<PmoId> {
+        &self.front
     }
 
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::DomainVirt
+    fn front_mut(&mut self) -> &mut Front<PmoId> {
+        &mut self.front
     }
 
-    fn attach(&mut self, pmo: PmoId, base: Va, size: u64, nvm: bool) -> u64 {
-        let granule = granule_covering(base, size);
-        let removed = self.mmu.attach_region(Region { pmo, base, granule, pool_size: size, nvm });
-        self.stats.tlb_entries_invalidated += removed;
-        self.drt.attach(pmo, base, granule);
-        self.pt.add_domain(pmo);
-        let cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        self.breakdown.software += cycles;
-        cycles
+    fn miss(&mut self, va: Va, _cycles: &mut u64) -> Result<DomPayload, ProtectionFault> {
+        // Page table walk and DRT walk proceed in parallel; the DRT is
+        // shallower than the page table, so it adds no latency (§V).
+        let (pte, _) = self.front.mmu.walk_or_map(va, |_| 0)?;
+        Ok(TlbEntry::new(self.drt.domain_of(va), &pte))
     }
 
-    fn detach(&mut self, pmo: PmoId) -> u64 {
-        if let Some((_, removed)) = self.mmu.detach_region(pmo) {
-            self.stats.tlb_entries_invalidated += removed;
+    /// The PTLB/PT permission check for a domain access (Figure 5, steps
+    /// 4 and 8-9); every domain access pays the PTLB lookup.
+    fn grant(&mut self, _va: Va, entry: DomPayload, cycles: &mut u64) -> Grant {
+        let domain = entry.tag;
+        if domain.is_null() {
+            // Domainless: no further action (Figure 5, step 3).
+            return Grant { held: Perm::ReadWrite, domain: Some(domain), latency: 0 };
         }
+        let latency = self.front.cfg.ptlb_access_cycles;
+        if let Some(hit) = self.ptlb.lookup(domain) {
+            return Grant { held: hit.perm, domain: Some(domain), latency };
+        }
+        // PTLB miss: Permission Table lookup plus a fill.
+        let front = &mut self.front;
+        *cycles += front.cfg.ptlb_miss_cycles;
+        front.breakdown.translation_miss += front.cfg.ptlb_miss_cycles;
+        front.stats.ptlb_misses += 1;
+        let perm = self.pt.get(domain, front.current);
+        self.ptlb_fill(PtlbEntry { pmo: domain, perm, dirty: false }, cycles);
+        Grant { held: perm, domain: Some(domain), latency }
+    }
+
+    fn rewarm(&mut self, entry: DomPayload) -> bool {
+        // Domainless pages skip the PTLB (Figure 5, step 3). Domain-backed
+        // pages must still have their PTLB entry resident — and touched, so
+        // PTLB replacement state matches what the memoized hit would do.
+        entry.tag.is_null() || self.ptlb.touch(entry.tag)
+    }
+
+    fn on_attach(&mut self, region: &Region, removed: u64) -> u64 {
+        self.front.stats.tlb_entries_invalidated += removed;
+        self.drt.attach(region.pmo, region.base, region.granule);
+        self.pt.add_domain(region.pmo);
+        0
+    }
+
+    fn on_detach(&mut self, pmo: PmoId, removed: u64) {
+        self.front.stats.tlb_entries_invalidated += removed;
         if self.bug != Some(ProtocolBug::SkipPtlbInvalidateOnDetach) {
             self.ptlb.invalidate(pmo);
         }
         self.pt.remove_domain(pmo);
         self.drt.detach(pmo);
-        let cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        self.breakdown.software += cycles;
-        cycles
     }
 
-    fn set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
-        self.stats.set_perms += 1;
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+        let front = &mut self.front;
+        front.stats.set_perms += 1;
         // SETPERM instruction (fence semantics), completed in the PTLB.
-        let mut cycles = self.cfg.wrpkru_cycles + self.cfg.ptlb_entry_op_cycles;
-        self.breakdown.permission_change += self.cfg.wrpkru_cycles;
-        self.breakdown.entry_changes += self.cfg.ptlb_entry_op_cycles;
+        let mut cycles = front.cfg.wrpkru_cycles + front.cfg.ptlb_entry_op_cycles;
+        front.breakdown.permission_change += front.cfg.wrpkru_cycles;
+        front.breakdown.entry_changes += front.cfg.ptlb_entry_op_cycles;
         if !self.pt.contains(pmo) {
             // SETPERM on a detached domain is a no-op: there is no PT row
             // to update, and caching a grant in the PTLB here would leave
@@ -161,149 +170,43 @@ impl ProtectionScheme for DomainVirt {
         } else {
             // PTLB miss: the entry is fetched from the Permission Table
             // (read-modify-write), then updated in place.
-            cycles += self.cfg.ptlb_miss_cycles;
-            self.breakdown.translation_miss += self.cfg.ptlb_miss_cycles;
-            self.stats.ptlb_misses += 1;
-            if let Some(victim) = self.ptlb.insert(PtlbEntry { pmo, perm, dirty: true }) {
-                if victim.dirty {
-                    self.pt.set(victim.pmo, self.current, victim.perm);
-                    cycles += self.cfg.ptlb_entry_op_cycles;
-                    self.breakdown.entry_changes += self.cfg.ptlb_entry_op_cycles;
-                }
-            }
+            cycles += front.cfg.ptlb_miss_cycles;
+            front.breakdown.translation_miss += front.cfg.ptlb_miss_cycles;
+            front.stats.ptlb_misses += 1;
+            self.ptlb_fill(PtlbEntry { pmo, perm, dirty: true }, &mut cycles);
         }
         cycles
     }
 
-    fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult {
-        let (payload, _, mut cycles) = self.mmu.tlb.lookup(vpn(va));
-        let payload = match payload {
-            Some(p) => p,
-            None => {
-                // Page table walk and DRT walk proceed in parallel; the DRT
-                // is shallower than the page table, so it adds no latency
-                // (§V).
-                match self.mmu.walk_or_map(va, |_| 0) {
-                    Ok((pte, _)) => {
-                        let domain = self.drt.domain_of(va);
-                        let p = DomPayload { domain, page_perm: pte.perm, mem: pte.mem };
-                        self.mmu.tlb.fill(vpn(va), p);
-                        p
-                    }
-                    Err(fault) => {
-                        self.stats.faults += 1;
-                        return AccessResult { cycles, mem: MemKind::Dram, fault: Some(fault) };
-                    }
-                }
-            }
-        };
-        let domain_perm = if payload.domain.is_null() {
-            Perm::ReadWrite // domainless: no further action (Figure 5, step 3)
-        } else {
-            self.domain_perm(payload.domain, &mut cycles)
-        };
-        let effective = domain_perm.meet(payload.page_perm);
-        let fault = if effective.allows(kind) {
-            None
-        } else {
-            self.stats.faults += 1;
-            Some(ProtectionFault::DomainDenied {
-                thread: self.current,
-                pmo: payload.domain,
-                attempted: kind,
-                held: domain_perm,
-                va,
-            })
-        };
-        AccessResult { cycles, mem: payload.mem, fault }
-    }
-
-    fn context_switch(&mut self, to: ThreadId) -> u64 {
+    fn on_switch(&mut self, from: ThreadId) -> u64 {
         // Flush thread-specific PTLB state (dirty entries write back to the
-        // PT); the TLB's domain IDs remain valid and are NOT flushed.
-        let mut cycles = 0;
-        if self.bug != Some(ProtocolBug::SkipPtlbFlushOnSwitch) {
-            let dirty = self.ptlb.flush();
-            cycles = dirty.len() as u64 * self.cfg.ptlb_entry_op_cycles;
-            for entry in dirty {
-                self.pt.set(entry.pmo, self.current, entry.perm);
-            }
-            self.breakdown.entry_changes += cycles;
+        // outgoing thread's PT rows); the TLB's domain IDs remain valid and
+        // are NOT flushed.
+        if self.bug == Some(ProtocolBug::SkipPtlbFlushOnSwitch) {
+            return 0;
         }
-        self.current = to;
-        self.stats.context_switches += 1;
+        let dirty = self.ptlb.flush();
+        let cycles = dirty.len() as u64 * self.front.cfg.ptlb_entry_op_cycles;
+        for entry in dirty {
+            self.pt.set(entry.pmo, from, entry.perm);
+        }
+        self.front.breakdown.entry_changes += cycles;
         cycles
-    }
-
-    fn current_thread(&self) -> ThreadId {
-        self.current
-    }
-
-    fn breakdown(&self) -> CostBreakdown {
-        self.breakdown
-    }
-
-    fn stats(&self) -> SchemeStats {
-        self.stats
-    }
-
-    fn tlb_stats(&self) -> TlbStats {
-        *self.mmu.tlb.stats()
-    }
-
-    fn fast_hint(&self, va: Va) -> Option<FastHint> {
-        let payload = self.mmu.tlb.probe_l1(vpn(va))?;
-        if payload.domain.is_null() {
-            // Domainless: no PTLB consultation (Figure 5, step 3).
-            return Some(FastHint {
-                cycles: self.mmu.tlb.l1_latency(),
-                mem: payload.mem,
-                effective: payload.page_perm,
-                access_latency: 0,
-                thread: self.current,
-                held: Perm::ReadWrite,
-                fault_pmo: Some(payload.domain),
-            });
-        }
-        // Only memoize when the PTLB also holds the domain: a PTLB miss
-        // walks the PT and fills, which must stay on the slow path.
-        let entry = self.ptlb.probe(payload.domain)?;
-        Some(FastHint {
-            cycles: self.mmu.tlb.l1_latency() + self.cfg.ptlb_access_cycles,
-            mem: payload.mem,
-            effective: entry.perm.meet(payload.page_perm),
-            access_latency: self.cfg.ptlb_access_cycles,
-            thread: self.current,
-            held: entry.perm,
-            fault_pmo: Some(payload.domain),
-        })
-    }
-
-    fn note_fast_hits(&mut self, hint: &FastHint, hits: u64, denied: u64) {
-        self.mmu.tlb.note_l1_hits(hits);
-        self.stats.faults += denied;
-        self.breakdown.access_latency += hint.access_latency * hits;
-    }
-
-    fn fast_revalidate(&mut self, va: Va) -> bool {
-        let Some(payload) = self.mmu.tlb.touch_l1(vpn(va)) else { return false };
-        // Domainless pages skip the PTLB (Figure 5, step 3). Domain-backed
-        // pages must still have their PTLB entry resident — and touched, so
-        // PTLB replacement state matches what the memoized hit would do.
-        payload.domain.is_null() || self.ptlb.touch(payload.domain)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::ProtectionScheme;
+    use pmo_trace::AccessKind;
 
     const GB1: u64 = 1 << 30;
 
     fn scheme_with(n: u32) -> DomainVirt {
         let mut s = DomainVirt::new(&SimConfig::isca2020());
         for i in 1..=n {
-            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
+            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true).unwrap();
         }
         s
     }
@@ -408,7 +311,7 @@ mod tests {
         let mut s = scheme_with(1);
         s.detach(PmoId::new(1));
         s.set_perm(PmoId::new(1), Perm::ReadWrite);
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         assert!(
             !s.access(GB1, AccessKind::Read).allowed(),
             "re-attached domain must start inaccessible"
@@ -420,7 +323,7 @@ mod tests {
         let mut s = scheme_with(1);
         s.set_perm(PmoId::new(1), Perm::ReadWrite);
         s.detach(PmoId::new(1));
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         assert!(!s.access(GB1, AccessKind::Read).allowed());
     }
 

@@ -15,38 +15,30 @@
 //! stale-CR3-on-switch bug makes the incoming thread observably run on
 //! the outgoing thread's address space.
 
-use pmo_simarch::{vpn, MemKind, SimConfig, TlbStats};
-use pmo_trace::{AccessKind, Perm, PmoId, ThreadId, TraceEvent, Va};
+use pmo_simarch::SimConfig;
+use pmo_trace::{Perm, PmoId, ThreadId, TraceEvent, Va};
 
 use std::collections::BTreeMap;
 
-use crate::breakdown::CostBreakdown;
 use crate::fault::ProtectionFault;
-use crate::mmu::{granule_covering, DomPayload, MmuBase, Region};
-use crate::scheme::{
-    AccessResult, FastHint, ProtectionScheme, ProtocolBug, SchemeKind, SchemeStats,
-};
+use crate::mmu::{DomPayload, MmuBase, Region, TlbEntry};
+use crate::scheme::front::{Front, Grant, Mechanism};
+use crate::scheme::{ProtocolBug, SchemeKind};
 
 /// Domain page-table isolation.
 #[derive(Debug)]
 pub struct Dpti {
-    mmu: MmuBase<DomPayload>,
+    front: Front<PmoId>,
     /// Per-thread page-table permission views: what thread `t`'s PTEs
     /// encode for each attached domain. Canonical (no [`Perm::None`]
     /// rows) so the refinement abstraction compares against the spec's
     /// permission map directly.
     tables: BTreeMap<ThreadId, BTreeMap<PmoId, Perm>>,
-    /// The loaded page-table root. Coherent with `current` only when the
-    /// kernel reloads CR3 on every switch — the obligation the planted
-    /// [`ProtocolBug::StaleCr3OnSwitch`] bug violates.
+    /// The loaded page-table root. Coherent with the running thread only
+    /// when the kernel reloads CR3 on every switch — the obligation the
+    /// planted [`ProtocolBug::StaleCr3OnSwitch`] bug violates.
     cr3: ThreadId,
-    /// Protocol events (revocation shootdowns) awaiting `drain_events`.
-    pending: Vec<TraceEvent>,
     bug: Option<ProtocolBug>,
-    cfg: SimConfig,
-    current: ThreadId,
-    stats: SchemeStats,
-    breakdown: CostBreakdown,
 }
 
 impl Dpti {
@@ -60,17 +52,7 @@ impl Dpti {
     /// (model-checker self-validation only).
     #[must_use]
     pub fn with_bug(config: &SimConfig, bug: Option<ProtocolBug>) -> Self {
-        Dpti {
-            mmu: MmuBase::new(config),
-            tables: BTreeMap::new(),
-            cr3: ThreadId::MAIN,
-            pending: Vec::new(),
-            bug,
-            cfg: config.clone(),
-            current: ThreadId::MAIN,
-            stats: SchemeStats::default(),
-            breakdown: CostBreakdown::default(),
-        }
+        Dpti { front: Front::new(config), tables: BTreeMap::new(), cr3: ThreadId::MAIN, bug }
     }
 
     /// The per-thread page-table views (model-checker inspection).
@@ -87,8 +69,8 @@ impl Dpti {
 
     /// The MMU (TLB hierarchy + regions; model-checker inspection).
     #[must_use]
-    pub fn mmu(&self) -> &MmuBase<DomPayload> {
-        &self.mmu
+    pub fn mmu(&self) -> &MmuBase<PmoId> {
+        &self.front.mmu
     }
 
     /// The permission the *loaded* page table encodes for `domain`.
@@ -105,59 +87,65 @@ impl Dpti {
     }
 }
 
-impl ProtectionScheme for Dpti {
-    fn name(&self) -> &'static str {
-        "domain page-table isolation (per-domain page tables)"
+impl Mechanism for Dpti {
+    type Tag = PmoId;
+    const KIND: SchemeKind = SchemeKind::Dpti;
+
+    fn front(&self) -> &Front<PmoId> {
+        &self.front
     }
 
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Dpti
+    fn front_mut(&mut self) -> &mut Front<PmoId> {
+        &mut self.front
     }
 
-    fn attach(&mut self, pmo: PmoId, base: Va, size: u64, nvm: bool) -> u64 {
-        let granule = granule_covering(base, size);
-        let region = Region { pmo, base, granule, pool_size: size, nvm };
-        let removed = self.mmu.attach_region(region);
-        self.stats.tlb_entries_invalidated += removed;
-        self.drop_domain_rows(pmo);
+    fn miss(&mut self, va: Va, _cycles: &mut u64) -> Result<DomPayload, ProtectionFault> {
+        let (pte, region) = self.front.mmu.walk_or_map(va, |_| 0)?;
+        Ok(TlbEntry::new(region.map_or(PmoId::NULL, |r| r.pmo), &pte))
+    }
+
+    fn grant(&mut self, _va: Va, entry: DomPayload, _cycles: &mut u64) -> Grant {
+        // The permission rides the loaded page table's PTEs: no lookup
+        // structure, no extra latency — the check reads what CR3 points
+        // at, which is the whole point of the stale-CR3 hazard.
+        let domain = entry.tag;
+        let held = if domain.is_null() { Perm::ReadWrite } else { self.loaded_perm(domain) };
+        Grant { held, domain: Some(domain), latency: 0 }
+    }
+
+    fn on_attach(&mut self, region: &Region, removed: u64) -> u64 {
+        self.front.stats.tlb_entries_invalidated += removed;
+        self.drop_domain_rows(region.pmo);
         // Attach clones the pool's mappings into the per-domain tables.
-        let cycles = self.cfg.attach_kernel_cycles
-            + self.cfg.syscall_cycles
-            + self.cfg.pte_write_cycles * region.pool_pages();
-        self.breakdown.software += cycles;
-        cycles
+        self.front.cfg.pte_write_cycles * region.pool_pages()
     }
 
-    fn detach(&mut self, pmo: PmoId) -> u64 {
-        if let Some((_, removed)) = self.mmu.detach_region(pmo) {
-            self.stats.tlb_entries_invalidated += removed;
-        }
+    fn on_detach(&mut self, pmo: PmoId, removed: u64) {
+        self.front.stats.tlb_entries_invalidated += removed;
         self.drop_domain_rows(pmo);
-        let cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        self.breakdown.software += cycles;
-        cycles
     }
 
-    fn set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
-        self.stats.set_perms += 1;
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+        let front = &mut self.front;
+        front.stats.set_perms += 1;
         // SETPERM is an mprotect-style kernel call rewriting the calling
         // thread's PTEs for the whole pool.
-        let mut cycles = self.cfg.syscall_cycles;
-        self.breakdown.software += self.cfg.syscall_cycles;
-        let Some(region) = self.mmu.region_of(pmo) else {
+        let mut cycles = front.cfg.syscall_cycles;
+        front.breakdown.software += front.cfg.syscall_cycles;
+        let Some(region) = front.mmu.region_of(pmo) else {
             // No per-domain table exists for a detached domain: the call
             // fails in the kernel before touching any PTE.
             return cycles;
         };
-        let pte_writes = self.cfg.pte_write_cycles * region.pool_pages();
+        let pte_writes = front.cfg.pte_write_cycles * region.pool_pages();
         cycles += pte_writes;
-        self.breakdown.permission_change += pte_writes;
-        let table = self.tables.entry(self.current).or_default();
+        front.breakdown.permission_change += pte_writes;
+        let table = self.tables.entry(front.current).or_default();
         let prev = table.get(&pmo).copied().unwrap_or(Perm::None);
         if perm == Perm::None {
             table.remove(&pmo);
             if table.is_empty() {
-                self.tables.remove(&self.current);
+                self.tables.remove(&front.current);
             }
         } else {
             table.insert(pmo, perm);
@@ -165,148 +153,47 @@ impl ProtectionScheme for Dpti {
         if prev.allows_write() && !perm.allows_write() {
             // Revoking write access must shoot down the pool's cached
             // translations before the revoke is architecturally visible.
-            let removed = self.mmu.shootdown(&region);
-            self.stats.tlb_entries_invalidated += removed;
-            let refills = removed * self.cfg.tlb_miss_penalty;
-            let shoot = self.cfg.tlb_invalidation_cycles * u64::from(self.cfg.threads);
-            cycles += refills + shoot;
-            self.stats.shootdowns += 1;
-            self.breakdown.tlb_invalidation += refills + shoot;
-            self.pending.push(TraceEvent::Shootdown { pmo });
+            cycles += front.shootdown(Some(&region));
+            front.events.push(TraceEvent::Shootdown { pmo });
         }
         cycles
     }
 
-    fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult {
-        let (payload, _, cycles) = self.mmu.tlb.lookup(vpn(va));
-        let payload = match payload {
-            Some(p) => p,
-            None => {
-                let domain = self.mmu.region_at(va).map_or(PmoId::NULL, |r| r.pmo);
-                match self.mmu.walk_or_map(va, |_| 0) {
-                    Ok((pte, _)) => {
-                        let p = DomPayload { domain, page_perm: pte.perm, mem: pte.mem };
-                        self.mmu.tlb.fill(vpn(va), p);
-                        p
-                    }
-                    Err(fault) => {
-                        self.stats.faults += 1;
-                        return AccessResult { cycles, mem: MemKind::Dram, fault: Some(fault) };
-                    }
-                }
-            }
-        };
-        // The permission rides the loaded page table's PTEs: no lookup
-        // structure, no extra latency — the check reads what CR3 points
-        // at, which is the whole point of the stale-CR3 hazard.
-        let domain_perm = if payload.domain.is_null() {
-            Perm::ReadWrite
-        } else {
-            self.loaded_perm(payload.domain)
-        };
-        let effective = domain_perm.meet(payload.page_perm);
-        let fault = if effective.allows(kind) {
-            None
-        } else {
-            self.stats.faults += 1;
-            Some(ProtectionFault::DomainDenied {
-                thread: self.current,
-                pmo: payload.domain,
-                attempted: kind,
-                held: domain_perm,
-                va,
-            })
-        };
-        AccessResult { cycles, mem: payload.mem, fault }
-    }
-
-    fn context_switch(&mut self, to: ThreadId) -> u64 {
-        let mut cycles = 0;
+    fn on_switch(&mut self, _from: ThreadId) -> u64 {
         if self.bug == Some(ProtocolBug::StaleCr3OnSwitch) {
             // Planted bug: the kernel skips the CR3 reload — the incoming
             // thread keeps running on the outgoing thread's page tables.
-        } else {
-            self.cr3 = to;
-            // CR3 write flushes the domain-tagged (non-global) entries;
-            // each flushed entry is charged one future refill.
-            cycles += self.cfg.cr3_write_cycles;
-            let regions: Vec<Region> = self.mmu.regions().copied().collect();
-            let mut removed = 0;
-            for region in &regions {
-                removed += self.mmu.shootdown(region);
-            }
-            self.stats.tlb_entries_invalidated += removed;
-            let refills = removed * self.cfg.tlb_miss_penalty;
-            cycles += refills;
-            self.breakdown.tlb_invalidation += refills;
-            self.breakdown.software += self.cfg.cr3_write_cycles;
+            return 0;
         }
-        self.current = to;
-        self.stats.context_switches += 1;
-        cycles
-    }
-
-    fn current_thread(&self) -> ThreadId {
-        self.current
-    }
-
-    fn breakdown(&self) -> CostBreakdown {
-        self.breakdown
-    }
-
-    fn stats(&self) -> SchemeStats {
-        self.stats
-    }
-
-    fn tlb_stats(&self) -> TlbStats {
-        *self.mmu.tlb.stats()
-    }
-
-    fn drain_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.pending)
-    }
-
-    fn fast_hint(&self, va: Va) -> Option<FastHint> {
-        let payload = self.mmu.tlb.probe_l1(vpn(va))?;
-        let domain_perm = if payload.domain.is_null() {
-            Perm::ReadWrite
-        } else {
-            self.loaded_perm(payload.domain)
-        };
-        Some(FastHint {
-            cycles: self.mmu.tlb.l1_latency(),
-            mem: payload.mem,
-            effective: domain_perm.meet(payload.page_perm),
-            access_latency: 0,
-            thread: self.current,
-            held: domain_perm,
-            fault_pmo: Some(payload.domain),
-        })
-    }
-
-    fn note_fast_hits(&mut self, _hint: &FastHint, hits: u64, denied: u64) {
-        self.mmu.tlb.note_l1_hits(hits);
-        self.stats.faults += denied;
-    }
-
-    fn fast_revalidate(&mut self, va: Va) -> bool {
-        // Context switches flush domain-tagged entries and write-revoking
-        // SETPERMs shoot down the range, so TLB presence implies the
-        // stored verdict is still what a warm walk would compute.
-        self.mmu.tlb.touch_l1(vpn(va)).is_some()
+        let front = &mut self.front;
+        self.cr3 = front.current;
+        // CR3 write flushes the domain-tagged (non-global) entries; each
+        // flushed entry is charged one future refill.
+        let regions: Vec<Region> = front.mmu.regions().copied().collect();
+        let mut removed = 0;
+        for region in &regions {
+            removed += front.mmu.shootdown(region);
+        }
+        front.stats.tlb_entries_invalidated += removed;
+        let refills = removed * front.cfg.tlb_miss_penalty;
+        front.breakdown.tlb_invalidation += refills;
+        front.breakdown.software += front.cfg.cr3_write_cycles;
+        front.cfg.cr3_write_cycles + refills
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::ProtectionScheme;
+    use pmo_trace::AccessKind;
 
     const GB1: u64 = 1 << 30;
 
     fn scheme_with(n: u32) -> Dpti {
         let mut s = Dpti::new(&SimConfig::isca2020());
         for i in 1..=n {
-            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
+            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true).unwrap();
         }
         s
     }
@@ -373,7 +260,7 @@ mod tests {
         let mut s = scheme_with(1);
         s.detach(PmoId::new(1));
         s.set_perm(PmoId::new(1), Perm::ReadWrite);
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         assert!(
             !s.access(GB1, AccessKind::Read).allowed(),
             "re-attached domain must start inaccessible"
@@ -395,7 +282,7 @@ mod tests {
     #[test]
     fn planted_stale_cr3_bug_keeps_the_old_address_space() {
         let mut s = Dpti::with_bug(&SimConfig::isca2020(), Some(ProtocolBug::StaleCr3OnSwitch));
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         s.set_perm(PmoId::new(1), Perm::ReadWrite);
         s.context_switch(ThreadId::new(1));
         assert!(
@@ -403,7 +290,7 @@ mod tests {
             "bug: thread 1 runs on main's page tables"
         );
         let mut clean = Dpti::new(&SimConfig::isca2020());
-        clean.attach(PmoId::new(1), GB1, 8 << 20, true);
+        clean.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         clean.set_perm(PmoId::new(1), Perm::ReadWrite);
         clean.context_switch(ThreadId::new(1));
         assert!(!clean.access(GB1, AccessKind::Write).allowed());

@@ -15,24 +15,22 @@
 //! [`TraceEvent::Shootdown`] settle event the analyzer's `GatePass`
 //! treats as closing the permission-switch gate.
 
-use pmo_simarch::{vpn, MemKind, SimConfig, TlbStats};
-use pmo_trace::{AccessKind, Perm, PmoId, ThreadId, TraceEvent, Va};
+use pmo_simarch::SimConfig;
+use pmo_trace::{Perm, PmoId, ThreadId, TraceEvent, Va};
 
 use std::collections::BTreeMap;
 
-use crate::breakdown::CostBreakdown;
 use crate::fault::ProtectionFault;
 use crate::keys::KeyAllocator;
-use crate::mmu::{granule_covering, MmuBase, PkPayload, Region};
+use crate::mmu::{MmuBase, PkPayload, Region, TlbEntry};
 use crate::pkru::{Pkru, NUM_KEYS};
-use crate::scheme::{
-    AccessResult, FastHint, ProtectionScheme, ProtocolBug, SchemeKind, SchemeStats,
-};
+use crate::scheme::front::{Front, Grant, Mechanism};
+use crate::scheme::{ProtocolBug, SchemeKind};
 
 /// ERIM: call-gate sessions over raw MPK.
 #[derive(Debug)]
 pub struct Erim {
-    mmu: MmuBase<PkPayload>,
+    front: Front<u8>,
     keys: KeyAllocator,
     /// The monitor's authoritative session table: the permission each
     /// thread's last gate entry established per domain. Canonical (no
@@ -43,14 +41,7 @@ pub struct Erim {
     /// trampoline and the monitor's switch-time restore keep it coherent
     /// with `sessions` — the obligation `pkru-desync` sweeps verify.
     pkru: Pkru,
-    /// Protocol events (gate-exit settles, eviction shootdowns) awaiting
-    /// `drain_events`.
-    pending: Vec<TraceEvent>,
     bug: Option<ProtocolBug>,
-    cfg: SimConfig,
-    current: ThreadId,
-    stats: SchemeStats,
-    breakdown: CostBreakdown,
 }
 
 impl Erim {
@@ -76,16 +67,11 @@ impl Erim {
     pub fn with_bug(config: &SimConfig, bug: Option<ProtocolBug>) -> Self {
         assert!(config.pkeys as usize <= NUM_KEYS, "PKRU encodes at most {NUM_KEYS} keys");
         Erim {
-            mmu: MmuBase::new(config),
+            front: Front::new(config),
             keys: KeyAllocator::new(config.pkeys),
             sessions: BTreeMap::new(),
             pkru: Pkru::ALL_DENIED,
-            pending: Vec::new(),
             bug,
-            cfg: config.clone(),
-            current: ThreadId::MAIN,
-            stats: SchemeStats::default(),
-            breakdown: CostBreakdown::default(),
         }
     }
 
@@ -109,8 +95,8 @@ impl Erim {
 
     /// The MMU (TLB hierarchy + regions; model-checker inspection).
     #[must_use]
-    pub fn mmu(&self) -> &MmuBase<PkPayload> {
-        &self.mmu
+    pub fn mmu(&self) -> &MmuBase<u8> {
+        &self.front.mmu
     }
 
     /// The session permission `thread` holds for `pmo`.
@@ -124,7 +110,7 @@ impl Erim {
     fn rebuild_pkru(&self) -> Pkru {
         let mut pkru = Pkru::ALL_DENIED;
         for (key, pmo) in self.keys.assignments() {
-            pkru = pkru.with_perm(key, self.session_perm(self.current, pmo));
+            pkru = pkru.with_perm(key, self.session_perm(self.front.current, pmo));
         }
         pkru
     }
@@ -142,82 +128,83 @@ impl Erim {
             Some(key) => key,
             None => {
                 let (key, victim) = self.keys.evict_and_assign(region.pmo);
-                self.stats.key_evictions += 1;
-                if let Some(victim_region) = self.mmu.region_of(victim) {
-                    let removed = self.mmu.shootdown(&victim_region);
-                    self.stats.tlb_entries_invalidated += removed;
-                    let refills = removed * self.cfg.tlb_miss_penalty;
-                    *cycles += refills;
-                    self.breakdown.tlb_invalidation += refills;
-                }
-                self.pending.push(TraceEvent::Shootdown { pmo: victim });
-                let shoot = self.cfg.tlb_invalidation_cycles * u64::from(self.cfg.threads);
-                *cycles += shoot;
-                self.stats.shootdowns += 1;
-                self.breakdown.tlb_invalidation += shoot;
+                self.front.stats.key_evictions += 1;
+                let victim_region = self.front.mmu.region_of(victim);
+                *cycles += self.front.shootdown(victim_region.as_ref());
+                self.front.events.push(TraceEvent::Shootdown { pmo: victim });
                 self.pkru = self.pkru.with_perm(key, Perm::None);
                 key
             }
         };
         // The monitor retags the pool's PTEs with the (re)assigned key.
-        let remap = self.cfg.syscall_cycles + self.cfg.pte_write_cycles * region.pool_pages();
+        let remap =
+            self.front.cfg.syscall_cycles + self.front.cfg.pte_write_cycles * region.pool_pages();
         *cycles += remap;
-        self.breakdown.software += remap;
-        self.pkru = self.pkru.with_perm(key, self.session_perm(self.current, region.pmo));
+        self.front.breakdown.software += remap;
+        self.pkru = self.pkru.with_perm(key, self.session_perm(self.front.current, region.pmo));
         key
     }
 }
 
-impl ProtectionScheme for Erim {
-    fn name(&self) -> &'static str {
-        "ERIM call gates over raw MPK"
+impl Mechanism for Erim {
+    type Tag = u8;
+    const KIND: SchemeKind = SchemeKind::Erim;
+
+    fn front(&self) -> &Front<u8> {
+        &self.front
     }
 
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Erim
+    fn front_mut(&mut self) -> &mut Front<u8> {
+        &mut self.front
     }
 
-    fn attach(&mut self, pmo: PmoId, base: Va, size: u64, nvm: bool) -> u64 {
-        let granule = granule_covering(base, size);
-        let removed = self.mmu.attach_region(Region { pmo, base, granule, pool_size: size, nvm });
-        self.stats.tlb_entries_invalidated += removed;
+    fn miss(&mut self, va: Va, cycles: &mut u64) -> Result<PkPayload, ProtectionFault> {
+        let (pte, region) = self.front.mmu.walk_or_map(va, |_| 0)?;
+        let key = match region {
+            Some(r) => self.resolve_key(&r, cycles),
+            None => 0,
+        };
+        Ok(TlbEntry::new(key, &pte))
+    }
+
+    fn grant(&mut self, _va: Va, entry: PkPayload, _cycles: &mut u64) -> Grant {
+        // The hardware check reads the PKRU, exactly as under stock MPK.
+        Grant::keyed(entry.tag, &self.keys, |key| self.pkru.perm(key))
+    }
+
+    fn on_attach(&mut self, region: &Region, removed: u64) -> u64 {
+        self.front.stats.tlb_entries_invalidated += removed;
         // A fresh attach starts every thread's session at no access.
-        self.sessions.retain(|&(_, p), _| p != pmo);
-        let cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        self.breakdown.software += cycles;
-        cycles
+        self.sessions.retain(|&(_, p), _| p != region.pmo);
+        0
     }
 
-    fn detach(&mut self, pmo: PmoId) -> u64 {
-        if let Some((_, removed)) = self.mmu.detach_region(pmo) {
-            self.stats.tlb_entries_invalidated += removed;
-        }
+    fn on_detach(&mut self, pmo: PmoId, removed: u64) {
+        self.front.stats.tlb_entries_invalidated += removed;
         self.sessions.retain(|&(_, p), _| p != pmo);
         if let Some(key) = self.keys.free(pmo) {
             self.pkru = self.pkru.with_perm(key, Perm::None);
         }
-        let cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        self.breakdown.software += cycles;
-        cycles
     }
 
-    fn set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
-        self.stats.set_perms += 1;
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+        let front = &mut self.front;
+        front.stats.set_perms += 1;
         // The call gate: WRPKRU plus the trampoline around it.
-        let cycles = self.cfg.wrpkru_cycles + self.cfg.erim_gate_cycles;
-        self.breakdown.permission_change += self.cfg.wrpkru_cycles;
-        self.breakdown.software += self.cfg.erim_gate_cycles;
-        if self.mmu.region_of(pmo).is_none() {
+        let cycles = front.cfg.wrpkru_cycles + front.cfg.erim_gate_cycles;
+        front.breakdown.permission_change += front.cfg.wrpkru_cycles;
+        front.breakdown.software += front.cfg.erim_gate_cycles;
+        if front.mmu.region_of(pmo).is_none() {
             // SETPERM on a detached domain is a no-op: the monitor has no
             // session row to update, and recording one would outlive a
             // later re-attach.
             return cycles;
         }
-        let prev = self.session_perm(self.current, pmo);
+        let prev = self.session_perm(self.front.current, pmo);
         if perm == Perm::None {
-            self.sessions.remove(&(self.current, pmo));
+            self.sessions.remove(&(self.front.current, pmo));
         } else {
-            self.sessions.insert((self.current, pmo), perm);
+            self.sessions.insert((self.front.current, pmo), perm);
         }
         if let Some(key) = self.keys.key_of(pmo) {
             self.keys.touch(key);
@@ -235,119 +222,33 @@ impl ProtectionScheme for Erim {
         if prev.allows_write() && !perm.allows_write() {
             // Write-revoking gate exit: the settle event the analyzer's
             // permission-switch gate (`GatePass`) waits for.
-            self.pending.push(TraceEvent::Shootdown { pmo });
+            self.front.events.push(TraceEvent::Shootdown { pmo });
         }
         cycles
     }
 
-    fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult {
-        let (payload, _, mut cycles) = self.mmu.tlb.lookup(vpn(va));
-        let payload = match payload {
-            Some(p) => p,
-            None => {
-                let region = self.mmu.region_at(va);
-                match self.mmu.walk_or_map(va, |_| 0) {
-                    Ok((pte, _)) => {
-                        let pkey = match region {
-                            Some(r) => self.resolve_key(&r, &mut cycles),
-                            None => 0,
-                        };
-                        let p = PkPayload { pkey, page_perm: pte.perm, mem: pte.mem };
-                        self.mmu.tlb.fill(vpn(va), p);
-                        p
-                    }
-                    Err(fault) => {
-                        self.stats.faults += 1;
-                        return AccessResult { cycles, mem: MemKind::Dram, fault: Some(fault) };
-                    }
-                }
-            }
-        };
-        // The hardware check reads the PKRU, exactly as under stock MPK.
-        let domain_perm =
-            if payload.pkey == 0 { Perm::ReadWrite } else { self.pkru.perm(payload.pkey) };
-        let effective = domain_perm.meet(payload.page_perm);
-        let fault = if effective.allows(kind) {
-            None
-        } else {
-            self.stats.faults += 1;
-            Some(ProtectionFault::DomainDenied {
-                thread: self.current,
-                pmo: self.keys.owner(payload.pkey).unwrap_or(PmoId::NULL),
-                attempted: kind,
-                held: domain_perm,
-                va,
-            })
-        };
-        AccessResult { cycles, mem: payload.mem, fault }
-    }
-
-    fn context_switch(&mut self, to: ThreadId) -> u64 {
+    fn on_switch(&mut self, _from: ThreadId) -> u64 {
         // The monitor restores the incoming thread's PKRU from its
         // session table (gate-mediated WRPKRU).
-        let cycles = self.cfg.wrpkru_cycles + self.cfg.erim_gate_cycles;
-        self.breakdown.software += cycles;
-        self.current = to;
+        let cycles = self.front.cfg.wrpkru_cycles + self.front.cfg.erim_gate_cycles;
+        self.front.breakdown.software += cycles;
         self.pkru = self.rebuild_pkru();
-        self.stats.context_switches += 1;
         cycles
-    }
-
-    fn current_thread(&self) -> ThreadId {
-        self.current
-    }
-
-    fn breakdown(&self) -> CostBreakdown {
-        self.breakdown
-    }
-
-    fn stats(&self) -> SchemeStats {
-        self.stats
-    }
-
-    fn tlb_stats(&self) -> TlbStats {
-        *self.mmu.tlb.stats()
-    }
-
-    fn drain_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.pending)
-    }
-
-    fn fast_hint(&self, va: Va) -> Option<FastHint> {
-        let payload = self.mmu.tlb.probe_l1(vpn(va))?;
-        let domain_perm =
-            if payload.pkey == 0 { Perm::ReadWrite } else { self.pkru.perm(payload.pkey) };
-        Some(FastHint {
-            cycles: self.mmu.tlb.l1_latency(),
-            mem: payload.mem,
-            effective: domain_perm.meet(payload.page_perm),
-            access_latency: 0,
-            thread: self.current,
-            held: domain_perm,
-            fault_pmo: Some(self.keys.owner(payload.pkey).unwrap_or(PmoId::NULL)),
-        })
-    }
-
-    fn note_fast_hits(&mut self, _hint: &FastHint, hits: u64, denied: u64) {
-        self.mmu.tlb.note_l1_hits(hits);
-        self.stats.faults += denied;
-    }
-
-    fn fast_revalidate(&mut self, va: Va) -> bool {
-        self.mmu.tlb.touch_l1(vpn(va)).is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::ProtectionScheme;
+    use pmo_trace::AccessKind;
 
     const GB1: u64 = 1 << 30;
 
     fn scheme_with(n: u32) -> Erim {
         let mut s = Erim::new(&SimConfig::isca2020());
         for i in 1..=n {
-            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
+            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true).unwrap();
         }
         s
     }
@@ -428,7 +329,7 @@ mod tests {
         let mut s = scheme_with(1);
         s.detach(PmoId::new(1));
         s.set_perm(PmoId::new(1), Perm::ReadWrite);
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         assert!(
             !s.access(GB1, AccessKind::Read).allowed(),
             "re-attached domain must start inaccessible"
@@ -439,7 +340,7 @@ mod tests {
     fn planted_gate_exit_bug_leaves_stale_pkru_grant() {
         let mut s =
             Erim::with_bug(&SimConfig::isca2020(), Some(ProtocolBug::SkipGateExitKeyRestore));
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         s.set_perm(PmoId::new(1), Perm::ReadWrite);
         assert!(s.access(GB1, AccessKind::Write).allowed());
         s.set_perm(PmoId::new(1), Perm::None);

@@ -13,14 +13,14 @@
 
 use std::collections::BTreeMap;
 
-use pmo_simarch::{vpn, MemKind, SimConfig, TlbStats};
-use pmo_trace::{AccessKind, Perm, PmoId, ThreadId, Va};
+use pmo_simarch::{vpn, SimConfig};
+use pmo_trace::{Perm, PmoId, ThreadId, Va};
 
-use crate::breakdown::CostBreakdown;
 use crate::fault::ProtectionFault;
 use crate::keys::KeyAllocator;
-use crate::mmu::{granule_covering, MmuBase, PkPayload, Region};
-use crate::scheme::{AccessResult, FastHint, ProtectionScheme, SchemeKind, SchemeStats};
+use crate::mmu::{PkPayload, Region, TlbEntry};
+use crate::scheme::front::{Front, Grant, Mechanism};
+use crate::scheme::SchemeKind;
 
 /// The guard key tagging pages of evicted (unmapped) domains. Linux
 /// reserves key 15 for kernel use anyway, so libmpk has 14 usable keys.
@@ -29,16 +29,12 @@ pub const GUARD_KEY: u8 = 15;
 /// Software MPK virtualization.
 #[derive(Debug)]
 pub struct LibMpk {
-    mmu: MmuBase<PkPayload>,
+    front: Front<u8>,
     keys: KeyAllocator,
     /// The per-thread permission each thread *wants* for each domain
     /// (libmpk's virtual PKRU; materialized into the real PKRU for mapped
     /// domains).
     desired: BTreeMap<(ThreadId, PmoId), Perm>,
-    cfg: SimConfig,
-    current: ThreadId,
-    stats: SchemeStats,
-    breakdown: CostBreakdown,
 }
 
 impl LibMpk {
@@ -48,41 +44,22 @@ impl LibMpk {
     pub fn new(config: &SimConfig) -> Self {
         let mut keys = KeyAllocator::new(config.pkeys);
         keys.reserve(GUARD_KEY);
-        LibMpk {
-            mmu: MmuBase::new(config),
-            keys,
-            desired: BTreeMap::new(),
-            cfg: config.clone(),
-            current: ThreadId::MAIN,
-            stats: SchemeStats::default(),
-            breakdown: CostBreakdown::default(),
-        }
+        LibMpk { front: Front::new(config), keys, desired: BTreeMap::new() }
     }
 
-    fn desired_perm(&self, thread: ThreadId, pmo: PmoId) -> Perm {
-        self.desired.get(&(thread, pmo)).copied().unwrap_or(Perm::None)
+    fn desired_perm(&self, pmo: PmoId) -> Perm {
+        self.desired.get(&(self.front.current, pmo)).copied().unwrap_or(Perm::None)
     }
 
     /// One `pkey_mprotect`: syscall + a PTE rewrite per page of the domain,
     /// plus the shootdown it triggers. Functionally rewrites the mapped
     /// PTEs and invalidates the region's TLB entries.
     fn pkey_mprotect(&mut self, region: &Region, key: u8) -> u64 {
-        let mut cycles = self.cfg.syscall_cycles;
-        self.breakdown.software += self.cfg.syscall_cycles;
-        let pte_cost = self.cfg.pte_write_cycles * region.pool_pages();
-        cycles += pte_cost;
-        self.breakdown.software += pte_cost;
-        self.mmu.page_table.set_pkey_range(region.base, region.pool_size, key);
-        let removed = self.mmu.shootdown(region);
-        let shoot = self.cfg.tlb_invalidation_cycles * u64::from(self.cfg.threads);
-        // As for the hardware designs, each invalidated entry is charged
-        // one future refill at the shootdown (the paper's accounting).
-        let refills = removed * self.cfg.tlb_miss_penalty;
-        cycles += shoot + refills;
-        self.stats.shootdowns += 1;
-        self.stats.tlb_entries_invalidated += removed;
-        self.breakdown.tlb_invalidation += shoot + refills;
-        cycles
+        let front = &mut self.front;
+        let kernel = front.cfg.syscall_cycles + front.cfg.pte_write_cycles * region.pool_pages();
+        front.breakdown.software += kernel;
+        front.mmu.page_table.set_pkey_range(region.base, region.pool_size, key);
+        kernel + front.shootdown(Some(region))
     }
 
     /// Maps `pmo` to a protection key, evicting a victim if necessary.
@@ -93,60 +70,84 @@ impl LibMpk {
             Some(key) => key,
             None => {
                 let (key, victim) = self.keys.evict_and_assign(pmo);
-                self.stats.key_evictions += 1;
-                if let Some(victim_region) = self.mmu.region_of(victim) {
+                self.front.stats.key_evictions += 1;
+                if let Some(victim_region) = self.front.mmu.region_of(victim) {
                     cycles += self.pkey_mprotect(&victim_region, GUARD_KEY);
                 }
                 key
             }
         };
-        if let Some(region) = self.mmu.region_of(pmo) {
+        if let Some(region) = self.front.mmu.region_of(pmo) {
             cycles += self.pkey_mprotect(&region, key);
         }
         cycles
     }
+
+    /// Walks the page table; a page is tagged with its domain's key when
+    /// first mapped, or with the guard key while the domain has none.
+    fn walk(&mut self, va: Va) -> Result<PkPayload, ProtectionFault> {
+        let keys = &self.keys;
+        let (pte, _) =
+            self.front.mmu.walk_or_map(va, |r| keys.key_of(r.pmo).unwrap_or(GUARD_KEY))?;
+        Ok(TlbEntry::new(pte.pkey, &pte))
+    }
 }
 
-impl ProtectionScheme for LibMpk {
-    fn name(&self) -> &'static str {
-        "libmpk (software MPK virtualization)"
+impl Mechanism for LibMpk {
+    type Tag = u8;
+    const KIND: SchemeKind = SchemeKind::LibMpk;
+
+    fn front(&self) -> &Front<u8> {
+        &self.front
     }
 
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::LibMpk
+    fn front_mut(&mut self) -> &mut Front<u8> {
+        &mut self.front
     }
 
-    fn attach(&mut self, pmo: PmoId, base: Va, size: u64, nvm: bool) -> u64 {
-        self.mmu.attach_region(Region {
-            pmo,
-            base,
-            granule: granule_covering(base, size),
-            pool_size: size,
-            nvm,
-        });
-        // mpk_mmap: the region starts guard-keyed (unmapped domain).
-        let cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        self.breakdown.software += cycles;
-        cycles
-    }
-
-    fn detach(&mut self, pmo: PmoId) -> u64 {
-        if let Some((_, removed)) = self.mmu.detach_region(pmo) {
-            self.stats.tlb_entries_invalidated += removed;
+    fn miss(&mut self, va: Va, cycles: &mut u64) -> Result<PkPayload, ProtectionFault> {
+        let entry = self.walk(va)?;
+        if entry.tag != GUARD_KEY {
+            return Ok(entry);
         }
+        // Access to an unmapped domain: the walked translation is
+        // installed, the PKRU denies the guard key, and the signal handler
+        // maps the domain lazily (shooting that translation down) and
+        // retries the walk. Only a walk meets the guard key: this remap and
+        // every eviction's `pkey_mprotect` shoot the domain's translations
+        // down, so no guard-keyed entry stays in the TLB.
+        self.front.mmu.tlb.fill(vpn(va), entry);
+        self.front.stats.sw_faults += 1;
+        let fault_entry = self.front.cfg.syscall_cycles;
+        self.front.breakdown.software += fault_entry;
+        *cycles += fault_entry;
+        if let Some(region) = self.front.mmu.region_at(va) {
+            *cycles += self.map_domain(region.pmo);
+        }
+        *cycles += self.front.cfg.tlb_miss_penalty;
+        self.walk(va)
+    }
+
+    fn grant(&mut self, _va: Va, entry: PkPayload, _cycles: &mut u64) -> Grant {
+        debug_assert_ne!(entry.tag, GUARD_KEY, "a guard-keyed translation stayed resident");
+        let keys = &self.keys;
+        Grant::keyed(entry.tag, keys, |key| {
+            keys.owner(key).map_or(Perm::None, |pmo| self.desired_perm(pmo))
+        })
+    }
+
+    fn on_detach(&mut self, pmo: PmoId, removed: u64) {
+        self.front.stats.tlb_entries_invalidated += removed;
         self.keys.free(pmo);
         self.desired.retain(|(_, p), _| *p != pmo);
-        let cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        self.breakdown.software += cycles;
-        cycles
     }
 
-    fn set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
-        self.stats.set_perms += 1;
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+        self.front.stats.set_perms += 1;
         if perm == Perm::None {
-            self.desired.remove(&(self.current, pmo));
+            self.desired.remove(&(self.front.current, pmo));
         } else {
-            self.desired.insert((self.current, pmo), perm);
+            self.desired.insert((self.front.current, pmo), perm);
         }
         let mut cycles = 0;
         match self.keys.key_of(pmo) {
@@ -154,154 +155,24 @@ impl ProtectionScheme for LibMpk {
             None => cycles += self.map_domain(pmo),
         }
         // The WRPKRU materializing the permission.
-        cycles += self.cfg.wrpkru_cycles;
-        self.breakdown.permission_change += self.cfg.wrpkru_cycles;
+        cycles += self.front.cfg.wrpkru_cycles;
+        self.front.breakdown.permission_change += self.front.cfg.wrpkru_cycles;
         cycles
-    }
-
-    fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult {
-        let (payload, _, mut cycles) = self.mmu.tlb.lookup(vpn(va));
-        let mut payload = match payload {
-            Some(p) => p,
-            None => {
-                let keys = &self.keys;
-                match self.mmu.walk_or_map(va, |r| keys.key_of(r.pmo).unwrap_or(GUARD_KEY)) {
-                    Ok((pte, _)) => {
-                        let p = PkPayload { pkey: pte.pkey, page_perm: pte.perm, mem: pte.mem };
-                        self.mmu.tlb.fill(vpn(va), p);
-                        p
-                    }
-                    Err(fault) => {
-                        self.stats.faults += 1;
-                        return AccessResult { cycles, mem: MemKind::Dram, fault: Some(fault) };
-                    }
-                }
-            }
-        };
-        if payload.pkey == GUARD_KEY {
-            // Access to an unmapped domain: the PKRU denies the guard key,
-            // the signal handler maps the domain lazily and retries.
-            self.stats.sw_faults += 1;
-            let fault_entry = self.cfg.syscall_cycles;
-            self.breakdown.software += fault_entry;
-            cycles += fault_entry;
-            if let Some(region) = self.mmu.region_at(va) {
-                cycles += self.map_domain(region.pmo);
-            }
-            // Retry: the shootdown removed the stale entry; re-walk.
-            cycles += self.cfg.tlb_miss_penalty;
-            let keys = &self.keys;
-            match self.mmu.walk_or_map(va, |r| keys.key_of(r.pmo).unwrap_or(GUARD_KEY)) {
-                Ok((pte, _)) => {
-                    payload = PkPayload { pkey: pte.pkey, page_perm: pte.perm, mem: pte.mem };
-                    self.mmu.tlb.fill(vpn(va), payload);
-                }
-                Err(fault) => {
-                    self.stats.faults += 1;
-                    return AccessResult { cycles, mem: MemKind::Dram, fault: Some(fault) };
-                }
-            }
-        }
-        let domain_perm = if payload.pkey == 0 {
-            Perm::ReadWrite
-        } else {
-            self.keys
-                .owner(payload.pkey)
-                .map_or(Perm::None, |pmo| self.desired_perm(self.current, pmo))
-        };
-        let effective = domain_perm.meet(payload.page_perm);
-        let fault = if effective.allows(kind) {
-            None
-        } else {
-            self.stats.faults += 1;
-            Some(ProtectionFault::DomainDenied {
-                thread: self.current,
-                pmo: self.keys.owner(payload.pkey).unwrap_or(PmoId::NULL),
-                attempted: kind,
-                held: domain_perm,
-                va,
-            })
-        };
-        AccessResult { cycles, mem: payload.mem, fault }
-    }
-
-    fn context_switch(&mut self, to: ThreadId) -> u64 {
-        // libmpk keeps per-thread virtual PKRU state in user space; the
-        // hardware PKRU travels with the thread (XSAVE).
-        self.current = to;
-        self.stats.context_switches += 1;
-        0
-    }
-
-    fn current_thread(&self) -> ThreadId {
-        self.current
-    }
-
-    fn breakdown(&self) -> CostBreakdown {
-        self.breakdown
-    }
-
-    fn stats(&self) -> SchemeStats {
-        self.stats
-    }
-
-    fn tlb_stats(&self) -> TlbStats {
-        *self.mmu.tlb.stats()
-    }
-
-    fn fast_hint(&self, va: Va) -> Option<FastHint> {
-        let payload = self.mmu.tlb.probe_l1(vpn(va))?;
-        if payload.pkey == GUARD_KEY {
-            // Guard-keyed accesses fault into the library and remap the
-            // domain — they mutate cross-page state and must stay slow.
-            return None;
-        }
-        let domain_perm = if payload.pkey == 0 {
-            Perm::ReadWrite
-        } else {
-            self.keys
-                .owner(payload.pkey)
-                .map_or(Perm::None, |pmo| self.desired_perm(self.current, pmo))
-        };
-        Some(FastHint {
-            cycles: self.mmu.tlb.l1_latency(),
-            mem: payload.mem,
-            effective: domain_perm.meet(payload.page_perm),
-            access_latency: 0,
-            thread: self.current,
-            held: domain_perm,
-            fault_pmo: Some(self.keys.owner(payload.pkey).unwrap_or(PmoId::NULL)),
-        })
-    }
-
-    fn note_fast_hits(&mut self, _hint: &FastHint, hits: u64, denied: u64) {
-        self.mmu.tlb.note_l1_hits(hits);
-        self.stats.faults += denied;
-    }
-
-    fn fast_revalidate(&mut self, va: Va) -> bool {
-        match self.mmu.tlb.touch_l1(vpn(va)) {
-            // Key stealing remaps the victim's pages to the guard key via
-            // pkey_mprotect, which shoots them out of the TLB — so a
-            // guard-keyed payload here can only mean a fresh walk brought
-            // the page back in; its summary entry must not be served (the
-            // warm guard-fault path mutates cross-page state).
-            Some(payload) => payload.pkey != GUARD_KEY,
-            None => false,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::ProtectionScheme;
+    use pmo_trace::AccessKind;
 
     const GB1: u64 = 1 << 30;
 
     fn scheme_with(n: u32) -> LibMpk {
         let mut s = LibMpk::new(&SimConfig::isca2020());
         for i in 1..=n {
-            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
+            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true).unwrap();
         }
         s
     }

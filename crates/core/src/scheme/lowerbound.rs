@@ -8,190 +8,89 @@
 
 use std::collections::BTreeMap;
 
-use pmo_simarch::{vpn, MemKind, SimConfig, TlbStats};
-use pmo_trace::{AccessKind, Perm, PmoId, ThreadId, Va};
+use pmo_simarch::SimConfig;
+use pmo_trace::{Perm, PmoId, ThreadId, Va};
 
-use crate::breakdown::CostBreakdown;
 use crate::fault::ProtectionFault;
-use crate::mmu::{granule_covering, MmuBase, PlainPayload, Region};
-use crate::scheme::{AccessResult, FastHint, ProtectionScheme, SchemeKind, SchemeStats};
+use crate::mmu::{PlainPayload, TlbEntry};
+use crate::scheme::front::{Front, Grant, Mechanism};
+use crate::scheme::SchemeKind;
 
 /// Ideal MPK-virtualization lowerbound.
 #[derive(Debug)]
 pub struct Lowerbound {
-    mmu: MmuBase<PlainPayload>,
+    front: Front<()>,
     perms: BTreeMap<(ThreadId, PmoId), Perm>,
-    wrpkru_cycles: u64,
-    attach_cycles: u64,
-    current: ThreadId,
-    stats: SchemeStats,
-    breakdown: CostBreakdown,
 }
 
 impl Lowerbound {
     /// Creates the lowerbound scheme.
     #[must_use]
     pub fn new(config: &SimConfig) -> Self {
-        Lowerbound {
-            mmu: MmuBase::new(config),
-            perms: BTreeMap::new(),
-            wrpkru_cycles: config.wrpkru_cycles,
-            attach_cycles: config.attach_kernel_cycles + config.syscall_cycles,
-            current: ThreadId::MAIN,
-            stats: SchemeStats::default(),
-            breakdown: CostBreakdown::default(),
-        }
+        Lowerbound { front: Front::new(config), perms: BTreeMap::new() }
     }
 
     fn domain_perm(&self, pmo: PmoId) -> Perm {
-        self.perms.get(&(self.current, pmo)).copied().unwrap_or(Perm::None)
+        self.perms.get(&(self.front.current, pmo)).copied().unwrap_or(Perm::None)
     }
 }
 
-impl ProtectionScheme for Lowerbound {
-    fn name(&self) -> &'static str {
-        "ideal lowerbound (WRPKRU cost only)"
+impl Mechanism for Lowerbound {
+    type Tag = ();
+    const KIND: SchemeKind = SchemeKind::Lowerbound;
+
+    fn front(&self) -> &Front<()> {
+        &self.front
     }
 
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Lowerbound
+    fn front_mut(&mut self) -> &mut Front<()> {
+        &mut self.front
     }
 
-    fn attach(&mut self, pmo: PmoId, base: Va, size: u64, nvm: bool) -> u64 {
-        self.mmu.attach_region(Region {
-            pmo,
-            base,
-            granule: granule_covering(base, size),
-            pool_size: size,
-            nvm,
-        });
-        self.breakdown.software += self.attach_cycles;
-        self.attach_cycles
+    fn miss(&mut self, va: Va, _cycles: &mut u64) -> Result<PlainPayload, ProtectionFault> {
+        let (pte, _) = self.front.mmu.walk_or_map(va, |_| 0)?;
+        Ok(TlbEntry::new((), &pte))
     }
 
-    fn detach(&mut self, pmo: PmoId) -> u64 {
-        self.mmu.detach_region(pmo);
-        self.perms.retain(|(_, p), _| *p != pmo);
-        self.breakdown.software += self.attach_cycles;
-        self.attach_cycles
-    }
-
-    fn set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
-        self.stats.set_perms += 1;
-        if perm == Perm::None {
-            self.perms.remove(&(self.current, pmo));
-        } else {
-            self.perms.insert((self.current, pmo), perm);
-        }
-        self.breakdown.permission_change += self.wrpkru_cycles;
-        self.wrpkru_cycles
-    }
-
-    fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult {
-        let (payload, _, cycles) = self.mmu.tlb.lookup(vpn(va));
-        let payload = match payload {
-            Some(p) => p,
-            None => match self.mmu.walk_or_map(va, |_| 0) {
-                Ok((pte, _)) => {
-                    let p = PlainPayload { page_perm: pte.perm, mem: pte.mem };
-                    self.mmu.tlb.fill(vpn(va), p);
-                    p
-                }
-                Err(fault) => {
-                    self.stats.faults += 1;
-                    return AccessResult { cycles, mem: MemKind::Dram, fault: Some(fault) };
-                }
-            },
-        };
+    fn grant(&mut self, va: Va, entry: PlainPayload, _cycles: &mut u64) -> Grant {
         // Zero-cost (ideal) domain check.
-        let effective = match self.mmu.region_at(va) {
-            Some(region) => self.domain_perm(region.pmo).meet(payload.page_perm),
-            None => payload.page_perm,
-        };
-        let fault = if effective.allows(kind) {
-            None
-        } else {
-            self.stats.faults += 1;
-            Some(match self.mmu.region_at(va) {
-                Some(region) => ProtectionFault::DomainDenied {
-                    thread: self.current,
-                    pmo: region.pmo,
-                    attempted: kind,
-                    held: self.domain_perm(region.pmo),
-                    va,
-                },
-                None => ProtectionFault::PageDenied {
-                    thread: self.current,
-                    attempted: kind,
-                    held: payload.page_perm,
-                    va,
-                },
-            })
-        };
-        AccessResult { cycles, mem: payload.mem, fault }
-    }
-
-    fn context_switch(&mut self, to: ThreadId) -> u64 {
-        self.current = to;
-        self.stats.context_switches += 1;
-        0
-    }
-
-    fn current_thread(&self) -> ThreadId {
-        self.current
-    }
-
-    fn breakdown(&self) -> CostBreakdown {
-        self.breakdown
-    }
-
-    fn stats(&self) -> SchemeStats {
-        self.stats
-    }
-
-    fn tlb_stats(&self) -> TlbStats {
-        *self.mmu.tlb.stats()
-    }
-
-    fn fast_hint(&self, va: Va) -> Option<FastHint> {
-        let payload = self.mmu.tlb.probe_l1(vpn(va))?;
-        let (effective, held, fault_pmo) = match self.mmu.region_at(va) {
+        match self.front.mmu.region_at(va) {
             Some(region) => {
-                let domain = self.domain_perm(region.pmo);
-                (domain.meet(payload.page_perm), domain, Some(region.pmo))
+                Grant { held: self.domain_perm(region.pmo), domain: Some(region.pmo), latency: 0 }
             }
-            None => (payload.page_perm, payload.page_perm, None),
-        };
-        Some(FastHint {
-            cycles: self.mmu.tlb.l1_latency(),
-            mem: payload.mem,
-            effective,
-            access_latency: 0,
-            thread: self.current,
-            held,
-            fault_pmo,
-        })
+            None => Grant { held: entry.page_perm, domain: None, latency: 0 },
+        }
     }
 
-    fn note_fast_hits(&mut self, _hint: &FastHint, hits: u64, denied: u64) {
-        self.mmu.tlb.note_l1_hits(hits);
-        self.stats.faults += denied;
+    fn on_detach(&mut self, pmo: PmoId, _removed: u64) {
+        self.perms.retain(|(_, p), _| *p != pmo);
     }
 
-    fn fast_revalidate(&mut self, va: Va) -> bool {
-        self.mmu.tlb.touch_l1(vpn(va)).is_some()
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+        self.front.stats.set_perms += 1;
+        if perm == Perm::None {
+            self.perms.remove(&(self.front.current, pmo));
+        } else {
+            self.perms.insert((self.front.current, pmo), perm);
+        }
+        let wrpkru = self.front.cfg.wrpkru_cycles;
+        self.front.breakdown.permission_change += wrpkru;
+        wrpkru
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::ProtectionScheme;
+    use pmo_simarch::MemKind;
+    use pmo_trace::AccessKind;
 
     const GB1: u64 = 1 << 30;
 
     fn scheme_with_pmo() -> Lowerbound {
         let mut s = Lowerbound::new(&SimConfig::isca2020());
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         s
     }
 
@@ -263,7 +162,7 @@ mod tests {
         let mut s = scheme_with_pmo();
         s.set_perm(PmoId::new(1), Perm::ReadWrite);
         s.detach(PmoId::new(1));
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         assert!(!s.access(GB1, AccessKind::Read).allowed(), "perm did not survive detach");
     }
 }

@@ -14,10 +14,17 @@
 //! Every scheme is *functional* (it actually tracks per-thread domain
 //! permissions and detects violations) and *timed* (it charges the Table II
 //! cycle costs and attributes them to [`CostBreakdown`] buckets).
+//!
+//! All eight run one MMU front end (the `front` module): TLB lookup, walk
+//! and fill on a miss, the permission check, the fault. Each scheme file
+//! holds only what its design changes: the miss path, the permission a
+//! resident TLB entry grants, and its attach, detach, SETPERM and
+//! context-switch mechanism.
 
 mod domain_virt;
 mod dpti;
 mod erim;
+mod front;
 mod libmpk;
 mod lowerbound;
 mod mpk;
@@ -51,6 +58,10 @@ pub struct AccessResult {
     pub mem: MemKind,
     /// A protection violation, if the access was denied.
     pub fault: Option<ProtectionFault>,
+    /// The warm verdict: what an immediate repeat of this access to the
+    /// same page would compute, which the replay memoizes. `None` only
+    /// after a page fault.
+    pub warm: Option<FastHint>,
 }
 
 impl AccessResult {
@@ -87,17 +98,16 @@ pub struct SchemeStats {
     pub domainless_fallbacks: u64,
 }
 
-/// A memoized per-page access verdict for the replay fast path.
-///
-/// Captures everything a *warm* (L1-TLB-hit, PTLB-hit) access to one page
-/// computes — modeled cycles, memory backing, and the effective permission
-/// — so consecutive accesses to the same page can skip the TLB/DTT/PT
-/// machinery entirely. A hint is only valid while the scheme state is
-/// untouched: any attach/detach/set-perm/context-switch/shootdown, or any
-/// access to a *different* page, invalidates it. The hint memoizes the
-/// simulator's work, never the simulated costs: replaying through a hint
-/// must charge exactly the cycles and produce exactly the fault the slow
-/// path would.
+/// The warm verdict for one page: everything a *warm* (L1-TLB-hit,
+/// PTLB-hit) access to it computes — modeled cycles, memory backing, and
+/// the effective permission. [`ProtectionScheme::access`] returns the one
+/// it just reached, and the replay fast path serves consecutive accesses
+/// to the page from it, skipping the TLB/DTT/PT machinery. A verdict is
+/// only valid while the scheme state is untouched: any
+/// attach/detach/set-perm/context-switch/shootdown, or any access to a
+/// *different* page, invalidates it. It memoizes the simulator's work,
+/// never the simulated costs: replaying through it charges exactly the
+/// cycles and produces exactly the fault the slow path would.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FastHint {
     /// Scheme-side cycles per access (TLB hit latency, plus the PTLB
@@ -110,7 +120,7 @@ pub struct FastHint {
     /// Cycles per access attributed to `CostBreakdown::access_latency`
     /// (non-zero only under domain virtualization's per-access PTLB read).
     pub access_latency: u64,
-    /// Thread the hint was computed for (reported in faults).
+    /// Thread the verdict was reached for (reported in faults).
     pub thread: ThreadId,
     /// Permission reported as "held" if the access is denied.
     pub held: Perm,
@@ -120,8 +130,8 @@ pub struct FastHint {
 }
 
 impl FastHint {
-    /// The fault a denied access through this hint raises — identical to
-    /// what the slow path would construct.
+    /// The fault a denied access through this verdict raises — the one
+    /// the slow path raises.
     #[must_use]
     pub fn fault(&self, va: Va, attempted: AccessKind) -> ProtectionFault {
         match self.fault_pmo {
@@ -142,17 +152,28 @@ impl FastHint {
 /// A protection scheme: the MMU-integrated domain machinery of §IV.
 ///
 /// The replay engine (`pmo-sim`) drives this trait once per trace event.
-/// All methods return the cycles the operation adds to execution time.
+/// Every scheme implements it through the shared MMU front end (see the
+/// module docs). All methods return the cycles the operation adds to
+/// execution time.
 pub trait ProtectionScheme {
-    /// Human-readable scheme name.
-    fn name(&self) -> &'static str;
-
     /// The scheme's kind tag.
     fn kind(&self) -> SchemeKind;
 
     /// Handles a PMO attach (system call): registers the region and the
     /// scheme's table entries. Returns cycles.
-    fn attach(&mut self, pmo: PmoId, base: Va, size: u64, nvm: bool) -> u64;
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtectionFault::AttachConflict`], counted as a fault
+    /// and changing nothing else, if the PMO is already attached or its
+    /// granule overlaps an attached region.
+    fn attach(
+        &mut self,
+        pmo: PmoId,
+        base: Va,
+        size: u64,
+        nvm: bool,
+    ) -> Result<u64, ProtectionFault>;
 
     /// Handles a PMO detach. Returns cycles.
     fn detach(&mut self, pmo: PmoId) -> u64;
@@ -161,15 +182,13 @@ pub trait ProtectionScheme {
     /// *current thread*. Returns cycles.
     fn set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64;
 
-    /// Checks and times one memory access by the current thread.
+    /// Checks and times one memory access by the current thread, and
+    /// returns the warm verdict for its page alongside.
     fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult;
 
     /// Switches the core to another thread (flushing thread-private
     /// structures as the design requires). Returns cycles.
     fn context_switch(&mut self, to: ThreadId) -> u64;
-
-    /// The thread currently running.
-    fn current_thread(&self) -> ThreadId;
 
     /// Cost attribution so far (Table VII buckets).
     fn breakdown(&self) -> CostBreakdown;
@@ -181,28 +200,17 @@ pub trait ProtectionScheme {
     fn tlb_stats(&self) -> TlbStats;
 
     /// Drains protocol-level trace events the scheme emitted internally
-    /// since the last drain (today: [`TraceEvent::Shootdown`] on the
-    /// key-eviction path of MPK virtualization, so the hb-race pass and
-    /// the model checker see the same shootdown signal as `pool_close`).
-    /// Schemes with no internal events return nothing (the default).
-    fn drain_events(&mut self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    /// Computes a memoized verdict for subsequent accesses to `va`'s page,
-    /// or `None` when the page is not warm in the L1 TLB (or warm accesses
-    /// to it mutate scheme state, as libmpk guard-key pages do). Must not
-    /// mutate any state: accounting for accesses served through the hint
-    /// is settled later via [`ProtectionScheme::note_fast_hits`].
-    fn fast_hint(&self, _va: Va) -> Option<FastHint> {
-        None
-    }
+    /// since the last drain ([`TraceEvent::Shootdown`] on the key-eviction
+    /// paths of MPK virtualization and ERIM, on ERIM's write-revoking gate
+    /// exits and on DPTI's write revocations), so the hb-race pass and the
+    /// model checker see the same shootdown signal as `pool_close`.
+    fn drain_events(&mut self) -> Vec<TraceEvent>;
 
     /// Settles the accounting for `hits` accesses (of which `denied` were
     /// denied) served through a [`FastHint`] since it was issued: credits
     /// the skipped L1 TLB hits, fault counts, and per-access latency
     /// attribution so stats match a slow-path replay exactly.
-    fn note_fast_hits(&mut self, _hint: &FastHint, _hits: u64, _denied: u64) {}
+    fn note_fast_hits(&mut self, hint: &FastHint, hits: u64, denied: u64);
 
     /// Revalidates a *stored* [`FastHint`] for `va`'s page before the
     /// replay engine re-arms it from its permission-summary table:
@@ -213,11 +221,8 @@ pub trait ProtectionScheme {
     ///
     /// Returning `false` means the page is no longer warm (the entry was
     /// evicted, shot down, or remapped) and the caller must take the full
-    /// [`ProtectionScheme::access`] walk. The default is conservative:
-    /// schemes without a revalidation rule never serve summary hits.
-    fn fast_revalidate(&mut self, _va: Va) -> bool {
-        false
-    }
+    /// [`ProtectionScheme::access`] walk.
+    fn fast_revalidate(&mut self, va: Va) -> bool;
 }
 
 /// A protocol bug planted into a scheme at construction time, for
@@ -403,15 +408,17 @@ macro_rules! dispatch {
 }
 
 impl ProtectionScheme for AnyScheme {
-    fn name(&self) -> &'static str {
-        dispatch!(self, s => s.name())
-    }
-
     fn kind(&self) -> SchemeKind {
         dispatch!(self, s => s.kind())
     }
 
-    fn attach(&mut self, pmo: PmoId, base: Va, size: u64, nvm: bool) -> u64 {
+    fn attach(
+        &mut self,
+        pmo: PmoId,
+        base: Va,
+        size: u64,
+        nvm: bool,
+    ) -> Result<u64, ProtectionFault> {
         dispatch!(self, s => s.attach(pmo, base, size, nvm))
     }
 
@@ -431,10 +438,6 @@ impl ProtectionScheme for AnyScheme {
         dispatch!(self, s => s.context_switch(to))
     }
 
-    fn current_thread(&self) -> ThreadId {
-        dispatch!(self, s => s.current_thread())
-    }
-
     fn breakdown(&self) -> CostBreakdown {
         dispatch!(self, s => s.breakdown())
     }
@@ -449,10 +452,6 @@ impl ProtectionScheme for AnyScheme {
 
     fn drain_events(&mut self) -> Vec<TraceEvent> {
         dispatch!(self, s => s.drain_events())
-    }
-
-    fn fast_hint(&self, va: Va) -> Option<FastHint> {
-        dispatch!(self, s => s.fast_hint(va))
     }
 
     fn note_fast_hits(&mut self, hint: &FastHint, hits: u64, denied: u64) {
@@ -488,9 +487,7 @@ mod tests {
         for kind in SchemeKind::ALL {
             let scheme = kind.build_any(&config);
             assert_eq!(scheme.kind(), kind);
-            assert!(!scheme.name().is_empty());
             assert!(!format!("{kind}").is_empty());
-            assert_eq!(scheme.current_thread(), ThreadId::MAIN);
             assert_eq!(scheme.stats(), SchemeStats::default());
         }
     }

@@ -7,27 +7,23 @@
 
 use std::collections::BTreeMap;
 
-use pmo_simarch::{vpn, MemKind, SimConfig, TlbStats};
-use pmo_trace::{AccessKind, Perm, PmoId, ThreadId, Va};
+use pmo_simarch::SimConfig;
+use pmo_trace::{Perm, PmoId, ThreadId, Va};
 
-use crate::breakdown::CostBreakdown;
 use crate::fault::ProtectionFault;
 use crate::keys::KeyAllocator;
-use crate::mmu::{granule_covering, MmuBase, PkPayload, Region};
+use crate::mmu::{PkPayload, Region, TlbEntry};
 use crate::pkru::Pkru;
-use crate::scheme::{AccessResult, FastHint, ProtectionScheme, SchemeKind, SchemeStats};
+use crate::scheme::front::{Front, Grant, Mechanism};
+use crate::scheme::SchemeKind;
 
 /// Stock MPK.
 #[derive(Debug)]
 pub struct DefaultMpk {
-    mmu: MmuBase<PkPayload>,
+    front: Front<u8>,
     keys: KeyAllocator,
     /// Per-thread PKRU registers (default: all keys denied).
     pkru: BTreeMap<ThreadId, Pkru>,
-    cfg: SimConfig,
-    current: ThreadId,
-    stats: SchemeStats,
-    breakdown: CostBreakdown,
 }
 
 impl DefaultMpk {
@@ -35,13 +31,9 @@ impl DefaultMpk {
     #[must_use]
     pub fn new(config: &SimConfig) -> Self {
         DefaultMpk {
-            mmu: MmuBase::new(config),
+            front: Front::new(config),
             keys: KeyAllocator::new(config.pkeys),
             pkru: BTreeMap::new(),
-            cfg: config.clone(),
-            current: ThreadId::MAIN,
-            stats: SchemeStats::default(),
-            breakdown: CostBreakdown::default(),
         }
     }
 
@@ -52,174 +44,85 @@ impl DefaultMpk {
     /// The PKRU register of the current thread (tests / RDPKRU).
     #[must_use]
     pub fn rdpkru(&self) -> Pkru {
-        self.pkru_of(self.current)
+        self.pkru_of(self.front.current)
     }
 }
 
-impl ProtectionScheme for DefaultMpk {
-    fn name(&self) -> &'static str {
-        "default Intel MPK (16 keys)"
+impl Mechanism for DefaultMpk {
+    type Tag = u8;
+    const KIND: SchemeKind = SchemeKind::DefaultMpk;
+
+    fn front(&self) -> &Front<u8> {
+        &self.front
     }
 
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::DefaultMpk
+    fn front_mut(&mut self) -> &mut Front<u8> {
+        &mut self.front
     }
 
-    fn attach(&mut self, pmo: PmoId, base: Va, size: u64, nvm: bool) -> u64 {
-        self.mmu.attach_region(Region {
-            pmo,
-            base,
-            granule: granule_covering(base, size),
-            pool_size: size,
-            nvm,
-        });
+    fn miss(&mut self, va: Va, _cycles: &mut u64) -> Result<PkPayload, ProtectionFault> {
+        // A page is tagged with its domain's key when first mapped.
+        let keys = &self.keys;
+        let (pte, _) = self.front.mmu.walk_or_map(va, |r| keys.key_of(r.pmo).unwrap_or(0))?;
+        Ok(TlbEntry::new(pte.pkey, &pte))
+    }
+
+    fn grant(&mut self, _va: Va, entry: PkPayload, _cycles: &mut u64) -> Grant {
+        let pkru = self.rdpkru();
+        Grant::keyed(entry.tag, &self.keys, |key| pkru.perm(key))
+    }
+
+    fn on_attach(&mut self, region: &Region, _removed: u64) -> u64 {
         // pkey_alloc + pkey_mprotect over the fresh (still unmapped) VMA.
-        let mut cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        match self.keys.alloc(pmo) {
+        match self.keys.alloc(region.pmo) {
             Some(key) => {
-                cycles += self.cfg.syscall_cycles; // pkey_mprotect
-                                                   // A fresh key starts fully denied in every thread's PKRU.
+                // A fresh key starts fully denied in every thread's PKRU.
                 for reg in self.pkru.values_mut() {
                     *reg = reg.with_perm(key, Perm::None);
                 }
+                self.front.cfg.syscall_cycles // pkey_mprotect
             }
             None => {
                 // pkey_alloc returned ENOSPC: the programmer forgoes the
                 // domain (pages stay NULL-keyed).
-                self.stats.domainless_fallbacks += 1;
+                self.front.stats.domainless_fallbacks += 1;
+                0
             }
         }
-        self.breakdown.software += cycles;
-        cycles
     }
 
-    fn detach(&mut self, pmo: PmoId) -> u64 {
-        if let Some((region, removed)) = self.mmu.detach_region(pmo) {
-            self.stats.tlb_entries_invalidated += removed;
-            let _ = region;
-        }
+    fn on_detach(&mut self, pmo: PmoId, removed: u64) {
+        self.front.stats.tlb_entries_invalidated += removed;
         self.keys.free(pmo);
-        let cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        self.breakdown.software += cycles;
-        cycles
     }
 
-    fn set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
-        self.stats.set_perms += 1;
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+        self.front.stats.set_perms += 1;
         match self.keys.key_of(pmo) {
             Some(key) => {
-                let reg = self.pkru.entry(self.current).or_insert(Pkru::ALL_DENIED);
+                let reg = self.pkru.entry(self.front.current).or_insert(Pkru::ALL_DENIED);
                 *reg = reg.with_perm(key, perm);
                 self.keys.touch(key);
-                self.breakdown.permission_change += self.cfg.wrpkru_cycles;
-                self.cfg.wrpkru_cycles
+                self.front.breakdown.permission_change += self.front.cfg.wrpkru_cycles;
+                self.front.cfg.wrpkru_cycles
             }
             // Domainless fallback: the program has no key to program.
             None => 0,
         }
-    }
-
-    fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult {
-        let (payload, _, cycles) = self.mmu.tlb.lookup(vpn(va));
-        let payload = match payload {
-            Some(p) => p,
-            None => {
-                let keys = &self.keys;
-                match self.mmu.walk_or_map(va, |r| keys.key_of(r.pmo).unwrap_or(0)) {
-                    Ok((pte, _)) => {
-                        let p = PkPayload { pkey: pte.pkey, page_perm: pte.perm, mem: pte.mem };
-                        self.mmu.tlb.fill(vpn(va), p);
-                        p
-                    }
-                    Err(fault) => {
-                        self.stats.faults += 1;
-                        return AccessResult { cycles, mem: MemKind::Dram, fault: Some(fault) };
-                    }
-                }
-            }
-        };
-        let domain_perm = if payload.pkey == 0 {
-            Perm::ReadWrite // NULL key: domainless access, page perm rules
-        } else {
-            self.pkru_of(self.current).perm(payload.pkey)
-        };
-        let effective = domain_perm.meet(payload.page_perm);
-        let fault = if effective.allows(kind) {
-            None
-        } else {
-            self.stats.faults += 1;
-            Some(ProtectionFault::DomainDenied {
-                thread: self.current,
-                pmo: self.keys.owner(payload.pkey).unwrap_or(PmoId::NULL),
-                attempted: kind,
-                held: domain_perm,
-                va,
-            })
-        };
-        AccessResult { cycles, mem: payload.mem, fault }
-    }
-
-    fn context_switch(&mut self, to: ThreadId) -> u64 {
-        // PKRU is saved/restored with the thread state (XSAVE); the paper
-        // treats this as part of normal context-switch cost.
-        self.current = to;
-        self.stats.context_switches += 1;
-        0
-    }
-
-    fn current_thread(&self) -> ThreadId {
-        self.current
-    }
-
-    fn breakdown(&self) -> CostBreakdown {
-        self.breakdown
-    }
-
-    fn stats(&self) -> SchemeStats {
-        self.stats
-    }
-
-    fn tlb_stats(&self) -> TlbStats {
-        *self.mmu.tlb.stats()
-    }
-
-    fn fast_hint(&self, va: Va) -> Option<FastHint> {
-        let payload = self.mmu.tlb.probe_l1(vpn(va))?;
-        let domain_perm = if payload.pkey == 0 {
-            Perm::ReadWrite
-        } else {
-            self.pkru_of(self.current).perm(payload.pkey)
-        };
-        Some(FastHint {
-            cycles: self.mmu.tlb.l1_latency(),
-            mem: payload.mem,
-            effective: domain_perm.meet(payload.page_perm),
-            access_latency: 0,
-            thread: self.current,
-            held: domain_perm,
-            fault_pmo: Some(self.keys.owner(payload.pkey).unwrap_or(PmoId::NULL)),
-        })
-    }
-
-    fn note_fast_hits(&mut self, _hint: &FastHint, hits: u64, denied: u64) {
-        self.mmu.tlb.note_l1_hits(hits);
-        self.stats.faults += denied;
-    }
-
-    fn fast_revalidate(&mut self, va: Va) -> bool {
-        self.mmu.tlb.touch_l1(vpn(va)).is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::ProtectionScheme;
+    use pmo_trace::AccessKind;
 
     const GB1: u64 = 1 << 30;
 
     fn attach_n(s: &mut DefaultMpk, n: u32) {
         for i in 1..=n {
-            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
+            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true).unwrap();
         }
     }
 
@@ -270,7 +173,7 @@ mod tests {
         s.detach(PmoId::new(1));
         // A new domain gets the recycled key; the stale RW grant must not
         // leak to it.
-        s.attach(PmoId::new(2), 2 * GB1, 8 << 20, true);
+        s.attach(PmoId::new(2), 2 * GB1, 8 << 20, true).unwrap();
         assert!(!s.access(2 * GB1, AccessKind::Read).allowed());
     }
 
@@ -286,7 +189,7 @@ mod tests {
     #[test]
     fn attach_charges_software_cycles() {
         let mut s = DefaultMpk::new(&SimConfig::isca2020());
-        let cycles = s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        let cycles = s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         assert!(cycles > 0);
         assert_eq!(s.breakdown().software, cycles);
     }

@@ -8,24 +8,22 @@
 //! shootdown of the victim's VA range, which is this design's dominant
 //! overhead (Table VII).
 
-use pmo_simarch::{vpn, MemKind, SimConfig, TlbStats};
-use pmo_trace::{AccessKind, Perm, PmoId, ThreadId, TraceEvent, Va};
+use pmo_simarch::SimConfig;
+use pmo_trace::{Perm, PmoId, ThreadId, TraceEvent, Va};
 
-use crate::breakdown::CostBreakdown;
 use crate::dtt::DomainTranslationTable;
 use crate::dttlb::{Dttlb, DttlbEntry};
 use crate::fault::ProtectionFault;
 use crate::keys::KeyAllocator;
-use crate::mmu::{granule_covering, MmuBase, PkPayload, Region};
+use crate::mmu::{MmuBase, PkPayload, Region, TlbEntry};
 use crate::pkru::{Pkru, NUM_KEYS};
-use crate::scheme::{
-    AccessResult, FastHint, ProtectionScheme, ProtocolBug, SchemeKind, SchemeStats,
-};
+use crate::scheme::front::{Front, Grant, Mechanism};
+use crate::scheme::{ProtocolBug, SchemeKind};
 
 /// Hardware MPK virtualization.
 #[derive(Debug)]
 pub struct MpkVirt {
-    mmu: MmuBase<PkPayload>,
+    front: Front<u8>,
     dtt: DomainTranslationTable,
     dttlb: Dttlb,
     keys: KeyAllocator,
@@ -34,13 +32,7 @@ pub struct MpkVirt {
     /// detach, and the context-switch rebuild — the coherence obligation
     /// the model checker's `pkru-desync` invariant verifies.
     pkru: Pkru,
-    /// Protocol events (eviction shootdowns) awaiting `drain_events`.
-    pending: Vec<TraceEvent>,
     bug: Option<ProtocolBug>,
-    cfg: SimConfig,
-    current: ThreadId,
-    stats: SchemeStats,
-    breakdown: CostBreakdown,
 }
 
 impl MpkVirt {
@@ -66,17 +58,12 @@ impl MpkVirt {
     pub fn with_bug(config: &SimConfig, bug: Option<ProtocolBug>) -> Self {
         assert!(config.pkeys as usize <= NUM_KEYS, "PKRU encodes at most {NUM_KEYS} keys");
         MpkVirt {
-            mmu: MmuBase::new(config),
+            front: Front::new(config),
             dtt: DomainTranslationTable::new(),
             dttlb: Dttlb::new(config.dttlb_entries),
             keys: KeyAllocator::new(config.pkeys),
             pkru: Pkru::ALL_DENIED,
-            pending: Vec::new(),
             bug,
-            cfg: config.clone(),
-            current: ThreadId::MAIN,
-            stats: SchemeStats::default(),
-            breakdown: CostBreakdown::default(),
         }
     }
 
@@ -85,7 +72,7 @@ impl MpkVirt {
     fn rebuild_pkru(&self) -> Pkru {
         let mut pkru = Pkru::ALL_DENIED;
         for (key, pmo) in self.keys.assignments() {
-            let perm = self.dtt.entry(pmo).map_or(Perm::None, |e| e.perm(self.current));
+            let perm = self.dtt.entry(pmo).map_or(Perm::None, |e| e.perm(self.front.current));
             pkru = pkru.with_perm(key, perm);
         }
         pkru
@@ -117,8 +104,8 @@ impl MpkVirt {
 
     /// The MMU (TLB hierarchy + regions; model-checker inspection).
     #[must_use]
-    pub fn mmu(&self) -> &MmuBase<PkPayload> {
-        &self.mmu
+    pub fn mmu(&self) -> &MmuBase<u8> {
+        &self.front.mmu
     }
 
     /// Resolves the protection key for a PMO address on a TLB miss:
@@ -128,23 +115,23 @@ impl MpkVirt {
         // adds no latency to the miss path.
         if self.dttlb.lookup(va).is_none() {
             // DTTLB miss: hardware DTT walk.
-            *cycles += self.cfg.dttlb_miss_cycles;
-            self.breakdown.translation_miss += self.cfg.dttlb_miss_cycles;
-            self.stats.dttlb_misses += 1;
+            *cycles += self.front.cfg.dttlb_miss_cycles;
+            self.front.breakdown.translation_miss += self.front.cfg.dttlb_miss_cycles;
+            self.front.stats.dttlb_misses += 1;
             let hit = self.dtt.walk(va).expect("access inside a registered region");
             let entry = DttlbEntry {
                 base: hit.base,
                 granule: hit.granule,
                 pmo: hit.value.pmo,
                 key: self.keys.key_of(hit.value.pmo),
-                perm: hit.value.perm(self.current),
+                perm: hit.value.perm(self.front.current),
                 dirty: false,
             };
             if let Some(victim) = self.dttlb.insert(entry) {
                 if victim.dirty {
                     // Lazy writeback of the evicted entry into the DTT.
-                    *cycles += self.cfg.dttlb_entry_op_cycles;
-                    self.breakdown.entry_changes += self.cfg.dttlb_entry_op_cycles;
+                    *cycles += self.front.cfg.dttlb_entry_op_cycles;
+                    self.front.breakdown.entry_changes += self.front.cfg.dttlb_entry_op_cycles;
                 }
             }
         }
@@ -157,14 +144,14 @@ impl MpkVirt {
             return key;
         }
         // The domain holds no key: check the free-keys structure.
-        *cycles += self.cfg.free_keys_cycles;
-        self.breakdown.entry_changes += self.cfg.free_keys_cycles;
+        *cycles += self.front.cfg.free_keys_cycles;
+        self.front.breakdown.entry_changes += self.front.cfg.free_keys_cycles;
         let key = match self.keys.alloc(pmo) {
             Some(key) => key,
             None => {
                 // Reassign a PLRU victim's key (Figure 4, step 10).
                 let (key, victim) = self.keys.evict_and_assign(pmo);
-                self.stats.key_evictions += 1;
+                self.front.stats.key_evictions += 1;
                 // Victim's DTTLB entry (if cached) becomes invalid + dirty.
                 if let Some(ventry) = self.dttlb.lookup_pmo(victim) {
                     ventry.key = None;
@@ -173,36 +160,24 @@ impl MpkVirt {
                 if let Some(dtt_victim) = self.dtt.entry_mut(victim) {
                     dtt_victim.key = None;
                 }
-                *cycles += 2 * self.cfg.dttlb_entry_op_cycles;
-                self.breakdown.entry_changes += 2 * self.cfg.dttlb_entry_op_cycles;
+                *cycles += 2 * self.front.cfg.dttlb_entry_op_cycles;
+                self.front.breakdown.entry_changes += 2 * self.front.cfg.dttlb_entry_op_cycles;
                 // Range_Flush of the victim PMO's VA range on all cores.
-                // Each invalidated entry also costs one future refill; the
-                // paper counts these "subsequent TLB misses resulting from
-                // TLB invalidations" as invalidation overhead, and so do
-                // we — charged here, at the shootdown.
-                if self.bug == Some(ProtocolBug::SkipEvictionShootdown) {
+                let victim_region = if self.bug == Some(ProtocolBug::SkipEvictionShootdown) {
                     // Planted bug: the victim's TLB entries keep the key.
+                    None
                 } else {
-                    if let Some(victim_region) = self.mmu.region_of(victim) {
-                        let removed = self.mmu.shootdown(&victim_region);
-                        self.stats.tlb_entries_invalidated += removed;
-                        let refills = removed * self.cfg.tlb_miss_penalty;
-                        *cycles += refills;
-                        self.breakdown.tlb_invalidation += refills;
-                    }
-                    self.pending.push(TraceEvent::Shootdown { pmo: victim });
-                }
-                let shoot = self.cfg.tlb_invalidation_cycles * u64::from(self.cfg.threads);
-                *cycles += shoot;
-                self.stats.shootdowns += 1;
-                self.breakdown.tlb_invalidation += shoot;
+                    self.front.events.push(TraceEvent::Shootdown { pmo: victim });
+                    self.front.mmu.region_of(victim)
+                };
+                *cycles += self.front.shootdown(victim_region.as_ref());
                 key
             }
         };
         // PKRU reflects the new domain behind the key (Figure 4, step 11).
-        *cycles += self.cfg.pkru_update_cycles;
-        self.breakdown.entry_changes += self.cfg.pkru_update_cycles;
-        let perm = self.dtt.entry(pmo).map_or(Perm::None, |e| e.perm(self.current));
+        *cycles += self.front.cfg.pkru_update_cycles;
+        self.front.breakdown.entry_changes += self.front.cfg.pkru_update_cycles;
+        let perm = self.dtt.entry(pmo).map_or(Perm::None, |e| e.perm(self.front.current));
         self.pkru = self.pkru.with_perm(key, perm);
         let entry = self.dttlb.lookup(va).expect("present");
         entry.key = Some(key);
@@ -214,179 +189,98 @@ impl MpkVirt {
     }
 }
 
-impl ProtectionScheme for MpkVirt {
-    fn name(&self) -> &'static str {
-        "hardware MPK virtualization (DTT + DTTLB)"
+impl Mechanism for MpkVirt {
+    type Tag = u8;
+    const KIND: SchemeKind = SchemeKind::MpkVirt;
+
+    fn front(&self) -> &Front<u8> {
+        &self.front
     }
 
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::MpkVirt
+    fn front_mut(&mut self) -> &mut Front<u8> {
+        &mut self.front
     }
 
-    fn attach(&mut self, pmo: PmoId, base: Va, size: u64, nvm: bool) -> u64 {
-        let granule = granule_covering(base, size);
-        let removed = self.mmu.attach_region(Region { pmo, base, granule, pool_size: size, nvm });
-        self.stats.tlb_entries_invalidated += removed;
-        self.dtt.attach(pmo, base, granule);
-        let cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        self.breakdown.software += cycles;
-        cycles
+    fn miss(&mut self, va: Va, cycles: &mut u64) -> Result<PkPayload, ProtectionFault> {
+        let (pte, region) = self.front.mmu.walk_or_map(va, |_| 0)?;
+        let key = if region.is_some() { self.resolve_key(va, cycles) } else { 0 };
+        Ok(TlbEntry::new(key, &pte))
     }
 
-    fn detach(&mut self, pmo: PmoId) -> u64 {
-        if let Some((_, removed)) = self.mmu.detach_region(pmo) {
-            self.stats.tlb_entries_invalidated += removed;
-        }
+    fn grant(&mut self, _va: Va, entry: PkPayload, _cycles: &mut u64) -> Grant {
+        // The hardware check reads the materialized PKRU register, not the
+        // DTT: a stale register is a real (catchable) protection bug. TLB
+        // hits never consult the DTTLB or reassign keys.
+        Grant::keyed(entry.tag, &self.keys, |key| self.pkru.perm(key))
+    }
+
+    fn on_attach(&mut self, region: &Region, removed: u64) -> u64 {
+        self.front.stats.tlb_entries_invalidated += removed;
+        self.dtt.attach(region.pmo, region.base, region.granule);
+        0
+    }
+
+    fn on_detach(&mut self, pmo: PmoId, removed: u64) {
+        self.front.stats.tlb_entries_invalidated += removed;
         self.dttlb.invalidate_pmo(pmo);
         self.dtt.detach(pmo);
         if let Some(key) = self.keys.free(pmo) {
             self.pkru = self.pkru.with_perm(key, Perm::None);
         }
-        let cycles = self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
-        self.breakdown.software += cycles;
-        cycles
     }
 
-    fn set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
-        self.stats.set_perms += 1;
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+        let front = &mut self.front;
+        front.stats.set_perms += 1;
         // SETPERM executes like WRPKRU (fence semantics, §IV.A).
-        let mut cycles = self.cfg.wrpkru_cycles;
-        self.breakdown.permission_change += self.cfg.wrpkru_cycles;
+        let mut cycles = front.cfg.wrpkru_cycles;
+        front.breakdown.permission_change += front.cfg.wrpkru_cycles;
         if let Some(entry) = self.dtt.entry_mut(pmo) {
-            entry.set_perm(self.current, perm);
+            entry.set_perm(front.current, perm);
         }
         // "SETPERM ... will result in invalidating the corresponding entry
         // (if cached) at the DTTLB."
         if self.dttlb.invalidate_pmo(pmo).is_some() {
-            cycles += self.cfg.dttlb_entry_op_cycles;
-            self.breakdown.entry_changes += self.cfg.dttlb_entry_op_cycles;
+            cycles += front.cfg.dttlb_entry_op_cycles;
+            front.breakdown.entry_changes += front.cfg.dttlb_entry_op_cycles;
         }
         if let Some(key) = self.keys.key_of(pmo) {
             self.keys.touch(key);
             if self.bug != Some(ProtocolBug::SkipPkruUpdateOnSetPerm) {
                 self.pkru = self.pkru.with_perm(key, perm);
             }
-            cycles += self.cfg.pkru_update_cycles;
-            self.breakdown.entry_changes += self.cfg.pkru_update_cycles;
+            cycles += front.cfg.pkru_update_cycles;
+            front.breakdown.entry_changes += front.cfg.pkru_update_cycles;
         }
         cycles
     }
 
-    fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult {
-        let (payload, _, mut cycles) = self.mmu.tlb.lookup(vpn(va));
-        let payload = match payload {
-            // TLB hit: handled identically to stock MPK, no extra cost.
-            Some(p) => p,
-            None => {
-                let in_region = self.mmu.region_at(va).is_some();
-                match self.mmu.walk_or_map(va, |_| 0) {
-                    Ok((pte, _)) => {
-                        let pkey = if in_region { self.resolve_key(va, &mut cycles) } else { 0 };
-                        let p = PkPayload { pkey, page_perm: pte.perm, mem: pte.mem };
-                        self.mmu.tlb.fill(vpn(va), p);
-                        p
-                    }
-                    Err(fault) => {
-                        self.stats.faults += 1;
-                        return AccessResult { cycles, mem: MemKind::Dram, fault: Some(fault) };
-                    }
-                }
-            }
-        };
-        // The hardware check reads the materialized PKRU register, not the
-        // DTT: a stale register is a real (catchable) protection bug.
-        let domain_perm =
-            if payload.pkey == 0 { Perm::ReadWrite } else { self.pkru.perm(payload.pkey) };
-        let effective = domain_perm.meet(payload.page_perm);
-        let fault = if effective.allows(kind) {
-            None
-        } else {
-            self.stats.faults += 1;
-            Some(ProtectionFault::DomainDenied {
-                thread: self.current,
-                pmo: self.keys.owner(payload.pkey).unwrap_or(PmoId::NULL),
-                attempted: kind,
-                held: domain_perm,
-                va,
-            })
-        };
-        AccessResult { cycles, mem: payload.mem, fault }
-    }
-
-    fn context_switch(&mut self, to: ThreadId) -> u64 {
+    fn on_switch(&mut self, _from: ThreadId) -> u64 {
         // Dirty DTTLB entries are written back, then the DTTLB is flushed
-        // and the PKRU will be reconstructed for the incoming thread.
+        // and the PKRU is reconstructed for the incoming thread.
         let dirty = self.dttlb.flush();
-        let mut cycles = dirty.len() as u64 * self.cfg.dttlb_entry_op_cycles;
-        self.breakdown.entry_changes += cycles;
-        cycles += self.cfg.wrpkru_cycles; // PKRU restore for the new thread
-        self.breakdown.software += self.cfg.wrpkru_cycles;
-        self.current = to;
+        let front = &mut self.front;
+        let mut cycles = dirty.len() as u64 * front.cfg.dttlb_entry_op_cycles;
+        front.breakdown.entry_changes += cycles;
+        cycles += front.cfg.wrpkru_cycles; // PKRU restore for the new thread
+        front.breakdown.software += front.cfg.wrpkru_cycles;
         self.pkru = self.rebuild_pkru();
-        self.stats.context_switches += 1;
         cycles
-    }
-
-    fn current_thread(&self) -> ThreadId {
-        self.current
-    }
-
-    fn breakdown(&self) -> CostBreakdown {
-        self.breakdown
-    }
-
-    fn stats(&self) -> SchemeStats {
-        self.stats
-    }
-
-    fn tlb_stats(&self) -> TlbStats {
-        *self.mmu.tlb.stats()
-    }
-
-    fn drain_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.pending)
-    }
-
-    fn fast_hint(&self, va: Va) -> Option<FastHint> {
-        let payload = self.mmu.tlb.probe_l1(vpn(va))?;
-        // TLB hits never consult the DTTLB or reassign keys: the verdict
-        // is a pure function of the payload and the materialized PKRU.
-        let domain_perm =
-            if payload.pkey == 0 { Perm::ReadWrite } else { self.pkru.perm(payload.pkey) };
-        Some(FastHint {
-            cycles: self.mmu.tlb.l1_latency(),
-            mem: payload.mem,
-            effective: domain_perm.meet(payload.page_perm),
-            access_latency: 0,
-            thread: self.current,
-            held: domain_perm,
-            fault_pmo: Some(self.keys.owner(payload.pkey).unwrap_or(PmoId::NULL)),
-        })
-    }
-
-    fn note_fast_hits(&mut self, _hint: &FastHint, hits: u64, denied: u64) {
-        self.mmu.tlb.note_l1_hits(hits);
-        self.stats.faults += denied;
-    }
-
-    fn fast_revalidate(&mut self, va: Va) -> bool {
-        // Any state change that could stale a warm verdict (key eviction,
-        // SETPERM, detach) shoots the page out of the TLB first, so
-        // presence in the L1 TLB is the whole validity condition.
-        self.mmu.tlb.touch_l1(vpn(va)).is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::ProtectionScheme;
+    use pmo_trace::AccessKind;
 
     const GB1: u64 = 1 << 30;
 
     fn scheme_with(n: u32) -> MpkVirt {
         let mut s = MpkVirt::new(&SimConfig::isca2020());
         for i in 1..=n {
-            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
+            s.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true).unwrap();
         }
         s
     }
@@ -522,7 +416,7 @@ mod tests {
             s.access(u64::from(i) * GB1, AccessKind::Write);
         }
         s.detach(PmoId::new(3));
-        s.attach(PmoId::new(99), 99 * GB1, 8 << 20, true);
+        s.attach(PmoId::new(99), 99 * GB1, 8 << 20, true).unwrap();
         s.set_perm(PmoId::new(99), Perm::ReadWrite);
         assert!(s.access(99 * GB1, AccessKind::Write).allowed());
         assert_eq!(s.stats().key_evictions, 0, "freed key reused without eviction");

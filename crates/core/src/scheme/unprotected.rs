@@ -1,159 +1,68 @@
 //! The no-protection baseline (§V: "non-protected execution").
 
-use pmo_simarch::{vpn, MemKind, SimConfig, TlbStats};
-use pmo_trace::{AccessKind, Perm, PmoId, ThreadId, Va};
+use pmo_simarch::SimConfig;
+use pmo_trace::{Perm, PmoId, Va};
 
-use crate::breakdown::CostBreakdown;
-use crate::mmu::{granule_covering, MmuBase, PlainPayload, Region};
-use crate::scheme::{AccessResult, FastHint, ProtectionScheme, SchemeKind, SchemeStats};
+use crate::fault::ProtectionFault;
+use crate::mmu::{PlainPayload, TlbEntry};
+use crate::scheme::front::{Front, Grant, Mechanism};
+use crate::scheme::SchemeKind;
 
 /// Baseline scheme: virtual memory only, no domain machinery, permission
 /// switches are free (the baseline binary contains none).
 #[derive(Debug)]
 pub struct Unprotected {
-    mmu: MmuBase<PlainPayload>,
-    attach_cycles: u64,
-    current: ThreadId,
-    stats: SchemeStats,
-    breakdown: CostBreakdown,
+    front: Front<()>,
 }
 
 impl Unprotected {
     /// Creates the baseline scheme.
     #[must_use]
     pub fn new(config: &SimConfig) -> Self {
-        Unprotected {
-            mmu: MmuBase::new(config),
-            attach_cycles: config.attach_kernel_cycles + config.syscall_cycles,
-            current: ThreadId::MAIN,
-            stats: SchemeStats::default(),
-            breakdown: CostBreakdown::default(),
-        }
+        Unprotected { front: Front::new(config) }
     }
 }
 
-impl ProtectionScheme for Unprotected {
-    fn name(&self) -> &'static str {
-        "unprotected baseline"
+impl Mechanism for Unprotected {
+    type Tag = ();
+    const KIND: SchemeKind = SchemeKind::Unprotected;
+
+    fn front(&self) -> &Front<()> {
+        &self.front
     }
 
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Unprotected
+    fn front_mut(&mut self) -> &mut Front<()> {
+        &mut self.front
     }
 
-    fn attach(&mut self, pmo: PmoId, base: Va, size: u64, nvm: bool) -> u64 {
-        self.mmu.attach_region(Region {
-            pmo,
-            base,
-            granule: granule_covering(base, size),
-            pool_size: size,
-            nvm,
-        });
-        // Attaching (mmap-ing) the PMO costs the same kernel work under
-        // every scheme; charging it uniformly keeps overheads comparable.
-        self.breakdown.software += self.attach_cycles;
-        self.attach_cycles
+    fn miss(&mut self, va: Va, _cycles: &mut u64) -> Result<PlainPayload, ProtectionFault> {
+        let (pte, _) = self.front.mmu.walk_or_map(va, |_| 0)?;
+        Ok(TlbEntry::new((), &pte))
     }
 
-    fn detach(&mut self, pmo: PmoId) -> u64 {
-        self.mmu.detach_region(pmo);
-        self.breakdown.software += self.attach_cycles;
-        self.attach_cycles
+    fn grant(&mut self, _va: Va, entry: PlainPayload, _cycles: &mut u64) -> Grant {
+        Grant { held: entry.page_perm, domain: None, latency: 0 }
     }
 
-    fn set_perm(&mut self, _pmo: PmoId, _perm: Perm) -> u64 {
+    fn on_set_perm(&mut self, _pmo: PmoId, _perm: Perm) -> u64 {
         // The baseline binary carries no permission-switch instructions.
         0
-    }
-
-    fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult {
-        let (payload, _, mut cycles) = self.mmu.tlb.lookup(vpn(va));
-        let payload = match payload {
-            Some(p) => p,
-            None => match self.mmu.walk_or_map(va, |_| 0) {
-                Ok((pte, _)) => {
-                    let p = PlainPayload { page_perm: pte.perm, mem: pte.mem };
-                    self.mmu.tlb.fill(vpn(va), p);
-                    p
-                }
-                Err(fault) => {
-                    self.stats.faults += 1;
-                    return AccessResult { cycles, mem: MemKind::Dram, fault: Some(fault) };
-                }
-            },
-        };
-        let fault = if payload.page_perm.allows(kind) {
-            None
-        } else {
-            self.stats.faults += 1;
-            Some(crate::fault::ProtectionFault::PageDenied {
-                thread: self.current,
-                attempted: kind,
-                held: payload.page_perm,
-                va,
-            })
-        };
-        if fault.is_some() {
-            cycles += 0;
-        }
-        AccessResult { cycles, mem: payload.mem, fault }
-    }
-
-    fn context_switch(&mut self, to: ThreadId) -> u64 {
-        self.current = to;
-        self.stats.context_switches += 1;
-        0
-    }
-
-    fn current_thread(&self) -> ThreadId {
-        self.current
-    }
-
-    fn breakdown(&self) -> CostBreakdown {
-        self.breakdown
-    }
-
-    fn stats(&self) -> SchemeStats {
-        self.stats
-    }
-
-    fn tlb_stats(&self) -> TlbStats {
-        *self.mmu.tlb.stats()
-    }
-
-    fn fast_hint(&self, va: Va) -> Option<FastHint> {
-        let payload = self.mmu.tlb.probe_l1(vpn(va))?;
-        Some(FastHint {
-            cycles: self.mmu.tlb.l1_latency(),
-            mem: payload.mem,
-            effective: payload.page_perm,
-            access_latency: 0,
-            thread: self.current,
-            held: payload.page_perm,
-            fault_pmo: None,
-        })
-    }
-
-    fn note_fast_hits(&mut self, _hint: &FastHint, hits: u64, denied: u64) {
-        self.mmu.tlb.note_l1_hits(hits);
-        self.stats.faults += denied;
-    }
-
-    fn fast_revalidate(&mut self, va: Va) -> bool {
-        self.mmu.tlb.touch_l1(vpn(va)).is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::ProtectionScheme;
+    use pmo_simarch::MemKind;
+    use pmo_trace::AccessKind;
 
     const GB1: u64 = 1 << 30;
 
     #[test]
     fn everything_is_allowed() {
         let mut s = Unprotected::new(&SimConfig::isca2020());
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         // No permission ever granted, yet access succeeds: this is the
         // vulnerability the paper protects against.
         let r = s.access(GB1, AccessKind::Write);
@@ -167,7 +76,7 @@ mod tests {
     #[test]
     fn tlb_warms_up() {
         let mut s = Unprotected::new(&SimConfig::isca2020());
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         let cold = s.access(GB1, AccessKind::Read).cycles;
         let warm = s.access(GB1, AccessKind::Read).cycles;
         assert!(cold > warm);
@@ -180,7 +89,7 @@ mod tests {
         let mut s = Unprotected::new(&SimConfig::isca2020());
         // An 8KB pool reserves a 2MB granule; addresses in the reserved
         // region beyond the pool's backed bytes are page faults.
-        s.attach(PmoId::new(1), GB1, 8192, true);
+        s.attach(PmoId::new(1), GB1, 8192, true).unwrap();
         let r = s.access(GB1 + 0x10_0000, AccessKind::Read);
         assert!(!r.allowed());
         assert_eq!(s.stats().faults, 1);
@@ -189,7 +98,7 @@ mod tests {
     #[test]
     fn detach_then_access_is_anonymous() {
         let mut s = Unprotected::new(&SimConfig::isca2020());
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         s.access(GB1, AccessKind::Read);
         s.detach(PmoId::new(1));
         // After detach the VA is anonymous memory again (demand-mapped DRAM).

@@ -111,16 +111,20 @@ impl World {
     fn do_attach(&mut self, pmo: PmoId) {
         // EEXIST semantics: attaching an attached domain is a no-op at
         // the World level — the spec refuses, so the schemes (which would
-        // panic on a double attach, as the real syscall would fail) are
-        // never called and no trace event is recorded.
+        // refuse a double attach with a counted `AttachConflict` fault, as
+        // the real syscall fails) are never called and no trace event is
+        // recorded.
         if !self.spec.attach(pmo) {
             return;
         }
         let base = Op::base_of(pmo);
-        self.mpk.attach(pmo, base, POOL_BYTES, true);
-        self.dom.attach(pmo, base, POOL_BYTES, true);
-        self.erim.attach(pmo, base, POOL_BYTES, true);
-        self.dpti.attach(pmo, base, POOL_BYTES, true);
+        let attached = [
+            self.mpk.attach(pmo, base, POOL_BYTES, true),
+            self.dom.attach(pmo, base, POOL_BYTES, true),
+            self.erim.attach(pmo, base, POOL_BYTES, true),
+            self.dpti.attach(pmo, base, POOL_BYTES, true),
+        ];
+        debug_assert!(attached.iter().all(Result::is_ok), "the spec admitted the attach");
         self.trace.push(TraceEvent::Attach { pmo, base, size: POOL_BYTES, nvm: true });
     }
 
@@ -297,12 +301,12 @@ impl World {
     /// checked against the new domain's PKRU bits.
     fn check_stale_tlb_keys(&self, findings: &mut Vec<Finding>) {
         let keys = self.mpk.key_allocator();
-        for (vpn, payload) in self.mpk.mmu().tlb.entries() {
-            if payload.pkey == 0 {
+        for (vpn, entry) in self.mpk.mmu().tlb.entries() {
+            if entry.tag == 0 {
                 continue;
             }
             let va = vpn << PAGE_BITS;
-            let owner = keys.owner(payload.pkey);
+            let owner = keys.owner(entry.tag);
             let covered = owner
                 .and_then(|pmo| self.mpk.mmu().region_of(pmo))
                 .is_some_and(|region| region.covers(va));
@@ -312,7 +316,7 @@ impl World {
                     thread: self.current,
                     message: format!(
                         "TLB entry for va {va:#x} still tagged key {} now owned by {}",
-                        payload.pkey,
+                        entry.tag,
                         owner.map_or_else(|| "nobody".into(), |p| format!("P{}", p.raw())),
                     ),
                 });

@@ -21,11 +21,14 @@
 //!
 //! The engine dispatches to each scheme through the closed [`AnyScheme`]
 //! enum (no vtable on the hot path) and memoizes consecutive same-page
-//! accesses per lane through a one-entry [`FastHint`] cache: translation
-//! and permission verdict are reused, so repeated hits skip the
-//! TLB/DTT/PT machinery while charging exactly the modeled cycles the
-//! slow path would. The fast path memoizes the *simulator's* work, never
-//! the *simulated* costs.
+//! accesses per lane through a one-entry [`FastHint`] cache. A scheme's
+//! `access` returns the page's warm verdict beside its result — the
+//! verdict its one permission check just reached, as an immediate repeat
+//! would see it — so repeated hits skip the TLB/DTT/PT machinery while
+//! charging exactly the modeled cycles the slow path would, and the two
+//! paths cannot disagree. A conflicting attach is refused by every lane
+//! alike and logged as a fault. The fast path memoizes the *simulator's*
+//! work, never the *simulated* costs.
 
 use std::{error::Error, fmt, io};
 
@@ -181,7 +184,8 @@ impl Lane {
 
     /// Checks and times one access under this lane's scheme: from the
     /// armed fast entry if it covers the page, else from a still-valid
-    /// summary row, else through the scheme walk (re-arming the entry).
+    /// summary row, else through the scheme walk (re-arming the entry
+    /// with the warm verdict the walk returns).
     #[inline]
     fn access(
         &mut self,
@@ -234,23 +238,19 @@ impl Lane {
         }
         let result = self.scheme.access(va, kind);
         self.cycles += result.cycles;
-        let verdict = match result.fault {
+        if fast_enabled {
+            self.fast = result.warm.map(|hint| {
+                self.summary[slot] = Some(SummarySlot { page, hint, gen });
+                FastEntry { page, hint, hits: 0, denied: 0 }
+            });
+        }
+        match result.fault {
             None => Some(result.mem),
             Some(fault) => {
                 self.record_fault(fault);
                 None
             }
-        };
-        if fast_enabled {
-            self.fast = match self.scheme.fast_hint(va) {
-                Some(hint) => {
-                    self.summary[slot] = Some(SummarySlot { page, hint, gen });
-                    Some(FastEntry { page, hint, hits: 0, denied: 0 })
-                }
-                None => None,
-            };
         }
-        verdict
     }
 }
 
@@ -308,10 +308,10 @@ impl Error for LaneDivergence {}
 /// which runs when it fills. Buffered events must be simulated before
 /// anything reads the simulator or feeds it another way, so every such
 /// method flushes the partial block first: the readers
-/// ([`Replay::cycles`], [`Replay::scheme`], the hit counters, the
-/// snapshots, the finishes and [`Replay::drain_protocol_events`]),
-/// [`Replay::set_fast_path`] and the explicit block entry points. Where
-/// the blocks are cut never changes a report.
+/// ([`Replay::cycles`], the hit counters, the snapshots, the finishes and
+/// [`Replay::drain_protocol_events`]), [`Replay::set_fast_path`] and the
+/// explicit block entry points. Where the blocks are cut never changes a
+/// report.
 ///
 /// Walk mode (fast path off) is the reference the engine is checked
 /// against, so it shares neither the buffer nor the block loop: it
@@ -471,16 +471,6 @@ impl Replay {
         self.cycles + self.lanes[0].cycles
     }
 
-    /// The first lane's scheme (for inspection in tests), after flushing
-    /// the buffered events. Scheme-side counters are settled at
-    /// [`Replay::snapshot`]/[`Replay::finish`]; between accesses they may
-    /// lag by the currently batched fast hits.
-    #[must_use]
-    pub fn scheme(&mut self) -> &dyn ProtectionScheme {
-        self.flush();
-        &self.lanes[0].scheme
-    }
-
     /// Drains protocol-level events the schemes emitted internally since
     /// the last drain (ranged shootdowns on the key-eviction path), lane
     /// by lane, so audit sinks can fold them into the analyzed stream.
@@ -597,13 +587,20 @@ impl Replay {
 
     /// Settles every lane's batched fast-path accounting, then runs `op`
     /// on each lane's scheme and charges the cycles it returns to that
-    /// lane. Scheme-mutating events go through here: they invalidate every
+    /// lane, or logs the fault it refuses with (a conflicting attach).
+    /// Scheme-mutating events go through here: they invalidate every
     /// summary row (see [`SummarySlot`]) along with the fast entries.
-    fn mutate_schemes(&mut self, mut op: impl FnMut(&mut AnyScheme) -> u64) {
+    fn mutate_schemes(
+        &mut self,
+        mut op: impl FnMut(&mut AnyScheme) -> Result<u64, ProtectionFault>,
+    ) {
         self.summary_gen += 1;
         for lane in &mut self.lanes {
             lane.flush_fast();
-            lane.cycles += op(&mut lane.scheme);
+            match op(&mut lane.scheme) {
+                Ok(cycles) => lane.cycles += cycles,
+                Err(fault) => lane.record_fault(fault),
+            }
         }
     }
 
@@ -709,14 +706,16 @@ impl Replay {
             TraceEvent::StoreData { va, size, .. } => {
                 self.memory_access(va, size, AccessKind::Write, pos);
             }
-            TraceEvent::SetPerm { pmo, perm } => self.mutate_schemes(|s| s.set_perm(pmo, perm)),
+            TraceEvent::SetPerm { pmo, perm } => {
+                self.mutate_schemes(|s| Ok(s.set_perm(pmo, perm)));
+            }
             TraceEvent::Attach { pmo, base, size, nvm } => {
                 self.mutate_schemes(|s| s.attach(pmo, base, size, nvm));
             }
-            TraceEvent::Detach { pmo } => self.mutate_schemes(|s| s.detach(pmo)),
+            TraceEvent::Detach { pmo } => self.mutate_schemes(|s| Ok(s.detach(pmo))),
             TraceEvent::ThreadSwitch { thread } => {
                 self.current_thread = thread;
-                self.mutate_schemes(|s| s.context_switch(thread));
+                self.mutate_schemes(|s| Ok(s.context_switch(thread)));
             }
             TraceEvent::Flush { va } => self.flush_line(va),
             TraceEvent::Fence => {
@@ -730,7 +729,7 @@ impl Replay {
             // Shootdown completion markers are free: each scheme already
             // charges its shootdown IPIs inside the detach/evict cost
             // model. Conservatively drop the memoized verdicts anyway.
-            TraceEvent::Shootdown { .. } => self.mutate_schemes(|_| 0),
+            TraceEvent::Shootdown { .. } => self.mutate_schemes(|_| Ok(0)),
         }
     }
 
@@ -1719,6 +1718,60 @@ mod tests {
         t.event(TraceEvent::StoreData { va: BASE, size: 8, data: 1 });
         let image = pmo_trace::block::block_trace_of(&t).encode();
         assert_eq!(BlockTrace::decode(&image).unwrap().len(), t.len() as u64);
+    }
+
+    #[test]
+    fn conflicting_attaches_are_faults_not_panics() {
+        // Three encoded traces, each a clean prefix and one attach that
+        // conflicts with PMO 1: PMO 1 again at its base, PMO 1 at another
+        // base, and PMO 2 over PMO 1's region. Every lane must refuse it
+        // alike, so a multi-lane replay still has one exact report.
+        let (pmo1, pmo2) = (PmoId::new(1), PmoId::new(2));
+        let attach = |pmo, base| TraceEvent::Attach { pmo, base, size: 1 << 20, nvm: true };
+        let conflicts = [(pmo1, BASE), (pmo1, BASE + (1 << 30)), (pmo2, BASE)];
+        let cfg = SimConfig::isca2020();
+        let lane_sets =
+            SchemeKind::ALL.map(|kind| vec![kind]).into_iter().chain([SchemeKind::ALL.to_vec()]);
+        let lane_sets: Vec<Vec<SchemeKind>> = lane_sets.collect();
+        for (pmo, base) in conflicts {
+            let mut t = RecordedTrace::new();
+            t.event(attach(pmo1, BASE));
+            t.event(TraceEvent::SetPerm { pmo: pmo1, perm: Perm::ReadWrite });
+            t.store(BASE, 8);
+            t.event(attach(pmo, base));
+            // Still PMO 1's range under PMO 1's grant: had PMO 2 taken it
+            // over, every protective lane would deny these.
+            t.load(BASE + 64, 8);
+            t.store(BASE + 4096, 8);
+            let image = pmo_trace::block::block_trace_of(&t).encode();
+            let want = ProtectionFault::AttachConflict { pmo, base, attached: pmo1 };
+            for kinds in &lane_sets {
+                let mut replay = Replay::with_lanes(kinds, &cfg);
+                replay.replay_encoded(&image).expect("the image is well formed");
+                let reports = replay.finish_lanes().expect("every lane refuses the attach alike");
+                for report in reports {
+                    let scheme = report.scheme;
+                    assert_eq!(report.faults, [want], "{scheme} in {kinds:?}");
+                    assert_eq!(report.scheme_stats.faults, 1, "{scheme} in {kinds:?}");
+                }
+            }
+            // Revoking PMO 1 denies its range, naming PMO 1, under every
+            // protective scheme.
+            t.event(TraceEvent::SetPerm { pmo: pmo1, perm: Perm::None });
+            t.load(BASE, 8);
+            let image = pmo_trace::block::block_trace_of(&t).encode();
+            for kind in &SchemeKind::ALL[1..] {
+                let mut replay = Replay::new(*kind, &cfg);
+                replay.replay_encoded(&image).expect("the image is well formed");
+                let faults = replay.finish().faults;
+                assert_eq!(faults.len(), 2, "{kind}");
+                assert!(
+                    matches!(faults[1], ProtectionFault::DomainDenied { pmo, .. } if pmo == pmo1),
+                    "{kind}: {}",
+                    faults[1]
+                );
+            }
+        }
     }
 
     #[test]

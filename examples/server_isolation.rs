@@ -20,7 +20,9 @@ const GB1: u64 = 1 << 30;
 /// read-write on its *own* client's domain only.
 fn provision(scheme: &mut dyn ProtectionScheme) {
     for client in 1..=CLIENTS {
-        scheme.attach(PmoId::new(client), u64::from(client) * GB1, 8 << 20, true);
+        scheme
+            .attach(PmoId::new(client), u64::from(client) * GB1, 8 << 20, true)
+            .expect("each client gets its own region");
     }
     for client in 1..=CLIENTS {
         scheme.context_switch(pmo_repro::trace::ThreadId::new(client));

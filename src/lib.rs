@@ -29,7 +29,7 @@
 //! let config = SimConfig::isca2020();
 //! let mut scheme = SchemeKind::DomainVirt.build_any(&config);
 //! let base = 0x40_0000_0000;
-//! scheme.attach(PmoId::new(1), base, 8 << 20, true);
+//! scheme.attach(PmoId::new(1), base, 8 << 20, true).expect("nothing else is attached");
 //! scheme.set_perm(PmoId::new(1), Perm::ReadWrite);
 //! assert!(scheme.access(base, AccessKind::Write).allowed());
 //! ```

@@ -21,7 +21,7 @@ fn scheme_with_domains(kind: SchemeKind, n: u32) -> AnyScheme {
     let config = SimConfig::isca2020();
     let mut scheme = kind.build_any(&config);
     for i in 1..=n {
-        scheme.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
+        scheme.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true).unwrap();
     }
     scheme
 }
@@ -126,7 +126,7 @@ fn detach_revokes_under_all_schemes() {
         assert!(s.access(GB1, AccessKind::Write).allowed(), "{kind}");
         s.detach(PmoId::new(1));
         // Re-attach: the old grant must not resurrect.
-        s.attach(PmoId::new(1), GB1, 8 << 20, true);
+        s.attach(PmoId::new(1), GB1, 8 << 20, true).unwrap();
         assert!(
             !s.access(GB1, AccessKind::Read).allowed(),
             "{kind}: permission survived detach/attach"

@@ -470,7 +470,7 @@ proptest! {
 
         // Attach five domains in both views.
         for d in 1..6u32 {
-            scheme.attach(PmoId::new(d), u64::from(d) * GB1, 1 << 20, true);
+            scheme.attach(PmoId::new(d), u64::from(d) * GB1, 1 << 20, true).unwrap();
             audit.event(TraceEvent::Attach {
                 pmo: PmoId::new(d),
                 base: u64::from(d) * GB1,

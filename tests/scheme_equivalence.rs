@@ -1,9 +1,9 @@
 //! Differential testing: every protective scheme must make *identical*
 //! allow/deny decisions. The lowerbound scheme (a direct encoding of the
-//! paper's §IV.A legality rule) is the oracle; MPK, libmpk and the two
-//! hardware designs are checked against it on pseudo-random operation
-//! sequences, including permission churn, thread switches, detach/attach
-//! cycles, and key-eviction pressure.
+//! paper's §IV.A legality rule) is the oracle; MPK, libmpk, the two
+//! hardware designs, ERIM and DPTI are checked against it on
+//! pseudo-random operation sequences, including permission churn, thread
+//! switches, detach/attach cycles, and key-eviction pressure.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,7 +53,7 @@ fn decisions(kind: SchemeKind, domains: u32, ops: &[Op]) -> Vec<bool> {
     let config = SimConfig::isca2020();
     let mut scheme = kind.build_any(&config);
     for i in 1..=domains {
-        scheme.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true);
+        scheme.attach(PmoId::new(i), u64::from(i) * GB1, 8 << 20, true).unwrap();
     }
     let mut out = Vec::new();
     for op in ops {
@@ -69,7 +69,7 @@ fn decisions(kind: SchemeKind, domains: u32, ops: &[Op]) -> Vec<bool> {
             }
             Op::DetachAttach(d) => {
                 scheme.detach(PmoId::new(d));
-                scheme.attach(PmoId::new(d), u64::from(d) * GB1, 8 << 20, true);
+                scheme.attach(PmoId::new(d), u64::from(d) * GB1, 8 << 20, true).unwrap();
             }
         }
     }
@@ -100,23 +100,43 @@ fn all_schemes_match_oracle_within_key_capacity() {
     // <= 14 domains: even stock MPK and guarded libmpk have keys for all.
     check_equivalence(
         12,
-        &[SchemeKind::DefaultMpk, SchemeKind::LibMpk, SchemeKind::MpkVirt, SchemeKind::DomainVirt],
+        &[
+            SchemeKind::DefaultMpk,
+            SchemeKind::LibMpk,
+            SchemeKind::MpkVirt,
+            SchemeKind::DomainVirt,
+            SchemeKind::Erim,
+            SchemeKind::Dpti,
+        ],
         0..6,
     );
 }
 
 #[test]
 fn virtualized_schemes_match_oracle_under_eviction_pressure() {
-    // 80 domains through 14/15 keys: constant evictions, shootdowns and
-    // guard faults — decisions must still be identical.
+    // 80 domains through 14/15 keys: constant evictions, shootdowns,
+    // guard faults and monitor remaps — decisions must still be identical.
     check_equivalence(
         80,
-        &[SchemeKind::LibMpk, SchemeKind::MpkVirt, SchemeKind::DomainVirt],
+        &[
+            SchemeKind::LibMpk,
+            SchemeKind::MpkVirt,
+            SchemeKind::DomainVirt,
+            SchemeKind::Erim,
+            SchemeKind::Dpti,
+        ],
         10..16,
     );
 }
 
 #[test]
 fn hardware_designs_match_oracle_at_scale() {
-    check_equivalence(400, &[SchemeKind::MpkVirt, SchemeKind::DomainVirt], 20..23);
+    // 400 domains: the two hardware designs, plus ERIM's monitor remap and
+    // DPTI's per-thread tables, the other schemes meant to scale past the
+    // 15-key cliff.
+    check_equivalence(
+        400,
+        &[SchemeKind::MpkVirt, SchemeKind::DomainVirt, SchemeKind::Erim, SchemeKind::Dpti],
+        20..23,
+    );
 }

@@ -21,10 +21,10 @@ use crate::world::{Finding, World};
 #[derive(Clone, Copy, Debug)]
 pub struct ExploreLimits {
     /// Maximum schedule length (steps); programs longer than this are
-    /// explored up to the bound.
+    /// explored up to the bound, and the outcome is marked truncated.
     pub max_depth: usize,
     /// Hard cap on complete executions (defense against state explosion;
-    /// the outcome is marked truncated when hit).
+    /// the outcome is marked truncated when it stops the search short).
     pub max_schedules: u64,
 }
 
@@ -79,6 +79,7 @@ pub fn explore(
 
         loop {
             if exec.len() >= limits.max_depth {
+                out.truncated |= exec.len() < scenario.program.total_ops();
                 break;
             }
             let depth = exec.len();
@@ -146,11 +147,6 @@ pub fn explore(
         // ---- Vector-clock race analysis: seed backtrack points. ----
         analyze_races(&exec, &mut frames, kp, nthreads);
 
-        if out.schedules >= limits.max_schedules {
-            out.truncated = true;
-            break;
-        }
-
         // ---- Backtrack to the deepest frame with an unexplored choice. ----
         loop {
             let Some(top) = frames.last_mut() else {
@@ -168,8 +164,12 @@ pub fn explore(
             }
             frames.pop();
         }
+        // Only a cap that leaves a choice unexplored truncates the search.
+        if out.schedules >= limits.max_schedules {
+            out.truncated = true;
+            return out;
+        }
     }
-    out
 }
 
 /// Counts every finding and keeps the first occurrence of each distinct
@@ -274,10 +274,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dependent_threads_explore_multiple_schedules() {
+    fn dependent_scenario() -> Scenario {
         let p1 = PmoId::new(1);
-        let scenario = two_thread_scenario(
+        two_thread_scenario(
             vec![
                 vec![
                     Op::SetPerm { pmo: p1, perm: Perm::ReadWrite },
@@ -286,11 +285,40 @@ mod tests {
                 vec![Op::Access { pmo: p1, offset: 0, kind: AccessKind::Read }],
             ],
             false,
-        );
-        let out = explore(&scenario, None, &ExploreLimits::default());
+        )
+    }
+
+    #[test]
+    fn dependent_threads_explore_multiple_schedules() {
+        let out = explore(&dependent_scenario(), None, &ExploreLimits::default());
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.schedules > 1, "conflicting accesses need reordering");
         assert!(out.schedules <= out.naive as u64);
+    }
+
+    #[test]
+    fn a_schedule_cap_that_cuts_the_search_fails_it() {
+        let scenario = dependent_scenario();
+        let full = explore(&scenario, None, &ExploreLimits::default());
+        assert!(full.passed() && !full.truncated);
+        let cap = |max_schedules| ExploreLimits { max_schedules, ..ExploreLimits::default() };
+        let exact = explore(&scenario, None, &cap(full.schedules));
+        assert!(exact.passed() && !exact.truncated, "a cap at the full count cuts nothing");
+        let cut = explore(&scenario, None, &cap(full.schedules - 1));
+        assert!(cut.truncated && !cut.passed(), "{cut:?}");
+        assert!(cut.violations.is_empty(), "the cut search found nothing, yet fails");
+    }
+
+    #[test]
+    fn a_depth_bound_that_cuts_the_program_fails_the_search() {
+        let scenario = dependent_scenario();
+        let depth = |max_depth| ExploreLimits { max_depth, ..ExploreLimits::default() };
+        let ops = scenario.program.total_ops();
+        let whole = explore(&scenario, None, &depth(ops));
+        assert!(whole.passed() && !whole.truncated, "a bound at the program length cuts nothing");
+        let cut = explore(&scenario, None, &depth(ops - 1));
+        assert!(cut.truncated && !cut.passed(), "{cut:?}");
+        assert!(cut.violations.is_empty(), "the cut search found nothing, yet fails");
     }
 
     #[test]

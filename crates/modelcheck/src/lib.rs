@@ -14,10 +14,11 @@
 //!
 //! * [`program`] — the op/program/scenario model and the DPOR dependency
 //!   relation;
-//! * [`world`] — one explored state: the four verifiable protection
-//!   machines run in lockstep against the executable spec, with verdicts,
-//!   cache invariants and abstraction functions checked after every step
-//!   and noninterference checked at the end of every execution;
+//! * [`world`] — one explored state: a list of verified protection
+//!   machines runs in lockstep against the executable spec, with
+//!   verdicts, cache invariants and abstraction functions checked after
+//!   every step and noninterference at the end of every execution;
+//! * `machine` — each verified scheme's abstraction and cache sweeps;
 //! * [`explore`] — Flanagan–Godefroid dynamic partial-order reduction
 //!   with sleep sets over stateless re-execution;
 //! * [`scenarios`] — the built-in scenario suite and the seeded-bug
@@ -30,9 +31,8 @@
 //!   sampling;
 //! * [`spec`] — the executable abstract specification: a permission
 //!   oracle state machine with atomic transitions and no hardware state;
-//! * [`refine`] — abstraction functions mapping each design's concrete
-//!   state back onto the spec, and the perturb-and-compare
-//!   noninterference pass;
+//! * [`refine`] — the simulation relation between each machine and the
+//!   spec, and the perturb-and-compare noninterference pass;
 //! * [`enumerate`] — exhaustive, symmetry-reduced enumeration of every
 //!   small-world program up to bounded ops/threads/domains, with a
 //!   Burnside closed-form count cross-check.
@@ -46,6 +46,7 @@
 
 pub mod enumerate;
 pub mod explore;
+mod machine;
 pub mod oracle;
 pub mod program;
 pub mod refine;
@@ -59,9 +60,7 @@ pub use enumerate::{enumerate_canonical, orbit_count, raw_count, to_scenario, Wo
 pub use explore::{explore, ExploreLimits};
 pub use oracle::{all_schedules, sample_schedule};
 pub use program::{dependent, model_config, Op, Program, Scenario, GB1, POOL_BYTES};
-pub use refine::{
-    alpha_dom, alpha_dpti, alpha_erim, alpha_mpk, noninterference, AccessObs, NiLeak,
-};
+pub use refine::{noninterference, AccessObs, NiLeak};
 pub use replay::{replay_schedule, schedule_trace, ModelCheckPass, ReplayOutcome, ScheduleRun};
 pub use report::{
     naive_schedules, parse_schedule, schedule_string, Campaign, ExploreOutcome, Violation,

@@ -1,32 +1,29 @@
-//! The refinement layer: abstraction functions from concrete machine
-//! state to [`SpecMachine`] state, and the noninterference pass.
+//! The refinement layer: the simulation relation between each verified
+//! machine and the [`SpecMachine`], and the noninterference pass.
 //!
 //! # Simulation relation
 //!
 //! The checker maintains `R(c, s) := alpha(c) == state(s) ∧ caches(c) ⊑ s`
-//! for every concrete machine `c` — the paper's two designs plus the
-//! related-work schemes ERIM ([`alpha_erim`]: the session table is the
-//! logical state, key multiplexing is cache) and DPTI ([`alpha_dpti`]:
-//! the union of per-thread page-table rows, CR3 selection checked
-//! separately) — after every schedule step:
+//! for every verified machine `c` (one `Machine` impl each in the
+//! `machine` module: the paper's two designs plus the related-work
+//! schemes ERIM and DPTI) after every schedule step:
 //!
-//! * **Abstraction equality.** [`alpha_mpk`] reads the DTT — the
-//!   authoritative store design 1's SETPERM writes through immediately —
-//!   and [`alpha_dom`] reads the PT overlaid with the running thread's
-//!   PTLB (design 2's SETPERM "completes in the PTLB", so the PTLB *is*
-//!   the current thread's authoritative row until writeback). Both must
-//!   equal the spec's `(attached set, perm map)` exactly.
+//! * **Abstraction equality.** `Machine::alpha` maps the machine's
+//!   authoritative permission store (design 1's DTT, design 2's PT
+//!   overlaid with the running thread's PTLB, ERIM's session table,
+//!   DPTI's per-thread page tables) onto the spec's `(attached set, perm
+//!   map)`, which it must equal exactly.
 //! * **Cache soundness.** The derived caches — TLB protection keys,
 //!   DTTLB key copies, the materialized PKRU, PTLB rows for the running
-//!   thread — must never be observably ahead of or behind the spec; these
-//!   are the cache invariants [`crate::world::World`] sweeps, each
+//!   thread, DPTI's loaded table — must never be observably ahead of or
+//!   behind the spec; `Machine::check_caches` sweeps them, each
 //!   reported under its own class.
-//! * **Verdict equality.** Every allow/deny decision of either design
+//! * **Verdict equality.** Every allow/deny decision of every machine
 //!   must equal the spec's [`SpecMachine::allows`].
 //!
 //! # Noninterference
 //!
-//! Both concrete machines are data-oblivious: no allow/deny verdict, no
+//! Every verified machine is data-oblivious: no allow/deny verdict, no
 //! cache transition, and no cost depends on the *values* loaded or
 //! stored. Perturbing a domain's data therefore cannot change the
 //! schedule or the verdicts, so the perturb-and-compare run does not need
@@ -38,7 +35,6 @@
 
 use std::collections::BTreeMap;
 
-use pmo_protect::scheme::{DomainVirt, Dpti, Erim, MpkVirt};
 use pmo_trace::{AccessKind, Perm, PmoId};
 
 use crate::spec::SpecMachine;
@@ -47,104 +43,14 @@ use crate::spec::SpecMachine;
 /// produces, in the spec's canonical form (no [`Perm::None`] rows).
 pub type AbsState = (Vec<PmoId>, BTreeMap<(u32, PmoId), Perm>);
 
-/// Abstraction function for design 1 (MPK virtualization).
-///
-/// The DTT is the authoritative permission store: SETPERM writes it
-/// through immediately (invalidating the DTTLB copy), so the abstract
-/// perm map is exactly the per-thread rows of every attached domain's
-/// DTT entry. Keys, PKRU, DTTLB, and TLB contents are derived caches and
-/// do not appear in the abstraction.
-#[must_use]
-pub fn alpha_mpk(mpk: &MpkVirt) -> AbsState {
-    let dtt = mpk.dtt();
-    let attached: Vec<PmoId> = dtt.domains().collect();
-    let mut perms = BTreeMap::new();
-    for &pmo in &attached {
-        if let Some(entry) = dtt.entry(pmo) {
-            for (thread, perm) in entry.thread_perms() {
-                if perm != Perm::None {
-                    perms.insert((thread.raw(), pmo), perm);
-                }
-            }
-        }
+/// Sets a `(thread, domain)` row of an abstraction in the spec's
+/// canonical form, which holds no [`Perm::None`] row.
+pub(crate) fn set_row(perms: &mut BTreeMap<(u32, PmoId), Perm>, row: (u32, PmoId), perm: Perm) {
+    if perm == Perm::None {
+        perms.remove(&row);
+    } else {
+        perms.insert(row, perm);
     }
-    (attached, perms)
-}
-
-/// Abstraction function for design 2 (domain virtualization).
-///
-/// The PT holds every thread's rows, but the running thread's truth may
-/// still live in its PTLB (SETPERM completes there; writeback happens on
-/// eviction or context switch). The abstraction is therefore the PT
-/// overlaid, for `current` only, with the PTLB's rows for attached
-/// domains. PTLB rows for detached domains are unreachable (the DRT no
-/// longer maps any VA to them) and are excluded — the cache-soundness
-/// sweep separately rejects them if they ever become reachable again.
-#[must_use]
-pub fn alpha_dom(dom: &DomainVirt, current: u32) -> AbsState {
-    let pt = dom.pt();
-    let attached: Vec<PmoId> = pt.domain_ids().collect();
-    let mut perms = BTreeMap::new();
-    for ((pmo, thread), perm) in pt.entries() {
-        if perm != Perm::None {
-            perms.insert((thread.raw(), pmo), perm);
-        }
-    }
-    for entry in dom.ptlb().entries() {
-        if !pt.contains(entry.pmo) {
-            continue;
-        }
-        if entry.perm == Perm::None {
-            perms.remove(&(current, entry.pmo));
-        } else {
-            perms.insert((current, entry.pmo), entry.perm);
-        }
-    }
-    (attached, perms)
-}
-
-/// Abstraction function for ERIM (call-gate sessions over raw MPK).
-///
-/// ERIM's session table *is* its logical permission state: every call
-/// gate writes the thread's `(domain, perm)` session through
-/// immediately, and the protection-key multiplexing underneath (key
-/// assignments, software remaps under pressure, the materialized PKRU)
-/// is derived cache only. The abstraction is therefore the attached
-/// region set plus the session rows verbatim.
-#[must_use]
-pub fn alpha_erim(erim: &Erim) -> AbsState {
-    let mut attached: Vec<PmoId> = erim.mmu().regions().map(|r| r.pmo).collect();
-    attached.sort_unstable();
-    let mut perms = BTreeMap::new();
-    for (&(thread, pmo), &perm) in erim.sessions() {
-        if perm != Perm::None {
-            perms.insert((thread.raw(), pmo), perm);
-        }
-    }
-    (attached, perms)
-}
-
-/// Abstraction function for DPTI (per-domain page tables).
-///
-/// DPTI keeps one page-table permission map per thread; the kernel's
-/// SETPERM writes the calling thread's map directly (regardless of which
-/// root CR3 currently points at), so the abstraction is the union of
-/// every thread's rows. The loaded-root selection (CR3) is derived
-/// hardware state: [`crate::world::World`]'s DPTI sweep checks it
-/// separately, which is exactly where a stale CR3 becomes observable.
-#[must_use]
-pub fn alpha_dpti(dpti: &Dpti) -> AbsState {
-    let mut attached: Vec<PmoId> = dpti.mmu().regions().map(|r| r.pmo).collect();
-    attached.sort_unstable();
-    let mut perms = BTreeMap::new();
-    for (thread, rows) in dpti.tables() {
-        for (&pmo, &perm) in rows {
-            if perm != Perm::None {
-                perms.insert((thread.raw(), pmo), perm);
-            }
-        }
-    }
-    (attached, perms)
 }
 
 /// The spec state in [`AbsState`] form, for equality comparison.
@@ -175,7 +81,7 @@ pub fn render_abs(state: &AbsState) -> String {
 
 /// One recorded load/store observation, the input to the noninterference
 /// replay. Recorded for *every* access the program issues, allowed or
-/// not, with each machine's verdict.
+/// not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AccessObs {
     /// Executing thread index.
@@ -190,24 +96,10 @@ pub struct AccessObs {
     pub attached: bool,
     /// The spec's verdict.
     pub spec_allowed: bool,
-    /// Design 1's verdict.
-    pub mpk_allowed: bool,
-    /// Design 2's verdict.
-    pub dom_allowed: bool,
-    /// ERIM's verdict (call-gate sessions over raw MPK).
-    pub erim_allowed: bool,
-    /// DPTI's verdict (per-domain page tables).
-    pub dpti_allowed: bool,
-}
-
-impl AccessObs {
-    /// Whether any concrete machine admitted the access: a concrete
+    /// Whether any verified machine admitted the access: a concrete
     /// allow returns data to the program, whatever the spec says, so
     /// this is the noninterference pass's "the load observed" predicate.
-    #[must_use]
-    pub fn any_concrete_allowed(self) -> bool {
-        self.mpk_allowed || self.dom_allowed || self.erim_allowed || self.dpti_allowed
-    }
+    pub concrete_allowed: bool,
 }
 
 /// One noninterference violation: an unauthorized thread observed a
@@ -244,10 +136,10 @@ const TAG: u64 = 1 << 63;
 /// ordinary anonymous memory (fresh zero pages, discarded at re-attach),
 /// which is never part of any domain's secret. Stores take effect when
 /// the spec admits them (authorized data flow defines the secret);
-/// loads observe when either concrete design admits them (a concrete
+/// loads observe when any verified machine admits them (a concrete
 /// allow returns data to the program, whatever the spec says).
 ///
-/// Because both designs are data-oblivious (see module docs), verdicts
+/// Because every machine is data-oblivious (see module docs), verdicts
 /// recorded in `obs` are identical in the perturbed run, and this pure
 /// replay is exact — not an approximation of re-executing the machines.
 #[must_use]
@@ -269,7 +161,7 @@ pub fn noninterference(obs: &[AccessObs], spec: &SpecMachine, target: PmoId) -> 
                 pert.insert((o.pmo, o.offset), tagged);
             }
             AccessKind::Read => {
-                if !o.any_concrete_allowed() {
+                if !o.concrete_allowed {
                     continue;
                 }
                 if !o.attached {
@@ -327,7 +219,7 @@ pub fn noninterference_all(obs: &[AccessObs], spec: &SpecMachine) -> Vec<NiLeak>
         .filter(|o| {
             o.kind == AccessKind::Read
                 && o.attached
-                && o.any_concrete_allowed()
+                && o.concrete_allowed
                 && !spec.ever_granted(o.thread, o.pmo)
         })
         .map(|o| o.pmo)
@@ -360,10 +252,7 @@ mod tests {
             kind,
             attached: true,
             spec_allowed: allowed,
-            mpk_allowed: allowed,
-            dom_allowed: allowed,
-            erim_allowed: allowed,
-            dpti_allowed: allowed,
+            concrete_allowed: allowed,
         }
     }
 
@@ -380,7 +269,7 @@ mod tests {
         // read through while the spec denies it.
         let spec = spec_with_grant(0);
         let mut bad = obs(1, AccessKind::Read, false);
-        bad.dom_allowed = true;
+        bad.concrete_allowed = true;
         let trace = [obs(0, AccessKind::Write, true), bad];
         let leaks = noninterference(&trace, &spec, p1());
         assert_eq!(leaks.len(), 1);
@@ -394,7 +283,7 @@ mod tests {
         // content.
         let spec = spec_with_grant(0);
         let mut bad = obs(1, AccessKind::Read, false);
-        bad.mpk_allowed = true;
+        bad.concrete_allowed = true;
         assert_eq!(noninterference(&[bad], &spec, p1()).len(), 1);
     }
 
@@ -408,28 +297,10 @@ mod tests {
     }
 
     #[test]
-    fn a_leak_through_only_the_new_schemes_is_still_a_leak() {
-        // Only DPTI (then only ERIM) lets the unauthorized read through:
-        // the observe predicate must cover all four machines.
-        let spec = spec_with_grant(0);
-        for scheme in 0..2 {
-            let mut bad = obs(1, AccessKind::Read, false);
-            if scheme == 0 {
-                bad.dpti_allowed = true;
-            } else {
-                bad.erim_allowed = true;
-            }
-            assert!(bad.any_concrete_allowed());
-            let trace = [obs(0, AccessKind::Write, true), bad];
-            assert_eq!(noninterference(&trace, &spec, p1()).len(), 1, "scheme {scheme}");
-        }
-    }
-
-    #[test]
     fn all_targets_sweep_covers_every_domain() {
         let spec = spec_with_grant(0);
         let mut bad = obs(1, AccessKind::Read, false);
-        bad.dom_allowed = true;
+        bad.concrete_allowed = true;
         let leaks = noninterference_all(&[obs(0, AccessKind::Write, true), bad], &spec);
         assert_eq!(leaks.len(), 1);
         assert_eq!(leaks[0].target, p1());
@@ -467,10 +338,7 @@ mod tests {
                     kind: if bit(r, 6) { AccessKind::Write } else { AccessKind::Read },
                     attached: !bit(r, 7),
                     spec_allowed: bit(r, 8),
-                    mpk_allowed: bit(r, 9) && bit(r, 10),
-                    dom_allowed: bit(r, 11) && bit(r, 12),
-                    erim_allowed: bit(r, 13) && bit(r, 14),
-                    dpti_allowed: bit(r, 15) && bit(r, 16),
+                    concrete_allowed: bit(r, 9),
                 });
             }
             let mut every: Vec<PmoId> = trace.iter().map(|o| o.pmo).collect();

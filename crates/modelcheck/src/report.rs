@@ -110,7 +110,7 @@ pub struct ExploreOutcome {
     /// Schedules a reduction-free enumeration would visit (the DPOR
     /// denominator), bounded by the same depth limit.
     pub naive: u128,
-    /// Whether the schedule cap was hit before exhausting the space.
+    /// Whether a bound (depth or schedule cap) cut the search short.
     pub truncated: bool,
     /// Distinct violations (first occurrence each), most-severe first.
     pub violations: Vec<Violation>,
@@ -135,10 +135,11 @@ impl ExploreOutcome {
         }
     }
 
-    /// Whether every explored schedule satisfied every invariant.
+    /// Whether the search was exhaustive (a cut one proves nothing) and
+    /// every explored schedule satisfied every invariant.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+        self.violations.is_empty() && !self.truncated
     }
 }
 

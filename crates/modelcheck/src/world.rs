@@ -1,4 +1,4 @@
-//! The checked state: every verifiable protection machine runs in
+//! The checked state: every verified protection machine runs in
 //! lockstep against the executable abstract specification
 //! ([`SpecMachine`]), and one checker evaluates the whole refinement
 //! relation after every operation.
@@ -11,18 +11,18 @@
 //! and their caches — TLB keys, DTTLB, PKRU, PTLB — must never be
 //! observably ahead of or behind that contract.
 //!
-//! Every step checks three layers, each reported under its own class:
+//! The machines form one ordered list (mpk-virt, domain-virt, ERIM,
+//! DPTI), and every step is one loop over it that checks three layers,
+//! each reported under its own class:
 //!
 //! * **Verdicts** — every concrete allow/deny decision equals the spec's
 //!   (`scheme-divergence`).
-//! * **Caches** — the cache-coherence invariants: shootdown completeness,
+//! * **Caches** — shootdown completeness, then each machine's own sweep:
 //!   no stale TLB or DTTLB key, PKRU consistency, PT/PTLB agreement, and
 //!   the ERIM-PKRU and DPTI loaded-table sweeps (`stale-key-grant`,
 //!   `pkru-desync`, `ptlb-desync`).
-//! * **Abstraction** — the abstraction of each concrete machine
-//!   ([`crate::refine::alpha_mpk`], [`crate::refine::alpha_dom`],
-//!   [`crate::refine::alpha_erim`], [`crate::refine::alpha_dpti`]) equals
-//!   the spec state (`refinement-divergence`).
+//! * **Abstraction** — each machine's abstraction function equals the
+//!   spec state (`refinement-divergence`).
 //!
 //! Every access is also recorded as an [`AccessObs`], and
 //! [`World::end_checks`] runs the perturb-and-compare noninterference
@@ -30,16 +30,13 @@
 //! (`noninterference-leak`).
 
 use pmo_analyzer::ViolationClass;
-use pmo_protect::scheme::{DomainVirt, Dpti, Erim, MpkVirt, ProtectionScheme};
-use pmo_protect::{KeyAllocator, Perm, Pkru, ProtocolBug};
-use pmo_simarch::PAGE_BITS;
+use pmo_protect::scheme::{AnyScheme, DomainVirt, Dpti, Erim, MpkVirt, ProtectionScheme};
+use pmo_protect::ProtocolBug;
 use pmo_trace::{AccessKind, PmoId, ThreadId, TraceEvent};
 
+use crate::machine::verified;
 use crate::program::{Op, Scenario, POOL_BYTES};
-use crate::refine::{
-    alpha_dom, alpha_dpti, alpha_erim, alpha_mpk, is_spec_state, noninterference_all, render_abs,
-    spec_state, AccessObs,
-};
+use crate::refine::{is_spec_state, noninterference_all, render_abs, spec_state, AccessObs};
 use crate::spec::SpecMachine;
 
 /// One violation found by a check (scenario/schedule context is attached
@@ -54,14 +51,14 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Every concrete machine — the paper's two designs plus the
+/// Every verified machine — the paper's two designs plus the
 /// related-work schemes ERIM and DPTI — run in lockstep against the spec
 /// machine, advanced one operation at a time.
 pub struct World {
-    mpk: MpkVirt,
-    dom: DomainVirt,
-    erim: Erim,
-    dpti: Dpti,
+    /// The verified machines in finding order, each with the ranged
+    /// shootdowns it has published so far. They are held inline, not
+    /// boxed, since the explorer builds a fresh world for every schedule.
+    machines: [(AnyScheme, u64); 4],
     spec: SpecMachine,
     bug: Option<ProtocolBug>,
     /// The trace recorded so far (replayable through `pmo-analyzer`).
@@ -69,7 +66,6 @@ pub struct World {
     /// Access observations recorded for the noninterference pass.
     obs: Vec<AccessObs>,
     current: u32,
-    shootdowns_drained: u64,
 }
 
 impl World {
@@ -78,17 +74,20 @@ impl World {
     /// bug targets (self-validation runs).
     #[must_use]
     pub fn new(scenario: &Scenario, bug: Option<ProtocolBug>) -> Self {
+        let config = &scenario.config;
+        let machines = [
+            AnyScheme::MpkVirt(MpkVirt::with_bug(config, bug)),
+            AnyScheme::DomainVirt(DomainVirt::with_bug(config, bug)),
+            AnyScheme::Erim(Erim::with_bug(config, bug)),
+            AnyScheme::Dpti(Dpti::with_bug(config, bug)),
+        ];
         let mut world = World {
-            mpk: MpkVirt::with_bug(&scenario.config, bug),
-            dom: DomainVirt::with_bug(&scenario.config, bug),
-            erim: Erim::with_bug(&scenario.config, bug),
-            dpti: Dpti::with_bug(&scenario.config, bug),
+            machines: machines.map(|machine| (machine, 0)),
             spec: SpecMachine::new(),
             bug,
             trace: Vec::new(),
             obs: Vec::new(),
             current: 0,
-            shootdowns_drained: 0,
         };
         for &pmo in &scenario.setup {
             world.do_attach(pmo);
@@ -118,13 +117,10 @@ impl World {
             return;
         }
         let base = Op::base_of(pmo);
-        let attached = [
-            self.mpk.attach(pmo, base, POOL_BYTES, true),
-            self.dom.attach(pmo, base, POOL_BYTES, true),
-            self.erim.attach(pmo, base, POOL_BYTES, true),
-            self.dpti.attach(pmo, base, POOL_BYTES, true),
-        ];
-        debug_assert!(attached.iter().all(Result::is_ok), "the spec admitted the attach");
+        for (machine, _) in &mut self.machines {
+            let attached = machine.attach(pmo, base, POOL_BYTES, true);
+            debug_assert!(attached.is_ok(), "the spec admitted the attach");
+        }
         self.trace.push(TraceEvent::Attach { pmo, base, size: POOL_BYTES, nvm: true });
     }
 
@@ -134,10 +130,9 @@ impl World {
     pub fn step(&mut self, thread: u32, op: Op) -> Vec<Finding> {
         if thread != self.current {
             let tid = ThreadId::new(thread);
-            self.mpk.context_switch(tid);
-            self.dom.context_switch(tid);
-            self.erim.context_switch(tid);
-            self.dpti.context_switch(tid);
+            for (machine, _) in &mut self.machines {
+                machine.context_switch(tid);
+            }
             self.current = thread;
             self.trace.push(TraceEvent::ThreadSwitch { thread: tid });
         }
@@ -147,10 +142,9 @@ impl World {
             Op::Detach { pmo } => {
                 // ENOENT semantics, mirroring do_attach.
                 if self.spec.detach(pmo) {
-                    self.mpk.detach(pmo);
-                    self.dom.detach(pmo);
-                    self.erim.detach(pmo);
-                    self.dpti.detach(pmo);
+                    for (machine, _) in &mut self.machines {
+                        machine.detach(pmo);
+                    }
                     self.trace.push(TraceEvent::Detach { pmo });
                     // The schemes invalidate their cached translations
                     // synchronously inside detach, so the canonical trace
@@ -163,31 +157,31 @@ impl World {
                 }
             }
             Op::SetPerm { pmo, perm } => {
-                self.mpk.set_perm(pmo, perm);
-                self.dom.set_perm(pmo, perm);
-                self.erim.set_perm(pmo, perm);
-                self.dpti.set_perm(pmo, perm);
+                for (machine, _) in &mut self.machines {
+                    machine.set_perm(pmo, perm);
+                }
                 self.spec.set_perm(thread, pmo, perm);
                 self.trace.push(TraceEvent::SetPerm { pmo, perm });
             }
             Op::Access { pmo, offset, kind } => {
                 let va = Op::base_of(pmo) + offset;
-                let mpk_ok = self.mpk.access(va, kind).allowed();
-                let dom_ok = self.dom.access(va, kind).allowed();
-                let erim_ok = self.erim.access(va, kind).allowed();
-                let dpti_ok = self.dpti.access(va, kind).allowed();
+                let verdicts =
+                    self.machines.each_mut().map(|(machine, _)| machine.access(va, kind).allowed());
                 let expect = self.spec.allows(thread, pmo, kind);
-                if mpk_ok != expect || dom_ok != expect || erim_ok != expect || dpti_ok != expect {
+                if verdicts.iter().any(|&ok| ok != expect) {
+                    let concrete: Vec<String> = self
+                        .machines
+                        .iter()
+                        .zip(&verdicts)
+                        .map(|((machine, _), &ok)| format!("{:?} {}", machine.kind(), verdict(ok)))
+                        .collect();
                     findings.push(Finding {
                         class: ViolationClass::SchemeDivergence,
                         thread,
                         message: format!(
-                            "{op}: spec {} but MpkVirt {} / DomainVirt {} / Erim {} / Dpti {}",
+                            "{op}: spec {} but {}",
                             verdict(expect),
-                            verdict(mpk_ok),
-                            verdict(dom_ok),
-                            verdict(erim_ok),
-                            verdict(dpti_ok),
+                            concrete.join(" / ")
                         ),
                     });
                 }
@@ -198,10 +192,7 @@ impl World {
                     kind,
                     attached: self.spec.is_attached(pmo),
                     spec_allowed: expect,
-                    mpk_allowed: mpk_ok,
-                    dom_allowed: dom_ok,
-                    erim_allowed: erim_ok,
-                    dpti_allowed: dpti_ok,
+                    concrete_allowed: verdicts.contains(&true),
                 });
                 // Mirror the replay engine: denied accesses leave no
                 // memory event in the trace.
@@ -213,20 +204,52 @@ impl World {
                 }
             }
         }
-        for ev in self.mpk.drain_events() {
-            if matches!(ev, TraceEvent::Shootdown { .. }) {
-                self.shootdowns_drained += 1;
+        // Every machine's protocol events are drained, but the recorded
+        // trace stays canonical against the first machine: ERIM's and
+        // DPTI's own gate-exit/revoke settle events are not re-recorded.
+        for (i, (machine, shootdowns)) in self.machines.iter_mut().enumerate() {
+            for ev in machine.drain_events() {
+                *shootdowns += u64::from(matches!(ev, TraceEvent::Shootdown { .. }));
+                if i == 0 {
+                    self.trace.push(ev);
+                }
             }
-            self.trace.push(ev);
         }
-        // ERIM and DPTI publish their own gate-exit/revoke settle events.
-        // The recorded trace (and the eviction-completeness count, which
-        // is MpkVirt's contract) stays canonical against MpkVirt, so
-        // these are drained but not re-recorded.
-        let _ = self.erim.drain_events();
-        let _ = self.dpti.drain_events();
-        self.check_invariants(&mut findings);
-        self.check_alpha(&mut findings);
+        for (machine, shootdowns) in &self.machines {
+            // Every key eviction must have published a ranged shootdown
+            // (§IV.B: reassigning a key without invalidating the victim's
+            // translations leaves the old domain readable through the new
+            // domain's grants).
+            let evictions = machine.stats().key_evictions;
+            if evictions > *shootdowns {
+                findings.push(Finding {
+                    class: ViolationClass::StaleKeyGrant,
+                    thread: self.current,
+                    message: format!(
+                        "{evictions} key eviction(s) but only {shootdowns} ranged shootdown(s) \
+                         issued"
+                    ),
+                });
+            }
+            let (_, sweeps) = verified(machine);
+            sweeps.check_caches(&self.spec, self.current, &mut findings);
+        }
+        for (machine, _) in &self.machines {
+            let (alpha_name, machine) = verified(machine);
+            let abs = machine.alpha(self.current);
+            if !is_spec_state(&abs, &self.spec) {
+                findings.push(Finding {
+                    class: ViolationClass::RefinementDivergence,
+                    thread: self.current,
+                    message: format!(
+                        "{}: abstraction {} != spec {}",
+                        alpha_name,
+                        render_abs(&abs),
+                        render_abs(&spec_state(&self.spec))
+                    ),
+                });
+            }
+        }
         findings
     }
 
@@ -243,198 +266,6 @@ impl World {
             })
             .collect()
     }
-
-    /// Simulation-relation core: the abstraction of each concrete machine
-    /// must equal the spec state exactly after every step.
-    fn check_alpha(&self, findings: &mut Vec<Finding>) {
-        let abstractions = [
-            ("alpha-mpk", alpha_mpk(&self.mpk)),
-            ("alpha-dom", alpha_dom(&self.dom, self.current)),
-            ("alpha-erim", alpha_erim(&self.erim)),
-            ("alpha-dpti", alpha_dpti(&self.dpti)),
-        ];
-        for (name, abs) in abstractions {
-            if !is_spec_state(&abs, &self.spec) {
-                findings.push(Finding {
-                    class: ViolationClass::RefinementDivergence,
-                    thread: self.current,
-                    message: format!(
-                        "{name}: abstraction {} != spec {}",
-                        render_abs(&abs),
-                        render_abs(&spec_state(&self.spec))
-                    ),
-                });
-            }
-        }
-    }
-
-    /// Evaluates every state invariant against the current machine state.
-    fn check_invariants(&self, findings: &mut Vec<Finding>) {
-        self.check_shootdown_completeness(findings);
-        self.check_stale_tlb_keys(findings);
-        self.check_stale_dttlb_keys(findings);
-        self.check_pkru("", self.mpk.pkru(), self.mpk.key_allocator(), findings);
-        self.check_ptlb(findings);
-        self.check_pkru("ERIM ", self.erim.pkru(), self.erim.key_allocator(), findings);
-        self.check_dpti_space(findings);
-    }
-
-    /// Every key eviction must have published a ranged shootdown (§IV.B:
-    /// reassigning a key without invalidating the victim's translations
-    /// leaves the old domain readable through the new domain's grants).
-    fn check_shootdown_completeness(&self, findings: &mut Vec<Finding>) {
-        let evictions = self.mpk.stats().key_evictions;
-        if evictions > self.shootdowns_drained {
-            findings.push(Finding {
-                class: ViolationClass::StaleKeyGrant,
-                thread: self.current,
-                message: format!(
-                    "{evictions} key eviction(s) but only {} ranged shootdown(s) issued",
-                    self.shootdowns_drained
-                ),
-            });
-        }
-    }
-
-    /// No TLB entry may carry a protection key whose current owner does
-    /// not cover that page: such an entry lets the old domain's pages be
-    /// checked against the new domain's PKRU bits.
-    fn check_stale_tlb_keys(&self, findings: &mut Vec<Finding>) {
-        let keys = self.mpk.key_allocator();
-        for (vpn, entry) in self.mpk.mmu().tlb.entries() {
-            if entry.tag == 0 {
-                continue;
-            }
-            let va = vpn << PAGE_BITS;
-            let owner = keys.owner(entry.tag);
-            let covered = owner
-                .and_then(|pmo| self.mpk.mmu().region_of(pmo))
-                .is_some_and(|region| region.covers(va));
-            if !covered {
-                findings.push(Finding {
-                    class: ViolationClass::StaleKeyGrant,
-                    thread: self.current,
-                    message: format!(
-                        "TLB entry for va {va:#x} still tagged key {} now owned by {}",
-                        entry.tag,
-                        owner.map_or_else(|| "nobody".into(), |p| format!("P{}", p.raw())),
-                    ),
-                });
-            }
-        }
-    }
-
-    /// A DTTLB entry caching a key must agree with the key allocator.
-    fn check_stale_dttlb_keys(&self, findings: &mut Vec<Finding>) {
-        let keys = self.mpk.key_allocator();
-        for entry in self.mpk.dttlb().entries() {
-            if let Some(key) = entry.key {
-                if keys.owner(key) != Some(entry.pmo) {
-                    findings.push(Finding {
-                        class: ViolationClass::StaleKeyGrant,
-                        thread: self.current,
-                        message: format!(
-                            "DTTLB caches key {key} for P{} but the allocator disagrees",
-                            entry.pmo.raw()
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    /// A materialized PKRU must grant, for every key its allocator has
-    /// assigned, exactly the running thread's logical permission for the
-    /// owning domain; `who` names the scheme in the message. For ERIM, a
-    /// call gate that skips the restore half of its exit path (the
-    /// planted [`ProtocolBug::SkipGateExitKeyRestore`]) leaves a wider
-    /// grant in PKRU than the session table records.
-    fn check_pkru(&self, who: &str, pkru: Pkru, keys: &KeyAllocator, findings: &mut Vec<Finding>) {
-        for (key, pmo) in keys.assignments() {
-            let expect = if self.spec.is_attached(pmo) {
-                self.spec.perm(self.current, pmo)
-            } else {
-                Perm::None
-            };
-            let actual = pkru.perm(key);
-            if actual != expect {
-                findings.push(Finding {
-                    class: ViolationClass::PkruDesync,
-                    thread: self.current,
-                    message: format!(
-                        "{who}PKRU grants {actual:?} via key {key} for P{} but thread {} holds \
-                         {expect:?}",
-                        pmo.raw(),
-                        self.current
-                    ),
-                });
-            }
-        }
-    }
-
-    /// DPTI's loaded address space must be the running thread's: CR3 must
-    /// track every context switch, and the rows of the loaded per-thread
-    /// table must hold exactly the running thread's logical permission
-    /// for each attached domain. A skipped CR3 write (the planted
-    /// [`ProtocolBug::StaleCr3OnSwitch`]) leaves the previous thread's
-    /// page tables — and all their grants — live under the new thread.
-    fn check_dpti_space(&self, findings: &mut Vec<Finding>) {
-        if self.dpti.cr3().raw() != self.current {
-            findings.push(Finding {
-                class: ViolationClass::PtlbDesync,
-                thread: self.current,
-                message: format!(
-                    "DPTI CR3 still points at thread {}'s address space while thread {} runs",
-                    self.dpti.cr3().raw(),
-                    self.current
-                ),
-            });
-        }
-        let loaded = self.dpti.tables().get(&self.dpti.cr3());
-        for &pmo in self.spec.attached() {
-            let expect = self.spec.perm(self.current, pmo);
-            let actual = loaded.and_then(|rows| rows.get(&pmo)).copied().unwrap_or(Perm::None);
-            if actual != expect {
-                findings.push(Finding {
-                    class: ViolationClass::PtlbDesync,
-                    thread: self.current,
-                    message: format!(
-                        "DPTI loaded tables grant {actual:?} for P{} but thread {} holds \
-                         {expect:?}",
-                        pmo.raw(),
-                        self.current
-                    ),
-                });
-            }
-        }
-    }
-
-    /// Every PTLB entry for an attached domain must hold exactly the
-    /// running thread's logical permission (the PTLB is thread-private
-    /// state: a context switch flushes it, a detach invalidates it).
-    /// Entries for detached domains are ignored — the DRT no longer maps
-    /// any VA to them, so they are unreachable until a re-attach makes
-    /// them (checkably) stale.
-    fn check_ptlb(&self, findings: &mut Vec<Finding>) {
-        for entry in self.dom.ptlb().entries() {
-            if !self.spec.is_attached(entry.pmo) {
-                continue;
-            }
-            let expect = self.spec.perm(self.current, entry.pmo);
-            if entry.perm != expect {
-                findings.push(Finding {
-                    class: ViolationClass::PtlbDesync,
-                    thread: self.current,
-                    message: format!(
-                        "PTLB caches {:?} for P{} but thread {} holds {expect:?}",
-                        entry.perm,
-                        entry.pmo.raw(),
-                        self.current
-                    ),
-                });
-            }
-        }
-    }
 }
 
 fn verdict(allowed: bool) -> &'static str {
@@ -449,6 +280,7 @@ fn verdict(allowed: bool) -> &'static str {
 mod tests {
     use super::*;
     use crate::program::{model_config, Program};
+    use pmo_trace::Perm;
 
     fn tiny_scenario() -> Scenario {
         Scenario {
@@ -524,6 +356,34 @@ mod tests {
         assert!(
             findings.iter().any(|f| f.message.starts_with("alpha-dom:")),
             "the abstraction finding names its machine: {findings:?}"
+        );
+        let leaks = world.end_checks();
+        assert!(
+            leaks.iter().any(|f| f.class == ViolationClass::NoninterferenceLeak && f.thread == 1),
+            "thread 1 never held a grant on P1: {leaks:?}"
+        );
+    }
+
+    #[test]
+    fn a_leak_through_only_the_last_machine_is_still_a_leak() {
+        // A stale CR3 leaves thread 1 on thread 0's page tables, so DPTI,
+        // the last machine in the list, is the only one that lets thread
+        // 1's read through: the verdict check and the noninterference
+        // pass must each see a load that any one machine admits.
+        let scenario = tiny_scenario();
+        let mut world = World::new(&scenario, Some(ProtocolBug::StaleCr3OnSwitch));
+        let p1 = PmoId::new(1);
+        world.step(0, Op::SetPerm { pmo: p1, perm: Perm::ReadWrite });
+        let read = Op::Access { pmo: p1, offset: 0, kind: AccessKind::Read };
+        let findings = world.step(1, read);
+        let divergence = format!(
+            "{read}: spec denies but MpkVirt denies / DomainVirt denies / Erim denies / Dpti allows"
+        );
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.class == ViolationClass::SchemeDivergence && f.message == divergence),
+            "{findings:?}"
         );
         let leaks = world.end_checks();
         assert!(

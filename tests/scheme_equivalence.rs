@@ -1,13 +1,15 @@
 //! Differential testing: every protective scheme must make *identical*
-//! allow/deny decisions. The lowerbound scheme (a direct encoding of the
-//! paper's §IV.A legality rule) is the oracle; MPK, libmpk, the two
-//! hardware designs, ERIM and DPTI are checked against it on
-//! pseudo-random operation sequences, including permission churn, thread
-//! switches, detach/attach cycles, and key-eviction pressure.
+//! allow/deny decisions. The model checker's executable spec
+//! (`SpecMachine`, the paper's §IV.A legality rule with no hardware
+//! state) is the oracle; the lowerbound, MPK, libmpk, the two hardware
+//! designs, ERIM and DPTI are checked against it on pseudo-random
+//! operation sequences, including permission churn, thread switches,
+//! detach/attach cycles, and key-eviction pressure.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use pmo_repro::modelcheck::SpecMachine;
 use pmo_repro::protect::scheme::{ProtectionScheme, SchemeKind};
 use pmo_repro::simarch::SimConfig;
 use pmo_repro::trace::{AccessKind, Perm, PmoId, ThreadId};
@@ -76,10 +78,33 @@ fn decisions(kind: SchemeKind, domains: u32, ops: &[Op]) -> Vec<bool> {
     out
 }
 
+/// The spec's decision for each access of the sequence: SETPERM and
+/// access act for the running thread, and every domain starts attached.
+fn spec_decisions(domains: u32, ops: &[Op]) -> Vec<bool> {
+    let mut spec = SpecMachine::new();
+    for i in 1..=domains {
+        spec.attach(PmoId::new(i));
+    }
+    let mut thread = ThreadId::MAIN.raw();
+    let mut out = Vec::new();
+    for op in ops {
+        match *op {
+            Op::SetPerm(d, perm) => spec.set_perm(thread, PmoId::new(d), perm),
+            Op::Access(d, _, kind) => out.push(spec.allows(thread, PmoId::new(d), kind)),
+            Op::Switch(t) => thread = t,
+            Op::DetachAttach(d) => {
+                spec.detach(PmoId::new(d));
+                spec.attach(PmoId::new(d));
+            }
+        }
+    }
+    out
+}
+
 fn check_equivalence(domains: u32, kinds: &[SchemeKind], seeds: std::ops::Range<u64>) {
     for seed in seeds {
         let ops = random_ops(seed, domains, 400);
-        let oracle = decisions(SchemeKind::Lowerbound, domains, &ops);
+        let oracle = spec_decisions(domains, &ops);
         for &kind in kinds {
             let got = decisions(kind, domains, &ops);
             assert_eq!(got.len(), oracle.len(), "{kind} seed {seed}: access count mismatch");
@@ -101,6 +126,7 @@ fn all_schemes_match_oracle_within_key_capacity() {
     check_equivalence(
         12,
         &[
+            SchemeKind::Lowerbound,
             SchemeKind::DefaultMpk,
             SchemeKind::LibMpk,
             SchemeKind::MpkVirt,
@@ -119,6 +145,7 @@ fn virtualized_schemes_match_oracle_under_eviction_pressure() {
     check_equivalence(
         80,
         &[
+            SchemeKind::Lowerbound,
             SchemeKind::LibMpk,
             SchemeKind::MpkVirt,
             SchemeKind::DomainVirt,
@@ -133,10 +160,16 @@ fn virtualized_schemes_match_oracle_under_eviction_pressure() {
 fn hardware_designs_match_oracle_at_scale() {
     // 400 domains: the two hardware designs, plus ERIM's monitor remap and
     // DPTI's per-thread tables, the other schemes meant to scale past the
-    // 15-key cliff.
+    // 15-key cliff, and the lowerbound's ideal map.
     check_equivalence(
         400,
-        &[SchemeKind::MpkVirt, SchemeKind::DomainVirt, SchemeKind::Erim, SchemeKind::Dpti],
+        &[
+            SchemeKind::Lowerbound,
+            SchemeKind::MpkVirt,
+            SchemeKind::DomainVirt,
+            SchemeKind::Erim,
+            SchemeKind::Dpti,
+        ],
         20..23,
     );
 }

@@ -1,11 +1,14 @@
-//! Per-source cost attribution (the accounting behind Table VII).
+//! The schemes' cycle ledger, by overhead source (the accounting behind
+//! Table VII).
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::Sub;
 
-/// Cycles attributed to each overhead source of a protection scheme.
+/// The cycle ledger of a protection scheme: every cycle the scheme adds
+/// to execution time, each charged to exactly one bucket.
 ///
-/// The buckets mirror the paper's Table VII rows:
+/// Five buckets mirror the paper's Table VII rows, and two cover what
+/// every scheme pays:
 ///
 /// - `permission_change` — WRPKRU / SETPERM instruction cycles;
 /// - `entry_changes` — DTTLB/PTLB entry add/remove/modify, free-key checks
@@ -20,10 +23,13 @@ use std::ops::{Add, AddAssign, Sub};
 /// - `access_latency` — the PTLB lookup added to every domain access
 ///   (domain virtualization only);
 /// - `software` — kernel time: syscalls and per-PTE rewrites (libmpk's
-///   dominant cost; attach/detach for everyone).
+///   dominant cost; attach/detach for everyone);
+/// - `translation` — TLB lookup latency and page walks, libmpk's re-walk
+///   after a guard-key fault included.
 ///
-/// The buckets are an attribution of where scheme-induced cycles go; the
-/// replay engine separately accumulates total time.
+/// [`CostBreakdown::total`] is exactly what the scheme adds to a replay's
+/// cycles; the replay adds it to the memory side it shares across schemes
+/// and keeps no other tally.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CostBreakdown {
     /// Permission-switch instruction cycles.
@@ -38,6 +44,8 @@ pub struct CostBreakdown {
     pub access_latency: u64,
     /// Kernel/software cycles (syscalls, PTE rewrites).
     pub software: u64,
+    /// TLB lookup and page-walk cycles.
+    pub translation: u64,
 }
 
 impl CostBreakdown {
@@ -47,7 +55,7 @@ impl CostBreakdown {
         Self::default()
     }
 
-    /// Sum of all buckets.
+    /// Sum of all buckets: every cycle the scheme charged.
     #[must_use]
     pub fn total(&self) -> u64 {
         self.permission_change
@@ -56,6 +64,7 @@ impl CostBreakdown {
             + self.tlb_invalidation
             + self.access_latency
             + self.software
+            + self.translation
     }
 
     /// Each bucket as a percentage of `base` cycles (Table VII's "% of
@@ -70,29 +79,9 @@ impl CostBreakdown {
             tlb_invalidation: pct(self.tlb_invalidation),
             access_latency: pct(self.access_latency),
             software: pct(self.software),
+            translation: pct(self.translation),
             total: pct(self.total()),
         }
-    }
-}
-
-impl Add for CostBreakdown {
-    type Output = CostBreakdown;
-
-    fn add(self, rhs: CostBreakdown) -> CostBreakdown {
-        CostBreakdown {
-            permission_change: self.permission_change + rhs.permission_change,
-            entry_changes: self.entry_changes + rhs.entry_changes,
-            translation_miss: self.translation_miss + rhs.translation_miss,
-            tlb_invalidation: self.tlb_invalidation + rhs.tlb_invalidation,
-            access_latency: self.access_latency + rhs.access_latency,
-            software: self.software + rhs.software,
-        }
-    }
-}
-
-impl AddAssign for CostBreakdown {
-    fn add_assign(&mut self, rhs: CostBreakdown) {
-        *self = *self + rhs;
     }
 }
 
@@ -109,6 +98,7 @@ impl Sub for CostBreakdown {
             tlb_invalidation: self.tlb_invalidation.saturating_sub(rhs.tlb_invalidation),
             access_latency: self.access_latency.saturating_sub(rhs.access_latency),
             software: self.software.saturating_sub(rhs.software),
+            translation: self.translation.saturating_sub(rhs.translation),
         }
     }
 }
@@ -118,13 +108,14 @@ impl fmt::Display for CostBreakdown {
         write!(
             f,
             "perm-change {} + entry-changes {} + table-miss {} + tlb-inval {} + \
-             access-latency {} + software {} = {} cycles",
+             access-latency {} + software {} + translation {} = {} cycles",
             self.permission_change,
             self.entry_changes,
             self.translation_miss,
             self.tlb_invalidation,
             self.access_latency,
             self.software,
+            self.translation,
             self.total()
         )
     }
@@ -145,6 +136,8 @@ pub struct BreakdownPercent {
     pub access_latency: f64,
     /// Software percentage.
     pub software: f64,
+    /// Translation percentage.
+    pub translation: f64,
     /// Total percentage.
     pub total: f64,
 }
@@ -154,7 +147,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_and_addition() {
+    fn total_sums_every_bucket() {
         let a = CostBreakdown {
             permission_change: 10,
             entry_changes: 1,
@@ -162,13 +155,12 @@ mod tests {
             tlb_invalidation: 286,
             access_latency: 5,
             software: 100,
+            translation: 2,
         };
-        assert_eq!(a.total(), 432);
-        let b = a + a;
-        assert_eq!(b.total(), 864);
-        let mut c = a;
-        c += a;
-        assert_eq!(b, c);
+        assert_eq!(a.total(), 434);
+        // Windowing subtracts bucket by bucket, the new bucket included.
+        let later = CostBreakdown { translation: 7, ..a };
+        assert_eq!(later - a, CostBreakdown { translation: 5, ..CostBreakdown::new() });
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! and a dirty bit set when the cached key mapping or permission diverges
 //! from the DTT.
 
-use pmo_simarch::SetState;
 use pmo_trace::{Perm, PmoId, Va};
+
+use crate::domain_buffer::{DomainBuffer, DomainEntry};
 
 /// One DTTLB entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,103 +37,25 @@ impl DttlbEntry {
     }
 }
 
+/// A DTTLB lookup names an address: the entry whose VA range covers it.
+impl DomainEntry for DttlbEntry {
+    type Key = Va;
+
+    fn domain(&self) -> PmoId {
+        self.pmo
+    }
+
+    fn matches(&self, va: Va) -> bool {
+        self.covers(va)
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.dirty
+    }
+}
+
 /// The per-core DTTLB.
-#[derive(Debug)]
-pub struct Dttlb {
-    entries: Vec<Option<DttlbEntry>>,
-    repl: SetState,
-}
-
-impl Dttlb {
-    /// Creates an empty DTTLB with `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is 0 or exceeds 64.
-    #[must_use]
-    pub fn new(capacity: u32) -> Self {
-        assert!((1..=64).contains(&capacity), "DTTLB capacity must be 1..=64");
-        Dttlb { entries: vec![None; capacity as usize], repl: SetState::new(capacity as u8) }
-    }
-
-    /// Associative lookup by address; touches the entry on hit.
-    pub fn lookup(&mut self, va: Va) -> Option<&mut DttlbEntry> {
-        let way =
-            self.entries.iter().position(|e| e.as_ref().is_some_and(|entry| entry.covers(va)))?;
-        self.repl.touch(way as u8);
-        self.entries[way].as_mut()
-    }
-
-    /// Lookup by domain ID (used by SETPERM and invalidation).
-    pub fn lookup_pmo(&mut self, pmo: PmoId) -> Option<&mut DttlbEntry> {
-        let way =
-            self.entries.iter().position(|e| e.as_ref().is_some_and(|entry| entry.pmo == pmo))?;
-        self.repl.touch(way as u8);
-        self.entries[way].as_mut()
-    }
-
-    /// Inserts an entry, evicting the PLRU victim if full. Returns the
-    /// evicted entry (whose dirty state the caller must write back).
-    pub fn insert(&mut self, entry: DttlbEntry) -> Option<DttlbEntry> {
-        // Re-insert over the same domain if present.
-        if let Some(way) =
-            self.entries.iter().position(|e| e.as_ref().is_some_and(|x| x.pmo == entry.pmo))
-        {
-            let old = self.entries[way].replace(entry);
-            self.repl.touch(way as u8);
-            debug_assert!(old.is_some());
-            return None;
-        }
-        let way = if let Some(free) = self.entries.iter().position(Option::is_none) {
-            free
-        } else {
-            self.repl.victim() as usize
-        };
-        let evicted = self.entries[way].replace(entry);
-        self.repl.touch(way as u8);
-        evicted
-    }
-
-    /// Invalidates the entry for `pmo` (SETPERM semantics, detach);
-    /// returns it.
-    pub fn invalidate_pmo(&mut self, pmo: PmoId) -> Option<DttlbEntry> {
-        let way =
-            self.entries.iter().position(|e| e.as_ref().is_some_and(|entry| entry.pmo == pmo))?;
-        self.entries[way].take()
-    }
-
-    /// Flushes every entry (context switch), returning the dirty ones for
-    /// DTT writeback.
-    pub fn flush(&mut self) -> Vec<DttlbEntry> {
-        let mut dirty = Vec::new();
-        for slot in &mut self.entries {
-            if let Some(entry) = slot.take() {
-                if entry.dirty {
-                    dirty.push(entry);
-                }
-            }
-        }
-        dirty
-    }
-
-    /// Number of valid entries.
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.entries.iter().flatten().count()
-    }
-
-    /// Capacity in entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Iterates over every valid entry without touching replacement state
-    /// (model-checker inspection).
-    pub fn entries(&self) -> impl Iterator<Item = &DttlbEntry> + '_ {
-        self.entries.iter().flatten()
-    }
-}
+pub type Dttlb = DomainBuffer<DttlbEntry>;
 
 #[cfg(test)]
 mod tests {
@@ -206,7 +129,7 @@ mod tests {
         dirty.dirty = true;
         tlb.insert(dirty);
         tlb.insert(entry(1));
-        assert!(tlb.invalidate_pmo(PmoId::new(2)).is_some());
+        assert!(tlb.invalidate(PmoId::new(2)).is_some());
         assert_eq!(tlb.occupancy(), 1);
         let flushed = tlb.flush();
         assert_eq!(flushed.len(), 1, "only dirty entries returned");

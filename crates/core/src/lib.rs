@@ -21,7 +21,8 @@
 //! Every scheme implements [`scheme::ProtectionScheme`]: it *functionally*
 //! enforces the paper's three-legality rule (page permission ∧ attached ∧
 //! per-thread domain permission, §IV.A) and *charges* the Table II cycle
-//! costs, attributed into [`CostBreakdown`] buckets for Table VII.
+//! costs, each to one bucket of its [`CostBreakdown`] cycle ledger, which
+//! Table VII reads.
 //!
 //! All of them run one MMU front end: TLB lookup, walk and fill on a
 //! miss, one permission check, the fault. A scheme supplies only what its
@@ -56,6 +57,7 @@
 
 mod area;
 mod breakdown;
+mod domain_buffer;
 mod drt;
 mod dtt;
 mod dttlb;
@@ -70,6 +72,7 @@ pub mod scheme;
 
 pub use area::{domain_virt_area, mpk_virt_area, AreaReport, DTTLB_ENTRY_BITS, PTLB_ENTRY_BITS};
 pub use breakdown::{BreakdownPercent, CostBreakdown};
+pub use domain_buffer::{DomainBuffer, DomainEntry};
 pub use drt::DomainRangeTable;
 pub use dtt::{DomainTranslationTable, DttEntry};
 pub use dttlb::{Dttlb, DttlbEntry};

@@ -6,8 +6,9 @@
 //! PTLB; dirty evictions and context-switch flushes write back to the
 //! Permission Table.
 
-use pmo_simarch::SetState;
 use pmo_trace::{Perm, PmoId};
+
+use crate::domain_buffer::{DomainBuffer, DomainEntry};
 
 /// One PTLB entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,38 +21,31 @@ pub struct PtlbEntry {
     pub dirty: bool,
 }
 
-/// The per-core PTLB.
-#[derive(Debug)]
-pub struct Ptlb {
-    entries: Vec<Option<PtlbEntry>>,
-    repl: SetState,
+/// A PTLB lookup names a domain: the entry tagged with it.
+impl DomainEntry for PtlbEntry {
+    type Key = PmoId;
+
+    fn domain(&self) -> PmoId {
+        self.pmo
+    }
+
+    fn matches(&self, pmo: PmoId) -> bool {
+        self.pmo == pmo
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.dirty
+    }
 }
 
+/// The per-core PTLB.
+pub type Ptlb = DomainBuffer<PtlbEntry>;
+
 impl Ptlb {
-    /// Creates an empty PTLB with `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is 0 or exceeds 64.
-    #[must_use]
-    pub fn new(capacity: u32) -> Self {
-        assert!((1..=64).contains(&capacity), "PTLB capacity must be 1..=64");
-        Ptlb { entries: vec![None; capacity as usize], repl: SetState::new(capacity as u8) }
-    }
-
-    /// Associative lookup by domain ID; touches on hit.
-    pub fn lookup(&mut self, pmo: PmoId) -> Option<&mut PtlbEntry> {
-        let way =
-            self.entries.iter().position(|e| e.as_ref().is_some_and(|entry| entry.pmo == pmo))?;
-        self.repl.touch(way as u8);
-        self.entries[way].as_mut()
-    }
-
-    /// Associative lookup without touching replacement state (the replay
-    /// fast path validates its cached permission against this).
+    /// Associative lookup without touching replacement state.
     #[must_use]
     pub fn probe(&self, pmo: PmoId) -> Option<&PtlbEntry> {
-        self.entries.iter().flatten().find(|entry| entry.pmo == pmo)
+        self.entries().find(|entry| entry.pmo == pmo)
     }
 
     /// Touches the entry for `pmo` without reading or changing it; returns
@@ -60,69 +54,7 @@ impl Ptlb {
     /// exactly as the full [`Ptlb::lookup`] on the warm access path would.
     #[inline]
     pub fn touch(&mut self, pmo: PmoId) -> bool {
-        let Some(way) =
-            self.entries.iter().position(|e| e.as_ref().is_some_and(|entry| entry.pmo == pmo))
-        else {
-            return false;
-        };
-        self.repl.touch(way as u8);
-        true
-    }
-
-    /// Inserts an entry, evicting the PLRU victim if full; returns the
-    /// victim for writeback.
-    pub fn insert(&mut self, entry: PtlbEntry) -> Option<PtlbEntry> {
-        if let Some(existing) = self.lookup(entry.pmo) {
-            *existing = entry;
-            return None;
-        }
-        let way = if let Some(free) = self.entries.iter().position(Option::is_none) {
-            free
-        } else {
-            self.repl.victim() as usize
-        };
-        let evicted = self.entries[way].replace(entry);
-        self.repl.touch(way as u8);
-        evicted
-    }
-
-    /// Invalidates the entry for `pmo` (detach); returns it.
-    pub fn invalidate(&mut self, pmo: PmoId) -> Option<PtlbEntry> {
-        let way =
-            self.entries.iter().position(|e| e.as_ref().is_some_and(|entry| entry.pmo == pmo))?;
-        self.entries[way].take()
-    }
-
-    /// Flushes all entries (context switch), returning dirty ones for PT
-    /// writeback.
-    pub fn flush(&mut self) -> Vec<PtlbEntry> {
-        let mut dirty = Vec::new();
-        for slot in &mut self.entries {
-            if let Some(entry) = slot.take() {
-                if entry.dirty {
-                    dirty.push(entry);
-                }
-            }
-        }
-        dirty
-    }
-
-    /// Number of valid entries.
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.entries.iter().flatten().count()
-    }
-
-    /// Capacity in entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Iterates over every valid entry without touching replacement state
-    /// (model-checker inspection).
-    pub fn entries(&self) -> impl Iterator<Item = &PtlbEntry> + '_ {
-        self.entries.iter().flatten()
+        self.lookup(pmo).is_some()
     }
 }
 

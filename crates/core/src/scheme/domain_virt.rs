@@ -73,12 +73,11 @@ impl DomainVirt {
     }
 
     /// Inserts a PTLB entry, writing a dirty victim back to the PT.
-    fn ptlb_fill(&mut self, entry: PtlbEntry, cycles: &mut u64) {
+    fn ptlb_fill(&mut self, entry: PtlbEntry) {
         if let Some(victim) = self.ptlb.insert(entry) {
             if victim.dirty {
                 let front = &mut self.front;
                 self.pt.set(victim.pmo, front.current, victim.perm);
-                *cycles += front.cfg.ptlb_entry_op_cycles;
                 front.breakdown.entry_changes += front.cfg.ptlb_entry_op_cycles;
             }
         }
@@ -97,7 +96,7 @@ impl Mechanism for DomainVirt {
         &mut self.front
     }
 
-    fn miss(&mut self, va: Va, _cycles: &mut u64) -> Result<DomPayload, ProtectionFault> {
+    fn miss(&mut self, va: Va) -> Result<DomPayload, ProtectionFault> {
         // Page table walk and DRT walk proceed in parallel; the DRT is
         // shallower than the page table, so it adds no latency (§V).
         let (pte, _) = self.front.mmu.walk_or_map(va, |_| 0)?;
@@ -106,7 +105,7 @@ impl Mechanism for DomainVirt {
 
     /// The PTLB/PT permission check for a domain access (Figure 5, steps
     /// 4 and 8-9); every domain access pays the PTLB lookup.
-    fn grant(&mut self, _va: Va, entry: DomPayload, cycles: &mut u64) -> Grant {
+    fn grant(&mut self, _va: Va, entry: DomPayload) -> Grant {
         let domain = entry.tag;
         if domain.is_null() {
             // Domainless: no further action (Figure 5, step 3).
@@ -118,11 +117,10 @@ impl Mechanism for DomainVirt {
         }
         // PTLB miss: Permission Table lookup plus a fill.
         let front = &mut self.front;
-        *cycles += front.cfg.ptlb_miss_cycles;
         front.breakdown.translation_miss += front.cfg.ptlb_miss_cycles;
         front.stats.ptlb_misses += 1;
         let perm = self.pt.get(domain, front.current);
-        self.ptlb_fill(PtlbEntry { pmo: domain, perm, dirty: false }, cycles);
+        self.ptlb_fill(PtlbEntry { pmo: domain, perm, dirty: false });
         Grant { held: perm, domain: Some(domain), latency }
     }
 
@@ -133,11 +131,10 @@ impl Mechanism for DomainVirt {
         entry.tag.is_null() || self.ptlb.touch(entry.tag)
     }
 
-    fn on_attach(&mut self, region: &Region, removed: u64) -> u64 {
+    fn on_attach(&mut self, region: &Region, removed: u64) {
         self.front.stats.tlb_entries_invalidated += removed;
         self.drt.attach(region.pmo, region.base, region.granule);
         self.pt.add_domain(region.pmo);
-        0
     }
 
     fn on_detach(&mut self, pmo: PmoId, removed: u64) {
@@ -149,11 +146,10 @@ impl Mechanism for DomainVirt {
         self.drt.detach(pmo);
     }
 
-    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) {
         let front = &mut self.front;
         front.stats.set_perms += 1;
         // SETPERM instruction (fence semantics), completed in the PTLB.
-        let mut cycles = front.cfg.wrpkru_cycles + front.cfg.ptlb_entry_op_cycles;
         front.breakdown.permission_change += front.cfg.wrpkru_cycles;
         front.breakdown.entry_changes += front.cfg.ptlb_entry_op_cycles;
         if !self.pt.contains(pmo) {
@@ -162,7 +158,7 @@ impl Mechanism for DomainVirt {
             // a stale entry that outlives a later re-attach (the entry is
             // never invalidated, because detach already ran). Found by
             // exhaustive small-world refinement checking.
-            return cycles;
+            return;
         }
         if let Some(entry) = self.ptlb.lookup(pmo) {
             entry.perm = perm;
@@ -170,28 +166,25 @@ impl Mechanism for DomainVirt {
         } else {
             // PTLB miss: the entry is fetched from the Permission Table
             // (read-modify-write), then updated in place.
-            cycles += front.cfg.ptlb_miss_cycles;
             front.breakdown.translation_miss += front.cfg.ptlb_miss_cycles;
             front.stats.ptlb_misses += 1;
-            self.ptlb_fill(PtlbEntry { pmo, perm, dirty: true }, &mut cycles);
+            self.ptlb_fill(PtlbEntry { pmo, perm, dirty: true });
         }
-        cycles
     }
 
-    fn on_switch(&mut self, from: ThreadId) -> u64 {
+    fn on_switch(&mut self, from: ThreadId) {
         // Flush thread-specific PTLB state (dirty entries write back to the
         // outgoing thread's PT rows); the TLB's domain IDs remain valid and
         // are NOT flushed.
         if self.bug == Some(ProtocolBug::SkipPtlbFlushOnSwitch) {
-            return 0;
+            return;
         }
         let dirty = self.ptlb.flush();
-        let cycles = dirty.len() as u64 * self.front.cfg.ptlb_entry_op_cycles;
+        self.front.breakdown.entry_changes +=
+            dirty.len() as u64 * self.front.cfg.ptlb_entry_op_cycles;
         for entry in dirty {
             self.pt.set(entry.pmo, from, entry.perm);
         }
-        self.front.breakdown.entry_changes += cycles;
-        cycles
     }
 }
 

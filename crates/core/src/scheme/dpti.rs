@@ -99,12 +99,12 @@ impl Mechanism for Dpti {
         &mut self.front
     }
 
-    fn miss(&mut self, va: Va, _cycles: &mut u64) -> Result<DomPayload, ProtectionFault> {
+    fn miss(&mut self, va: Va) -> Result<DomPayload, ProtectionFault> {
         let (pte, region) = self.front.mmu.walk_or_map(va, |_| 0)?;
         Ok(TlbEntry::new(region.map_or(PmoId::NULL, |r| r.pmo), &pte))
     }
 
-    fn grant(&mut self, _va: Va, entry: DomPayload, _cycles: &mut u64) -> Grant {
+    fn grant(&mut self, _va: Va, entry: DomPayload) -> Grant {
         // The permission rides the loaded page table's PTEs: no lookup
         // structure, no extra latency — the check reads what CR3 points
         // at, which is the whole point of the stale-CR3 hazard.
@@ -113,11 +113,11 @@ impl Mechanism for Dpti {
         Grant { held, domain: Some(domain), latency: 0 }
     }
 
-    fn on_attach(&mut self, region: &Region, removed: u64) -> u64 {
+    fn on_attach(&mut self, region: &Region, removed: u64) {
         self.front.stats.tlb_entries_invalidated += removed;
         self.drop_domain_rows(region.pmo);
         // Attach clones the pool's mappings into the per-domain tables.
-        self.front.cfg.pte_write_cycles * region.pool_pages()
+        self.front.breakdown.software += self.front.cfg.pte_write_cycles * region.pool_pages();
     }
 
     fn on_detach(&mut self, pmo: PmoId, removed: u64) {
@@ -125,21 +125,18 @@ impl Mechanism for Dpti {
         self.drop_domain_rows(pmo);
     }
 
-    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) {
         let front = &mut self.front;
         front.stats.set_perms += 1;
         // SETPERM is an mprotect-style kernel call rewriting the calling
         // thread's PTEs for the whole pool.
-        let mut cycles = front.cfg.syscall_cycles;
         front.breakdown.software += front.cfg.syscall_cycles;
         let Some(region) = front.mmu.region_of(pmo) else {
             // No per-domain table exists for a detached domain: the call
             // fails in the kernel before touching any PTE.
-            return cycles;
+            return;
         };
-        let pte_writes = front.cfg.pte_write_cycles * region.pool_pages();
-        cycles += pte_writes;
-        front.breakdown.permission_change += pte_writes;
+        front.breakdown.permission_change += front.cfg.pte_write_cycles * region.pool_pages();
         let table = self.tables.entry(front.current).or_default();
         let prev = table.get(&pmo).copied().unwrap_or(Perm::None);
         if perm == Perm::None {
@@ -153,17 +150,16 @@ impl Mechanism for Dpti {
         if prev.allows_write() && !perm.allows_write() {
             // Revoking write access must shoot down the pool's cached
             // translations before the revoke is architecturally visible.
-            cycles += front.shootdown(Some(&region));
+            front.shootdown(Some(&region));
             front.events.push(TraceEvent::Shootdown { pmo });
         }
-        cycles
     }
 
-    fn on_switch(&mut self, _from: ThreadId) -> u64 {
+    fn on_switch(&mut self, _from: ThreadId) {
         if self.bug == Some(ProtocolBug::StaleCr3OnSwitch) {
             // Planted bug: the kernel skips the CR3 reload — the incoming
             // thread keeps running on the outgoing thread's page tables.
-            return 0;
+            return;
         }
         let front = &mut self.front;
         self.cr3 = front.current;
@@ -175,10 +171,8 @@ impl Mechanism for Dpti {
             removed += front.mmu.shootdown(region);
         }
         front.stats.tlb_entries_invalidated += removed;
-        let refills = removed * front.cfg.tlb_miss_penalty;
-        front.breakdown.tlb_invalidation += refills;
+        front.breakdown.tlb_invalidation += removed * front.cfg.tlb_miss_penalty;
         front.breakdown.software += front.cfg.cr3_write_cycles;
-        front.cfg.cr3_write_cycles + refills
     }
 }
 

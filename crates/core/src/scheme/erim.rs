@@ -119,7 +119,7 @@ impl Erim {
     /// MPK virtualization there is no hardware DTT: a domain without a
     /// key goes through the monitor's software remap (`pkey_mprotect` of
     /// the whole pool plus a ranged shootdown of the victim).
-    fn resolve_key(&mut self, region: &Region, cycles: &mut u64) -> u8 {
+    fn resolve_key(&mut self, region: &Region) -> u8 {
         if let Some(key) = self.keys.key_of(region.pmo) {
             self.keys.touch(key);
             return key;
@@ -130,17 +130,15 @@ impl Erim {
                 let (key, victim) = self.keys.evict_and_assign(region.pmo);
                 self.front.stats.key_evictions += 1;
                 let victim_region = self.front.mmu.region_of(victim);
-                *cycles += self.front.shootdown(victim_region.as_ref());
+                self.front.shootdown(victim_region.as_ref());
                 self.front.events.push(TraceEvent::Shootdown { pmo: victim });
                 self.pkru = self.pkru.with_perm(key, Perm::None);
                 key
             }
         };
         // The monitor retags the pool's PTEs with the (re)assigned key.
-        let remap =
+        self.front.breakdown.software +=
             self.front.cfg.syscall_cycles + self.front.cfg.pte_write_cycles * region.pool_pages();
-        *cycles += remap;
-        self.front.breakdown.software += remap;
         self.pkru = self.pkru.with_perm(key, self.session_perm(self.front.current, region.pmo));
         key
     }
@@ -158,25 +156,24 @@ impl Mechanism for Erim {
         &mut self.front
     }
 
-    fn miss(&mut self, va: Va, cycles: &mut u64) -> Result<PkPayload, ProtectionFault> {
+    fn miss(&mut self, va: Va) -> Result<PkPayload, ProtectionFault> {
         let (pte, region) = self.front.mmu.walk_or_map(va, |_| 0)?;
         let key = match region {
-            Some(r) => self.resolve_key(&r, cycles),
+            Some(r) => self.resolve_key(&r),
             None => 0,
         };
         Ok(TlbEntry::new(key, &pte))
     }
 
-    fn grant(&mut self, _va: Va, entry: PkPayload, _cycles: &mut u64) -> Grant {
+    fn grant(&mut self, _va: Va, entry: PkPayload) -> Grant {
         // The hardware check reads the PKRU, exactly as under stock MPK.
         Grant::keyed(entry.tag, &self.keys, |key| self.pkru.perm(key))
     }
 
-    fn on_attach(&mut self, region: &Region, removed: u64) -> u64 {
+    fn on_attach(&mut self, region: &Region, removed: u64) {
         self.front.stats.tlb_entries_invalidated += removed;
         // A fresh attach starts every thread's session at no access.
         self.sessions.retain(|&(_, p), _| p != region.pmo);
-        0
     }
 
     fn on_detach(&mut self, pmo: PmoId, removed: u64) {
@@ -187,18 +184,17 @@ impl Mechanism for Erim {
         }
     }
 
-    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) {
         let front = &mut self.front;
         front.stats.set_perms += 1;
         // The call gate: WRPKRU plus the trampoline around it.
-        let cycles = front.cfg.wrpkru_cycles + front.cfg.erim_gate_cycles;
         front.breakdown.permission_change += front.cfg.wrpkru_cycles;
         front.breakdown.software += front.cfg.erim_gate_cycles;
         if front.mmu.region_of(pmo).is_none() {
             // SETPERM on a detached domain is a no-op: the monitor has no
             // session row to update, and recording one would outlive a
             // later re-attach.
-            return cycles;
+            return;
         }
         let prev = self.session_perm(self.front.current, pmo);
         if perm == Perm::None {
@@ -224,16 +220,14 @@ impl Mechanism for Erim {
             // permission-switch gate (`GatePass`) waits for.
             self.front.events.push(TraceEvent::Shootdown { pmo });
         }
-        cycles
     }
 
-    fn on_switch(&mut self, _from: ThreadId) -> u64 {
+    fn on_switch(&mut self, _from: ThreadId) {
         // The monitor restores the incoming thread's PKRU from its
         // session table (gate-mediated WRPKRU).
-        let cycles = self.front.cfg.wrpkru_cycles + self.front.cfg.erim_gate_cycles;
-        self.front.breakdown.software += cycles;
+        self.front.breakdown.software +=
+            self.front.cfg.wrpkru_cycles + self.front.cfg.erim_gate_cycles;
         self.pkru = self.rebuild_pkru();
-        cycles
     }
 }
 

@@ -16,12 +16,18 @@
 //! - Its attach, detach, SETPERM and context-switch mechanism.
 //!
 //! The front end owns what is common: the MMU, the running thread, the
-//! counters, the cost buckets and the protocol-event queue. It also
+//! counters, the cycle ledger and the protocol-event queue. It also
 //! refuses conflicting attaches before any scheme state changes, and it
 //! settles the replay's fast-path accounting. Because the check runs in
 //! one place, [`ProtectionScheme::access`] returns the verdict it reached
 //! as the warm verdict the replay memoizes, so the slow path and the fast
 //! path cannot disagree.
+//!
+//! The ledger ([`CostBreakdown`]) is the one record of what a scheme
+//! costs: every charge, the front end's and each hook's, is one write to
+//! one bucket, and no hook returns cycles. The cycles a
+//! [`ProtectionScheme`] operation returns are the ledger's growth over
+//! it, measured here once.
 
 use pmo_simarch::{vpn, MemKind, SimConfig, TlbStats};
 use pmo_trace::{AccessKind, Perm, PmoId, ThreadId, TraceEvent, Va};
@@ -40,6 +46,7 @@ pub(crate) struct Front<T> {
     /// The thread running on the core.
     pub(crate) current: ThreadId,
     pub(crate) stats: SchemeStats,
+    /// The cycle ledger: every cycle the scheme charges, by bucket.
     pub(crate) breakdown: CostBreakdown,
     /// Protocol events awaiting [`ProtectionScheme::drain_events`].
     pub(crate) events: Vec<TraceEvent>,
@@ -57,25 +64,32 @@ impl<T: Copy> Front<T> {
         }
     }
 
-    /// What an attach or detach system call costs under every scheme.
-    fn attach_cycles(&self) -> u64 {
-        self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles
+    /// Charges an attach or detach system call, which costs the same under
+    /// every scheme.
+    fn attach_syscall(&mut self) {
+        self.breakdown.software += self.cfg.attach_kernel_cycles + self.cfg.syscall_cycles;
     }
 
     /// A ranged TLB shootdown on every core (the `Range_Flush` of §IV.D)
     /// of `region`'s entries, or of none: an invalidation per core, plus
     /// one future refill per entry removed, charged now — the paper counts
     /// "subsequent TLB misses resulting from TLB invalidations" as
-    /// invalidation overhead. Returns cycles.
-    pub(crate) fn shootdown(&mut self, region: Option<&Region>) -> u64 {
+    /// invalidation overhead.
+    pub(crate) fn shootdown(&mut self, region: Option<&Region>) {
         let removed = region.map_or(0, |r| self.mmu.shootdown(r));
-        let cycles = self.cfg.tlb_invalidation_cycles * u64::from(self.cfg.threads)
-            + removed * self.cfg.tlb_miss_penalty;
         self.stats.shootdowns += 1;
         self.stats.tlb_entries_invalidated += removed;
-        self.breakdown.tlb_invalidation += cycles;
-        cycles
+        let per_core = self.cfg.tlb_invalidation_cycles * u64::from(self.cfg.threads);
+        self.breakdown.tlb_invalidation += per_core + removed * self.cfg.tlb_miss_penalty;
     }
+}
+
+/// Runs `op` on `scheme` and returns its result with the cycles it
+/// charged: the growth of the scheme's ledger over the call.
+fn charged<S: Mechanism, R>(scheme: &mut S, op: impl FnOnce(&mut S) -> R) -> (R, u64) {
+    let before = scheme.front().breakdown.total();
+    let result = op(scheme);
+    (result, scheme.front().breakdown.total() - before)
 }
 
 /// The permission a resident TLB entry grants the running thread.
@@ -102,8 +116,9 @@ impl Grant {
 }
 
 /// What a scheme supplies to the front end; every implementor is a
-/// [`ProtectionScheme`]. Hooks that return cycles return what they add
-/// to the operation beyond the front end's share.
+/// [`ProtectionScheme`]. Hooks charge what they cost to the front end's
+/// ledger (`Front::breakdown`), one bucket write per charge, and return
+/// no cycles.
 pub(crate) trait Mechanism {
     /// What the scheme's TLB entries carry.
     type Tag: Copy;
@@ -116,34 +131,30 @@ pub(crate) trait Mechanism {
 
     /// The miss path: walks the page table for `va` (demand-mapping on
     /// first touch) and builds the entry the front end then fills into
-    /// the TLB, adding what it costs beyond the walk to `cycles`.
-    fn miss(&mut self, va: Va, cycles: &mut u64) -> Result<TlbEntry<Self::Tag>, ProtectionFault>;
+    /// the TLB, charging what it costs beyond the walk.
+    fn miss(&mut self, va: Va) -> Result<TlbEntry<Self::Tag>, ProtectionFault>;
 
     /// The permission the resident `entry` for `va` grants the running
-    /// thread, adding what this check costs beyond [`Grant::latency`] to
-    /// `cycles`. The front end memoizes the grant as the warm verdict, so
-    /// an immediate repeat of the access must reach the same grant at the
+    /// thread, charging what this check costs beyond [`Grant::latency`].
+    /// The front end memoizes the grant as the warm verdict, so an
+    /// immediate repeat of the access must reach the same grant at the
     /// L1 TLB hit plus [`Grant::latency`].
-    fn grant(&mut self, va: Va, entry: TlbEntry<Self::Tag>, cycles: &mut u64) -> Grant;
+    fn grant(&mut self, va: Va, entry: TlbEntry<Self::Tag>) -> Grant;
 
     /// Sets up a region the MMU has just attached; `removed` counts the
     /// stale anonymous TLB entries the attach discarded.
-    fn on_attach(&mut self, _region: &Region, _removed: u64) -> u64 {
-        0
-    }
+    fn on_attach(&mut self, _region: &Region, _removed: u64) {}
 
     /// Tears down a detached PMO; `removed` counts the TLB entries the
     /// MMU's unmap invalidated.
     fn on_detach(&mut self, _pmo: PmoId, _removed: u64) {}
 
     /// Executes a permission switch for the running thread.
-    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64;
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm);
 
     /// Runs once the front end has made the incoming thread current;
     /// `from` is the outgoing thread.
-    fn on_switch(&mut self, _from: ThreadId) -> u64 {
-        0
-    }
+    fn on_switch(&mut self, _from: ThreadId) {}
 
     /// Whether a stored warm verdict for the L1-resident `entry` is still
     /// exact, touching the recency state a warm access touches beyond the
@@ -174,67 +185,39 @@ impl<S: Mechanism> ProtectionScheme for S {
                 return Err(fault);
             }
         };
-        let cycles = self.front().attach_cycles() + self.on_attach(&region, removed);
-        self.front_mut().breakdown.software += cycles;
-        Ok(cycles)
+        Ok(charged(self, |s| {
+            s.front_mut().attach_syscall();
+            s.on_attach(&region, removed);
+        })
+        .1)
     }
 
     fn detach(&mut self, pmo: PmoId) -> u64 {
-        let removed = self.front_mut().mmu.detach_region(pmo).map_or(0, |(_, removed)| removed);
-        self.on_detach(pmo, removed);
-        let front = self.front_mut();
-        let cycles = front.attach_cycles();
-        front.breakdown.software += cycles;
-        cycles
+        charged(self, |s| {
+            let removed = s.front_mut().mmu.detach_region(pmo).map_or(0, |(_, removed)| removed);
+            s.on_detach(pmo, removed);
+            s.front_mut().attach_syscall();
+        })
+        .1
     }
 
     fn set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
-        self.on_set_perm(pmo, perm)
+        charged(self, |s| s.on_set_perm(pmo, perm)).1
     }
 
     fn access(&mut self, va: Va, kind: AccessKind) -> AccessResult {
-        let (hit, _, mut cycles) = self.front_mut().mmu.tlb.lookup(vpn(va));
-        let entry = match hit {
-            Some(entry) => entry,
-            None => match self.miss(va, &mut cycles) {
-                Ok(entry) => {
-                    self.front_mut().mmu.tlb.fill(vpn(va), entry);
-                    entry
-                }
-                Err(fault) => {
-                    self.front_mut().stats.faults += 1;
-                    return AccessResult {
-                        cycles,
-                        mem: MemKind::Dram,
-                        fault: Some(fault),
-                        warm: None,
-                    };
-                }
-            },
-        };
-        let grant = self.grant(va, entry, &mut cycles);
-        let front = self.front_mut();
-        cycles += grant.latency;
-        front.breakdown.access_latency += grant.latency;
-        let warm = FastHint {
-            cycles: front.mmu.tlb.l1_latency() + grant.latency,
-            mem: entry.mem,
-            effective: grant.held.meet(entry.page_perm),
-            access_latency: grant.latency,
-            thread: front.current,
-            held: grant.held,
-            fault_pmo: grant.domain,
-        };
-        let fault = (!warm.effective.allows(kind)).then(|| warm.fault(va, kind));
-        front.stats.faults += u64::from(fault.is_some());
-        AccessResult { cycles, mem: entry.mem, fault, warm: Some(warm) }
+        let ((mem, fault, warm), cycles) = charged(self, |s| check(s, va, kind));
+        AccessResult { cycles, mem, fault, warm }
     }
 
     fn context_switch(&mut self, to: ThreadId) -> u64 {
-        let front = self.front_mut();
-        let from = std::mem::replace(&mut front.current, to);
-        front.stats.context_switches += 1;
-        self.on_switch(from)
+        charged(self, |s| {
+            let front = s.front_mut();
+            let from = std::mem::replace(&mut front.current, to);
+            front.stats.context_switches += 1;
+            s.on_switch(from);
+        })
+        .1
     }
 
     fn breakdown(&self) -> CostBreakdown {
@@ -257,6 +240,7 @@ impl<S: Mechanism> ProtectionScheme for S {
         let front = self.front_mut();
         front.mmu.tlb.note_l1_hits(hits);
         front.stats.faults += denied;
+        front.breakdown.translation += front.mmu.tlb.l1_latency() * hits;
         front.breakdown.access_latency += hint.access_latency * hits;
     }
 
@@ -266,4 +250,46 @@ impl<S: Mechanism> ProtectionScheme for S {
             None => false,
         }
     }
+}
+
+/// The access check: TLB lookup, the scheme's miss path and fill on a
+/// miss, then the permission the entry grants. Returns the memory backing,
+/// the fault if the access is denied, and the warm verdict (`None` after
+/// a page fault).
+fn check<S: Mechanism>(
+    s: &mut S,
+    va: Va,
+    kind: AccessKind,
+) -> (MemKind, Option<ProtectionFault>, Option<FastHint>) {
+    let front = s.front_mut();
+    let (hit, _, lookup) = front.mmu.tlb.lookup(vpn(va));
+    front.breakdown.translation += lookup;
+    let entry = match hit {
+        Some(entry) => entry,
+        None => match s.miss(va) {
+            Ok(entry) => {
+                s.front_mut().mmu.tlb.fill(vpn(va), entry);
+                entry
+            }
+            Err(fault) => {
+                s.front_mut().stats.faults += 1;
+                return (MemKind::Dram, Some(fault), None);
+            }
+        },
+    };
+    let grant = s.grant(va, entry);
+    let front = s.front_mut();
+    front.breakdown.access_latency += grant.latency;
+    let warm = FastHint {
+        cycles: front.mmu.tlb.l1_latency() + grant.latency,
+        mem: entry.mem,
+        effective: grant.held.meet(entry.page_perm),
+        access_latency: grant.latency,
+        thread: front.current,
+        held: grant.held,
+        fault_pmo: grant.domain,
+    };
+    let fault = (!warm.effective.allows(kind)).then(|| warm.fault(va, kind));
+    front.stats.faults += u64::from(fault.is_some());
+    (entry.mem, fault, Some(warm))
 }

@@ -54,33 +54,31 @@ impl LibMpk {
     /// One `pkey_mprotect`: syscall + a PTE rewrite per page of the domain,
     /// plus the shootdown it triggers. Functionally rewrites the mapped
     /// PTEs and invalidates the region's TLB entries.
-    fn pkey_mprotect(&mut self, region: &Region, key: u8) -> u64 {
+    fn pkey_mprotect(&mut self, region: &Region, key: u8) {
         let front = &mut self.front;
-        let kernel = front.cfg.syscall_cycles + front.cfg.pte_write_cycles * region.pool_pages();
-        front.breakdown.software += kernel;
+        front.breakdown.software +=
+            front.cfg.syscall_cycles + front.cfg.pte_write_cycles * region.pool_pages();
         front.mmu.page_table.set_pkey_range(region.base, region.pool_size, key);
-        kernel + front.shootdown(Some(region))
+        front.shootdown(Some(region));
     }
 
     /// Maps `pmo` to a protection key, evicting a victim if necessary.
-    fn map_domain(&mut self, pmo: PmoId) -> u64 {
+    fn map_domain(&mut self, pmo: PmoId) {
         debug_assert!(self.keys.key_of(pmo).is_none());
-        let mut cycles = 0;
         let key = match self.keys.alloc(pmo) {
             Some(key) => key,
             None => {
                 let (key, victim) = self.keys.evict_and_assign(pmo);
                 self.front.stats.key_evictions += 1;
                 if let Some(victim_region) = self.front.mmu.region_of(victim) {
-                    cycles += self.pkey_mprotect(&victim_region, GUARD_KEY);
+                    self.pkey_mprotect(&victim_region, GUARD_KEY);
                 }
                 key
             }
         };
         if let Some(region) = self.front.mmu.region_of(pmo) {
-            cycles += self.pkey_mprotect(&region, key);
+            self.pkey_mprotect(&region, key);
         }
-        cycles
     }
 
     /// Walks the page table; a page is tagged with its domain's key when
@@ -105,7 +103,7 @@ impl Mechanism for LibMpk {
         &mut self.front
     }
 
-    fn miss(&mut self, va: Va, cycles: &mut u64) -> Result<PkPayload, ProtectionFault> {
+    fn miss(&mut self, va: Va) -> Result<PkPayload, ProtectionFault> {
         let entry = self.walk(va)?;
         if entry.tag != GUARD_KEY {
             return Ok(entry);
@@ -118,17 +116,16 @@ impl Mechanism for LibMpk {
         // down, so no guard-keyed entry stays in the TLB.
         self.front.mmu.tlb.fill(vpn(va), entry);
         self.front.stats.sw_faults += 1;
-        let fault_entry = self.front.cfg.syscall_cycles;
-        self.front.breakdown.software += fault_entry;
-        *cycles += fault_entry;
+        self.front.breakdown.software += self.front.cfg.syscall_cycles;
         if let Some(region) = self.front.mmu.region_at(va) {
-            *cycles += self.map_domain(region.pmo);
+            self.map_domain(region.pmo);
         }
-        *cycles += self.front.cfg.tlb_miss_penalty;
+        // The retried walk.
+        self.front.breakdown.translation += self.front.cfg.tlb_miss_penalty;
         self.walk(va)
     }
 
-    fn grant(&mut self, _va: Va, entry: PkPayload, _cycles: &mut u64) -> Grant {
+    fn grant(&mut self, _va: Va, entry: PkPayload) -> Grant {
         debug_assert_ne!(entry.tag, GUARD_KEY, "a guard-keyed translation stayed resident");
         let keys = &self.keys;
         Grant::keyed(entry.tag, keys, |key| {
@@ -142,22 +139,19 @@ impl Mechanism for LibMpk {
         self.desired.retain(|(_, p), _| *p != pmo);
     }
 
-    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) {
         self.front.stats.set_perms += 1;
         if perm == Perm::None {
             self.desired.remove(&(self.front.current, pmo));
         } else {
             self.desired.insert((self.front.current, pmo), perm);
         }
-        let mut cycles = 0;
         match self.keys.key_of(pmo) {
             Some(key) => self.keys.touch(key),
-            None => cycles += self.map_domain(pmo),
+            None => self.map_domain(pmo),
         }
         // The WRPKRU materializing the permission.
-        cycles += self.front.cfg.wrpkru_cycles;
         self.front.breakdown.permission_change += self.front.cfg.wrpkru_cycles;
-        cycles
     }
 }
 

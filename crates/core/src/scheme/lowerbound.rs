@@ -47,12 +47,12 @@ impl Mechanism for Lowerbound {
         &mut self.front
     }
 
-    fn miss(&mut self, va: Va, _cycles: &mut u64) -> Result<PlainPayload, ProtectionFault> {
+    fn miss(&mut self, va: Va) -> Result<PlainPayload, ProtectionFault> {
         let (pte, _) = self.front.mmu.walk_or_map(va, |_| 0)?;
         Ok(TlbEntry::new((), &pte))
     }
 
-    fn grant(&mut self, va: Va, entry: PlainPayload, _cycles: &mut u64) -> Grant {
+    fn grant(&mut self, va: Va, entry: PlainPayload) -> Grant {
         // Zero-cost (ideal) domain check.
         match self.front.mmu.region_at(va) {
             Some(region) => {
@@ -66,16 +66,14 @@ impl Mechanism for Lowerbound {
         self.perms.retain(|(_, p), _| *p != pmo);
     }
 
-    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) {
         self.front.stats.set_perms += 1;
         if perm == Perm::None {
             self.perms.remove(&(self.front.current, pmo));
         } else {
             self.perms.insert((self.front.current, pmo), perm);
         }
-        let wrpkru = self.front.cfg.wrpkru_cycles;
-        self.front.breakdown.permission_change += wrpkru;
-        wrpkru
+        self.front.breakdown.permission_change += self.front.cfg.wrpkru_cycles;
     }
 }
 

@@ -13,7 +13,7 @@
 //!
 //! Every scheme is *functional* (it actually tracks per-thread domain
 //! permissions and detects violations) and *timed* (it charges the Table II
-//! cycle costs and attributes them to [`CostBreakdown`] buckets).
+//! cycle costs, each to one bucket of its [`CostBreakdown`] ledger).
 //!
 //! All eight run one MMU front end (the `front` module): TLB lookup, walk
 //! and fill on a miss, the permission check, the fault. Each scheme file
@@ -51,8 +51,9 @@ use crate::fault::ProtectionFault;
 /// The outcome of one checked memory access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AccessResult {
-    /// Translation + protection cycles (cache/memory latency is charged by
-    /// the replay engine on top of this).
+    /// Translation + protection cycles: the scheme's ledger growth over
+    /// the access (cache/memory latency is charged by the replay engine on
+    /// top of this).
     pub cycles: u64,
     /// The kind of memory backing the address (drives DRAM vs NVM latency).
     pub mem: MemKind,
@@ -153,8 +154,11 @@ impl FastHint {
 ///
 /// The replay engine (`pmo-sim`) drives this trait once per trace event.
 /// Every scheme implements it through the shared MMU front end (see the
-/// module docs). All methods return the cycles the operation adds to
-/// execution time.
+/// module docs). Every cycle a scheme adds to execution time is charged to
+/// its [`CostBreakdown`] ledger; the cycles an operation returns are the
+/// ledger's growth over it, and settling fast-path hits through
+/// [`ProtectionScheme::note_fast_hits`] grows it by exactly what the
+/// skipped accesses would have.
 pub trait ProtectionScheme {
     /// The scheme's kind tag.
     fn kind(&self) -> SchemeKind;
@@ -190,7 +194,8 @@ pub trait ProtectionScheme {
     /// structures as the design requires). Returns cycles.
     fn context_switch(&mut self, to: ThreadId) -> u64;
 
-    /// Cost attribution so far (Table VII buckets).
+    /// The cycle ledger so far: the Table VII buckets plus software and
+    /// translation, summing to every cycle the scheme charged.
     fn breakdown(&self) -> CostBreakdown;
 
     /// Event counters so far.
@@ -208,8 +213,9 @@ pub trait ProtectionScheme {
 
     /// Settles the accounting for `hits` accesses (of which `denied` were
     /// denied) served through a [`FastHint`] since it was issued: credits
-    /// the skipped L1 TLB hits, fault counts, and per-access latency
-    /// attribution so stats match a slow-path replay exactly.
+    /// the skipped L1 TLB hits, fault counts, and their L1 TLB and PTLB
+    /// latency to the ledger, so stats and cycles match a slow-path replay
+    /// exactly.
     fn note_fast_hits(&mut self, hint: &FastHint, hits: u64, denied: u64);
 
     /// Revalidates a *stored* [`FastHint`] for `va`'s page before the

@@ -60,19 +60,19 @@ impl Mechanism for DefaultMpk {
         &mut self.front
     }
 
-    fn miss(&mut self, va: Va, _cycles: &mut u64) -> Result<PkPayload, ProtectionFault> {
+    fn miss(&mut self, va: Va) -> Result<PkPayload, ProtectionFault> {
         // A page is tagged with its domain's key when first mapped.
         let keys = &self.keys;
         let (pte, _) = self.front.mmu.walk_or_map(va, |r| keys.key_of(r.pmo).unwrap_or(0))?;
         Ok(TlbEntry::new(pte.pkey, &pte))
     }
 
-    fn grant(&mut self, _va: Va, entry: PkPayload, _cycles: &mut u64) -> Grant {
+    fn grant(&mut self, _va: Va, entry: PkPayload) -> Grant {
         let pkru = self.rdpkru();
         Grant::keyed(entry.tag, &self.keys, |key| pkru.perm(key))
     }
 
-    fn on_attach(&mut self, region: &Region, _removed: u64) -> u64 {
+    fn on_attach(&mut self, region: &Region, _removed: u64) {
         // pkey_alloc + pkey_mprotect over the fresh (still unmapped) VMA.
         match self.keys.alloc(region.pmo) {
             Some(key) => {
@@ -80,13 +80,12 @@ impl Mechanism for DefaultMpk {
                 for reg in self.pkru.values_mut() {
                     *reg = reg.with_perm(key, Perm::None);
                 }
-                self.front.cfg.syscall_cycles // pkey_mprotect
+                self.front.breakdown.software += self.front.cfg.syscall_cycles; // pkey_mprotect
             }
             None => {
                 // pkey_alloc returned ENOSPC: the programmer forgoes the
                 // domain (pages stay NULL-keyed).
                 self.front.stats.domainless_fallbacks += 1;
-                0
             }
         }
     }
@@ -96,18 +95,14 @@ impl Mechanism for DefaultMpk {
         self.keys.free(pmo);
     }
 
-    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) {
         self.front.stats.set_perms += 1;
-        match self.keys.key_of(pmo) {
-            Some(key) => {
-                let reg = self.pkru.entry(self.front.current).or_insert(Pkru::ALL_DENIED);
-                *reg = reg.with_perm(key, perm);
-                self.keys.touch(key);
-                self.front.breakdown.permission_change += self.front.cfg.wrpkru_cycles;
-                self.front.cfg.wrpkru_cycles
-            }
-            // Domainless fallback: the program has no key to program.
-            None => 0,
+        // A domainless fallback has no key to program, and costs nothing.
+        if let Some(key) = self.keys.key_of(pmo) {
+            let reg = self.pkru.entry(self.front.current).or_insert(Pkru::ALL_DENIED);
+            *reg = reg.with_perm(key, perm);
+            self.keys.touch(key);
+            self.front.breakdown.permission_change += self.front.cfg.wrpkru_cycles;
         }
     }
 }

@@ -110,12 +110,11 @@ impl MpkVirt {
 
     /// Resolves the protection key for a PMO address on a TLB miss:
     /// the DTTLB/DTT path of Figure 4 (steps 6-11).
-    fn resolve_key(&mut self, va: Va, cycles: &mut u64) -> u8 {
+    fn resolve_key(&mut self, va: Va) -> u8 {
         // The DTTLB is consulted in parallel with the page walk, so a hit
         // adds no latency to the miss path.
         if self.dttlb.lookup(va).is_none() {
             // DTTLB miss: hardware DTT walk.
-            *cycles += self.front.cfg.dttlb_miss_cycles;
             self.front.breakdown.translation_miss += self.front.cfg.dttlb_miss_cycles;
             self.front.stats.dttlb_misses += 1;
             let hit = self.dtt.walk(va).expect("access inside a registered region");
@@ -130,7 +129,6 @@ impl MpkVirt {
             if let Some(victim) = self.dttlb.insert(entry) {
                 if victim.dirty {
                     // Lazy writeback of the evicted entry into the DTT.
-                    *cycles += self.front.cfg.dttlb_entry_op_cycles;
                     self.front.breakdown.entry_changes += self.front.cfg.dttlb_entry_op_cycles;
                 }
             }
@@ -144,7 +142,6 @@ impl MpkVirt {
             return key;
         }
         // The domain holds no key: check the free-keys structure.
-        *cycles += self.front.cfg.free_keys_cycles;
         self.front.breakdown.entry_changes += self.front.cfg.free_keys_cycles;
         let key = match self.keys.alloc(pmo) {
             Some(key) => key,
@@ -160,7 +157,6 @@ impl MpkVirt {
                 if let Some(dtt_victim) = self.dtt.entry_mut(victim) {
                     dtt_victim.key = None;
                 }
-                *cycles += 2 * self.front.cfg.dttlb_entry_op_cycles;
                 self.front.breakdown.entry_changes += 2 * self.front.cfg.dttlb_entry_op_cycles;
                 // Range_Flush of the victim PMO's VA range on all cores.
                 let victim_region = if self.bug == Some(ProtocolBug::SkipEvictionShootdown) {
@@ -170,12 +166,11 @@ impl MpkVirt {
                     self.front.events.push(TraceEvent::Shootdown { pmo: victim });
                     self.front.mmu.region_of(victim)
                 };
-                *cycles += self.front.shootdown(victim_region.as_ref());
+                self.front.shootdown(victim_region.as_ref());
                 key
             }
         };
         // PKRU reflects the new domain behind the key (Figure 4, step 11).
-        *cycles += self.front.cfg.pkru_update_cycles;
         self.front.breakdown.entry_changes += self.front.cfg.pkru_update_cycles;
         let perm = self.dtt.entry(pmo).map_or(Perm::None, |e| e.perm(self.front.current));
         self.pkru = self.pkru.with_perm(key, perm);
@@ -201,47 +196,44 @@ impl Mechanism for MpkVirt {
         &mut self.front
     }
 
-    fn miss(&mut self, va: Va, cycles: &mut u64) -> Result<PkPayload, ProtectionFault> {
+    fn miss(&mut self, va: Va) -> Result<PkPayload, ProtectionFault> {
         let (pte, region) = self.front.mmu.walk_or_map(va, |_| 0)?;
-        let key = if region.is_some() { self.resolve_key(va, cycles) } else { 0 };
+        let key = if region.is_some() { self.resolve_key(va) } else { 0 };
         Ok(TlbEntry::new(key, &pte))
     }
 
-    fn grant(&mut self, _va: Va, entry: PkPayload, _cycles: &mut u64) -> Grant {
+    fn grant(&mut self, _va: Va, entry: PkPayload) -> Grant {
         // The hardware check reads the materialized PKRU register, not the
         // DTT: a stale register is a real (catchable) protection bug. TLB
         // hits never consult the DTTLB or reassign keys.
         Grant::keyed(entry.tag, &self.keys, |key| self.pkru.perm(key))
     }
 
-    fn on_attach(&mut self, region: &Region, removed: u64) -> u64 {
+    fn on_attach(&mut self, region: &Region, removed: u64) {
         self.front.stats.tlb_entries_invalidated += removed;
         self.dtt.attach(region.pmo, region.base, region.granule);
-        0
     }
 
     fn on_detach(&mut self, pmo: PmoId, removed: u64) {
         self.front.stats.tlb_entries_invalidated += removed;
-        self.dttlb.invalidate_pmo(pmo);
+        self.dttlb.invalidate(pmo);
         self.dtt.detach(pmo);
         if let Some(key) = self.keys.free(pmo) {
             self.pkru = self.pkru.with_perm(key, Perm::None);
         }
     }
 
-    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) -> u64 {
+    fn on_set_perm(&mut self, pmo: PmoId, perm: Perm) {
         let front = &mut self.front;
         front.stats.set_perms += 1;
         // SETPERM executes like WRPKRU (fence semantics, §IV.A).
-        let mut cycles = front.cfg.wrpkru_cycles;
         front.breakdown.permission_change += front.cfg.wrpkru_cycles;
         if let Some(entry) = self.dtt.entry_mut(pmo) {
             entry.set_perm(front.current, perm);
         }
         // "SETPERM ... will result in invalidating the corresponding entry
         // (if cached) at the DTTLB."
-        if self.dttlb.invalidate_pmo(pmo).is_some() {
-            cycles += front.cfg.dttlb_entry_op_cycles;
+        if self.dttlb.invalidate(pmo).is_some() {
             front.breakdown.entry_changes += front.cfg.dttlb_entry_op_cycles;
         }
         if let Some(key) = self.keys.key_of(pmo) {
@@ -249,23 +241,18 @@ impl Mechanism for MpkVirt {
             if self.bug != Some(ProtocolBug::SkipPkruUpdateOnSetPerm) {
                 self.pkru = self.pkru.with_perm(key, perm);
             }
-            cycles += front.cfg.pkru_update_cycles;
             front.breakdown.entry_changes += front.cfg.pkru_update_cycles;
         }
-        cycles
     }
 
-    fn on_switch(&mut self, _from: ThreadId) -> u64 {
+    fn on_switch(&mut self, _from: ThreadId) {
         // Dirty DTTLB entries are written back, then the DTTLB is flushed
         // and the PKRU is reconstructed for the incoming thread.
         let dirty = self.dttlb.flush();
         let front = &mut self.front;
-        let mut cycles = dirty.len() as u64 * front.cfg.dttlb_entry_op_cycles;
-        front.breakdown.entry_changes += cycles;
-        cycles += front.cfg.wrpkru_cycles; // PKRU restore for the new thread
-        front.breakdown.software += front.cfg.wrpkru_cycles;
+        front.breakdown.entry_changes += dirty.len() as u64 * front.cfg.dttlb_entry_op_cycles;
+        front.breakdown.software += front.cfg.wrpkru_cycles; // PKRU restore for the new thread
         self.pkru = self.rebuild_pkru();
-        cycles
     }
 }
 

@@ -35,18 +35,17 @@ impl Mechanism for Unprotected {
         &mut self.front
     }
 
-    fn miss(&mut self, va: Va, _cycles: &mut u64) -> Result<PlainPayload, ProtectionFault> {
+    fn miss(&mut self, va: Va) -> Result<PlainPayload, ProtectionFault> {
         let (pte, _) = self.front.mmu.walk_or_map(va, |_| 0)?;
         Ok(TlbEntry::new((), &pte))
     }
 
-    fn grant(&mut self, _va: Va, entry: PlainPayload, _cycles: &mut u64) -> Grant {
+    fn grant(&mut self, _va: Va, entry: PlainPayload) -> Grant {
         Grant { held: entry.page_perm, domain: None, latency: 0 }
     }
 
-    fn on_set_perm(&mut self, _pmo: PmoId, _perm: Perm) -> u64 {
+    fn on_set_perm(&mut self, _pmo: PmoId, _perm: Perm) {
         // The baseline binary carries no permission-switch instructions.
-        0
     }
 }
 

@@ -26,8 +26,10 @@ pub struct Table7Cell {
     pub tlb_invalidation: f64,
     /// Access-latency percentage (design 2 only).
     pub access_latency: f64,
-    /// Measured total overhead over lowerbound (may differ slightly from
-    /// the bucket sum: buckets are attribution estimates).
+    /// Measured total overhead over lowerbound: the design's cycle ledger
+    /// less the lowerbound's. It falls short of the bucket sum by exactly
+    /// the lowerbound's permission-change row, less the design's extra
+    /// translation and software cycles, which no row shows.
     pub measured_total: f64,
 }
 

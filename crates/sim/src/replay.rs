@@ -4,8 +4,8 @@
 //! A replay holds the scheme-independent memory side once — the cache
 //! hierarchy, the line memo, the compute, fence and `clwb` cycles, the
 //! event counts and the op count — and one *lane* per protection scheme:
-//! the scheme (which owns its TLBs and page table), its fast-path entry,
-//! its permission-summary table, its fault log and the cycles it adds.
+//! the scheme (which owns its TLBs, page table and cycle ledger), its
+//! fast-path entry, its permission-summary table and its fault log.
 //! [`Replay::new`] is the one-lane case. [`Replay::with_lanes`] replays
 //! one stream under several schemes at once (the paper's one-trace,
 //! many-configurations methodology); each lane reports exactly what a
@@ -133,10 +133,8 @@ type Verdict = Option<MemKind>;
 /// One scheme's lane: the scheme and everything the replay keeps per
 /// scheme on top of the shared memory side.
 struct Lane {
+    /// The scheme, whose ledger holds every cycle the lane adds.
     scheme: AnyScheme,
-    /// Cycles the scheme adds: translation and permission checks,
-    /// permission switches, attach/detach and context switches.
-    cycles: u64,
     faults: Vec<ProtectionFault>,
     faults_dropped: u64,
     fast: Option<FastEntry>,
@@ -151,7 +149,6 @@ impl Lane {
     fn new(kind: SchemeKind, config: &SimConfig) -> Self {
         Lane {
             scheme: kind.build_any(config),
-            cycles: 0,
             faults: Vec::new(),
             faults_dropped: 0,
             fast: None,
@@ -161,11 +158,12 @@ impl Lane {
         }
     }
 
-    /// Settles the batched scheme-side fast-path accounting (hit counts
-    /// owed to the scheme's TLB stats) and disarms the entry. Must run
-    /// before any scheme-state mutation and before reading scheme
-    /// counters (snapshot/finish). The line memo is independent — cache
-    /// residency does not change when a verdict does — and stays armed.
+    /// Settles the batched scheme-side fast-path accounting (the hits,
+    /// denials and cycles owed to the scheme's counters and ledger) and
+    /// disarms the entry. Must run before any scheme-state mutation and
+    /// before reading scheme counters or cycles. The line memo is
+    /// independent — cache residency does not change when a verdict does —
+    /// and stays armed.
     fn flush_fast(&mut self) {
         if let Some(entry) = self.fast.take() {
             if entry.hits > 0 {
@@ -201,7 +199,6 @@ impl Lane {
                 let hint = entry.hint;
                 entry.hits += 1;
                 self.fast_hits += 1;
-                self.cycles += hint.cycles;
                 if hint.effective.allows(kind) {
                     return Some(hint.mem);
                 }
@@ -222,14 +219,13 @@ impl Lane {
                     let hint = row.hint;
                     self.summary_hits += 1;
                     self.fast_hits += 1;
-                    self.cycles += hint.cycles;
                     let allowed = hint.effective.allows(kind);
                     if !allowed {
                         self.record_fault(hint.fault(va, kind));
                     }
                     // Re-arm with this access's scheme-side accounting
-                    // (one L1 TLB stats hit, one fault if denied) still
-                    // owed: `hits: 1` settles it at the next flush.
+                    // (one L1 TLB hit and its cycles, one fault if denied)
+                    // still owed: `hits: 1` settles it at the next flush.
                     self.fast =
                         Some(FastEntry { page, hint, hits: 1, denied: u64::from(!allowed) });
                     return allowed.then_some(hint.mem);
@@ -237,7 +233,6 @@ impl Lane {
             }
         }
         let result = self.scheme.access(va, kind);
-        self.cycles += result.cycles;
         if fast_enabled {
             self.fast = result.warm.map(|hint| {
                 self.summary[slot] = Some(SummarySlot { page, hint, gen });
@@ -349,7 +344,7 @@ pub struct Replay {
     cfg: SimConfig,
     caches: CacheHierarchy,
     /// Cycles every lane shares: compute, cache and memory latency,
-    /// fences and `clwb`s. A lane's total adds its own scheme cycles.
+    /// fences and `clwb`s. A lane's total adds its scheme's ledger total.
     cycles: u64,
     cpi_carry: f64,
     counts: EventCounts,
@@ -468,7 +463,9 @@ impl Replay {
     #[must_use]
     pub fn cycles(&mut self) -> u64 {
         self.flush();
-        self.cycles + self.lanes[0].cycles
+        let lane = &mut self.lanes[0];
+        lane.flush_fast();
+        self.cycles + lane.scheme.breakdown().total()
     }
 
     /// Drains protocol-level events the schemes emitted internally since
@@ -586,10 +583,10 @@ impl Replay {
     }
 
     /// Settles every lane's batched fast-path accounting, then runs `op`
-    /// on each lane's scheme and charges the cycles it returns to that
-    /// lane, or logs the fault it refuses with (a conflicting attach).
-    /// Scheme-mutating events go through here: they invalidate every
-    /// summary row (see [`SummarySlot`]) along with the fast entries.
+    /// on each lane's scheme (which charges its own ledger), logging the
+    /// fault it refuses with (a conflicting attach). Scheme-mutating
+    /// events go through here: they invalidate every summary row (see
+    /// [`SummarySlot`]) along with the fast entries.
     fn mutate_schemes(
         &mut self,
         mut op: impl FnMut(&mut AnyScheme) -> Result<u64, ProtectionFault>,
@@ -597,9 +594,8 @@ impl Replay {
         self.summary_gen += 1;
         for lane in &mut self.lanes {
             lane.flush_fast();
-            match op(&mut lane.scheme) {
-                Ok(cycles) => lane.cycles += cycles,
-                Err(fault) => lane.record_fault(fault),
+            if let Err(fault) = op(&mut lane.scheme) {
+                lane.record_fault(fault);
             }
         }
     }
@@ -616,12 +612,8 @@ impl Replay {
             .iter_mut()
             .map(|lane| {
                 lane.flush_fast();
-                ReplaySnapshot {
-                    cycles: cycles + lane.cycles,
-                    breakdown: lane.scheme.breakdown(),
-                    set_perms,
-                    ops,
-                }
+                let breakdown = lane.scheme.breakdown();
+                ReplaySnapshot { cycles: cycles + breakdown.total(), breakdown, set_perms, ops }
             })
             .collect()
     }
@@ -648,7 +640,8 @@ impl Replay {
 
     /// Consumes the replay, producing one report per lane in lane order.
     /// Every lane reports the shared cache and NVM statistics, and
-    /// `cycles` = the shared memory-side cycles + its own scheme cycles.
+    /// `cycles` = the shared memory-side cycles + its scheme's ledger
+    /// total.
     ///
     /// # Errors
     ///
@@ -669,12 +662,13 @@ impl Replay {
             .into_iter()
             .map(|mut lane| {
                 lane.flush_fast();
+                let breakdown = lane.scheme.breakdown();
                 ReplayReport {
                     scheme: lane.scheme.kind(),
-                    cycles: cycles + lane.cycles,
+                    cycles: cycles + breakdown.total(),
                     instructions: counts.instructions(),
                     counts: counts.clone(),
-                    breakdown: lane.scheme.breakdown(),
+                    breakdown,
                     scheme_stats: lane.scheme.stats(),
                     tlb: lane.scheme.tlb_stats(),
                     l1d,
@@ -765,7 +759,7 @@ impl Replay {
     /// scheme-neutral events (computes, fences, op/fault markers, clwbs) —
     /// are charged to the shared hierarchy in one pass over the
     /// struct-of-arrays lanes and settled into every lane's armed fast
-    /// entry as `run × hint.cycles` at the end of the window.
+    /// entry as `run` owed hits at the end of the window.
     /// Denied accesses and page/line changes never batch — they fall back
     /// to the per-event path, so fault logging (including the
     /// [`FAULT_LOG_CAP`] truncation discipline) and divergence detection
@@ -847,7 +841,6 @@ impl Replay {
                             let entry = lane.fast.as_mut().expect("window lanes are armed");
                             entry.hits += run;
                             lane.fast_hits += run;
-                            lane.cycles += run * entry.hint.cycles;
                         }
                     }
                 }
@@ -1277,16 +1270,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fault_cap_crossed_inside_one_batch() {
-        // 40 same-line denied stores land in a single block; the cap is
-        // crossed mid-run. Denied accesses never batch, so truncation
-        // must match the streamed path exactly: 32 logged, 8 counted.
+    /// 40 stores to one line of a PMO no thread was granted: denied under
+    /// every protective scheme, and libmpk's first one takes the guard-key
+    /// fault, remaps the domain and re-walks.
+    fn unguarded_stores() -> RecordedTrace {
         let mut t = RecordedTrace::new();
         t.event(TraceEvent::Attach { pmo: PmoId::new(1), base: BASE, size: 1 << 20, nvm: true });
         for i in 0..40u64 {
             t.store(BASE + (i % 8) * 8, 8); // no permission granted
         }
+        t
+    }
+
+    #[test]
+    fn fault_cap_crossed_inside_one_batch() {
+        // 40 same-line denied stores land in a single block; the cap is
+        // crossed mid-run. Denied accesses never batch, so truncation
+        // must match the streamed path exactly: 32 logged, 8 counted.
+        let t = unguarded_stores();
         let cfg = SimConfig::isca2020();
         let blocks = pmo_trace::block::block_trace_of(&t);
         assert_eq!(blocks.blocks().len(), 1, "test premise: one block");
@@ -1299,6 +1300,59 @@ mod tests {
         assert_eq!(report.faults.len(), 32, "log capped at FAULT_LOG_CAP");
         assert_eq!(report.faults_dropped, 8, "overflow counted, not lost");
         assert_eq!(report.scheme_stats.faults, 40);
+    }
+
+    /// One scheme's pinned totals: report cycles, then the Table VII
+    /// buckets in declaration order (permission change, entry changes,
+    /// translation miss, TLB invalidation, access latency, software).
+    type Pinned = (SchemeKind, u64, [u64; 6]);
+
+    const STRESS_PINNED: [Pinned; 8] = [
+        (SchemeKind::Unprotected, 243_360, [0, 0, 0, 0, 0, 70_000]),
+        (SchemeKind::Lowerbound, 249_680, [6_480, 0, 0, 0, 0, 70_000]),
+        (SchemeKind::DefaultMpk, 270_600, [4_860, 0, 0, 0, 0, 92_500]),
+        (SchemeKind::LibMpk, 1_086_274, [6_480, 0, 0, 41_962, 0, 864_632]),
+        (SchemeKind::MpkVirt, 273_265, [6_480, 515, 2_400, 18_510, 0, 72_160]),
+        (SchemeKind::DomainVirt, 255_200, [6_480, 320, 2_400, 0, 2_800, 70_000]),
+        (SchemeKind::Erim, 699_650, [6_480, 0, 0, 18_510, 0, 501_460]),
+        (SchemeKind::Dpti, 1_727_360, [983_040, 0, 0, 32_480, 0, 535_920]),
+    ];
+
+    const UNGUARDED_PINNED: [Pinned; 8] = [
+        (SchemeKind::Unprotected, 3_742, [0, 0, 0, 0, 0, 3_500]),
+        (SchemeKind::Lowerbound, 3_574, [0, 0, 0, 0, 0, 3_500]),
+        (SchemeKind::DefaultMpk, 5_074, [0, 0, 0, 0, 0, 5_000]),
+        (SchemeKind::LibMpk, 7_462, [0, 0, 0, 346, 0, 7_012]),
+        (SchemeKind::MpkVirt, 3_606, [0, 2, 30, 0, 0, 3_500]),
+        (SchemeKind::DomainVirt, 3_644, [0, 0, 30, 0, 40, 3_500]),
+        (SchemeKind::Erim, 5_586, [0, 0, 0, 0, 0, 5_512]),
+        (SchemeKind::Dpti, 4_086, [0, 0, 0, 0, 0, 4_012]),
+    ];
+
+    #[test]
+    fn cycles_and_buckets_are_pinned() {
+        // Every scheme's cycles and buckets on two hand-built traces, held
+        // fixed across changes to how they are tallied. The unguarded
+        // stores reach libmpk's guard-fault re-walk, which no campaign
+        // trace does.
+        let cfg = SimConfig::isca2020();
+        for (trace, pinned) in
+            [(stress_trace(), STRESS_PINNED), (unguarded_stores(), UNGUARDED_PINNED)]
+        {
+            for (kind, cycles, buckets) in pinned {
+                let r = replay_source(&trace, kind, &cfg);
+                let b = r.breakdown;
+                let got = [
+                    b.permission_change,
+                    b.entry_changes,
+                    b.translation_miss,
+                    b.tlb_invalidation,
+                    b.access_latency,
+                    b.software,
+                ];
+                assert_eq!((r.cycles, got), (cycles, buckets), "{kind}");
+            }
+        }
     }
 
     #[test]
@@ -1508,7 +1562,8 @@ mod tests {
     /// over `kinds` reports exactly — field for field and in JSON — what
     /// a one-lane replay of its scheme reports, and the lanes' fast-path
     /// and summary hits add up to the one-lane replays' hits. Every mode
-    /// also reports exactly what the walk does, wherever its flushes fell.
+    /// also reports exactly what the walk does, wherever its flushes fell,
+    /// and the lanes' cycles differ only by their ledgers.
     fn assert_lanes_match_alone(trace: &RecordedTrace, split: usize, kinds: &[SchemeKind]) {
         let walk = drive(kinds, trace, split, Mode::Walk).0;
         let walk = walk.unwrap_or_else(|d| panic!("{kinds:?} walk: {d}"));
@@ -1516,6 +1571,17 @@ mod tests {
             let (lanes, fast, summary) = drive(kinds, trace, split, mode);
             let lanes = lanes.unwrap_or_else(|d| panic!("{kinds:?} {mode:?}: {d}"));
             assert_eq!(lanes, walk, "{kinds:?} {mode:?}: differs from the walk");
+            // What a lane adds beyond its ledger is the memory side every
+            // lane shares.
+            let shared = |r: &ReplayReport| r.cycles - r.breakdown.total();
+            for lane in &lanes {
+                let scheme = lane.scheme;
+                assert_eq!(
+                    shared(lane),
+                    shared(&lanes[0]),
+                    "{scheme} in {kinds:?}, {mode:?}: ledger"
+                );
+            }
             let (mut want_fast, mut want_summary) = (0, 0);
             for (kind, lane) in kinds.iter().zip(&lanes) {
                 let (alone, f, s) = drive(&[*kind], trace, split, mode);

@@ -18,7 +18,8 @@ pub struct ReplayReport {
     pub instructions: u64,
     /// Raw event counts of the trace.
     pub counts: EventCounts,
-    /// Scheme cost attribution (Table VII buckets).
+    /// The scheme's cycle ledger; `cycles` less its total is the memory
+    /// side every scheme of the replay shares.
     pub breakdown: CostBreakdown,
     /// Scheme event counters.
     pub scheme_stats: SchemeStats,
@@ -50,7 +51,7 @@ pub struct ReplayReport {
 pub struct ReplaySnapshot {
     /// Cycles at the boundary.
     pub cycles: u64,
-    /// Scheme cost attribution at the boundary.
+    /// The scheme's cycle ledger at the boundary.
     pub breakdown: CostBreakdown,
     /// Permission switches at the boundary.
     pub set_perms: u64,

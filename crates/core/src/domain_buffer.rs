@@ -34,6 +34,8 @@ pub struct DomainBuffer<E> {
     repl: SetState,
 }
 
+pmo_simarch::impl_clone_in_place!(DomainBuffer<E> { entries, repl });
+
 impl<E: DomainEntry> DomainBuffer<E> {
     /// Creates an empty buffer with `capacity` entries.
     ///

@@ -13,7 +13,7 @@ use pmo_trace::{PmoId, Va};
 use crate::radix::RangeRadix;
 
 /// The process-wide DRT.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct DomainRangeTable {
     tree: RangeRadix<PmoId>,
     regions: BTreeMap<PmoId, (Va, u64)>,

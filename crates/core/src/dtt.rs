@@ -14,7 +14,7 @@ use pmo_trace::{Perm, PmoId, ThreadId, Va};
 use crate::radix::{RangeHit, RangeRadix};
 
 /// One PMO root entry of the DTT.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct DttEntry {
     /// The domain / PMO ID.
     pub pmo: PmoId,
@@ -54,7 +54,7 @@ impl DttEntry {
 }
 
 /// The process-wide DTT plus the OS's PMO-ID → region index.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct DomainTranslationTable {
     tree: RangeRadix<DttEntry>,
     regions: BTreeMap<PmoId, (Va, u64)>,

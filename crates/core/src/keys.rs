@@ -9,7 +9,7 @@ use pmo_trace::PmoId;
 
 /// Allocator over protection keys `1..count` (key 0 is the reserved NULL
 /// key) with PLRU victim selection for key reassignment.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct KeyAllocator {
     /// `owner[k]`: the domain currently holding key `k` (index 0 unused).
     owner: Vec<Option<PmoId>>,
@@ -18,6 +18,8 @@ pub struct KeyAllocator {
     reserved: Vec<u8>,
     repl: SetState,
 }
+
+pmo_simarch::impl_clone_in_place!(KeyAllocator { owner, reserved, repl });
 
 impl KeyAllocator {
     /// Creates an allocator over `count` architected keys (16 for MPK).

@@ -117,6 +117,10 @@ pub struct MmuBase<T> {
     demand_maps: u64,
 }
 
+pmo_simarch::impl_clone_in_place!(MmuBase<T> {
+    tlb, page_table, regions, by_pmo, anon_pages, next_pfn, demand_maps
+});
+
 impl<T: Copy> MmuBase<T> {
     /// Creates an MMU from the simulation config.
     #[must_use]

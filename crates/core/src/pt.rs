@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use pmo_trace::{Perm, PmoId, ThreadId};
 
 /// The process-wide Permission Table.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct PermissionTable {
     perms: BTreeMap<(PmoId, ThreadId), Perm>,
     domains: BTreeMap<PmoId, u32>, // live-domain registry (attach refcount)

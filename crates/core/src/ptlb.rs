@@ -42,12 +42,6 @@ impl DomainEntry for PtlbEntry {
 pub type Ptlb = DomainBuffer<PtlbEntry>;
 
 impl Ptlb {
-    /// Associative lookup without touching replacement state.
-    #[must_use]
-    pub fn probe(&self, pmo: PmoId) -> Option<&PtlbEntry> {
-        self.entries().find(|entry| entry.pmo == pmo)
-    }
-
     /// Touches the entry for `pmo` without reading or changing it; returns
     /// whether it was present. The replay engine's permission-summary table
     /// revalidates through this: a summary hit must update PTLB recency

@@ -31,6 +31,7 @@ fn index_at(va: Va, depth: u32) -> u16 {
     ((va >> shift) & ((1 << INDEX_BITS) - 1)) as u16
 }
 
+#[derive(Clone)]
 enum Slot<T> {
     /// A PMO root entry covering one granule-sized region.
     Entry { base: Va, granule: u64, value: T },
@@ -38,6 +39,7 @@ enum Slot<T> {
     Dir(Box<Node<T>>),
 }
 
+#[derive(Clone)]
 struct Node<T> {
     children: BTreeMap<u16, Slot<T>>,
 }
@@ -62,6 +64,7 @@ pub struct RangeHit<'a, T> {
 }
 
 /// Sparse radix tree mapping granule-aligned regions to payloads.
+#[derive(Clone)]
 pub struct RangeRadix<T> {
     root: Node<T>,
     len: usize,

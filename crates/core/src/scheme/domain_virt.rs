@@ -28,6 +28,8 @@ pub struct DomainVirt {
     bug: Option<ProtocolBug>,
 }
 
+pmo_simarch::impl_clone_in_place!(DomainVirt { front, drt, pt, ptlb, bug });
+
 impl DomainVirt {
     /// Creates the scheme.
     #[must_use]

@@ -41,6 +41,8 @@ pub struct Dpti {
     bug: Option<ProtocolBug>,
 }
 
+pmo_simarch::impl_clone_in_place!(Dpti { front, tables, cr3, bug });
+
 impl Dpti {
     /// Creates the scheme.
     #[must_use]

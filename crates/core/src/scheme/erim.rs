@@ -44,6 +44,8 @@ pub struct Erim {
     bug: Option<ProtocolBug>,
 }
 
+pmo_simarch::impl_clone_in_place!(Erim { front, keys, sessions, pkru, bug });
+
 impl Erim {
     /// Creates the scheme.
     ///

@@ -52,6 +52,8 @@ pub(crate) struct Front<T> {
     pub(crate) events: Vec<TraceEvent>,
 }
 
+pmo_simarch::impl_clone_in_place!(Front<T> { mmu, cfg, current, stats, breakdown, events });
+
 impl<T: Copy> Front<T> {
     pub(crate) fn new(config: &SimConfig) -> Self {
         Front {
@@ -281,7 +283,6 @@ fn check<S: Mechanism>(
     let front = s.front_mut();
     front.breakdown.access_latency += grant.latency;
     let warm = FastHint {
-        cycles: front.mmu.tlb.l1_latency() + grant.latency,
         mem: entry.mem,
         effective: grant.held.meet(entry.page_perm),
         access_latency: grant.latency,

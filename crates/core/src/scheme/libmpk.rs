@@ -37,6 +37,8 @@ pub struct LibMpk {
     desired: BTreeMap<(ThreadId, PmoId), Perm>,
 }
 
+pmo_simarch::impl_clone_in_place!(LibMpk { front, keys, desired });
+
 impl LibMpk {
     /// Creates the scheme: 14 usable keys, fault-and-remap on stray
     /// accesses to evicted domains.

@@ -23,6 +23,8 @@ pub struct Lowerbound {
     perms: BTreeMap<(ThreadId, PmoId), Perm>,
 }
 
+pmo_simarch::impl_clone_in_place!(Lowerbound { front, perms });
+
 impl Lowerbound {
     /// Creates the lowerbound scheme.
     #[must_use]

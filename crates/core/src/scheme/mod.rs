@@ -100,8 +100,9 @@ pub struct SchemeStats {
 }
 
 /// The warm verdict for one page: everything a *warm* (L1-TLB-hit,
-/// PTLB-hit) access to it computes — modeled cycles, memory backing, and
-/// the effective permission. [`ProtectionScheme::access`] returns the one
+/// PTLB-hit) access to it computes — memory backing, the effective
+/// permission, and the check's latency; its cycles are the L1 TLB latency
+/// plus [`FastHint::access_latency`]. [`ProtectionScheme::access`] returns the one
 /// it just reached, and the replay fast path serves consecutive accesses
 /// to the page from it, skipping the TLB/DTT/PT machinery. A verdict is
 /// only valid while the scheme state is untouched: any
@@ -111,9 +112,6 @@ pub struct SchemeStats {
 /// cycles and produces exactly the fault the slow path would.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FastHint {
-    /// Scheme-side cycles per access (TLB hit latency, plus the PTLB
-    /// access latency under domain virtualization).
-    pub cycles: u64,
     /// Memory backing of the page (drives DRAM vs NVM latency).
     pub mem: MemKind,
     /// The effective permission (page ∧ domain) the verdict applies.
@@ -412,6 +410,29 @@ macro_rules! dispatch {
         }
     };
 }
+
+macro_rules! impl_clone {
+    ($($kind:ident),+) => {
+        /// Cloning into a scheme of the same kind clones it in place,
+        /// reusing the buffers it owns; into another kind, it replaces it.
+        impl Clone for AnyScheme {
+            fn clone(&self) -> Self {
+                match self {
+                    $(AnyScheme::$kind(s) => AnyScheme::$kind(s.clone()),)+
+                }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                match (self, source) {
+                    $((AnyScheme::$kind(s), AnyScheme::$kind(from)) => s.clone_from(from),)+
+                    (s, from) => *s = from.clone(),
+                }
+            }
+        }
+    };
+}
+
+impl_clone!(Unprotected, Lowerbound, DefaultMpk, LibMpk, MpkVirt, DomainVirt, Erim, Dpti);
 
 impl ProtectionScheme for AnyScheme {
     fn kind(&self) -> SchemeKind {

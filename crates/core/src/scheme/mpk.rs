@@ -26,6 +26,8 @@ pub struct DefaultMpk {
     pkru: BTreeMap<ThreadId, Pkru>,
 }
 
+pmo_simarch::impl_clone_in_place!(DefaultMpk { front, keys, pkru });
+
 impl DefaultMpk {
     /// Creates the scheme.
     #[must_use]

@@ -35,6 +35,8 @@ pub struct MpkVirt {
     bug: Option<ProtocolBug>,
 }
 
+pmo_simarch::impl_clone_in_place!(MpkVirt { front, dtt, dttlb, keys, pkru, bug });
+
 impl MpkVirt {
     /// Creates the scheme.
     ///

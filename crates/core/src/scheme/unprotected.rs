@@ -15,6 +15,8 @@ pub struct Unprotected {
     front: Front<()>,
 }
 
+pmo_simarch::impl_clone_in_place!(Unprotected { front });
+
 impl Unprotected {
     /// Creates the baseline scheme.
     #[must_use]

@@ -105,7 +105,7 @@ fn churn(kind: SchemeKind, domains: u32, seed: u64, steps: usize) {
                     let again = page + rng.gen_range(0..PAGE_SIZE);
                     let allowed = warm.effective.allows(repeat);
                     let want = AccessResult {
-                        cycles: warm.cycles,
+                        cycles: config.l1_tlb_latency + warm.access_latency,
                         mem: warm.mem,
                         fault: (!allowed).then(|| warm.fault(again, repeat)),
                         warm: Some(warm),

@@ -50,7 +50,7 @@ use pmo_analyzer::{
 use pmo_modelcheck::enumerate::{self, Codes, WorldBounds};
 use pmo_modelcheck::{
     all_schedules, explore, naive_schedules, sample_schedule, schedule_string, schedule_trace,
-    ExploreLimits, Scenario, ScheduleRun,
+    ExploreLimits, Explorer, Scenario, ScheduleRun,
 };
 use pmo_protect::ProtocolBug;
 use pmo_runtime::{Mode, PmRuntime};
@@ -61,7 +61,7 @@ use pmo_workloads::{
     WhisperConfig, WhisperWorkload, Workload,
 };
 
-use crate::pool::parallel_map;
+use crate::pool::{parallel_map, parallel_map_with};
 use crate::refine::{RefineConfig, RefineWorld, SkippedWorld};
 use crate::Scale;
 
@@ -286,12 +286,14 @@ fn refute_finding(
     None
 }
 
-/// Certifies one scenario from its single sampled schedule.
-fn certify_scenario(scenario: &Scenario, bug: Option<ProtocolBug>) -> ProgramCert {
+/// Certifies one clean scenario from its single sampled schedule, run
+/// through `explorer`, which [`RefineWorld::explorer`] built for its
+/// world.
+fn certify_scenario(explorer: &mut Explorer, scenario: &Scenario) -> ProgramCert {
     let counts = scenario.program.op_counts();
     let sched = sample_schedule(&scenario.name, &counts);
     let mut cert = ProgramCert::default();
-    let run = match schedule_trace(scenario, bug, &sched) {
+    let run = match explorer.schedule_trace(scenario, &sched) {
         Ok(run) => run,
         Err(e) => {
             cert.fail(format!("{}: sampled schedule not executable: {e}", scenario.name));
@@ -303,14 +305,10 @@ fn certify_scenario(scenario: &Scenario, bug: Option<ProtocolBug>) -> ProgramCer
     cert.candidates = (prediction.candidates + prediction.candidates_dropped) as u64;
     cert.findings = (prediction.findings.len() + prediction.findings_dropped) as u64;
     for finding in &prediction.findings {
-        if bug.is_none() {
-            cert.fail(format!(
-                "{}: prediction on a verified-clean world: {}",
-                scenario.name, finding.message
-            ));
-        } else if let Some(why) = refute_finding(scenario, &counts, &sched, &run, finding) {
-            cert.fail(format!("{}: {why}", scenario.name));
-        }
+        cert.fail(format!(
+            "{}: prediction on a verified-clean world: {}",
+            scenario.name, finding.message
+        ));
     }
     cert
 }
@@ -387,12 +385,13 @@ pub fn run_world(world: &RefineWorld, cfg: &PredictConfig, jobs: usize) -> Predi
     let chunks: Vec<(usize, &[Codes])> =
         programs.chunks(chunk).enumerate().map(|(i, c)| (i * chunk, c)).collect();
     let partials = parallel_map(jobs, chunks, |(start, chunk_programs)| {
+        let mut explorer = world.explorer(None);
         let mut feasible = 0u128;
         let mut merged = ProgramCert::default();
         for (i, codes) in chunk_programs.iter().enumerate() {
             let scenario = to_scenario(world, start + i, codes);
             feasible += naive_schedules(&scenario.program.op_counts(), usize::MAX);
-            let cert = certify_scenario(&scenario, None);
+            let cert = certify_scenario(&mut explorer, &scenario);
             merged.events += cert.events;
             merged.candidates += cert.candidates;
             merged.findings += cert.findings;
@@ -772,12 +771,20 @@ struct SeedScan {
     predicted: Option<(ViolationClass, String)>,
 }
 
-fn scan_program(scenario: &Scenario, bug: ProtocolBug) -> SeedScan {
+/// Runs one program's sampled schedule through a clean explorer and one
+/// with the bug planted, both built for its world, and looks for a
+/// certified prediction in the planted trace.
+fn scan_program(
+    clean_explorer: &mut Explorer,
+    bugged_explorer: &mut Explorer,
+    scenario: &Scenario,
+) -> SeedScan {
     let counts = scenario.program.op_counts();
     let sched = sample_schedule(&scenario.name, &counts);
-    let (Ok(clean), Ok(bugged)) =
-        (schedule_trace(scenario, None, &sched), schedule_trace(scenario, Some(bug), &sched))
-    else {
+    let (Ok(clean), Ok(bugged)) = (
+        clean_explorer.schedule_trace(scenario, &sched),
+        bugged_explorer.schedule_trace(scenario, &sched),
+    ) else {
         return SeedScan { visible: false, predicted: None };
     };
     let visible = clean.trace != bugged.trace;
@@ -798,9 +805,10 @@ fn scan_program(scenario: &Scenario, bug: ProtocolBug) -> SeedScan {
 }
 
 /// Classifies each bug in `bugs` by scanning the configured worlds'
-/// programs in enumeration order (chunks fanned across `jobs` workers;
-/// the first predicted witness is taken in enumeration order regardless
-/// of job count) and cross-checks against the DPOR seeded matrix.
+/// programs in enumeration order (each chunk's programs fanned across
+/// `jobs` workers, one clean and one planted explorer per worker; the
+/// first predicted witness is taken in enumeration order regardless of
+/// job count) and cross-checks against the DPOR seeded matrix.
 #[must_use]
 pub fn seeded_world_rows(
     cfg: &PredictConfig,
@@ -826,10 +834,13 @@ pub fn seeded_world_rows(
                 let chunk = cfg.chunk.max(1);
                 for (ci, chunk_programs) in programs.chunks(chunk).enumerate() {
                     let start = ci * chunk;
-                    let outs = parallel_map(
+                    let outs = parallel_map_with(
                         jobs,
                         chunk_programs.iter().enumerate().collect(),
-                        |(i, codes)| scan_program(&to_scenario(world, start + i, codes), bug),
+                        || (world.explorer(None), world.explorer(Some(bug))),
+                        |(clean, bugged), (i, codes)| {
+                            scan_program(clean, bugged, &to_scenario(world, start + i, codes))
+                        },
                     );
                     for (i, out) in outs.into_iter().enumerate() {
                         scanned += 1;

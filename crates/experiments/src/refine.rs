@@ -38,12 +38,12 @@ use std::fmt;
 
 use pmo_analyzer::ViolationClass;
 use pmo_modelcheck::enumerate::{self, Codes, WorldBounds};
-use pmo_modelcheck::{explore, model_config, replay_schedule, ExploreLimits, Violation};
+use pmo_modelcheck::{model_config, replay_schedule, ExploreLimits, Explorer, Violation};
 use pmo_protect::ProtocolBug;
 use pmo_simarch::SimConfig;
 use pmo_trace::json::{self, Object, Value};
 
-use crate::pool::parallel_map;
+use crate::pool::{parallel_map, parallel_map_with};
 use crate::Scale;
 
 /// One bounded world: enumeration bounds plus the shrunken hardware
@@ -68,6 +68,14 @@ impl RefineWorld {
     #[must_use]
     pub fn config(&self) -> SimConfig {
         model_config(self.pkeys, self.dttlb, self.ptlb)
+    }
+
+    /// An explorer for every enumerated program of the world, with `bug`
+    /// planted: every program shares its configuration and attaches all
+    /// its domains before it runs.
+    #[must_use]
+    pub(crate) fn explorer(&self, bug: Option<ProtocolBug>) -> Explorer {
+        Explorer::new(&self.config(), &self.bounds.domain_ids(), bug)
     }
 }
 
@@ -441,16 +449,17 @@ struct ChunkOutcome {
     violation_count: u64,
 }
 
-/// Explores one enumerated program.
+/// Explores one enumerated program through `explorer`, which
+/// [`RefineWorld::explorer`] built for its world.
 fn check_program(
+    explorer: &mut Explorer,
     world: &RefineWorld,
     index: usize,
     codes: &Codes,
-    bug: Option<ProtocolBug>,
     limits: &ExploreLimits,
 ) -> pmo_modelcheck::ExploreOutcome {
     let scenario = enumerate::to_scenario(world.name, index, codes, &world.bounds, world.config());
-    explore(&scenario, bug, limits)
+    explorer.explore(&scenario, limits)
 }
 
 /// Exhaustively verifies one world, fanning program chunks across `jobs`
@@ -467,6 +476,7 @@ pub fn run_world(world: &RefineWorld, cfg: &RefineConfig, jobs: usize) -> WorldO
         .collect();
     let limits = cfg.limits;
     let partials = parallel_map(jobs, chunks, |(start, chunk)| {
+        let mut explorer = world.explorer(None);
         let mut part = ChunkOutcome {
             schedules: 0,
             steps: 0,
@@ -476,7 +486,7 @@ pub fn run_world(world: &RefineWorld, cfg: &RefineConfig, jobs: usize) -> WorldO
             violation_count: 0,
         };
         for (i, codes) in chunk.iter().enumerate() {
-            let out = check_program(world, start + i, codes, None, &limits);
+            let out = check_program(&mut explorer, world, start + i, codes, &limits);
             part.schedules += out.schedules;
             part.steps += out.steps;
             part.sleep_blocked += out.sleep_blocked;
@@ -527,9 +537,10 @@ pub fn run_campaign(cfg: &RefineConfig, jobs: usize) -> RefineReport {
 }
 
 /// Re-validates every plantable [`ProtocolBug`] through the checker:
-/// scans the enumerated programs of each world in order (chunks
-/// fanned across `jobs` workers, first witness in enumeration order
-/// regardless of job count) until the planted bug surfaces, then replays
+/// scans the enumerated programs of each world in order (each chunk's
+/// programs fanned across `jobs` workers, one explorer per worker; first
+/// witness in enumeration order regardless of job count) until the
+/// planted bug surfaces, then replays
 /// the witness schedule to confirm the counterexample is deterministic.
 #[must_use]
 pub fn run_seeded(cfg: &RefineConfig, jobs: usize) -> Vec<SeededOutcome> {
@@ -543,10 +554,13 @@ pub fn run_seeded(cfg: &RefineConfig, jobs: usize) -> Vec<SeededOutcome> {
                 for (ci, chunk_programs) in programs.chunks(chunk).enumerate() {
                     let start = ci * chunk;
                     let limits = cfg.limits;
-                    let outs = parallel_map(
+                    let outs = parallel_map_with(
                         jobs,
                         chunk_programs.iter().enumerate().collect(),
-                        |(i, codes)| check_program(world, start + i, codes, Some(bug), &limits),
+                        || world.explorer(Some(bug)),
+                        |explorer, (i, codes)| {
+                            check_program(explorer, world, start + i, codes, &limits)
+                        },
                     );
                     for (i, out) in outs.into_iter().enumerate() {
                         scanned += 1;

@@ -94,28 +94,64 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
+/// Canonicalization for one world: the domain relabelings are computed
+/// once, and every relabeled candidate is built in one reused buffer.
+struct Canonicalizer {
+    /// Every domain relabeling, the identity first.
+    relabelings: Vec<Vec<usize>>,
+    candidate: Codes,
+}
+
+impl Canonicalizer {
+    fn new(bounds: &WorldBounds) -> Self {
+        Canonicalizer { relabelings: permutations(bounds.domains), candidate: Vec::new() }
+    }
+
+    /// `codes` under relabeling `sigma`, its threads lex-sorted (sorting is
+    /// the lex-minimal thread arrangement, so minimizing these over every
+    /// relabeling minimizes over the full `S_M × S_K` orbit).
+    fn candidate(&mut self, codes: &Codes, sigma: usize) -> &Codes {
+        let sigma = &self.relabelings[sigma];
+        self.candidate.resize_with(codes.len(), Vec::new);
+        for (slot, thread) in self.candidate.iter_mut().zip(codes) {
+            slot.clear();
+            slot.extend(thread.iter().map(|&c| relabel(c, sigma)));
+        }
+        self.candidate.sort_unstable();
+        &self.candidate
+    }
+
+    fn canonicalize(&mut self, codes: &Codes) -> Codes {
+        let mut best: Option<Codes> = None;
+        for sigma in 0..self.relabelings.len() {
+            let candidate = self.candidate(codes, sigma);
+            if best.as_ref().is_none_or(|b| candidate < b) {
+                best = Some(candidate.clone());
+            }
+        }
+        best.unwrap_or_default()
+    }
+
+    /// Whether no candidate sorts below `codes`: the identity's candidate
+    /// is `codes` sorted, so `codes` is then the orbit's minimum.
+    fn is_canonical(&mut self, codes: &Codes) -> bool {
+        (0..self.relabelings.len()).all(|sigma| self.candidate(codes, sigma) >= codes)
+    }
+}
+
 /// The canonical representative of `codes`'s symmetry orbit: the minimum,
 /// over every domain relabeling, of the lex-sorted thread tuple (sorting
 /// is the lex-minimal thread arrangement, so this minimizes over the full
 /// `S_M × S_K` orbit).
 #[must_use]
 pub fn canonicalize(codes: &Codes, bounds: &WorldBounds) -> Codes {
-    let mut best: Option<Codes> = None;
-    for sigma in permutations(bounds.domains) {
-        let mut candidate: Codes =
-            codes.iter().map(|t| t.iter().map(|&c| relabel(c, &sigma)).collect()).collect();
-        candidate.sort();
-        if best.as_ref().is_none_or(|b| candidate < *b) {
-            best = Some(candidate);
-        }
-    }
-    best.unwrap_or_default()
+    Canonicalizer::new(bounds).canonicalize(codes)
 }
 
 /// Whether `codes` is its own orbit representative.
 #[must_use]
 pub fn is_canonical(codes: &Codes, bounds: &WorldBounds) -> bool {
-    canonicalize(codes, bounds) == *codes
+    Canonicalizer::new(bounds).is_canonical(codes)
 }
 
 /// The raw (pre-symmetry-reduction) program count:
@@ -226,20 +262,22 @@ fn fixed_domains(sigma: &[usize], power: usize) -> usize {
 #[must_use]
 pub fn enumerate_canonical(bounds: &WorldBounds) -> Vec<Codes> {
     let alphabet = bounds.alphabet() as u64;
+    let mut canon = Canonicalizer::new(bounds);
+    let mut codes: Codes = vec![Vec::new(); bounds.threads];
     let mut out = Vec::new();
     for n in 0..=bounds.ops {
         for comp in compositions(n, bounds.threads) {
             let mut digits = vec![0u16; n];
             loop {
                 // Split the digit string into per-thread sequences.
-                let mut codes: Codes = Vec::with_capacity(bounds.threads);
                 let mut at = 0;
-                for &len in &comp {
-                    codes.push(digits[at..at + len].to_vec());
+                for (thread, &len) in codes.iter_mut().zip(&comp) {
+                    thread.clear();
+                    thread.extend_from_slice(&digits[at..at + len]);
                     at += len;
                 }
-                if is_canonical(&codes, bounds) {
-                    out.push(codes);
+                if canon.is_canonical(&codes) {
+                    out.push(codes.clone());
                 }
                 // Mixed-radix increment; most-significant digit first.
                 let mut i = n;

@@ -1,17 +1,23 @@
 //! Stateless dynamic partial-order reduction (DPOR) over schedules.
 //!
 //! Flanagan–Godefroid DPOR with sleep sets: a depth-first search over
-//! thread schedules that re-executes the [`World`] from its initial state
-//! for every explored schedule (stateless model checking). After each
-//! complete execution a vector-clock race analysis finds pairs of
-//! concurrent dependent operations and seeds backtrack points at the
-//! earlier operation's pre-state, so only interleavings that can change
-//! the outcome are revisited; sleep sets prune schedules that merely
-//! permute independent operations.
+//! thread schedules that re-executes every explored schedule from the
+//! scenario's post-setup state (stateless model checking). An
+//! [`Explorer`] builds that state once, as a template [`World`], and
+//! restores its working world from the template in place before each
+//! schedule instead of re-running the setup. After each complete
+//! execution a vector-clock race analysis finds pairs of concurrent
+//! dependent operations and seeds backtrack points at the earlier
+//! operation's pre-state, so only interleavings that can change the
+//! outcome are revisited; sleep sets prune schedules that merely permute
+//! independent operations. Thread sets are `u64` bitsets and the clocks
+//! live in one flat buffer the explorer reuses.
 
 use std::collections::BTreeSet;
 
 use pmo_protect::ProtocolBug;
+use pmo_simarch::SimConfig;
+use pmo_trace::PmoId;
 
 use crate::program::{dependent, Op, Scenario};
 use crate::report::{ExploreOutcome, Violation};
@@ -34,142 +40,264 @@ impl Default for ExploreLimits {
     }
 }
 
+/// A set of thread indices: bit `t` stands for thread `t`.
+type Threads = u64;
+
 /// One decision point in the DFS: the state *before* step `depth`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Frame {
     /// The thread chosen at this point on the current path.
     chosen: usize,
     /// Threads that must (eventually) be explored from this state.
-    backtrack: BTreeSet<usize>,
+    backtrack: Threads,
     /// Threads whose subtrees from this state are fully explored.
-    done: BTreeSet<usize>,
+    done: Threads,
     /// Sleep set on entry: threads whose next operation commutes with
     /// every operation since they were preempted — scheduling them here
     /// would replay an already-explored equivalence class.
-    sleep: BTreeSet<usize>,
+    sleep: Threads,
 }
 
-/// Exhaustively explores `scenario` under the given bounds, returning
-/// statistics and every distinct violation found. Every step of every
-/// schedule runs the [`World`]'s verdict, cache and abstraction checks;
-/// every completed (non-sleep-blocked) execution also runs its
-/// noninterference pass, and any leak is reported against the full
-/// schedule that produced it. A planted `bug` turns the run into a
-/// self-validation campaign.
+/// One exploration context, built for one hardware configuration, one
+/// list of setup domains and one planted bug, through which any number of
+/// programs that share them are explored or executed.
+///
+/// It runs the setup once, when it is built, and keeps the resulting
+/// post-setup [`World`] as a template. Every schedule restores the
+/// working world from the template with `clone_from`, which reuses the
+/// machines' vectors, and runs in the explorer's DPOR frames, step list
+/// and clock buffer. Once those have grown, a schedule allocates what its
+/// operations do plus the nodes of the `BTreeMap`-backed scheme state
+/// that the restore rebuilds.
+pub struct Explorer {
+    config: SimConfig,
+    setup: Vec<PmoId>,
+    /// The state every schedule starts from.
+    template: World,
+    /// The state the current schedule runs in.
+    pub(crate) world: World,
+    /// DPOR decision points along the current path.
+    frames: Vec<Frame>,
+    /// The `(thread, op)` steps the current schedule executed.
+    exec: Vec<(usize, Op)>,
+    /// Operations each thread has executed in the current schedule.
+    pub(crate) consumed: Vec<usize>,
+    /// The race analysis's vector clocks, row-major with one entry per
+    /// thread: first each thread's clock, then each executed step's.
+    clocks: Vec<u64>,
+}
+
+impl Explorer {
+    /// An explorer for programs over `config` whose `setup` domains are
+    /// attached before they run, with `bug` planted into whichever scheme
+    /// it targets.
+    #[must_use]
+    pub fn new(config: &SimConfig, setup: &[PmoId], bug: Option<ProtocolBug>) -> Self {
+        let template = World::with_setup(config, setup, bug);
+        Explorer {
+            config: config.clone(),
+            setup: setup.to_vec(),
+            world: template.clone(),
+            template,
+            frames: Vec::new(),
+            exec: Vec::new(),
+            consumed: Vec::new(),
+            clocks: Vec::new(),
+        }
+    }
+
+    /// Checks that `scenario` can run from the explorer's template.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scenario` does not share the explorer's configuration
+    /// and setup domains.
+    pub(crate) fn check_fits(&self, scenario: &Scenario) {
+        assert!(
+            scenario.config == self.config && scenario.setup == self.setup,
+            "{} does not share this explorer's configuration and setup domains",
+            scenario.name
+        );
+    }
+
+    /// Restores the post-setup state for a schedule of a program with
+    /// `nthreads` threads.
+    pub(crate) fn restore(&mut self, nthreads: usize) {
+        self.world.clone_from(&self.template);
+        self.consumed.clear();
+        self.consumed.resize(nthreads, 0);
+    }
+
+    /// Exhaustively explores `scenario` under the given bounds, returning
+    /// statistics and every distinct violation found. Every step of every
+    /// schedule runs the [`World`]'s verdict, cache and abstraction
+    /// checks; every completed (non-sleep-blocked) execution also runs
+    /// its noninterference pass, and any leak is reported against the
+    /// full schedule that produced it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scenario` does not share the explorer's configuration
+    /// and setup domains, or has more than 64 threads.
+    #[must_use]
+    pub fn explore(&mut self, scenario: &Scenario, limits: &ExploreLimits) -> ExploreOutcome {
+        self.check_fits(scenario);
+        let threads = &scenario.program.threads;
+        let nthreads = threads.len();
+        assert!(nthreads <= Threads::BITS as usize, "thread sets hold at most 64 threads");
+        let kp = scenario.key_pressure;
+        let mut out = ExploreOutcome::new(scenario, limits.max_depth);
+        let mut seen = BTreeSet::new();
+        self.frames.clear();
+
+        loop {
+            // ---- Execute the schedule selected by `frames`, extending it
+            // to a maximal (or bounded, or violating) execution. ----
+            self.restore(nthreads);
+            self.exec.clear();
+            let mut sleep_blocked = false;
+            let mut next_sleep: Threads = 0;
+
+            loop {
+                if self.exec.len() >= limits.max_depth {
+                    out.truncated |= self.exec.len() < scenario.program.total_ops();
+                    break;
+                }
+                let depth = self.exec.len();
+                let chosen = if depth < self.frames.len() {
+                    self.frames[depth].chosen
+                } else {
+                    let enabled = (0..nthreads)
+                        .filter(|&t| self.consumed[t] < threads[t].len())
+                        .fold(0, |set: Threads, t| set | 1 << t);
+                    if enabled == 0 {
+                        break; // maximal execution
+                    }
+                    let awake = enabled & !next_sleep;
+                    if awake == 0 {
+                        // Every runnable thread sleeps: this prefix only
+                        // replays an explored equivalence class.
+                        sleep_blocked = true;
+                        break;
+                    }
+                    let pick = awake.trailing_zeros() as usize;
+                    self.frames.push(Frame {
+                        chosen: pick,
+                        backtrack: 1 << pick,
+                        done: 0,
+                        sleep: next_sleep,
+                    });
+                    pick
+                };
+                let op = threads[chosen][self.consumed[chosen]];
+                self.consumed[chosen] += 1;
+                let findings = self.world.step(chosen as u32, op);
+                out.steps += 1;
+                self.exec.push((chosen, op));
+
+                // Sleep set for the next state: previously explored/asleep
+                // threads stay asleep only while their next op commutes
+                // with what just executed.
+                let frame = self.frames[depth];
+                next_sleep = (0..nthreads)
+                    .filter(|&w| {
+                        (frame.sleep | frame.done) >> w & 1 == 1
+                            && w != chosen
+                            && threads[w]
+                                .get(self.consumed[w])
+                                .is_some_and(|&next| !dependent(next, op, kp))
+                    })
+                    .fold(0, |set, w| set | 1 << w);
+
+                if !findings.is_empty() {
+                    record(&mut out, &mut seen, &self.exec, findings);
+                    break; // prune below the violation
+                }
+            }
+
+            if sleep_blocked {
+                out.sleep_blocked += 1;
+            } else {
+                out.schedules += 1;
+                // End-of-execution checks (noninterference), anchored at
+                // the last executed step of this schedule.
+                record(&mut out, &mut seen, &self.exec, self.world.end_checks());
+            }
+
+            // ---- Vector-clock race analysis: seed backtrack points. ----
+            self.analyze_races(kp, nthreads);
+
+            // ---- Backtrack to the deepest frame with an unexplored
+            // choice. ----
+            loop {
+                let Some(top) = self.frames.last_mut() else {
+                    return out; // search space exhausted
+                };
+                top.done |= 1 << top.chosen;
+                let open = top.backtrack & !top.done & !top.sleep;
+                if open != 0 {
+                    top.chosen = open.trailing_zeros() as usize;
+                    break;
+                }
+                self.frames.pop();
+            }
+            // Only a cap that leaves a choice unexplored truncates the
+            // search.
+            if out.schedules >= limits.max_schedules {
+                out.truncated = true;
+                return out;
+            }
+        }
+    }
+
+    /// Finds, for every executed step, the last concurrent dependent step
+    /// of every other thread and adds the later thread to the backtrack
+    /// set of the earlier step's pre-state (Flanagan–Godefroid). Clocks
+    /// order steps by program order plus dependence edges.
+    fn analyze_races(&mut self, kp: bool, nthreads: usize) {
+        let n = nthreads;
+        let thread = |t: usize| t * n;
+        let step = |i: usize| (n + i) * n;
+        let clocks = &mut self.clocks;
+        clocks.clear();
+        clocks.resize(n * n, 0);
+        for (i, &(p, op)) in self.exec.iter().enumerate() {
+            // Step i's clock starts as p's and joins the clock of the last
+            // dependent step of every other thread, found scanning back.
+            let row = step(i);
+            clocks.extend_from_within(thread(p)..thread(p) + n);
+            let mut joined: Threads = 0;
+            for (j, &(q, other)) in self.exec[..i].iter().enumerate().rev() {
+                if q == p || joined >> q & 1 == 1 || !dependent(other, op, kp) {
+                    continue;
+                }
+                joined |= 1 << q;
+                // Concurrent (not already ordered before p's view) →
+                // race: exploring p at j's pre-state can reverse the pair.
+                let frame = &mut self.frames[j];
+                if clocks[step(j) + q] > clocks[thread(p) + q] && frame.sleep >> p & 1 == 0 {
+                    frame.backtrack |= 1 << p;
+                }
+                for k in 0..n {
+                    clocks[row + k] = clocks[row + k].max(clocks[step(j) + k]);
+                }
+            }
+            clocks[row + p] += 1;
+            clocks.copy_within(row..row + n, thread(p));
+        }
+    }
+}
+
+/// Exhaustively explores `scenario` under the given bounds through a
+/// fresh [`Explorer`]; see [`Explorer::explore`]. A planted `bug` turns
+/// the run into a self-validation campaign.
 #[must_use]
 pub fn explore(
     scenario: &Scenario,
     bug: Option<ProtocolBug>,
     limits: &ExploreLimits,
 ) -> ExploreOutcome {
-    let nthreads = scenario.program.threads.len();
-    let kp = scenario.key_pressure;
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut out = ExploreOutcome::new(scenario, limits.max_depth);
-    let mut seen = BTreeSet::new();
-
-    loop {
-        // ---- Execute the schedule selected by `frames`, extending it to
-        // a maximal (or bounded, or violating) execution. ----
-        let mut world = World::new(scenario, bug);
-        let mut consumed = vec![0usize; nthreads];
-        let mut exec: Vec<(usize, Op)> = Vec::new();
-        let mut sleep_blocked = false;
-        let mut next_sleep: BTreeSet<usize> = BTreeSet::new();
-
-        loop {
-            if exec.len() >= limits.max_depth {
-                out.truncated |= exec.len() < scenario.program.total_ops();
-                break;
-            }
-            let depth = exec.len();
-            let chosen = if depth < frames.len() {
-                frames[depth].chosen
-            } else {
-                let enabled: Vec<usize> = (0..nthreads)
-                    .filter(|&t| consumed[t] < scenario.program.threads[t].len())
-                    .collect();
-                if enabled.is_empty() {
-                    break; // maximal execution
-                }
-                let Some(&pick) = enabled.iter().find(|t| !next_sleep.contains(t)) else {
-                    // Every runnable thread sleeps: this prefix only
-                    // replays an explored equivalence class.
-                    sleep_blocked = true;
-                    break;
-                };
-                frames.push(Frame {
-                    chosen: pick,
-                    backtrack: BTreeSet::from([pick]),
-                    done: BTreeSet::new(),
-                    sleep: next_sleep.clone(),
-                });
-                pick
-            };
-            let op = scenario.program.threads[chosen][consumed[chosen]];
-            consumed[chosen] += 1;
-            let findings = world.step(chosen as u32, op);
-            out.steps += 1;
-            exec.push((chosen, op));
-
-            // Sleep set for the next state: previously explored/asleep
-            // threads stay asleep only while their next op commutes with
-            // what just executed.
-            let frame = &frames[depth];
-            next_sleep = frame
-                .sleep
-                .iter()
-                .chain(frame.done.iter())
-                .copied()
-                .filter(|&w| {
-                    w != chosen
-                        && scenario.program.threads[w]
-                            .get(consumed[w])
-                            .is_some_and(|&next| !dependent(next, op, kp))
-                })
-                .collect();
-
-            if !findings.is_empty() {
-                record(&mut out, &mut seen, &exec, findings);
-                break; // prune below the violation
-            }
-        }
-
-        if sleep_blocked {
-            out.sleep_blocked += 1;
-        } else {
-            out.schedules += 1;
-            // End-of-execution checks (noninterference), anchored at the
-            // last executed step of this schedule.
-            record(&mut out, &mut seen, &exec, world.end_checks());
-        }
-
-        // ---- Vector-clock race analysis: seed backtrack points. ----
-        analyze_races(&exec, &mut frames, kp, nthreads);
-
-        // ---- Backtrack to the deepest frame with an unexplored choice. ----
-        loop {
-            let Some(top) = frames.last_mut() else {
-                return out; // search space exhausted
-            };
-            top.done.insert(top.chosen);
-            let next = top
-                .backtrack
-                .iter()
-                .find(|t| !top.done.contains(t) && !top.sleep.contains(t))
-                .copied();
-            if let Some(next) = next {
-                top.chosen = next;
-                break;
-            }
-            frames.pop();
-        }
-        // Only a cap that leaves a choice unexplored truncates the search.
-        if out.schedules >= limits.max_schedules {
-            out.truncated = true;
-            return out;
-        }
-    }
+    Explorer::new(&scenario.config, &scenario.setup, bug).explore(scenario, limits)
 }
 
 /// Counts every finding and keeps the first occurrence of each distinct
@@ -188,45 +316,6 @@ fn record(
             let schedule = exec.iter().map(|&(t, _)| t as u32).collect();
             out.violations.push(Violation::new(&out.scenario, schedule, step, finding));
         }
-    }
-}
-
-/// Finds, for every executed step, the last concurrent dependent step of
-/// every other thread and inserts the later thread into the backtrack set
-/// of the earlier step's pre-state (Flanagan–Godefroid). Clocks order
-/// steps by program order plus dependence edges.
-fn analyze_races(exec: &[(usize, Op)], frames: &mut [Frame], kp: bool, nthreads: usize) {
-    let mut thread_clock: Vec<Vec<u64>> = vec![vec![0; nthreads]; nthreads];
-    let mut step_clock: Vec<Vec<u64>> = Vec::with_capacity(exec.len());
-    let mut steps_of: Vec<Vec<usize>> = vec![Vec::new(); nthreads];
-
-    for (i, &(p, op)) in exec.iter().enumerate() {
-        let mut joins: Vec<usize> = Vec::new();
-        for (q, q_steps) in steps_of.iter().enumerate() {
-            if q == p {
-                continue;
-            }
-            // Last dependent step of q, scanning backwards.
-            let Some(&j) = q_steps.iter().rev().find(|&&j| dependent(exec[j].1, op, kp)) else {
-                continue;
-            };
-            // Concurrent (not already ordered before p's view) → race:
-            // exploring p at j's pre-state can reverse the pair.
-            if step_clock[j][q] > thread_clock[p][q] && !frames[j].sleep.contains(&p) {
-                frames[j].backtrack.insert(p);
-            }
-            joins.push(j);
-        }
-        let mut clock = thread_clock[p].clone();
-        for j in joins {
-            for (slot, &other) in clock.iter_mut().zip(step_clock[j].iter()) {
-                *slot = (*slot).max(other);
-            }
-        }
-        clock[p] += 1;
-        thread_clock[p] = clock.clone();
-        step_clock.push(clock);
-        steps_of[p].push(i);
     }
 }
 
@@ -319,6 +408,14 @@ mod tests {
         let cut = explore(&scenario, None, &depth(ops - 1));
         assert!(cut.truncated && !cut.passed(), "{cut:?}");
         assert!(cut.violations.is_empty(), "the cut search found nothing, yet fails");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not share this explorer's configuration and setup domains")]
+    fn an_explorer_refuses_a_program_with_other_setup_domains() {
+        let scenario = dependent_scenario();
+        let mut explorer = Explorer::new(&scenario.config, &[PmoId::new(1)], None);
+        let _ = explorer.explore(&scenario, &ExploreLimits::default());
     }
 
     #[test]

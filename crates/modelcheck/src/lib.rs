@@ -19,8 +19,12 @@
 //!   verdicts, cache invariants and abstraction functions checked after
 //!   every step and noninterference at the end of every execution;
 //! * `machine` — each verified scheme's abstraction and cache sweeps;
-//! * [`explore`] — Flanagan–Godefroid dynamic partial-order reduction
-//!   with sleep sets over stateless re-execution;
+//! * [`explore`](mod@explore) — Flanagan–Godefroid dynamic partial-order
+//!   reduction with sleep sets over stateless re-execution: an
+//!   [`Explorer`] builds the post-setup world once and restores every
+//!   schedule from that template in place, with its DPOR and
+//!   race-analysis state in reused buffers, so one explorer serves every
+//!   program that shares a configuration, setup domains and planted bug;
 //! * [`scenarios`] — the built-in scenario suite and the seeded-bug
 //!   self-validation matrix;
 //! * [`replay`] — deterministic execution of one schedule (the executor
@@ -57,7 +61,7 @@ pub mod spec;
 pub mod world;
 
 pub use enumerate::{enumerate_canonical, orbit_count, raw_count, to_scenario, WorldBounds};
-pub use explore::{explore, ExploreLimits};
+pub use explore::{explore, ExploreLimits, Explorer};
 pub use oracle::{all_schedules, sample_schedule};
 pub use program::{dependent, model_config, Op, Program, Scenario, GB1, POOL_BYTES};
 pub use refine::{noninterference, AccessObs, NiLeak};

@@ -5,23 +5,22 @@
 //! adding a scheme is one impl and one arm of [`verified`] here, and one
 //! entry in that list.
 
-use std::collections::BTreeMap;
-
 use pmo_analyzer::ViolationClass;
 use pmo_protect::scheme::{AnyScheme, DomainVirt, Dpti, Erim, MpkVirt, ProtectionScheme};
 use pmo_protect::{KeyAllocator, Pkru};
 use pmo_simarch::PAGE_BITS;
-use pmo_trace::{Perm, PmoId};
+use pmo_trace::Perm;
 
-use crate::refine::{set_row, AbsState};
+use crate::refine::AbsState;
 use crate::spec::SpecMachine;
 use crate::world::Finding;
 
 /// A protection scheme the world verifies against the spec.
 pub(crate) trait Machine: ProtectionScheme {
-    /// The abstraction function: the machine's logical permission state
-    /// in the spec's form, while thread `current` runs.
-    fn alpha(&self, current: u32) -> AbsState;
+    /// The abstraction function: writes the machine's logical permission
+    /// state, in the spec's form, into `abs` (which the caller cleared),
+    /// while thread `current` runs.
+    fn alpha(&self, current: u32, abs: &mut AbsState);
 
     /// Sweeps the caches the machine derives from its logical state
     /// against the spec, while thread `current` runs.
@@ -48,18 +47,16 @@ pub(crate) fn verified(scheme: &AnyScheme) -> (&'static str, &dyn Machine) {
 /// DTT entry. Keys, PKRU, DTTLB, and TLB contents are derived caches and
 /// do not appear in the abstraction; the sweep checks each of them.
 impl Machine for MpkVirt {
-    fn alpha(&self, _current: u32) -> AbsState {
+    fn alpha(&self, _current: u32, abs: &mut AbsState) {
         let dtt = self.dtt();
-        let attached: Vec<PmoId> = dtt.domains().collect();
-        let mut perms = BTreeMap::new();
-        for &pmo in &attached {
+        for pmo in dtt.domains() {
+            abs.attach(pmo);
             if let Some(entry) = dtt.entry(pmo) {
                 for (thread, perm) in entry.thread_perms() {
-                    set_row(&mut perms, (thread.raw(), pmo), perm);
+                    abs.set((thread.raw(), pmo), perm);
                 }
             }
         }
-        (attached, perms)
     }
 
     fn check_caches(&self, spec: &SpecMachine, current: u32, findings: &mut Vec<Finding>) {
@@ -117,18 +114,19 @@ impl Machine for MpkVirt {
 /// longer maps any VA to them) and are excluded, from the abstraction
 /// and from the sweep, until a re-attach makes them (checkably) stale.
 impl Machine for DomainVirt {
-    fn alpha(&self, current: u32) -> AbsState {
+    fn alpha(&self, current: u32, abs: &mut AbsState) {
         let pt = self.pt();
-        let mut perms = BTreeMap::new();
+        for pmo in pt.domain_ids() {
+            abs.attach(pmo);
+        }
         for ((pmo, thread), perm) in pt.entries() {
-            set_row(&mut perms, (thread.raw(), pmo), perm);
+            abs.set((thread.raw(), pmo), perm);
         }
         for entry in self.ptlb().entries() {
             if pt.contains(entry.pmo) {
-                set_row(&mut perms, (current, entry.pmo), entry.perm);
+                abs.set((current, entry.pmo), entry.perm);
             }
         }
-        (pt.domain_ids().collect(), perms)
     }
 
     /// Every PTLB entry for an attached domain must hold exactly the
@@ -164,14 +162,13 @@ impl Machine for DomainVirt {
 /// is derived cache only. The abstraction is therefore the attached
 /// region set plus the session rows verbatim; the sweep checks the PKRU.
 impl Machine for Erim {
-    fn alpha(&self, _current: u32) -> AbsState {
-        let mut attached: Vec<PmoId> = self.mmu().regions().map(|r| r.pmo).collect();
-        attached.sort_unstable();
-        let mut perms = BTreeMap::new();
-        for (&(thread, pmo), &perm) in self.sessions() {
-            set_row(&mut perms, (thread.raw(), pmo), perm);
+    fn alpha(&self, _current: u32, abs: &mut AbsState) {
+        for region in self.mmu().regions() {
+            abs.attach(region.pmo);
         }
-        (attached, perms)
+        for (&(thread, pmo), &perm) in self.sessions() {
+            abs.set((thread.raw(), pmo), perm);
+        }
     }
 
     /// A call gate that skips the restore half of its exit path (the
@@ -191,16 +188,15 @@ impl Machine for Erim {
 /// hardware state that the sweep checks, which is exactly where a stale
 /// CR3 becomes observable.
 impl Machine for Dpti {
-    fn alpha(&self, _current: u32) -> AbsState {
-        let mut attached: Vec<PmoId> = self.mmu().regions().map(|r| r.pmo).collect();
-        attached.sort_unstable();
-        let mut perms = BTreeMap::new();
+    fn alpha(&self, _current: u32, abs: &mut AbsState) {
+        for region in self.mmu().regions() {
+            abs.attach(region.pmo);
+        }
         for (thread, rows) in self.tables() {
             for (&pmo, &perm) in rows {
-                set_row(&mut perms, (thread.raw(), pmo), perm);
+                abs.set((thread.raw(), pmo), perm);
             }
         }
-        (attached, perms)
     }
 
     /// The loaded address space must be the running thread's: CR3 must

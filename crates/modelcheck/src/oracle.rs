@@ -12,9 +12,9 @@
 //! * [`sample_schedule`] — the single observed schedule, a pure
 //!   function of the scenario name (SplitMix64 over an FNV-1a seed, no
 //!   RNG state anywhere): byte-identical across runs and job counts;
-//! * [`crate::replay::schedule_trace`] — runs one schedule
-//!   through a fresh [`crate::World`] and hands back the raw event trace
-//!   the analyzer consumes.
+//! * [`crate::Explorer::schedule_trace`] — runs one schedule from the
+//!   explorer's restored post-setup [`crate::World`] and hands back the
+//!   raw event trace the analyzer consumes.
 
 /// FNV-1a over the scenario name: the whole sampling seed.
 fn fnv1a(s: &str) -> u64 {

@@ -12,7 +12,8 @@
 //!   authoritative permission store (design 1's DTT, design 2's PT
 //!   overlaid with the running thread's PTLB, ERIM's session table,
 //!   DPTI's per-thread page tables) onto the spec's `(attached set, perm
-//!   map)`, which it must equal exactly.
+//!   map)`, written as sorted rows into an `AbsState` buffer the caller
+//!   owns and reuses, which must equal the spec's state exactly.
 //! * **Cache soundness.** The derived caches — TLB protection keys,
 //!   DTTLB key copies, the materialized PKRU, PTLB rows for the running
 //!   thread, DPTI's loaded table — must never be observably ahead of or
@@ -34,49 +35,78 @@
 //! between the base and the perturbed run.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use pmo_trace::{AccessKind, Perm, PmoId};
 
 use crate::spec::SpecMachine;
 
 /// The abstract `(attached set, perm map)` pair an abstraction function
-/// produces, in the spec's canonical form (no [`Perm::None`] rows).
-pub type AbsState = (Vec<PmoId>, BTreeMap<(u32, PmoId), Perm>);
+/// writes, kept in the spec's canonical form: attached domains ascending,
+/// `(thread, domain)` rows ascending, and no [`Perm::None`] row. Both
+/// halves are sorted vectors the caller clears and reuses, so checking a
+/// step allocates nothing once they have grown.
+#[derive(Debug, Default)]
+pub(crate) struct AbsState {
+    attached: Vec<PmoId>,
+    perms: Vec<((u32, PmoId), Perm)>,
+}
 
-/// Sets a `(thread, domain)` row of an abstraction in the spec's
-/// canonical form, which holds no [`Perm::None`] row.
-pub(crate) fn set_row(perms: &mut BTreeMap<(u32, PmoId), Perm>, row: (u32, PmoId), perm: Perm) {
-    if perm == Perm::None {
-        perms.remove(&row);
-    } else {
-        perms.insert(row, perm);
+pmo_simarch::impl_clone_in_place!(AbsState { attached, perms });
+
+impl AbsState {
+    /// Empties both halves, keeping their buffers.
+    pub(crate) fn clear(&mut self) {
+        self.attached.clear();
+        self.perms.clear();
+    }
+
+    /// Adds `pmo` to the attached set.
+    pub(crate) fn attach(&mut self, pmo: PmoId) {
+        if let Err(at) = self.attached.binary_search(&pmo) {
+            self.attached.insert(at, pmo);
+        }
+    }
+
+    /// Sets a `(thread, domain)` row: a later write to the same row
+    /// replaces it, and [`Perm::None`] removes it.
+    pub(crate) fn set(&mut self, row: (u32, PmoId), perm: Perm) {
+        match (self.perms.binary_search_by_key(&row, |&(r, _)| r), perm) {
+            (Ok(at), Perm::None) => {
+                self.perms.remove(at);
+            }
+            (Ok(at), perm) => self.perms[at].1 = perm,
+            (Err(_), Perm::None) => {}
+            (Err(at), perm) => self.perms.insert(at, (row, perm)),
+        }
+    }
+
+    /// Whether this is exactly the spec's state, compared in place.
+    pub(crate) fn matches(&self, spec: &SpecMachine) -> bool {
+        self.attached.iter().eq(spec.attached())
+            && self.perms.iter().copied().eq(spec.perms().iter().map(|(&row, &perm)| (row, perm)))
+    }
+
+    /// The spec's state in this form (divergence messages print it).
+    pub(crate) fn of_spec(spec: &SpecMachine) -> Self {
+        AbsState {
+            attached: spec.attached().iter().copied().collect(),
+            perms: spec.perms().iter().map(|(&row, &perm)| (row, perm)).collect(),
+        }
     }
 }
 
-/// The spec state in [`AbsState`] form, for equality comparison.
-#[must_use]
-pub fn spec_state(spec: &SpecMachine) -> AbsState {
-    (spec.attached().iter().copied().collect(), spec.perms().clone())
-}
-
-/// Whether `state` equals the spec state, compared in place so the
-/// per-step check does not copy the spec.
-#[must_use]
-pub fn is_spec_state(state: &AbsState, spec: &SpecMachine) -> bool {
-    state.0.iter().eq(spec.attached()) && state.1 == *spec.perms()
-}
-
-/// Renders an [`AbsState`] compactly for divergence messages.
-#[must_use]
-pub fn render_abs(state: &AbsState) -> String {
-    let attached = state.0.iter().map(|p| format!("P{}", p.raw())).collect::<Vec<_>>().join(",");
-    let perms = state
-        .1
-        .iter()
-        .map(|(&(t, p), perm)| format!("t{t}/P{}={perm:?}", p.raw()))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("attached[{attached}] perms[{perms}]")
+/// Renders compactly for divergence messages.
+impl fmt::Display for AbsState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let attached = self.attached.iter().map(|p| format!("P{}", p.raw())).collect::<Vec<_>>();
+        let perms = self
+            .perms
+            .iter()
+            .map(|&((t, p), perm)| format!("t{t}/P{}={perm:?}", p.raw()))
+            .collect::<Vec<_>>();
+        write!(f, "attached[{}] perms[{}]", attached.join(","), perms.join(","))
+    }
 }
 
 /// One recorded load/store observation, the input to the noninterference

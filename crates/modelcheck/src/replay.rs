@@ -1,13 +1,14 @@
 //! Deterministic schedule execution and counterexample replay.
 //!
-//! [`schedule_trace`] runs one schedule through a fresh [`World`]; it is
-//! the executor behind both counterexample replay and the
-//! predictive-analysis oracle. A violating schedule reported by
-//! [`crate::explore`] is re-executed verbatim; the [`World`]'s event
-//! stream (the same [`TraceEvent`]s the timing simulator records) is then
-//! fed through a [`pmo_analyzer::Analyzer`] carrying a [`ModelCheckPass`],
-//! producing positioned [`Diagnostic`]s whose `source` is the
-//! `scenario@schedule` repro string. Because the world is deterministic,
+//! [`Explorer::schedule_trace`] runs one schedule from an explorer's
+//! restored post-setup [`World`](crate::World); it is the executor behind
+//! both counterexample replay and the predictive-analysis oracle, and
+//! [`schedule_trace`] runs it through a fresh explorer. A violating
+//! schedule reported by [`crate::explore()`] is re-executed verbatim; the
+//! world's event stream (the same [`TraceEvent`]s the timing simulator
+//! records) is then fed through a [`pmo_analyzer::Analyzer`] carrying a
+//! [`ModelCheckPass`], producing positioned [`Diagnostic`]s whose
+//! `source` is the `scenario@schedule` repro string. Because the world is deterministic,
 //! replaying the schedule reproduces the exact violation — this is the
 //! checker's evidence trail.
 
@@ -17,9 +18,9 @@ use pmo_analyzer::{
 use pmo_protect::ProtocolBug;
 use pmo_trace::{TraceEvent, TraceSink};
 
+use crate::explore::Explorer;
 use crate::program::Scenario;
 use crate::report::{schedule_string, Violation};
-use crate::world::World;
 
 /// An [`AnalyzerPass`] that anchors model-checker findings to trace
 /// positions: the replay engine records at which event index each
@@ -82,7 +83,7 @@ impl AnalyzerPass for ModelCheckPass {
 
 /// One schedule executed through the checker: the raw trace plus every
 /// violation the world reported along the way.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ScheduleRun {
     /// The event stream the analyzer consumes. Events before
     /// `steps[0].0` are scenario setup (attaches by thread 0).
@@ -107,12 +108,65 @@ impl ScheduleRun {
     }
 }
 
-/// Executes `schedule` (a sequence of thread indices) against a fresh
-/// [`World`] for `scenario`, running every check after every step and
-/// the noninterference pass at the end.
-///
-/// The schedule may be a prefix of a maximal execution (violation
-/// counterexamples are).
+impl Explorer {
+    /// Executes `schedule` (a sequence of thread indices) for `scenario`
+    /// from the explorer's post-setup state, running every check after
+    /// every step and the noninterference pass at the end.
+    ///
+    /// The schedule may be a prefix of a maximal execution (violation
+    /// counterexamples are).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when a schedule step names an out-of-range or
+    /// exhausted thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scenario` does not share the explorer's configuration
+    /// and setup domains.
+    pub fn schedule_trace(
+        &mut self,
+        scenario: &Scenario,
+        schedule: &[u32],
+    ) -> Result<ScheduleRun, String> {
+        self.check_fits(scenario);
+        let nthreads = scenario.program.threads.len();
+        self.restore(nthreads);
+        let mut steps = Vec::with_capacity(schedule.len());
+        let mut violations = Vec::new();
+        for (step, &t) in schedule.iter().enumerate() {
+            let thread = t as usize;
+            if thread >= nthreads {
+                return Err(format!(
+                    "step {step}: thread {t} out of range (program has {nthreads})"
+                ));
+            }
+            let Some(&op) = scenario.program.threads[thread].get(self.consumed[thread]) else {
+                return Err(format!("step {step}: thread {t} has no operations left"));
+            };
+            self.consumed[thread] += 1;
+            let start = self.world.trace().len();
+            for finding in self.world.step(t, op) {
+                violations.push(Violation::new(
+                    &scenario.name,
+                    schedule[..=step].to_vec(),
+                    step,
+                    finding,
+                ));
+            }
+            steps.push((start, self.world.trace().len()));
+        }
+        let last = schedule.len().saturating_sub(1);
+        for finding in self.world.end_checks() {
+            violations.push(Violation::new(&scenario.name, schedule.to_vec(), last, finding));
+        }
+        Ok(ScheduleRun { trace: self.world.trace().to_vec(), steps, violations })
+    }
+}
+
+/// Executes `schedule` for `scenario` through a fresh [`Explorer`]; see
+/// [`Explorer::schedule_trace`].
 ///
 /// # Errors
 ///
@@ -123,36 +177,7 @@ pub fn schedule_trace(
     bug: Option<ProtocolBug>,
     schedule: &[u32],
 ) -> Result<ScheduleRun, String> {
-    let nthreads = scenario.program.threads.len();
-    let mut world = World::new(scenario, bug);
-    let mut consumed = vec![0usize; nthreads];
-    let mut steps = Vec::with_capacity(schedule.len());
-    let mut violations = Vec::new();
-    for (step, &t) in schedule.iter().enumerate() {
-        let thread = t as usize;
-        if thread >= nthreads {
-            return Err(format!("step {step}: thread {t} out of range (program has {nthreads})"));
-        }
-        let Some(&op) = scenario.program.threads[thread].get(consumed[thread]) else {
-            return Err(format!("step {step}: thread {t} has no operations left"));
-        };
-        consumed[thread] += 1;
-        let start = world.trace().len();
-        for finding in world.step(t, op) {
-            violations.push(Violation::new(
-                &scenario.name,
-                schedule[..=step].to_vec(),
-                step,
-                finding,
-            ));
-        }
-        steps.push((start, world.trace().len()));
-    }
-    let last = schedule.len().saturating_sub(1);
-    for finding in world.end_checks() {
-        violations.push(Violation::new(&scenario.name, schedule.to_vec(), last, finding));
-    }
-    Ok(ScheduleRun { trace: world.trace().to_vec(), steps, violations })
+    Explorer::new(&scenario.config, &scenario.setup, bug).schedule_trace(scenario, schedule)
 }
 
 /// The result of replaying one schedule.

@@ -97,7 +97,7 @@ pub fn parse_schedule(s: &str) -> Result<Vec<u32>, String> {
 }
 
 /// Exploration statistics and findings for one scenario.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExploreOutcome {
     /// Scenario name.
     pub scenario: String,

@@ -32,11 +32,12 @@
 use pmo_analyzer::ViolationClass;
 use pmo_protect::scheme::{AnyScheme, DomainVirt, Dpti, Erim, MpkVirt, ProtectionScheme};
 use pmo_protect::ProtocolBug;
+use pmo_simarch::SimConfig;
 use pmo_trace::{AccessKind, PmoId, ThreadId, TraceEvent};
 
 use crate::machine::verified;
 use crate::program::{Op, Scenario, POOL_BYTES};
-use crate::refine::{is_spec_state, noninterference_all, render_abs, spec_state, AccessObs};
+use crate::refine::{noninterference_all, AbsState, AccessObs};
 use crate::spec::SpecMachine;
 
 /// One violation found by a check (scenario/schedule context is attached
@@ -54,11 +55,18 @@ pub struct Finding {
 /// Every verified machine — the paper's two designs plus the
 /// related-work schemes ERIM and DPTI — run in lockstep against the spec
 /// machine, advanced one operation at a time.
+///
+/// `clone_from` restores a world in place: each machine is cloned field by
+/// field into the one already there, reusing its TLB, replacement, DTTLB,
+/// PTLB and key-allocator buffers, and the trace and observation buffers
+/// keep their capacity. The explorer restores every schedule's world from
+/// a post-setup template this way.
 pub struct World {
-    /// The verified machines in finding order, each with the ranged
-    /// shootdowns it has published so far. They are held inline, not
-    /// boxed, since the explorer builds a fresh world for every schedule.
-    machines: [(AnyScheme, u64); 4],
+    /// The verified machines in finding order. They are held inline, not
+    /// boxed, so that restoring a world clones each one in place.
+    machines: [AnyScheme; 4],
+    /// The ranged shootdowns each machine has published so far.
+    shootdowns: [u64; 4],
     spec: SpecMachine,
     bug: Option<ProtocolBug>,
     /// The trace recorded so far (replayable through `pmo-analyzer`).
@@ -66,7 +74,20 @@ pub struct World {
     /// Access observations recorded for the noninterference pass.
     obs: Vec<AccessObs>,
     current: u32,
+    /// The buffer every step's abstraction functions write into.
+    abs: AbsState,
 }
+
+pmo_simarch::impl_clone_in_place!(World {
+    machines,
+    shootdowns,
+    spec,
+    bug,
+    trace,
+    obs,
+    current,
+    abs
+});
 
 impl World {
     /// Builds the initial state for a scenario, attaching its setup
@@ -74,25 +95,41 @@ impl World {
     /// bug targets (self-validation runs).
     #[must_use]
     pub fn new(scenario: &Scenario, bug: Option<ProtocolBug>) -> Self {
-        let config = &scenario.config;
-        let machines = [
-            AnyScheme::MpkVirt(MpkVirt::with_bug(config, bug)),
-            AnyScheme::DomainVirt(DomainVirt::with_bug(config, bug)),
-            AnyScheme::Erim(Erim::with_bug(config, bug)),
-            AnyScheme::Dpti(Dpti::with_bug(config, bug)),
-        ];
+        World::with_setup(&scenario.config, &scenario.setup, bug)
+    }
+
+    /// Builds the state every program over `config` starts from once the
+    /// `setup` domains are attached.
+    pub(crate) fn with_setup(
+        config: &SimConfig,
+        setup: &[PmoId],
+        bug: Option<ProtocolBug>,
+    ) -> Self {
         let mut world = World {
-            machines: machines.map(|machine| (machine, 0)),
+            machines: [
+                AnyScheme::MpkVirt(MpkVirt::with_bug(config, bug)),
+                AnyScheme::DomainVirt(DomainVirt::with_bug(config, bug)),
+                AnyScheme::Erim(Erim::with_bug(config, bug)),
+                AnyScheme::Dpti(Dpti::with_bug(config, bug)),
+            ],
+            shootdowns: [0; 4],
             spec: SpecMachine::new(),
             bug,
             trace: Vec::new(),
             obs: Vec::new(),
             current: 0,
+            abs: AbsState::default(),
         };
-        for &pmo in &scenario.setup {
+        for &pmo in setup {
             world.do_attach(pmo);
         }
         world
+    }
+
+    /// The verified machines, in the order findings name them.
+    #[must_use]
+    pub fn machines(&self) -> &[AnyScheme] {
+        &self.machines
     }
 
     /// The trace recorded so far.
@@ -117,7 +154,7 @@ impl World {
             return;
         }
         let base = Op::base_of(pmo);
-        for (machine, _) in &mut self.machines {
+        for machine in &mut self.machines {
             let attached = machine.attach(pmo, base, POOL_BYTES, true);
             debug_assert!(attached.is_ok(), "the spec admitted the attach");
         }
@@ -130,7 +167,7 @@ impl World {
     pub fn step(&mut self, thread: u32, op: Op) -> Vec<Finding> {
         if thread != self.current {
             let tid = ThreadId::new(thread);
-            for (machine, _) in &mut self.machines {
+            for machine in &mut self.machines {
                 machine.context_switch(tid);
             }
             self.current = thread;
@@ -142,7 +179,7 @@ impl World {
             Op::Detach { pmo } => {
                 // ENOENT semantics, mirroring do_attach.
                 if self.spec.detach(pmo) {
-                    for (machine, _) in &mut self.machines {
+                    for machine in &mut self.machines {
                         machine.detach(pmo);
                     }
                     self.trace.push(TraceEvent::Detach { pmo });
@@ -157,7 +194,7 @@ impl World {
                 }
             }
             Op::SetPerm { pmo, perm } => {
-                for (machine, _) in &mut self.machines {
+                for machine in &mut self.machines {
                     machine.set_perm(pmo, perm);
                 }
                 self.spec.set_perm(thread, pmo, perm);
@@ -166,14 +203,14 @@ impl World {
             Op::Access { pmo, offset, kind } => {
                 let va = Op::base_of(pmo) + offset;
                 let verdicts =
-                    self.machines.each_mut().map(|(machine, _)| machine.access(va, kind).allowed());
+                    self.machines.each_mut().map(|machine| machine.access(va, kind).allowed());
                 let expect = self.spec.allows(thread, pmo, kind);
                 if verdicts.iter().any(|&ok| ok != expect) {
                     let concrete: Vec<String> = self
                         .machines
                         .iter()
                         .zip(&verdicts)
-                        .map(|((machine, _), &ok)| format!("{:?} {}", machine.kind(), verdict(ok)))
+                        .map(|(machine, &ok)| format!("{:?} {}", machine.kind(), verdict(ok)))
                         .collect();
                     findings.push(Finding {
                         class: ViolationClass::SchemeDivergence,
@@ -207,7 +244,9 @@ impl World {
         // Every machine's protocol events are drained, but the recorded
         // trace stays canonical against the first machine: ERIM's and
         // DPTI's own gate-exit/revoke settle events are not re-recorded.
-        for (i, (machine, shootdowns)) in self.machines.iter_mut().enumerate() {
+        for (i, (machine, shootdowns)) in
+            self.machines.iter_mut().zip(&mut self.shootdowns).enumerate()
+        {
             for ev in machine.drain_events() {
                 *shootdowns += u64::from(matches!(ev, TraceEvent::Shootdown { .. }));
                 if i == 0 {
@@ -215,13 +254,13 @@ impl World {
                 }
             }
         }
-        for (machine, shootdowns) in &self.machines {
+        for (machine, &shootdowns) in self.machines.iter().zip(&self.shootdowns) {
             // Every key eviction must have published a ranged shootdown
             // (§IV.B: reassigning a key without invalidating the victim's
             // translations leaves the old domain readable through the new
             // domain's grants).
             let evictions = machine.stats().key_evictions;
-            if evictions > *shootdowns {
+            if evictions > shootdowns {
                 findings.push(Finding {
                     class: ViolationClass::StaleKeyGrant,
                     thread: self.current,
@@ -234,18 +273,18 @@ impl World {
             let (_, sweeps) = verified(machine);
             sweeps.check_caches(&self.spec, self.current, &mut findings);
         }
-        for (machine, _) in &self.machines {
+        for machine in &self.machines {
             let (alpha_name, machine) = verified(machine);
-            let abs = machine.alpha(self.current);
-            if !is_spec_state(&abs, &self.spec) {
+            self.abs.clear();
+            machine.alpha(self.current, &mut self.abs);
+            if !self.abs.matches(&self.spec) {
                 findings.push(Finding {
                     class: ViolationClass::RefinementDivergence,
                     thread: self.current,
                     message: format!(
-                        "{}: abstraction {} != spec {}",
-                        alpha_name,
-                        render_abs(&abs),
-                        render_abs(&spec_state(&self.spec))
+                        "{alpha_name}: abstraction {} != spec {}",
+                        self.abs,
+                        AbsState::of_spec(&self.spec)
                     ),
                 });
             }

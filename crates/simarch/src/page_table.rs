@@ -159,7 +159,7 @@ enum RangeOp {
 }
 
 /// The page table of one process.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct PageTable {
     /// Leaves by span number (`vpn >> 9`); only spans with a mapped page.
     leaves: BTreeMap<u64, Leaf>,

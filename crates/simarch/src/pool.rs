@@ -28,9 +28,29 @@ where
     O: Send,
     F: Fn(I) -> O + Sync,
 {
+    parallel_map_with(jobs, items, || (), |(), item| work(item))
+}
+
+/// [`parallel_map`] with per-worker state: each worker builds one state
+/// with `init` and lends it to `work` for every item it claims. Items are
+/// still claimed one at a time, so uneven costs still balance; which
+/// worker runs an item varies from run to run, so the state must not
+/// change any result.
+///
+/// # Panics
+///
+/// As [`parallel_map`].
+pub fn parallel_map_with<I, O, S, N, F>(jobs: usize, items: Vec<I>, init: N, work: F) -> Vec<O>
+where
+    I: Send,
+    O: Send,
+    N: Fn() -> S + Sync,
+    F: Fn(&mut S, I) -> O + Sync,
+{
     let workers = jobs.min(items.len());
     if workers <= 1 {
-        return items.into_iter().map(work).collect();
+        let mut state = init();
+        return items.into_iter().map(|item| work(&mut state, item)).collect();
     }
     let count = items.len();
     let queue = Mutex::new(items.into_iter().enumerate());
@@ -39,16 +59,21 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|| loop {
-                    // Hold the queue lock only to claim an index; the
-                    // work itself runs unlocked.
-                    let claimed = queue.lock().unwrap().next();
-                    match claimed {
-                        Some((index, item)) => {
-                            let result = work(item);
-                            *slots[index].lock().unwrap() = Some(result);
+                scope.spawn(|| {
+                    let mut state = init();
+                    loop {
+                        // Hold the queue lock only to claim an index; the
+                        // work itself runs unlocked.
+                        let claimed =
+                            queue.lock().expect("work never runs under the queue lock").next();
+                        match claimed {
+                            Some((index, item)) => {
+                                let result = work(&mut state, item);
+                                *slots[index].lock().expect("a slot lock guards one store") =
+                                    Some(result);
+                            }
+                            None => break,
                         }
-                        None => break,
                     }
                 })
             })
@@ -92,6 +117,38 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 37);
         assert_eq!(out.len(), 37);
         assert_eq!(out[36], 37);
+    }
+
+    #[test]
+    fn each_worker_builds_one_state_and_reuses_it() {
+        for jobs in [1, 3] {
+            let built = AtomicUsize::new(0);
+            let out = parallel_map_with(
+                jobs,
+                (0..40).collect::<Vec<u64>>(),
+                || {
+                    built.fetch_add(1, Ordering::SeqCst);
+                    Vec::new()
+                },
+                |seen: &mut Vec<u64>, x| {
+                    seen.push(x);
+                    (x * 2, seen.len())
+                },
+            );
+            let built = built.load(Ordering::SeqCst);
+            assert!((1..=jobs).contains(&built));
+            assert_eq!(
+                out.iter().map(|&(x, _)| x).collect::<Vec<_>>(),
+                (0..80).step_by(2).collect::<Vec<_>>()
+            );
+            // Only a worker's first item finds its state fresh; a worker
+            // may also claim nothing.
+            let fresh = out.iter().filter(|&&(_, len)| len == 1).count();
+            assert!((1..=built).contains(&fresh));
+            if jobs == 1 {
+                assert!(out.iter().map(|&(_, len)| len).eq(1..=40));
+            }
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl SetState {
 /// set costs two words of storage and a data-dependent tree walk per
 /// touch. [`SetState`] remains the single-set reference implementation;
 /// the two are equivalence-tested.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ReplArray {
     ways: u8,
     /// One tree-bit word per set.
@@ -111,6 +111,8 @@ pub struct ReplArray {
     /// tree node on its root-to-leaf path away from it.
     touch_masks: Vec<(u64, u64)>,
 }
+
+crate::impl_clone_in_place!(ReplArray { ways, bits, touch_masks });
 
 impl ReplArray {
     /// Creates replacement state for `sets` sets of `ways` ways.

@@ -24,7 +24,7 @@ pub const fn vpn(va: u64) -> u64 {
 /// domain ID (domain virtualization). The TLB itself is policy-free; range
 /// invalidation exists because key remapping in the MPK-virtualization
 /// design shoots down the victim PMO's VA range (§IV.D).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Tlb<P> {
     geometry: SetAssocGeometry,
     ways: usize,
@@ -50,6 +50,10 @@ pub struct Tlb<P> {
     payloads: Vec<Option<P>>,
     repl: ReplArray,
 }
+
+crate::impl_clone_in_place!(Tlb<P> {
+    geometry, ways, sets, set_mask, pow2_sets, vpns, valid, payloads, repl
+});
 
 /// Free-slot marker in the VPN lane. A real VPN is `va >> 12`, so it can
 /// never reach `u64::MAX`.
@@ -217,7 +221,7 @@ pub enum TlbLevel {
 }
 
 /// Two-level TLB hierarchy with promotion and statistics.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TlbHierarchy<P> {
     l1: Tlb<P>,
     l2: Tlb<P>,
@@ -226,6 +230,8 @@ pub struct TlbHierarchy<P> {
     miss_penalty: u64,
     stats: TlbStats,
 }
+
+crate::impl_clone_in_place!(TlbHierarchy<P> { l1, l2, l1_latency, l2_latency, miss_penalty, stats });
 
 impl<P: Copy> TlbHierarchy<P> {
     /// Builds the hierarchy from a [`SimConfig`](crate::SimConfig).

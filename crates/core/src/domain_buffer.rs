@@ -98,10 +98,14 @@ impl<E: DomainEntry> DomainBuffer<E> {
         self.entries[way].take()
     }
 
-    /// Flushes every entry (context switch), returning the dirty ones for
-    /// writeback.
-    pub fn flush(&mut self) -> Vec<E> {
-        self.entries.iter_mut().filter_map(Option::take).filter(E::is_dirty).collect()
+    /// Flushes every entry (context switch), handing each dirty one to
+    /// `writeback`.
+    pub fn flush(&mut self, mut writeback: impl FnMut(E)) {
+        for entry in self.entries.iter_mut().filter_map(Option::take) {
+            if entry.is_dirty() {
+                writeback(entry);
+            }
+        }
     }
 
     /// Number of valid entries.

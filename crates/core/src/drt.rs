@@ -6,18 +6,19 @@
 //! Permission Table. Walked in parallel with the page table on a TLB miss
 //! (and shallower than it), so it adds no latency to that path.
 
-use std::collections::BTreeMap;
-
+use pmo_simarch::VecMap;
 use pmo_trace::{PmoId, Va};
 
 use crate::radix::RangeRadix;
 
 /// The process-wide DRT.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct DomainRangeTable {
     tree: RangeRadix<PmoId>,
-    regions: BTreeMap<PmoId, (Va, u64)>,
+    regions: VecMap<PmoId, (Va, u64)>,
 }
+
+pmo_simarch::impl_clone_in_place!(DomainRangeTable { tree, regions });
 
 impl DomainRangeTable {
     /// Creates an empty table.

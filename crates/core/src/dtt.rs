@@ -7,58 +7,34 @@
 //! table ([`RangeRadix`]); holds permissions *for all threads* (the DTTLB
 //! caches only the running thread's).
 
-use std::collections::BTreeMap;
-
+use pmo_simarch::VecMap;
 use pmo_trace::{Perm, PmoId, ThreadId, Va};
 
 use crate::radix::{RangeHit, RangeRadix};
 
-/// One PMO root entry of the DTT.
-#[derive(Clone, Debug)]
+/// One PMO root entry of the DTT: the domain and the key it maps to. Its
+/// per-thread permissions are the table's `(domain, thread)` rows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DttEntry {
     /// The domain / PMO ID.
     pub pmo: PmoId,
     /// The protection key the domain currently maps to (`None` = unmapped,
     /// the paper's invalid/NULL key state).
     pub key: Option<u8>,
-    /// Per-thread domain permission. Threads absent from the map hold
-    /// [`Perm::None`] (the paper's default: inaccessible).
-    perms: BTreeMap<ThreadId, Perm>,
-}
-
-impl DttEntry {
-    fn new(pmo: PmoId) -> Self {
-        DttEntry { pmo, key: None, perms: BTreeMap::new() }
-    }
-
-    /// The permission `thread` holds for this domain.
-    #[must_use]
-    pub fn perm(&self, thread: ThreadId) -> Perm {
-        self.perms.get(&thread).copied().unwrap_or(Perm::None)
-    }
-
-    /// Iterates over every stored `thread → perm` row (abstraction-function
-    /// inspection; absent threads hold [`Perm::None`]).
-    pub fn thread_perms(&self) -> impl Iterator<Item = (ThreadId, Perm)> + '_ {
-        self.perms.iter().map(|(&t, &p)| (t, p))
-    }
-
-    /// Sets `thread`'s permission.
-    pub fn set_perm(&mut self, thread: ThreadId, perm: Perm) {
-        if perm == Perm::None {
-            self.perms.remove(&thread);
-        } else {
-            self.perms.insert(thread, perm);
-        }
-    }
 }
 
 /// The process-wide DTT plus the OS's PMO-ID → region index.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct DomainTranslationTable {
     tree: RangeRadix<DttEntry>,
-    regions: BTreeMap<PmoId, (Va, u64)>,
+    regions: VecMap<PmoId, (Va, u64)>,
+    /// Per-thread domain permissions, one `(domain, thread)` row each.
+    /// Threads without a row hold [`Perm::None`] (the paper's default:
+    /// inaccessible).
+    perms: VecMap<(PmoId, ThreadId), Perm>,
 }
+
+pmo_simarch::impl_clone_in_place!(DomainTranslationTable { tree, regions, perms });
 
 impl DomainTranslationTable {
     /// Creates an empty table.
@@ -73,14 +49,15 @@ impl DomainTranslationTable {
     ///
     /// Panics on overlapping or misaligned regions (attach-layer bugs).
     pub fn attach(&mut self, pmo: PmoId, base: Va, granule: u64) {
-        self.tree.insert(base, granule, DttEntry::new(pmo));
+        self.tree.insert(base, granule, DttEntry { pmo, key: None });
         self.regions.insert(pmo, (base, granule));
     }
 
-    /// Removes a PMO's entry on detach; returns it (with its key mapping,
-    /// so the caller can free the key).
+    /// Removes a PMO's entry and its permissions on detach; returns the
+    /// entry (with its key mapping, so the caller can free the key).
     pub fn detach(&mut self, pmo: PmoId) -> Option<DttEntry> {
         let (base, _) = self.regions.remove(&pmo)?;
+        self.perms.retain(|&(domain, _), _| domain != pmo);
         self.tree.remove(base)
     }
 
@@ -102,11 +79,29 @@ impl DomainTranslationTable {
         self.tree.lookup_mut(base)
     }
 
-    /// Immutable access to a domain's entry by ID.
+    /// The permission `thread` holds for domain `pmo`.
     #[must_use]
-    pub fn entry(&self, pmo: PmoId) -> Option<&DttEntry> {
-        let (base, _) = *self.regions.get(&pmo)?;
-        self.tree.lookup(base).map(|hit| hit.value)
+    pub fn perm(&self, pmo: PmoId, thread: ThreadId) -> Perm {
+        self.perms.get(&(pmo, thread)).copied().unwrap_or(Perm::None)
+    }
+
+    /// Sets `thread`'s permission for an attached domain; a detached
+    /// domain has no entry to hold it, so the call changes nothing.
+    pub fn set_perm(&mut self, pmo: PmoId, thread: ThreadId, perm: Perm) {
+        if !self.regions.contains_key(&pmo) {
+            return;
+        }
+        if perm == Perm::None {
+            self.perms.remove(&(pmo, thread));
+        } else {
+            self.perms.insert((pmo, thread), perm);
+        }
+    }
+
+    /// Iterates over every stored `(domain, thread) → perm` row in order
+    /// (abstraction-function inspection; absent rows hold [`Perm::None`]).
+    pub fn perms(&self) -> impl Iterator<Item = ((PmoId, ThreadId), Perm)> + '_ {
+        self.perms.iter().map(|(&row, &perm)| (row, perm))
     }
 
     /// Number of attached domains.
@@ -156,12 +151,28 @@ mod tests {
         dtt.attach(pmo, GB1, GB1);
         let t0 = ThreadId::new(0);
         let t1 = ThreadId::new(1);
-        assert_eq!(dtt.entry(pmo).unwrap().perm(t0), Perm::None);
-        dtt.entry_mut(pmo).unwrap().set_perm(t0, Perm::ReadWrite);
-        assert_eq!(dtt.entry(pmo).unwrap().perm(t0), Perm::ReadWrite);
-        assert_eq!(dtt.entry(pmo).unwrap().perm(t1), Perm::None, "thread-specific");
-        dtt.entry_mut(pmo).unwrap().set_perm(t0, Perm::None);
-        assert_eq!(dtt.entry(pmo).unwrap().perm(t0), Perm::None);
+        assert_eq!(dtt.perm(pmo, t0), Perm::None);
+        dtt.set_perm(pmo, t0, Perm::ReadWrite);
+        assert_eq!(dtt.perm(pmo, t0), Perm::ReadWrite);
+        assert_eq!(dtt.perm(pmo, t1), Perm::None, "thread-specific");
+        dtt.set_perm(pmo, t0, Perm::None);
+        assert_eq!(dtt.perm(pmo, t0), Perm::None);
+        assert_eq!(dtt.perms().count(), 0, "None rows are erased, not stored");
+    }
+
+    #[test]
+    fn detach_drops_permissions_and_detached_domains_take_none() {
+        let mut dtt = DomainTranslationTable::new();
+        let (p1, p2, t0) = (PmoId::new(1), PmoId::new(2), ThreadId::new(0));
+        dtt.attach(p1, GB1, GB1);
+        dtt.attach(p2, 2 * GB1, GB1);
+        dtt.set_perm(p1, t0, Perm::ReadWrite);
+        dtt.set_perm(p2, t0, Perm::ReadOnly);
+        dtt.detach(p1);
+        dtt.set_perm(p1, t0, Perm::ReadWrite);
+        assert_eq!(dtt.perms().collect::<Vec<_>>(), [((p2, t0), Perm::ReadOnly)]);
+        dtt.attach(p1, GB1, GB1);
+        assert_eq!(dtt.perm(p1, t0), Perm::None, "a re-attached domain starts inaccessible");
     }
 
     #[test]
@@ -177,7 +188,6 @@ mod tests {
     fn detach_unknown_is_none() {
         let mut dtt = DomainTranslationTable::new();
         assert!(dtt.detach(PmoId::new(1)).is_none());
-        assert!(dtt.entry(PmoId::new(1)).is_none());
         assert!(dtt.entry_mut(PmoId::new(1)).is_none());
         assert!(dtt.region_of(PmoId::new(1)).is_none());
     }

@@ -131,8 +131,9 @@ mod tests {
         tlb.insert(entry(1));
         assert!(tlb.invalidate(PmoId::new(2)).is_some());
         assert_eq!(tlb.occupancy(), 1);
-        let flushed = tlb.flush();
-        assert_eq!(flushed.len(), 1, "only dirty entries returned");
+        let mut flushed = Vec::new();
+        tlb.flush(|entry| flushed.push(entry));
+        assert_eq!(flushed.len(), 1, "only dirty entries written back");
         assert_eq!(flushed[0].pmo, PmoId::new(1));
         assert_eq!(tlb.occupancy(), 0);
     }

@@ -2,9 +2,9 @@
 //! (typed to the scheme's per-page payload), the radix page table with
 //! demand paging, and the registry of attached PMO regions.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use pmo_simarch::{vpn, MemKind, PageTable, Pte, SimConfig, TlbHierarchy, PAGE_SIZE};
+use pmo_simarch::{
+    vpn, MemKind, PageTable, Pte, SimConfig, TlbHierarchy, VecMap, VecSet, PAGE_SIZE,
+};
 use pmo_trace::{Perm, PmoId, Va};
 
 use crate::fault::ProtectionFault;
@@ -106,13 +106,13 @@ pub struct MmuBase<T> {
     pub tlb: TlbHierarchy<TlbEntry<T>>,
     /// The process page table.
     pub page_table: PageTable,
-    regions: BTreeMap<Va, Region>,
-    by_pmo: BTreeMap<PmoId, Va>,
+    regions: VecMap<Va, Region>,
+    by_pmo: VecMap<PmoId, Va>,
     /// Page-aligned VAs demand-mapped as anonymous memory (outside any
     /// region at map time). Tracked so [`MmuBase::attach_region`] can
     /// replace exactly these mappings — `mmap(MAP_FIXED)` semantics —
     /// without walking the whole reserved granule.
-    anon_pages: BTreeSet<Va>,
+    anon_pages: VecSet<Va>,
     next_pfn: u64,
     demand_maps: u64,
 }
@@ -128,9 +128,9 @@ impl<T: Copy> MmuBase<T> {
         MmuBase {
             tlb: TlbHierarchy::new(config),
             page_table: PageTable::new(),
-            regions: BTreeMap::new(),
-            by_pmo: BTreeMap::new(),
-            anon_pages: BTreeSet::new(),
+            regions: VecMap::new(),
+            by_pmo: VecMap::new(),
+            anon_pages: VecSet::new(),
             next_pfn: 1,
             demand_maps: 0,
         }
@@ -167,12 +167,15 @@ impl<T: Copy> MmuBase<T> {
             });
         }
         self.by_pmo.insert(region.pmo, region.base);
-        let stale: Vec<Va> = self.anon_pages.range(region.base..end).copied().collect();
+        let mut stale = false;
         let mut removed = 0;
-        for va in stale {
+        for &va in self.anon_pages.range(region.base..end) {
             self.page_table.unmap_range(va, PAGE_SIZE);
-            self.anon_pages.remove(&va);
             removed += self.tlb.invalidate_range(vpn(va), vpn(va) + 1);
+            stale = true;
+        }
+        if stale {
+            self.anon_pages.retain(|va| !(region.base..end).contains(va));
         }
         self.regions.insert(region.base, region);
         Ok(removed)
@@ -193,7 +196,7 @@ impl<T: Copy> MmuBase<T> {
     /// The region containing `va`, if any.
     #[must_use]
     pub fn region_at(&self, va: Va) -> Option<Region> {
-        let (_, region) = self.regions.range(..=va).next_back()?;
+        let (_, region) = self.regions.floor(&va)?;
         region.covers(va).then_some(*region)
     }
 
@@ -268,6 +271,17 @@ impl<T: Copy> MmuBase<T> {
     pub fn shootdown(&mut self, region: &Region) -> u64 {
         let (start, end) = region.vpn_range();
         self.tlb.invalidate_range(start, end)
+    }
+
+    /// Invalidates every attached region's TLB entries; returns the number
+    /// of entries removed.
+    pub fn shootdown_regions(&mut self) -> u64 {
+        let mut removed = 0;
+        for region in self.regions.values() {
+            let (start, end) = region.vpn_range();
+            removed += self.tlb.invalidate_range(start, end);
+        }
+        removed
     }
 
     /// Total demand-mapped pages.

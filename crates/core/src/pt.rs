@@ -4,16 +4,17 @@
 //! permission for the thread" (§IV.E). The PTLB caches it per core; dirty
 //! PTLB evictions and context switches write back here.
 
-use std::collections::BTreeMap;
-
+use pmo_simarch::VecMap;
 use pmo_trace::{Perm, PmoId, ThreadId};
 
 /// The process-wide Permission Table.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct PermissionTable {
-    perms: BTreeMap<(PmoId, ThreadId), Perm>,
-    domains: BTreeMap<PmoId, u32>, // live-domain registry (attach refcount)
+    perms: VecMap<(PmoId, ThreadId), Perm>,
+    domains: VecMap<PmoId, u32>, // live-domain registry (attach refcount)
 }
+
+pmo_simarch::impl_clone_in_place!(PermissionTable { perms, domains });
 
 impl PermissionTable {
     /// Creates an empty table.
@@ -24,7 +25,7 @@ impl PermissionTable {
 
     /// Registers a domain on attach.
     pub fn add_domain(&mut self, pmo: PmoId) {
-        *self.domains.entry(pmo).or_insert(0) += 1;
+        *self.domains.get_or_insert_with(pmo, || 0) += 1;
     }
 
     /// Unregisters a domain on detach, dropping all its permissions.

@@ -106,7 +106,8 @@ mod tests {
         let mut ptlb = Ptlb::new(4);
         ptlb.insert(PtlbEntry { pmo: PmoId::new(1), perm: Perm::ReadWrite, dirty: true });
         ptlb.insert(e(2, Perm::ReadOnly));
-        let dirty = ptlb.flush();
+        let mut dirty = Vec::new();
+        ptlb.flush(|entry| dirty.push(entry));
         assert_eq!(dirty.len(), 1);
         assert_eq!(dirty[0].pmo, PmoId::new(1));
         assert_eq!(ptlb.occupancy(), 0);

@@ -1,4 +1,4 @@
-//! A sparse radix tree over granule-aligned VA ranges.
+//! A range map over granule-aligned VA regions.
 //!
 //! Both OS-managed tables of the paper are "organized hierarchically,
 //! similar to a page table" with *directory entries* and *PMO root entries*
@@ -6,15 +6,14 @@
 //! Table (DRT). This module is that structure, generic over the per-PMO
 //! payload. An entry sits at the tree level matching its region granule
 //! (4KB → depth 4, 2MB → depth 3, 1GB → depth 2, 512GB → depth 1), so a
-//! walk resolves any address in at most four steps.
+//! walk resolves any address in at most four steps; a hit reports that
+//! depth. The walk's cost is charged by the schemes, so the host keeps the
+//! regions flat: one [`VecMap`] row per region, keyed by base. Regions are
+//! disjoint, so the region covering an address is the last one starting
+//! at or below it, and removing a region leaves nothing behind.
 
-use std::collections::BTreeMap;
-
+use pmo_simarch::VecMap;
 use pmo_trace::Va;
-
-const INDEX_BITS: u32 = 9;
-const PAGE_BITS: u32 = 12;
-const MAX_DEPTH: u32 = 4;
 
 fn depth_for_granule(granule: u64) -> u32 {
     match granule {
@@ -26,30 +25,6 @@ fn depth_for_granule(granule: u64) -> u32 {
     }
 }
 
-fn index_at(va: Va, depth: u32) -> u16 {
-    let shift = PAGE_BITS + INDEX_BITS * (MAX_DEPTH - depth);
-    ((va >> shift) & ((1 << INDEX_BITS) - 1)) as u16
-}
-
-#[derive(Clone)]
-enum Slot<T> {
-    /// A PMO root entry covering one granule-sized region.
-    Entry { base: Va, granule: u64, value: T },
-    /// A directory entry pointing at the next level.
-    Dir(Box<Node<T>>),
-}
-
-#[derive(Clone)]
-struct Node<T> {
-    children: BTreeMap<u16, Slot<T>>,
-}
-
-impl<T> Node<T> {
-    fn new() -> Self {
-        Node { children: BTreeMap::new() }
-    }
-}
-
 /// Result of a successful radix walk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RangeHit<'a, T> {
@@ -57,18 +32,21 @@ pub struct RangeHit<'a, T> {
     pub base: Va,
     /// The region's granule size.
     pub granule: u64,
-    /// Levels descended to find the entry (1..=4).
+    /// Levels the hardware walk descends to find the entry (1..=4).
     pub depth: u32,
     /// The stored payload.
     pub value: &'a T,
 }
 
-/// Sparse radix tree mapping granule-aligned regions to payloads.
-#[derive(Clone)]
+/// Range map from granule-aligned regions to payloads, walked like a
+/// radix tree.
+#[derive(Debug)]
 pub struct RangeRadix<T> {
-    root: Node<T>,
-    len: usize,
+    /// Base → (granule, payload), one row per region.
+    regions: VecMap<Va, (u64, T)>,
 }
+
+pmo_simarch::impl_clone_in_place!(RangeRadix<T> { regions });
 
 impl<T> Default for RangeRadix<T> {
     fn default() -> Self {
@@ -76,29 +54,23 @@ impl<T> Default for RangeRadix<T> {
     }
 }
 
-impl<T> std::fmt::Debug for RangeRadix<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RangeRadix").field("len", &self.len).finish()
-    }
-}
-
 impl<T> RangeRadix<T> {
-    /// Creates an empty tree.
+    /// Creates an empty map.
     #[must_use]
     pub fn new() -> Self {
-        RangeRadix { root: Node::new(), len: 0 }
+        RangeRadix { regions: VecMap::new() }
     }
 
     /// Number of stored regions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.regions.len()
     }
 
-    /// Whether the tree is empty.
+    /// Whether the map is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.regions.is_empty()
     }
 
     /// Inserts a region of `granule` bytes at `base`.
@@ -109,85 +81,38 @@ impl<T> RangeRadix<T> {
     /// page-table granule, or the region overlaps an existing entry.
     pub fn insert(&mut self, base: Va, granule: u64, value: T) {
         assert_eq!(base % granule, 0, "base must be granule-aligned");
-        let target_depth = depth_for_granule(granule);
-        let mut node = &mut self.root;
-        for depth in 1..=target_depth {
-            let idx = index_at(base, depth);
-            if depth == target_depth {
-                let prior = node.children.insert(idx, Slot::Entry { base, granule, value });
-                assert!(prior.is_none(), "region overlaps an existing entry");
-                self.len += 1;
-                return;
-            }
-            let slot = node.children.entry(idx).or_insert_with(|| Slot::Dir(Box::new(Node::new())));
-            match slot {
-                Slot::Dir(child) => node = child,
-                Slot::Entry { .. } => panic!("region overlaps a larger existing entry"),
-            }
+        // Rejects a granule no table level has.
+        depth_for_granule(granule);
+        // Regions are disjoint, so only the last one starting at or below
+        // the new region's last byte can overlap it.
+        if let Some((&prior, &(prior_granule, _))) = self.regions.floor(&(base + (granule - 1))) {
+            assert!(prior + prior_granule <= base, "region overlaps an existing entry");
         }
-        unreachable!("depth is always in 1..=4");
+        self.regions.insert(base, (granule, value));
     }
 
     /// Removes the region whose entry covers `va`; returns its payload.
     pub fn remove(&mut self, va: Va) -> Option<T> {
-        let mut node = &mut self.root;
-        for depth in 1..=MAX_DEPTH {
-            let idx = index_at(va, depth);
-            match node.children.get(&idx) {
-                Some(Slot::Entry { .. }) => {
-                    let Some(Slot::Entry { value, .. }) = node.children.remove(&idx) else {
-                        unreachable!("just matched an entry");
-                    };
-                    self.len -= 1;
-                    return Some(value);
-                }
-                Some(Slot::Dir(_)) => {
-                    let Some(Slot::Dir(child)) = node.children.get_mut(&idx) else {
-                        unreachable!("just matched a dir");
-                    };
-                    node = child;
-                }
-                None => return None,
-            }
-        }
-        None
+        let base = self.lookup(va)?.base;
+        self.regions.remove(&base).map(|(_, value)| value)
     }
 
-    /// Walks the tree for `va`.
+    /// Walks the map for `va`.
     #[must_use]
     pub fn lookup(&self, va: Va) -> Option<RangeHit<'_, T>> {
-        let mut node = &self.root;
-        for depth in 1..=MAX_DEPTH {
-            match node.children.get(&index_at(va, depth)) {
-                Some(Slot::Entry { base, granule, value }) => {
-                    return Some(RangeHit { base: *base, granule: *granule, depth, value });
-                }
-                Some(Slot::Dir(child)) => node = child,
-                None => return None,
-            }
-        }
-        None
+        let (&base, (granule, value)) = self.regions.floor(&va)?;
+        (va - base < *granule).then(|| RangeHit {
+            base,
+            granule: *granule,
+            depth: depth_for_granule(*granule),
+            value,
+        })
     }
 
-    /// Walks the tree for `va`, returning a mutable payload reference.
+    /// Walks the map for `va`, returning a mutable payload reference.
     pub fn lookup_mut(&mut self, va: Va) -> Option<&mut T> {
-        let mut node = &mut self.root;
-        for depth in 1..=MAX_DEPTH {
-            let idx = index_at(va, depth);
-            // Two-phase to satisfy the borrow checker.
-            match node.children.get(&idx) {
-                Some(Slot::Entry { .. }) => match node.children.get_mut(&idx) {
-                    Some(Slot::Entry { value, .. }) => return Some(value),
-                    _ => unreachable!("just matched an entry"),
-                },
-                Some(Slot::Dir(_)) => match node.children.get_mut(&idx) {
-                    Some(Slot::Dir(child)) => node = child,
-                    _ => unreachable!("just matched a dir"),
-                },
-                None => return None,
-            }
-        }
-        None
+        let base = self.lookup(va)?.base;
+        self.regions.get_mut(&base).map(|(_, value)| value)
     }
 }
 
@@ -259,6 +184,41 @@ mod tests {
         *r.lookup_mut(0x20_1000).unwrap() = 9;
         assert_eq!(*r.lookup(0x3f_ffff).unwrap().value, 9);
         assert!(r.lookup_mut(0x40_0000).is_none());
+    }
+
+    #[test]
+    fn a_removed_region_leaves_nothing_behind() {
+        // A 2MB region, removed, then the 1GB region enclosing it: the
+        // larger region must find no leftover of the smaller one.
+        let mut r: RangeRadix<u32> = RangeRadix::new();
+        let base = 0x40_0000_0000;
+        r.insert(base, MB2, 1);
+        assert_eq!(r.remove(base), Some(1));
+        r.insert(base, GB1, 2);
+        let hit = r.lookup(base + MB2).expect("inside the 1GB region");
+        assert_eq!((*hit.value, hit.granule, hit.depth), (2, GB1, 2));
+        assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn neighbours_that_only_touch_do_not_overlap() {
+        let mut r: RangeRadix<u32> = RangeRadix::new();
+        r.insert(GB1, GB1, 1);
+        r.insert(0, GB1, 0);
+        r.insert(2 * GB1, MB2, 2);
+        r.insert(2 * GB1 + MB2, KB4, 3);
+        for (va, value) in [(0, 0), (GB1, 1), (2 * GB1, 2), (2 * GB1 + MB2, 3)] {
+            assert_eq!(*r.lookup(va).unwrap().value, value);
+        }
+        assert!(r.lookup(2 * GB1 + MB2 + KB4).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps")]
+    fn a_larger_region_over_a_smaller_one_panics() {
+        let mut r: RangeRadix<u32> = RangeRadix::new();
+        r.insert(GB1 + MB2, MB2, 0);
+        r.insert(GB1, GB1, 1);
     }
 
     #[test]

@@ -181,12 +181,11 @@ impl Mechanism for DomainVirt {
         if self.bug == Some(ProtocolBug::SkipPtlbFlushOnSwitch) {
             return;
         }
-        let dirty = self.ptlb.flush();
-        self.front.breakdown.entry_changes +=
-            dirty.len() as u64 * self.front.cfg.ptlb_entry_op_cycles;
-        for entry in dirty {
-            self.pt.set(entry.pmo, from, entry.perm);
-        }
+        let (front, pt) = (&mut self.front, &mut self.pt);
+        self.ptlb.flush(|entry| {
+            front.breakdown.entry_changes += front.cfg.ptlb_entry_op_cycles;
+            pt.set(entry.pmo, from, entry.perm);
+        });
     }
 }
 

@@ -15,10 +15,8 @@
 //! stale-CR3-on-switch bug makes the incoming thread observably run on
 //! the outgoing thread's address space.
 
-use pmo_simarch::SimConfig;
+use pmo_simarch::{SimConfig, VecMap};
 use pmo_trace::{Perm, PmoId, ThreadId, TraceEvent, Va};
-
-use std::collections::BTreeMap;
 
 use crate::fault::ProtectionFault;
 use crate::mmu::{DomPayload, MmuBase, Region, TlbEntry};
@@ -29,11 +27,11 @@ use crate::scheme::{ProtocolBug, SchemeKind};
 #[derive(Debug)]
 pub struct Dpti {
     front: Front<PmoId>,
-    /// Per-thread page-table permission views: what thread `t`'s PTEs
-    /// encode for each attached domain. Canonical (no [`Perm::None`]
-    /// rows) so the refinement abstraction compares against the spec's
-    /// permission map directly.
-    tables: BTreeMap<ThreadId, BTreeMap<PmoId, Perm>>,
+    /// Per-thread page-table permission views: one `(thread, domain)` row
+    /// per domain whose PTEs grant thread `t` access in `t`'s tables.
+    /// Canonical (no [`Perm::None`] rows) so the refinement abstraction
+    /// compares against the spec's permission map directly.
+    tables: VecMap<(ThreadId, PmoId), Perm>,
     /// The loaded page-table root. Coherent with the running thread only
     /// when the kernel reloads CR3 on every switch — the obligation the
     /// planted [`ProtocolBug::StaleCr3OnSwitch`] bug violates.
@@ -54,12 +52,13 @@ impl Dpti {
     /// (model-checker self-validation only).
     #[must_use]
     pub fn with_bug(config: &SimConfig, bug: Option<ProtocolBug>) -> Self {
-        Dpti { front: Front::new(config), tables: BTreeMap::new(), cr3: ThreadId::MAIN, bug }
+        Dpti { front: Front::new(config), tables: VecMap::new(), cr3: ThreadId::MAIN, bug }
     }
 
-    /// The per-thread page-table views (model-checker inspection).
+    /// The per-thread page-table views, one `(thread, domain)` row per
+    /// grant (model-checker inspection).
     #[must_use]
-    pub fn tables(&self) -> &BTreeMap<ThreadId, BTreeMap<PmoId, Perm>> {
+    pub fn tables(&self) -> &VecMap<(ThreadId, PmoId), Perm> {
         &self.tables
     }
 
@@ -77,15 +76,12 @@ impl Dpti {
 
     /// The permission the *loaded* page table encodes for `domain`.
     fn loaded_perm(&self, domain: PmoId) -> Perm {
-        self.tables.get(&self.cr3).and_then(|t| t.get(&domain)).copied().unwrap_or(Perm::None)
+        self.tables.get(&(self.cr3, domain)).copied().unwrap_or(Perm::None)
     }
 
     /// Drops every thread's PTE permissions for `pmo` (attach/detach).
     fn drop_domain_rows(&mut self, pmo: PmoId) {
-        for table in self.tables.values_mut() {
-            table.remove(&pmo);
-        }
-        self.tables.retain(|_, t| !t.is_empty());
+        self.tables.retain(|&(_, domain), _| domain != pmo);
     }
 }
 
@@ -139,16 +135,13 @@ impl Mechanism for Dpti {
             return;
         };
         front.breakdown.permission_change += front.cfg.pte_write_cycles * region.pool_pages();
-        let table = self.tables.entry(front.current).or_default();
-        let prev = table.get(&pmo).copied().unwrap_or(Perm::None);
-        if perm == Perm::None {
-            table.remove(&pmo);
-            if table.is_empty() {
-                self.tables.remove(&front.current);
-            }
+        let row = (front.current, pmo);
+        let prev = if perm == Perm::None {
+            self.tables.remove(&row)
         } else {
-            table.insert(pmo, perm);
-        }
+            self.tables.insert(row, perm)
+        };
+        let prev = prev.unwrap_or(Perm::None);
         if prev.allows_write() && !perm.allows_write() {
             // Revoking write access must shoot down the pool's cached
             // translations before the revoke is architecturally visible.
@@ -167,11 +160,7 @@ impl Mechanism for Dpti {
         self.cr3 = front.current;
         // CR3 write flushes the domain-tagged (non-global) entries; each
         // flushed entry is charged one future refill.
-        let regions: Vec<Region> = front.mmu.regions().copied().collect();
-        let mut removed = 0;
-        for region in &regions {
-            removed += front.mmu.shootdown(region);
-        }
+        let removed = front.mmu.shootdown_regions();
         front.stats.tlb_entries_invalidated += removed;
         front.breakdown.tlb_invalidation += removed * front.cfg.tlb_miss_penalty;
         front.breakdown.software += front.cfg.cr3_write_cycles;
@@ -235,7 +224,8 @@ mod tests {
         let revoke = s.set_perm(PmoId::new(1), Perm::None);
         assert!(revoke > grant, "write revocation adds the shootdown");
         assert_eq!(s.stats().shootdowns, 1);
-        let events = s.drain_events();
+        let mut events = Vec::new();
+        s.drain_events_into(&mut events);
         assert!(matches!(events[0], TraceEvent::Shootdown { pmo } if pmo == PmoId::new(1)));
     }
 

@@ -15,10 +15,8 @@
 //! [`TraceEvent::Shootdown`] settle event the analyzer's `GatePass`
 //! treats as closing the permission-switch gate.
 
-use pmo_simarch::SimConfig;
+use pmo_simarch::{SimConfig, VecMap};
 use pmo_trace::{Perm, PmoId, ThreadId, TraceEvent, Va};
-
-use std::collections::BTreeMap;
 
 use crate::fault::ProtectionFault;
 use crate::keys::KeyAllocator;
@@ -36,7 +34,7 @@ pub struct Erim {
     /// thread's last gate entry established per domain. Canonical (no
     /// [`Perm::None`] rows) so the refinement abstraction can compare it
     /// against the spec's permission map directly.
-    sessions: BTreeMap<(ThreadId, PmoId), Perm>,
+    sessions: VecMap<(ThreadId, PmoId), Perm>,
     /// The materialized per-core PKRU the hardware check reads. The gate
     /// trampoline and the monitor's switch-time restore keep it coherent
     /// with `sessions` — the obligation `pkru-desync` sweeps verify.
@@ -71,7 +69,7 @@ impl Erim {
         Erim {
             front: Front::new(config),
             keys: KeyAllocator::new(config.pkeys),
-            sessions: BTreeMap::new(),
+            sessions: VecMap::new(),
             pkru: Pkru::ALL_DENIED,
             bug,
         }
@@ -91,7 +89,7 @@ impl Erim {
 
     /// The monitor's session table (model-checker inspection).
     #[must_use]
-    pub fn sessions(&self) -> &BTreeMap<(ThreadId, PmoId), Perm> {
+    pub fn sessions(&self) -> &VecMap<(ThreadId, PmoId), Perm> {
         &self.sessions
     }
 
@@ -313,9 +311,11 @@ mod tests {
     fn write_revoking_gate_exit_emits_settle_event() {
         let mut s = scheme_with(1);
         s.set_perm(PmoId::new(1), Perm::ReadWrite);
-        assert!(s.drain_events().is_empty(), "grants do not settle");
+        let mut events = Vec::new();
+        s.drain_events_into(&mut events);
+        assert!(events.is_empty(), "grants do not settle");
         s.set_perm(PmoId::new(1), Perm::ReadOnly);
-        let events = s.drain_events();
+        s.drain_events_into(&mut events);
         assert_eq!(events.len(), 1);
         assert!(matches!(events[0], TraceEvent::Shootdown { pmo } if pmo == PmoId::new(1)));
     }

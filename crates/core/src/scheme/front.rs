@@ -48,7 +48,7 @@ pub(crate) struct Front<T> {
     pub(crate) stats: SchemeStats,
     /// The cycle ledger: every cycle the scheme charges, by bucket.
     pub(crate) breakdown: CostBreakdown,
-    /// Protocol events awaiting [`ProtectionScheme::drain_events`].
+    /// Protocol events awaiting [`ProtectionScheme::drain_events_into`].
     pub(crate) events: Vec<TraceEvent>,
 }
 
@@ -234,8 +234,8 @@ impl<S: Mechanism> ProtectionScheme for S {
         *self.front().mmu.tlb.stats()
     }
 
-    fn drain_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.front_mut().events)
+    fn drain_events_into(&mut self, out: &mut Vec<TraceEvent>) {
+        out.append(&mut self.front_mut().events);
     }
 
     fn note_fast_hits(&mut self, hint: &FastHint, hits: u64, denied: u64) {

@@ -11,9 +11,7 @@
 //! "17.4x slowdown per permission update" overhead the hardware designs
 //! remove.
 
-use std::collections::BTreeMap;
-
-use pmo_simarch::{vpn, SimConfig};
+use pmo_simarch::{vpn, SimConfig, VecMap};
 use pmo_trace::{Perm, PmoId, ThreadId, Va};
 
 use crate::fault::ProtectionFault;
@@ -34,7 +32,7 @@ pub struct LibMpk {
     /// The per-thread permission each thread *wants* for each domain
     /// (libmpk's virtual PKRU; materialized into the real PKRU for mapped
     /// domains).
-    desired: BTreeMap<(ThreadId, PmoId), Perm>,
+    desired: VecMap<(ThreadId, PmoId), Perm>,
 }
 
 pmo_simarch::impl_clone_in_place!(LibMpk { front, keys, desired });
@@ -46,7 +44,7 @@ impl LibMpk {
     pub fn new(config: &SimConfig) -> Self {
         let mut keys = KeyAllocator::new(config.pkeys);
         keys.reserve(GUARD_KEY);
-        LibMpk { front: Front::new(config), keys, desired: BTreeMap::new() }
+        LibMpk { front: Front::new(config), keys, desired: VecMap::new() }
     }
 
     fn desired_perm(&self, pmo: PmoId) -> Perm {

@@ -6,9 +6,7 @@
 //! domain semantics functionally, so every scheme can be checked for
 //! identical allow/deny behaviour against it.
 
-use std::collections::BTreeMap;
-
-use pmo_simarch::SimConfig;
+use pmo_simarch::{SimConfig, VecMap};
 use pmo_trace::{Perm, PmoId, ThreadId, Va};
 
 use crate::fault::ProtectionFault;
@@ -20,7 +18,7 @@ use crate::scheme::SchemeKind;
 #[derive(Debug)]
 pub struct Lowerbound {
     front: Front<()>,
-    perms: BTreeMap<(ThreadId, PmoId), Perm>,
+    perms: VecMap<(ThreadId, PmoId), Perm>,
 }
 
 pmo_simarch::impl_clone_in_place!(Lowerbound { front, perms });
@@ -29,7 +27,7 @@ impl Lowerbound {
     /// Creates the lowerbound scheme.
     #[must_use]
     pub fn new(config: &SimConfig) -> Self {
-        Lowerbound { front: Front::new(config), perms: BTreeMap::new() }
+        Lowerbound { front: Front::new(config), perms: VecMap::new() }
     }
 
     fn domain_perm(&self, pmo: PmoId) -> Perm {

@@ -202,12 +202,13 @@ pub trait ProtectionScheme {
     /// TLB statistics so far.
     fn tlb_stats(&self) -> TlbStats;
 
-    /// Drains protocol-level trace events the scheme emitted internally
+    /// Moves the protocol-level trace events the scheme emitted internally
     /// since the last drain ([`TraceEvent::Shootdown`] on the key-eviction
     /// paths of MPK virtualization and ERIM, on ERIM's write-revoking gate
-    /// exits and on DPTI's write revocations), so the hb-race pass and the
-    /// model checker see the same shootdown signal as `pool_close`.
-    fn drain_events(&mut self) -> Vec<TraceEvent>;
+    /// exits and on DPTI's write revocations) onto the end of `out`, in
+    /// order, so the hb-race pass and the model checker see the same
+    /// shootdown signal as `pool_close`. The scheme keeps its own buffer.
+    fn drain_events_into(&mut self, out: &mut Vec<TraceEvent>);
 
     /// Settles the accounting for `hits` accesses (of which `denied` were
     /// denied) served through a [`FastHint`] since it was issued: credits
@@ -477,8 +478,8 @@ impl ProtectionScheme for AnyScheme {
         dispatch!(self, s => s.tlb_stats())
     }
 
-    fn drain_events(&mut self) -> Vec<TraceEvent> {
-        dispatch!(self, s => s.drain_events())
+    fn drain_events_into(&mut self, out: &mut Vec<TraceEvent>) {
+        dispatch!(self, s => s.drain_events_into(out));
     }
 
     fn note_fast_hits(&mut self, hint: &FastHint, hits: u64, denied: u64) {

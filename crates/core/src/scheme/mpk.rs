@@ -5,9 +5,7 @@
 //! domain falls back to *domainless* — the security weakening that
 //! motivates the paper (§IV.B).
 
-use std::collections::BTreeMap;
-
-use pmo_simarch::SimConfig;
+use pmo_simarch::{SimConfig, VecMap};
 use pmo_trace::{Perm, PmoId, ThreadId, Va};
 
 use crate::fault::ProtectionFault;
@@ -23,7 +21,7 @@ pub struct DefaultMpk {
     front: Front<u8>,
     keys: KeyAllocator,
     /// Per-thread PKRU registers (default: all keys denied).
-    pkru: BTreeMap<ThreadId, Pkru>,
+    pkru: VecMap<ThreadId, Pkru>,
 }
 
 pmo_simarch::impl_clone_in_place!(DefaultMpk { front, keys, pkru });
@@ -35,7 +33,7 @@ impl DefaultMpk {
         DefaultMpk {
             front: Front::new(config),
             keys: KeyAllocator::new(config.pkeys),
-            pkru: BTreeMap::new(),
+            pkru: VecMap::new(),
         }
     }
 
@@ -101,7 +99,7 @@ impl Mechanism for DefaultMpk {
         self.front.stats.set_perms += 1;
         // A domainless fallback has no key to program, and costs nothing.
         if let Some(key) = self.keys.key_of(pmo) {
-            let reg = self.pkru.entry(self.front.current).or_insert(Pkru::ALL_DENIED);
+            let reg = self.pkru.get_or_insert_with(self.front.current, || Pkru::ALL_DENIED);
             *reg = reg.with_perm(key, perm);
             self.keys.touch(key);
             self.front.breakdown.permission_change += self.front.cfg.wrpkru_cycles;

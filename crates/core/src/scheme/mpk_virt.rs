@@ -74,8 +74,7 @@ impl MpkVirt {
     fn rebuild_pkru(&self) -> Pkru {
         let mut pkru = Pkru::ALL_DENIED;
         for (key, pmo) in self.keys.assignments() {
-            let perm = self.dtt.entry(pmo).map_or(Perm::None, |e| e.perm(self.front.current));
-            pkru = pkru.with_perm(key, perm);
+            pkru = pkru.with_perm(key, self.dtt.perm(pmo, self.front.current));
         }
         pkru
     }
@@ -125,7 +124,7 @@ impl MpkVirt {
                 granule: hit.granule,
                 pmo: hit.value.pmo,
                 key: self.keys.key_of(hit.value.pmo),
-                perm: hit.value.perm(self.front.current),
+                perm: self.dtt.perm(hit.value.pmo, self.front.current),
                 dirty: false,
             };
             if let Some(victim) = self.dttlb.insert(entry) {
@@ -174,8 +173,7 @@ impl MpkVirt {
         };
         // PKRU reflects the new domain behind the key (Figure 4, step 11).
         self.front.breakdown.entry_changes += self.front.cfg.pkru_update_cycles;
-        let perm = self.dtt.entry(pmo).map_or(Perm::None, |e| e.perm(self.front.current));
-        self.pkru = self.pkru.with_perm(key, perm);
+        self.pkru = self.pkru.with_perm(key, self.dtt.perm(pmo, self.front.current));
         let entry = self.dttlb.lookup(va).expect("present");
         entry.key = Some(key);
         entry.dirty = true;
@@ -230,9 +228,7 @@ impl Mechanism for MpkVirt {
         front.stats.set_perms += 1;
         // SETPERM executes like WRPKRU (fence semantics, §IV.A).
         front.breakdown.permission_change += front.cfg.wrpkru_cycles;
-        if let Some(entry) = self.dtt.entry_mut(pmo) {
-            entry.set_perm(front.current, perm);
-        }
+        self.dtt.set_perm(pmo, front.current, perm);
         // "SETPERM ... will result in invalidating the corresponding entry
         // (if cached) at the DTTLB."
         if self.dttlb.invalidate(pmo).is_some() {
@@ -250,9 +246,8 @@ impl Mechanism for MpkVirt {
     fn on_switch(&mut self, _from: ThreadId) {
         // Dirty DTTLB entries are written back, then the DTTLB is flushed
         // and the PKRU is reconstructed for the incoming thread.
-        let dirty = self.dttlb.flush();
         let front = &mut self.front;
-        front.breakdown.entry_changes += dirty.len() as u64 * front.cfg.dttlb_entry_op_cycles;
+        self.dttlb.flush(|_| front.breakdown.entry_changes += front.cfg.dttlb_entry_op_cycles);
         front.breakdown.software += front.cfg.wrpkru_cycles; // PKRU restore for the new thread
         self.pkru = self.rebuild_pkru();
     }

@@ -64,11 +64,11 @@ struct Frame {
 ///
 /// It runs the setup once, when it is built, and keeps the resulting
 /// post-setup [`World`] as a template. Every schedule restores the
-/// working world from the template with `clone_from`, which reuses the
-/// machines' vectors, and runs in the explorer's DPOR frames, step list
-/// and clock buffer. Once those have grown, a schedule allocates what its
-/// operations do plus the nodes of the `BTreeMap`-backed scheme state
-/// that the restore rebuilds.
+/// working world from the template with `clone_from`, which copies every
+/// machine's vectors and sorted-vector tables into the buffers the
+/// working world already owns, and runs in the explorer's DPOR frames,
+/// step list and clock buffer. Once those have grown, a restore and a
+/// clean schedule's steps make no allocator call; only findings do.
 pub struct Explorer {
     config: SimConfig,
     setup: Vec<PmoId>,

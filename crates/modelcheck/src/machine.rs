@@ -51,11 +51,9 @@ impl Machine for MpkVirt {
         let dtt = self.dtt();
         for pmo in dtt.domains() {
             abs.attach(pmo);
-            if let Some(entry) = dtt.entry(pmo) {
-                for (thread, perm) in entry.thread_perms() {
-                    abs.set((thread.raw(), pmo), perm);
-                }
-            }
+        }
+        for ((pmo, thread), perm) in dtt.perms() {
+            abs.set((thread.raw(), pmo), perm);
         }
     }
 
@@ -166,7 +164,7 @@ impl Machine for Erim {
         for region in self.mmu().regions() {
             abs.attach(region.pmo);
         }
-        for (&(thread, pmo), &perm) in self.sessions() {
+        for (&(thread, pmo), &perm) in self.sessions().iter() {
             abs.set((thread.raw(), pmo), perm);
         }
     }
@@ -192,10 +190,8 @@ impl Machine for Dpti {
         for region in self.mmu().regions() {
             abs.attach(region.pmo);
         }
-        for (thread, rows) in self.tables() {
-            for (&pmo, &perm) in rows {
-                abs.set((thread.raw(), pmo), perm);
-            }
+        for (&(thread, pmo), &perm) in self.tables().iter() {
+            abs.set((thread.raw(), pmo), perm);
         }
     }
 
@@ -218,10 +214,9 @@ impl Machine for Dpti {
                 ),
             });
         }
-        let loaded = self.tables().get(&self.cr3());
-        for &pmo in spec.attached() {
+        for &pmo in spec.attached().iter() {
             let expect = spec.perm(current, pmo);
-            let actual = loaded.and_then(|rows| rows.get(&pmo)).copied().unwrap_or(Perm::None);
+            let actual = self.tables().get(&(self.cr3(), pmo)).copied().unwrap_or(Perm::None);
             if actual != expect {
                 findings.push(Finding {
                     class: ViolationClass::PtlbDesync,

@@ -37,6 +37,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use pmo_simarch::{VecMap, VecSet};
 use pmo_trace::{AccessKind, Perm, PmoId};
 
 use crate::spec::SpecMachine;
@@ -48,8 +49,8 @@ use crate::spec::SpecMachine;
 /// step allocates nothing once they have grown.
 #[derive(Debug, Default)]
 pub(crate) struct AbsState {
-    attached: Vec<PmoId>,
-    perms: Vec<((u32, PmoId), Perm)>,
+    attached: VecSet<PmoId>,
+    perms: VecMap<(u32, PmoId), Perm>,
 }
 
 pmo_simarch::impl_clone_in_place!(AbsState { attached, perms });
@@ -63,36 +64,27 @@ impl AbsState {
 
     /// Adds `pmo` to the attached set.
     pub(crate) fn attach(&mut self, pmo: PmoId) {
-        if let Err(at) = self.attached.binary_search(&pmo) {
-            self.attached.insert(at, pmo);
-        }
+        self.attached.insert(pmo);
     }
 
     /// Sets a `(thread, domain)` row: a later write to the same row
     /// replaces it, and [`Perm::None`] removes it.
     pub(crate) fn set(&mut self, row: (u32, PmoId), perm: Perm) {
-        match (self.perms.binary_search_by_key(&row, |&(r, _)| r), perm) {
-            (Ok(at), Perm::None) => {
-                self.perms.remove(at);
-            }
-            (Ok(at), perm) => self.perms[at].1 = perm,
-            (Err(_), Perm::None) => {}
-            (Err(at), perm) => self.perms.insert(at, (row, perm)),
+        if perm == Perm::None {
+            self.perms.remove(&row);
+        } else {
+            self.perms.insert(row, perm);
         }
     }
 
-    /// Whether this is exactly the spec's state, compared in place.
+    /// Whether this is exactly the spec's state.
     pub(crate) fn matches(&self, spec: &SpecMachine) -> bool {
-        self.attached.iter().eq(spec.attached())
-            && self.perms.iter().copied().eq(spec.perms().iter().map(|(&row, &perm)| (row, perm)))
+        self.attached == *spec.attached() && self.perms == *spec.perms()
     }
 
     /// The spec's state in this form (divergence messages print it).
     pub(crate) fn of_spec(spec: &SpecMachine) -> Self {
-        AbsState {
-            attached: spec.attached().iter().copied().collect(),
-            perms: spec.perms().iter().map(|(&row, &perm)| (row, perm)).collect(),
-        }
+        AbsState { attached: spec.attached().clone(), perms: spec.perms().clone() }
     }
 }
 
@@ -103,7 +95,7 @@ impl fmt::Display for AbsState {
         let perms = self
             .perms
             .iter()
-            .map(|&((t, p), perm)| format!("t{t}/P{}={perm:?}", p.raw()))
+            .map(|(&(t, p), perm)| format!("t{t}/P{}={perm:?}", p.raw()))
             .collect::<Vec<_>>();
         write!(f, "attached[{}] perms[{}]", attached.join(","), perms.join(","))
     }

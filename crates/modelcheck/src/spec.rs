@@ -21,24 +21,27 @@
 //! order; the simulation relation in [`crate::refine`] maps concrete
 //! machine state (DTT/PKRU, PT/PTLB) back onto this state.
 
-use std::collections::{BTreeMap, BTreeSet};
-
+use pmo_simarch::{VecMap, VecSet};
 use pmo_trace::{AccessKind, Perm, PmoId};
 
 /// The abstract permission-oracle state machine.
 ///
 /// The state is exactly `(attached set, (thread, domain) → perm map)`;
 /// the perm map is kept canonical (no [`Perm::None`] rows) so it can be
-/// compared for equality against abstraction-function output.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// compared for equality against abstraction-function output. Both are
+/// sorted vectors, so restoring a saved machine copies into the buffers
+/// this one owns.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct SpecMachine {
-    attached: BTreeSet<PmoId>,
-    perms: BTreeMap<(u32, PmoId), Perm>,
+    attached: VecSet<PmoId>,
+    perms: VecMap<(u32, PmoId), Perm>,
     /// Every `(thread, domain)` pair that ever held a non-`None` grant —
     /// the noninterference pass's notion of "authorized for the domain's
     /// data at some point in this execution".
-    granted_ever: BTreeSet<(u32, PmoId)>,
+    granted_ever: VecSet<(u32, PmoId)>,
 }
+
+pmo_simarch::impl_clone_in_place!(SpecMachine { attached, perms, granted_ever });
 
 impl SpecMachine {
     /// A fresh machine with nothing attached.
@@ -96,13 +99,13 @@ impl SpecMachine {
 
     /// The attached set.
     #[must_use]
-    pub fn attached(&self) -> &BTreeSet<PmoId> {
+    pub fn attached(&self) -> &VecSet<PmoId> {
         &self.attached
     }
 
     /// The canonical `(thread, domain) → perm` map (no `None` rows).
     #[must_use]
-    pub fn perms(&self) -> &BTreeMap<(u32, PmoId), Perm> {
+    pub fn perms(&self) -> &VecMap<(u32, PmoId), Perm> {
         &self.perms
     }
 

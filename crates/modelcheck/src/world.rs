@@ -56,11 +56,13 @@ pub struct Finding {
 /// related-work schemes ERIM and DPTI — run in lockstep against the spec
 /// machine, advanced one operation at a time.
 ///
-/// `clone_from` restores a world in place: each machine is cloned field by
-/// field into the one already there, reusing its TLB, replacement, DTTLB,
-/// PTLB and key-allocator buffers, and the trace and observation buffers
-/// keep their capacity. The explorer restores every schedule's world from
-/// a post-setup template this way.
+/// `clone_from` restores a world in place: each machine and the spec are
+/// cloned field by field into the ones already there, reusing their TLB,
+/// replacement, DTTLB, PTLB and key-allocator buffers, their sorted-vector
+/// tables and the page tables' leaves, and the trace and observation
+/// buffers keep their capacity. The explorer restores every schedule's
+/// world from a post-setup template this way, with no allocator call once
+/// the buffers have grown.
 pub struct World {
     /// The verified machines in finding order. They are held inline, not
     /// boxed, so that restoring a world clones each one in place.
@@ -241,17 +243,21 @@ impl World {
                 }
             }
         }
-        // Every machine's protocol events are drained, but the recorded
-        // trace stays canonical against the first machine: ERIM's and
-        // DPTI's own gate-exit/revoke settle events are not re-recorded.
+        // Every machine's protocol events are drained onto the trace, but
+        // the recorded trace stays canonical against the first machine:
+        // ERIM's and DPTI's own gate-exit/revoke settle events are counted,
+        // then cut off again.
         for (i, (machine, shootdowns)) in
             self.machines.iter_mut().zip(&mut self.shootdowns).enumerate()
         {
-            for ev in machine.drain_events() {
-                *shootdowns += u64::from(matches!(ev, TraceEvent::Shootdown { .. }));
-                if i == 0 {
-                    self.trace.push(ev);
-                }
+            let recorded = self.trace.len();
+            machine.drain_events_into(&mut self.trace);
+            let drained = &self.trace[recorded..];
+            *shootdowns +=
+                drained.iter().filter(|ev| matches!(ev, TraceEvent::Shootdown { .. })).count()
+                    as u64;
+            if i > 0 {
+                self.trace.truncate(recorded);
             }
         }
         for (machine, &shootdowns) in self.machines.iter().zip(&self.shootdowns) {

@@ -1,10 +1,12 @@
 //! Reusing exploration state must be invisible. A [`World`] restored
 //! with `clone_from` from its post-setup template, after an arbitrary
 //! earlier schedule, must behave exactly like one [`World::new`] builds,
-//! down to every machine's counters and cycle ledger; and one
-//! [`Explorer`] reused across many programs must report exactly what a
-//! fresh explorer per program reports. Both quick refine configurations
-//! are covered, clean and under every planted [`ProtocolBug`].
+//! down to every machine's counters and cycle ledger; a used world
+//! restored from another used world must hold and then step exactly like
+//! a clone of its source; and one [`Explorer`] reused across many
+//! programs must report exactly what a fresh explorer per program
+//! reports. Both quick refine configurations are covered, clean and under
+//! every planted [`ProtocolBug`].
 
 use pmo_modelcheck::enumerate::WorldBounds;
 use pmo_modelcheck::{
@@ -105,6 +107,67 @@ fn restored_world_behaves_like_a_fresh_one() {
                 let counted =
                     |world: &World| world.machines().iter().map(counters).collect::<Vec<_>>();
                 assert_eq!(counted(&restored), counted(&fresh), "{at}: counters");
+            }
+        }
+    }
+    assert!(findings > 0, "the planted bugs must surface in the random schedules");
+}
+
+/// Every machine's whole state, field by field: TLB lanes, occupancy
+/// masks and PLRU bits, page-table leaves, DTT/DRT/PT rows, sessions,
+/// per-thread tables, ledgers and queued events.
+fn dump(world: &World) -> String {
+    format!("{:?}", world.machines())
+}
+
+#[test]
+fn a_used_world_restored_from_another_steps_like_its_clone() {
+    // The template's TLBs, leaves and tables are empty, so restoring from
+    // it cannot show a `clone_from` that skips TLB occupancy masks, PLRU
+    // bits or rows a used source holds. Here both sides have run random
+    // steps first: the source a short schedule, the target a longer one
+    // that leaves it more leaves, rows and TLB entries than the source.
+    let mut findings = 0;
+    for (name, bounds, config) in quick_worlds() {
+        let scenario = Scenario {
+            name: name.into(),
+            about: "",
+            setup: bounds.domain_ids(),
+            program: Program { threads: Vec::new() },
+            config,
+            key_pressure: false,
+        };
+        for bug in bugs() {
+            let template = World::new(&scenario, bug);
+            let mut target = template.clone();
+            for seed in 0..24 {
+                let at = format!("{name} {bug:?} seed {seed}");
+                let mut mix = Mix(seed);
+                let mut source = template.clone();
+                for _ in 0..1 + mix.below(12) {
+                    let (thread, op) = mix.step();
+                    source.step(thread, op);
+                }
+                for _ in 0..1 + mix.below(32) {
+                    let (thread, op) = mix.step();
+                    target.step(thread, op);
+                }
+                target.clone_from(&source);
+                let mut clone = source.clone();
+                assert_eq!(dump(&target), dump(&clone), "{at}: restored state");
+                for step in 0..1 + mix.below(24) {
+                    let (thread, op) = mix.step();
+                    let found = target.step(thread, op);
+                    assert_eq!(found, clone.step(thread, op), "{at}: step {step}, {op}");
+                    findings += found.len();
+                }
+                assert_eq!(dump(&target), dump(&clone), "{at}: state after the steps");
+                assert_eq!(target.trace(), clone.trace(), "{at}: trace");
+                assert_eq!(target.observations(), clone.observations(), "{at}: observations");
+                assert_eq!(target.end_checks(), clone.end_checks(), "{at}: end checks");
+                let counted =
+                    |world: &World| world.machines().iter().map(counters).collect::<Vec<_>>();
+                assert_eq!(counted(&target), counted(&clone), "{at}: counters");
             }
         }
     }

@@ -476,7 +476,11 @@ impl Replay {
     /// [`Replay::buffered_events`] is zero keeps the full blocks.
     pub fn drain_protocol_events(&mut self) -> Vec<TraceEvent> {
         self.flush();
-        self.lanes.iter_mut().flat_map(|lane| lane.scheme.drain_events()).collect()
+        let mut events = Vec::new();
+        for lane in &mut self.lanes {
+            lane.scheme.drain_events_into(&mut events);
+        }
+        events
     }
 
     fn charge_compute(&mut self, instructions: u32) {
@@ -1836,6 +1840,34 @@ mod tests {
                     "{kind}: {}",
                     faults[1]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_region_reattached_at_a_larger_granule_replays_cleanly() {
+        // PMO 1 takes a 2MB granule and detaches; PMO 2 then takes the 1GB
+        // granule around it. Nothing of PMO 1's region may survive in any
+        // lane's tables: every lane replays the trace with no fault, and
+        // PMO 2's grant covers its whole region.
+        let (pmo1, pmo2) = (PmoId::new(1), PmoId::new(2));
+        let mut t = RecordedTrace::new();
+        t.event(TraceEvent::Attach { pmo: pmo1, base: BASE, size: 2 << 20, nvm: true });
+        t.event(TraceEvent::Detach { pmo: pmo1 });
+        t.event(TraceEvent::Attach { pmo: pmo2, base: BASE, size: 1 << 30, nvm: true });
+        t.event(TraceEvent::SetPerm { pmo: pmo2, perm: Perm::ReadWrite });
+        t.store(BASE, 8);
+        t.store(BASE + (4 << 20), 8);
+        t.load(BASE + (512 << 20), 8);
+        let image = pmo_trace::block::block_trace_of(&t).encode();
+        let cfg = SimConfig::isca2020();
+        let lane_sets = SchemeKind::ALL.map(|kind| vec![kind]).into_iter();
+        for kinds in lane_sets.chain([SchemeKind::ALL.to_vec()]) {
+            let mut replay = Replay::with_lanes(&kinds, &cfg);
+            replay.replay_encoded(&image).expect("the image is well formed");
+            for report in replay.finish_lanes().expect("every lane agrees") {
+                assert_eq!(report.faults, [], "{} in {kinds:?}", report.scheme);
+                assert_eq!(report.scheme_stats.faults, 0, "{} in {kinds:?}", report.scheme);
             }
         }
     }

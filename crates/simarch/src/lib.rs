@@ -13,7 +13,10 @@
 //!   the ranged shootdown the MPK-virtualization design relies on;
 //! - [`PageTable`] — a functional sparse page table (only touched pages
 //!   are stored) whose per-PTE protection-key rewrites give the libmpk
-//!   baseline its cost.
+//!   baseline its cost;
+//! - [`VecMap`]/[`VecSet`] — the sorted-vector map and set every table a
+//!   scheme keeps is built on, so that restoring a saved state copies
+//!   into buffers already owned.
 //!
 //! The protection schemes themselves (PKRU, DTT/DTTLB, DRT/PT/PTLB) live in
 //! `pmo-protect`; the replay engine that stitches everything together lives
@@ -42,6 +45,7 @@ pub mod pool;
 mod replacement;
 mod stats;
 mod tlb;
+mod vecmap;
 
 pub use cache::{Cache, CacheAccess, CacheHierarchy};
 pub use config::{SetAssocGeometry, SimConfig};
@@ -50,6 +54,7 @@ pub use page_table::{PageTable, Pte};
 pub use replacement::SetState;
 pub use stats::{CacheStats, TlbStats};
 pub use tlb::{vpn, Tlb, TlbHierarchy, TlbLevel, PAGE_BITS, PAGE_SIZE};
+pub use vecmap::{VecMap, VecSet};
 
 /// Implements [`Clone`] field by field for a struct, with a `clone_from`
 /// that clones each field in place.

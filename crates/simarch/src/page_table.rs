@@ -8,19 +8,23 @@
 //! are charged arithmetically from the covered-PTE counts the ranged
 //! operations return.
 //!
-//! Only touched pages are stored. Leaves are keyed by the 2MB span they
-//! cover in a `BTreeMap`; each holds a 512-bit presence bitmap and the
-//! mapped PTEs in page order, so the PTE of page `i` sits at the rank of
-//! bit `i`. A PMO reserves a 1GB-aligned region but touches a handful of
-//! pages at quick scale, where a dense radix spends an 8KB directory and
-//! an 8KB leaf on every such region — per scheme, per replay.
-
-use std::collections::BTreeMap;
+//! Only touched pages are stored. Each leaf covers one 2MB span: a 512-bit
+//! presence bitmap and the mapped PTEs in page order, so the PTE of page
+//! `i` sits at the rank of bit `i`. A sorted [`VecMap`] index maps each
+//! span to the slot of its leaf; the leaf bodies live outside it, so a new
+//! span shifts small index rows, not whole leaves. A leaf whose last page
+//! is unmapped goes back to a spare list with its PTE buffer, for the next
+//! span mapped, and restoring a saved table with `clone_from` keeps every
+//! leaf the copy already owns the same way. A PMO reserves a 1GB-aligned
+//! region but touches a handful of pages at quick scale, where a dense
+//! radix spends an 8KB directory and an 8KB leaf on every such region —
+//! per scheme, per replay.
 
 use pmo_trace::Perm;
 
 use crate::memory::MemKind;
 use crate::tlb::{vpn, PAGE_SIZE};
+use crate::vecmap::VecMap;
 
 /// Pages per leaf (one 2MB span).
 const LEAF_PAGES: u64 = 512;
@@ -57,9 +61,10 @@ impl Pte {
 /// costing nanoseconds or microseconds of *host* time per call (the
 /// simulated cost is charged arithmetically either way).
 ///
-/// A stored leaf always maps at least one page: the table drops a leaf
-/// the moment its last page is unmapped, overrides and all.
-#[derive(Clone, Debug, Default)]
+/// A leaf the index names always maps at least one page: the table
+/// releases a leaf the moment its last page is unmapped, and a released
+/// leaf is empty, overrides and all.
+#[derive(Debug, Default)]
 struct Leaf {
     /// Bit `i` is set iff page `i` of the span is mapped.
     present: [u64; WORDS],
@@ -72,7 +77,17 @@ struct Leaf {
     perm: Option<Perm>,
 }
 
+crate::impl_clone_in_place!(Leaf { present, ptes, pkey, perm });
+
 impl Leaf {
+    /// Unmaps every page and drops the overrides, keeping the PTE buffer.
+    fn clear(&mut self) {
+        self.present = [0; WORDS];
+        self.ptes.clear();
+        self.pkey = None;
+        self.perm = None;
+    }
+
     fn has(&self, idx: usize) -> bool {
         self.present[idx / 64] >> (idx % 64) & 1 != 0
     }
@@ -158,17 +173,69 @@ enum RangeOp {
     SetPerm(Perm),
 }
 
+/// Leaf bodies by slot. A slot the index does not name is spare: it holds
+/// an empty leaf that keeps its PTE buffer for the next span mapped.
+#[derive(Default)]
+struct Leaves {
+    bodies: Vec<Leaf>,
+    spare: Vec<usize>,
+}
+
+impl Leaves {
+    /// A slot for a new span: a spare one, or else a new one.
+    fn take(&mut self) -> usize {
+        self.spare.pop().unwrap_or_else(|| {
+            self.bodies.push(Leaf::default());
+            self.bodies.len() - 1
+        })
+    }
+
+    /// Empties a slot's leaf and makes the slot spare.
+    fn release(&mut self, slot: usize) {
+        self.bodies[slot].clear();
+        self.spare.push(slot);
+    }
+}
+
+impl Clone for Leaves {
+    fn clone(&self) -> Self {
+        Leaves { bodies: self.bodies.clone(), spare: self.spare.clone() }
+    }
+
+    /// Copies `source` slot by slot into the leaves already here. A leaf
+    /// past `source`'s last slot becomes spare, buffer and all, instead of
+    /// being freed, so a restored table maps new spans without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.spare.clone_from(&source.spare);
+        let shared = self.bodies.len().min(source.bodies.len());
+        for (leaf, from) in self.bodies.iter_mut().zip(&source.bodies) {
+            leaf.clone_from(from);
+        }
+        self.bodies.extend_from_slice(&source.bodies[shared..]);
+        for slot in source.bodies.len()..self.bodies.len() {
+            self.release(slot);
+        }
+    }
+}
+
 /// The page table of one process.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct PageTable {
-    /// Leaves by span number (`vpn >> 9`); only spans with a mapped page.
-    leaves: BTreeMap<u64, Leaf>,
+    /// Span number (`vpn >> 9`) → slot of its leaf, for every span with a
+    /// mapped page.
+    index: VecMap<u64, usize>,
+    leaves: Leaves,
     mapped_pages: u64,
 }
 
+crate::impl_clone_in_place!(PageTable { index, leaves, mapped_pages });
+
+/// The mapped spans in order, each with its leaf.
 impl std::fmt::Debug for PageTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PageTable").field("mapped_pages", &self.mapped_pages).finish()
+        f.debug_map()
+            .entries(self.index.iter().map(|(span, &slot)| (span, &self.leaves.bodies[slot])))
+            .finish()
     }
 }
 
@@ -187,13 +254,15 @@ impl PageTable {
     #[must_use]
     pub fn walk(&self, va: u64) -> Option<Pte> {
         let (span, idx) = split(vpn(va));
-        self.leaves.get(&span)?.get(idx)
+        self.leaves.bodies[*self.index.get(&span)?].get(idx)
     }
 
     /// Maps one page. Returns the previous entry, if any.
     pub fn map_page(&mut self, va: u64, pte: Pte) -> Option<Pte> {
         let (span, idx) = split(vpn(va));
-        let old = self.leaves.entry(span).or_default().insert(idx, pte);
+        let leaves = &mut self.leaves;
+        let slot = *self.index.get_or_insert_with(span, || leaves.take());
+        let old = leaves.bodies[slot].insert(idx, pte);
         if old.is_none() {
             self.mapped_pages += 1;
         }
@@ -216,11 +285,12 @@ impl PageTable {
     /// Unmaps one page; returns the removed entry.
     pub fn unmap_page(&mut self, va: u64) -> Option<Pte> {
         let (span, idx) = split(vpn(va));
-        let leaf = self.leaves.get_mut(&span)?;
-        let old = leaf.remove(idx)?;
+        let slot = *self.index.get(&span)?;
+        let old = self.leaves.bodies[slot].remove(idx)?;
         self.mapped_pages -= 1;
-        if leaf.ptes.is_empty() {
-            self.leaves.remove(&span);
+        if self.leaves.bodies[slot].ptes.is_empty() {
+            self.index.remove(&span);
+            self.leaves.release(slot);
         }
         Some(old)
     }
@@ -228,7 +298,7 @@ impl PageTable {
     /// Applies `op` to every *mapped* page whose VPN lies in `[start,
     /// end)`, visiting only the stored leaves the range touches; returns
     /// the number of mapped PTEs covered. A leaf *fully* inside the range
-    /// takes the O(1) path — dropping it outright (unmap) or recording a
+    /// takes the O(1) path — emptying it outright (unmap) or recording a
     /// pending whole-leaf override (pkey/perm) — while a partially-covered
     /// leaf materializes its overrides and updates the covered entries.
     /// The simulated cost of a range operation is charged arithmetically
@@ -240,28 +310,34 @@ impl PageTable {
             return 0;
         }
         let mut covered = 0;
-        let mut emptied = Vec::new();
-        for (&span, leaf) in self.leaves.range_mut(start >> LEAF_BITS..=(end - 1) >> LEAF_BITS) {
+        let mut emptied = false;
+        for (&span, &slot) in self.index.range(start >> LEAF_BITS..=(end - 1) >> LEAF_BITS) {
+            let leaf = &mut self.leaves.bodies[slot];
             let base = span << LEAF_BITS;
             if start <= base && end >= base + LEAF_PAGES {
                 // Whole leaf covered: O(1), no per-PTE work.
                 covered += leaf.ptes.len() as u64;
                 match op {
-                    RangeOp::Unmap => emptied.push(span),
+                    RangeOp::Unmap => leaf.clear(),
                     RangeOp::SetPkey(pkey) => leaf.pkey = Some(pkey),
                     RangeOp::SetPerm(perm) => leaf.perm = Some(perm),
                 }
-                continue;
+            } else {
+                let lo = start.saturating_sub(base) as usize;
+                let hi = (end - base).min(LEAF_PAGES) as usize;
+                covered += leaf.apply_partial(lo, hi, op);
             }
-            let lo = start.saturating_sub(base) as usize;
-            let hi = (end - base).min(LEAF_PAGES) as usize;
-            covered += leaf.apply_partial(lo, hi, op);
-            if leaf.ptes.is_empty() {
-                emptied.push(span);
-            }
+            emptied |= leaf.ptes.is_empty();
         }
-        for span in emptied {
-            self.leaves.remove(&span);
+        if emptied {
+            let leaves = &mut self.leaves;
+            self.index.retain(|_, &mut slot| {
+                let mapped = !leaves.bodies[slot].ptes.is_empty();
+                if !mapped {
+                    leaves.release(slot);
+                }
+                mapped
+            });
         }
         covered
     }
@@ -513,7 +589,8 @@ mod tests {
         assert_eq!(pt.unmap_page(0x1000).map(|p| p.pfn), Some(7));
         assert_eq!(pt.walk(0x1000), None);
         assert_eq!(pt.mapped_pages(), 0);
-        assert!(pt.leaves.is_empty(), "the emptied leaf is dropped");
+        assert!(pt.index.is_empty(), "the emptied leaf is released");
+        assert_eq!(pt.leaves.spare, [0], "with its slot kept spare");
     }
 
     #[test]
@@ -629,16 +706,27 @@ mod tests {
         (0..3 * LEAF_PAGES + 1).map(|p| REGION + p * PAGE_SIZE).chain([REGION - PAGE_SIZE])
     }
 
-    /// The sparse layout's own invariants: every stored leaf maps a page,
-    /// holds one PTE per presence bit, and the leaves add up.
+    /// The sparse layout's own invariants: every indexed leaf maps a page
+    /// and holds one PTE per presence bit, the leaves add up, every slot is
+    /// indexed or spare exactly once, and every spare leaf is empty.
     fn check_layout(pt: &PageTable) -> Result<(), TestCaseError> {
         let mut total = 0;
-        for (span, leaf) in &pt.leaves {
+        let mut uses = vec![0; pt.leaves.bodies.len()];
+        for (span, &slot) in pt.index.iter() {
+            let leaf = &pt.leaves.bodies[slot];
             let bits: u32 = leaf.present.iter().map(|w| w.count_ones()).sum();
             prop_assert!(!leaf.ptes.is_empty(), "span {span:#x}: empty leaf kept");
             prop_assert_eq!(bits as usize, leaf.ptes.len(), "span {:#x}", span);
             total += leaf.ptes.len() as u64;
+            uses[slot] += 1;
         }
+        for &slot in &pt.leaves.spare {
+            let leaf = &pt.leaves.bodies[slot];
+            prop_assert!(leaf.present == [0; WORDS] && leaf.ptes.is_empty(), "spare {slot}");
+            prop_assert!(leaf.pkey.is_none() && leaf.perm.is_none(), "spare {slot}");
+            uses[slot] += 1;
+        }
+        prop_assert!(uses.iter().all(|&n| n == 1), "slot uses {:?}", uses);
         prop_assert_eq!(total, pt.mapped_pages());
         Ok(())
     }
@@ -680,6 +768,47 @@ mod tests {
                 check_layout(&sparse)?;
             }
         }
+
+        /// A used table restored from another with `clone_from` keeps its
+        /// extra leaves as spares, yet reads and then behaves exactly like
+        /// a clone of the source.
+        #[test]
+        fn restored_table_behaves_like_a_clone(
+            source_ops in prop::collection::vec(op(), 0..24),
+            used_ops in prop::collection::vec(op(), 0..40),
+            then in prop::collection::vec(op(), 1..24),
+        ) {
+            let run = |pt: &mut PageTable, ops: &[Op]| {
+                for op in ops {
+                    match *op {
+                        Op::Map(va, pfn) => {
+                            pt.map_page(va, Pte { pfn, perm: Perm::ReadWrite, pkey: 0, mem: MemKind::Nvm });
+                        }
+                        Op::Unmap(va) => drop(pt.unmap_page(va)),
+                        Op::MapRange(va, len) => pt.map_range(va, len, 7, Perm::ReadOnly, MemKind::Dram),
+                        Op::UnmapRange(va, len) => drop(pt.unmap_range(va, len)),
+                        Op::SetPkey(va, len, k) => drop(pt.set_pkey_range(va, len, k)),
+                        Op::SetPerm(va, len, p) => drop(pt.set_perm_range(va, len, p)),
+                    }
+                }
+            };
+            let mut source = PageTable::new();
+            run(&mut source, &source_ops);
+            let mut restored = PageTable::new();
+            run(&mut restored, &used_ops);
+            restored.clone_from(&source);
+            let mut clone = source.clone();
+            prop_assert_eq!(format!("{restored:?}"), format!("{clone:?}"));
+            check_layout(&restored)?;
+            run(&mut restored, &then);
+            run(&mut clone, &then);
+            prop_assert_eq!(format!("{restored:?}"), format!("{clone:?}"));
+            prop_assert_eq!(restored.mapped_pages(), clone.mapped_pages());
+            for va in probes() {
+                prop_assert_eq!(restored.walk(va), clone.walk(va), "walk {:#x}", va);
+            }
+            check_layout(&restored)?;
+        }
     }
 
     #[test]
@@ -711,6 +840,6 @@ mod tests {
         both!(unmap_range(REGION, SPAN));
         both!(map_page(REGION + 7 * PAGE_SIZE, pte(4)));
         both!(mapped_pages());
-        assert_eq!(sparse.leaves.len(), 1, "only the re-touched leaf is stored");
+        assert_eq!(sparse.index.len(), 1, "only the re-touched leaf is stored");
     }
 }

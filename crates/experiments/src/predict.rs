@@ -37,19 +37,22 @@
 //!   set) where DPOR cannot go; verified-clean traces must produce zero
 //!   predictions.
 //!
-//! Reports are byte-identical at any `--jobs` count: chunks merge in
-//! enumeration order and the sampled schedules carry no RNG state.
+//! The worlds, the sweep over their programs, the seeded first-witness
+//! scan, the repro lookup and the world-row head are the refinement
+//! campaign's ([`crate::refine`]); [`PredictConfig`] is
+//! [`RefineConfig`](crate::refine::RefineConfig). Reports are
+//! byte-identical at any `--jobs` count: chunks merge in enumeration
+//! order and the sampled schedules carry no RNG state.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use pmo_analyzer::{
-    predict, seed_bug, witness_events, Analyzer, GatePass, InspectPass, PermWindowPass,
-    PersistOrderPass, PredictedFinding, RacePass, SeededBug, ViolationClass,
+    predict, seed_bug, witness_events, AnalysisReport, Analyzer, GatePass, InspectPass,
+    PermWindowPass, PersistOrderPass, PredictedFinding, RacePass, SeededBug, ViolationClass,
 };
-use pmo_modelcheck::enumerate::{self, Codes, WorldBounds};
 use pmo_modelcheck::{
-    all_schedules, explore, naive_schedules, sample_schedule, schedule_string, schedule_trace,
+    all_schedules, naive_schedules, sample_schedule, schedule_string, schedule_trace,
     ExploreLimits, Explorer, Scenario, ScheduleRun,
 };
 use pmo_protect::ProtocolBug;
@@ -61,8 +64,12 @@ use pmo_workloads::{
     WhisperConfig, WhisperWorkload, Workload,
 };
 
-use crate::pool::{parallel_map, parallel_map_with};
-use crate::refine::{RefineConfig, RefineWorld, SkippedWorld};
+use crate::pool::parallel_map;
+/// Campaign shape: the same bounded worlds the refinement campaign
+/// verifies exhaustively, so "clean world" is a proved fact, not an
+/// assumption.
+pub use crate::refine::RefineConfig as PredictConfig;
+use crate::refine::{bounds_label, keep, RefineWorld, SkippedWorld, WorldHead};
 use crate::Scale;
 
 /// Feasible-set enumeration cap per program. Quick-world programs have
@@ -70,73 +77,24 @@ use crate::Scale;
 /// certificate for that finding and is reported as a false positive.
 pub const FEASIBLE_CAP: usize = 1 << 16;
 
-/// Campaign shape: the same bounded worlds the refinement campaign
-/// verifies exhaustively, so "clean world" is a proved fact, not an
-/// assumption.
-#[derive(Clone, Debug)]
-pub struct PredictConfig {
-    /// Worlds certified, in report order.
-    pub worlds: Vec<RefineWorld>,
-    /// Worlds the selected [`Scale`] excludes (loud rows, never silent).
-    pub skipped: Vec<RefineWorld>,
-    /// Kept false-positive descriptions per world (the excess is
-    /// counted, never silently dropped).
-    pub max_fp_reports: usize,
-    /// Programs per parallel work unit.
-    pub chunk: usize,
-}
-
-impl PredictConfig {
-    /// The campaign shape for a [`Scale`] (same worlds as
-    /// [`RefineConfig::for_scale`]).
-    #[must_use]
-    pub fn for_scale(scale: Scale) -> Self {
-        let refine = RefineConfig::for_scale(scale);
-        PredictConfig {
-            worlds: refine.worlds,
-            skipped: refine.skipped,
-            max_fp_reports: 20,
-            chunk: 256,
-        }
-    }
-
-    /// The world named `name`, if configured.
-    #[must_use]
-    pub fn world(&self, name: &str) -> Option<&RefineWorld> {
-        self.worlds.iter().find(|w| w.name == name)
-    }
-}
-
-/// Per-program certification tally.
-#[derive(Clone, Debug, Default)]
-struct ProgramCert {
-    events: u64,
-    candidates: u64,
-    findings: u64,
-    fp: Vec<String>,
-    fp_total: u64,
-}
-
-impl ProgramCert {
-    fn fail(&mut self, why: String) {
-        self.fp_total += 1;
-        self.fp.push(why);
-    }
-}
-
 fn is_switch(ev: &TraceEvent) -> bool {
     matches!(ev, TraceEvent::ThreadSwitch { .. })
 }
 
 /// Replays `events` through the manifest passes the predictive pass
-/// targets (hb-race/stale-window + persist-order) and returns the
-/// error-severity diagnostics as `(class, position)` pairs.
-fn manifest_errors(events: &[TraceEvent], source: &str) -> Vec<(ViolationClass, u64)> {
+/// targets (hb-race/stale-window + persist-order).
+fn manifest_report(events: &[TraceEvent], source: impl Into<String>) -> AnalysisReport {
     let mut a = Analyzer::new(source).with_pass(RacePass::new()).with_pass(PersistOrderPass::new());
     for &ev in events {
         a.event(ev);
     }
-    a.finish().errors().map(|d| (d.class, d.position)).collect()
+    a.finish()
+}
+
+/// The error-severity diagnostics of [`manifest_report`] as
+/// `(class, position)` pairs.
+fn manifest_errors(events: &[TraceEvent], source: &str) -> Vec<(ViolationClass, u64)> {
+    manifest_report(events, source).errors().map(|d| (d.class, d.position)).collect()
 }
 
 /// Per-thread event streams (thread switches consumed as attribution,
@@ -286,51 +244,12 @@ fn refute_finding(
     None
 }
 
-/// Certifies one clean scenario from its single sampled schedule, run
-/// through `explorer`, which [`RefineWorld::explorer`] built for its
-/// world.
-fn certify_scenario(explorer: &mut Explorer, scenario: &Scenario) -> ProgramCert {
-    let counts = scenario.program.op_counts();
-    let sched = sample_schedule(&scenario.name, &counts);
-    let mut cert = ProgramCert::default();
-    let run = match explorer.schedule_trace(scenario, &sched) {
-        Ok(run) => run,
-        Err(e) => {
-            cert.fail(format!("{}: sampled schedule not executable: {e}", scenario.name));
-            return cert;
-        }
-    };
-    let prediction = predict(&run.trace);
-    cert.events = run.trace.len() as u64;
-    cert.candidates = (prediction.candidates + prediction.candidates_dropped) as u64;
-    cert.findings = (prediction.findings.len() + prediction.findings_dropped) as u64;
-    for finding in &prediction.findings {
-        cert.fail(format!(
-            "{}: prediction on a verified-clean world: {}",
-            scenario.name, finding.message
-        ));
-    }
-    cert
-}
-
-fn to_scenario(world: &RefineWorld, index: usize, codes: &Codes) -> Scenario {
-    enumerate::to_scenario(world.name, index, codes, &world.bounds, world.config())
-}
-
 /// Soundness results for one world.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PredictWorldOutcome {
-    /// World name.
-    pub world: String,
-    /// Enumeration bounds.
-    pub bounds: WorldBounds,
-    /// Raw (pre-reduction) program count, closed form.
-    pub raw: u128,
-    /// Burnside closed-form orbit count.
-    pub burnside: u128,
-    /// Programs certified, one sampled schedule each (must equal
-    /// `burnside`).
-    pub canonical: u64,
+    /// The world and its program counts; each program is certified from
+    /// one sampled schedule.
+    pub head: WorldHead,
     /// Closed-form count of maximal schedules across all programs — the
     /// feasible set each witness is certified against.
     pub feasible: u128,
@@ -351,20 +270,30 @@ impl PredictWorldOutcome {
     /// survived.
     #[must_use]
     pub fn passed(&self) -> bool {
-        u128::from(self.canonical) == self.burnside && self.fp_total == 0
+        self.head.counts_match() && self.fp_total == 0
+    }
+
+    fn fail(&mut self, why: String) {
+        self.fp_total += 1;
+        self.false_positives.push(why);
+    }
+
+    /// Adds a later program's or chunk's totals.
+    fn merge(mut self, later: PredictWorldOutcome) -> PredictWorldOutcome {
+        self.feasible += later.feasible;
+        self.events += later.events;
+        self.candidates += later.candidates;
+        self.findings += later.findings;
+        self.fp_total += later.fp_total;
+        keep(&mut self.false_positives, later.false_positives);
+        self
     }
 }
 
 impl Value for PredictWorldOutcome {
     fn write_json(&self, out: &mut String) {
-        Object::new(out)
-            .field("world", &self.world)
-            .field("ops", self.bounds.ops)
-            .field("threads", self.bounds.threads)
-            .field("domains", self.bounds.domains)
-            .field("raw", self.raw)
-            .field("burnside", self.burnside)
-            .field("canonical", self.canonical)
+        self.head
+            .open_json(out)
             .field("feasible_schedules", self.feasible)
             .field("events", self.events)
             .field("candidates", self.candidates)
@@ -375,58 +304,41 @@ impl Value for PredictWorldOutcome {
     }
 }
 
-/// Certifies one world, fanning program chunks across `jobs` workers.
-/// Deterministic: chunks merge in enumeration order.
-#[must_use]
-pub fn run_world(world: &RefineWorld, cfg: &PredictConfig, jobs: usize) -> PredictWorldOutcome {
-    let programs = enumerate::enumerate_canonical(&world.bounds);
-    let canonical = programs.len() as u64;
-    let chunk = cfg.chunk.max(1);
-    let chunks: Vec<(usize, &[Codes])> =
-        programs.chunks(chunk).enumerate().map(|(i, c)| (i * chunk, c)).collect();
-    let partials = parallel_map(jobs, chunks, |(start, chunk_programs)| {
-        let mut explorer = world.explorer(None);
-        let mut feasible = 0u128;
-        let mut merged = ProgramCert::default();
-        for (i, codes) in chunk_programs.iter().enumerate() {
-            let scenario = to_scenario(world, start + i, codes);
-            feasible += naive_schedules(&scenario.program.op_counts(), usize::MAX);
-            let cert = certify_scenario(&mut explorer, &scenario);
-            merged.events += cert.events;
-            merged.candidates += cert.candidates;
-            merged.findings += cert.findings;
-            merged.fp_total += cert.fp_total;
-            merged.fp.extend(cert.fp);
-        }
-        (feasible, merged)
-    });
-
-    let mut outcome = PredictWorldOutcome {
-        world: world.name.to_string(),
-        bounds: world.bounds,
-        raw: enumerate::raw_count(&world.bounds),
-        burnside: enumerate::orbit_count(&world.bounds),
-        canonical,
-        feasible: 0,
-        events: 0,
-        candidates: 0,
-        findings: 0,
-        false_positives: Vec::new(),
-        fp_total: 0,
+/// Certifies one clean scenario from its single sampled schedule, run
+/// through `explorer`, which [`RefineWorld::sweep`] built for its world.
+fn certify_scenario(explorer: &mut Explorer, scenario: &Scenario) -> PredictWorldOutcome {
+    let counts = scenario.program.op_counts();
+    let sched = sample_schedule(&scenario.name, &counts);
+    let mut cert = PredictWorldOutcome {
+        feasible: naive_schedules(&counts, usize::MAX),
+        ..PredictWorldOutcome::default()
     };
-    for (feasible, part) in partials {
-        outcome.feasible += feasible;
-        outcome.events += part.events;
-        outcome.candidates += part.candidates;
-        outcome.findings += part.findings;
-        outcome.fp_total += part.fp_total;
-        for f in part.fp {
-            if outcome.false_positives.len() < cfg.max_fp_reports {
-                outcome.false_positives.push(f);
-            }
+    let run = match explorer.schedule_trace(scenario, &sched) {
+        Ok(run) => run,
+        Err(e) => {
+            cert.fail(format!("{}: sampled schedule not executable: {e}", scenario.name));
+            return cert;
         }
+    };
+    let prediction = predict(&run.trace);
+    cert.events = run.trace.len() as u64;
+    cert.candidates = (prediction.candidates + prediction.candidates_dropped) as u64;
+    cert.findings = (prediction.findings.len() + prediction.findings_dropped) as u64;
+    for finding in &prediction.findings {
+        cert.fail(format!(
+            "{}: prediction on a verified-clean world: {}",
+            scenario.name, finding.message
+        ));
     }
-    outcome
+    cert
+}
+
+/// Certifies one world, fanning program chunks across `jobs` workers;
+/// byte-identical at any job count.
+#[must_use]
+pub fn run_world(world: &RefineWorld, jobs: usize) -> PredictWorldOutcome {
+    let (head, totals) = world.sweep(jobs, certify_scenario, PredictWorldOutcome::merge);
+    PredictWorldOutcome { head, ..totals }
 }
 
 /// One production-shaped trace run at scale (where DPOR cannot go).
@@ -805,10 +717,9 @@ fn scan_program(
 }
 
 /// Classifies each bug in `bugs` by scanning the configured worlds'
-/// programs in enumeration order (each chunk's programs fanned across
-/// `jobs` workers, one clean and one planted explorer per worker; the
-/// first predicted witness is taken in enumeration order regardless of
-/// job count) and cross-checks against the DPOR seeded matrix.
+/// programs in enumeration order (`RefineConfig::scan`, one clean and one
+/// planted explorer per worker) for the first predicted witness, and
+/// cross-checks against the DPOR seeded matrix.
 #[must_use]
 pub fn seeded_world_rows(
     cfg: &PredictConfig,
@@ -818,43 +729,24 @@ pub fn seeded_world_rows(
     let checks = pmo_modelcheck::seeded_checks();
     bugs.iter()
         .map(|&bug| {
-            let dpor_caught = checks.iter().filter(|c| c.bug == bug).any(|c| {
-                pmo_modelcheck::find(c.scenario).is_some_and(|scenario| {
-                    explore(&scenario, Some(bug), &ExploreLimits::default())
-                        .violations
-                        .iter()
-                        .any(|v| v.class == c.expect)
-                })
-            });
-            let mut scanned = 0u64;
+            let dpor_caught = checks
+                .iter()
+                .filter(|c| c.bug == bug)
+                .any(|c| c.run(&ExploreLimits::default()).witness.is_some());
             let mut first_visible: Option<String> = None;
             let mut predicted: Option<(String, ViolationClass, String)> = None;
-            'worlds: for world in &cfg.worlds {
-                let programs = enumerate::enumerate_canonical(&world.bounds);
-                let chunk = cfg.chunk.max(1);
-                for (ci, chunk_programs) in programs.chunks(chunk).enumerate() {
-                    let start = ci * chunk;
-                    let outs = parallel_map_with(
-                        jobs,
-                        chunk_programs.iter().enumerate().collect(),
-                        || (world.explorer(None), world.explorer(Some(bug))),
-                        |(clean, bugged), (i, codes)| {
-                            scan_program(clean, bugged, &to_scenario(world, start + i, codes))
-                        },
-                    );
-                    for (i, out) in outs.into_iter().enumerate() {
-                        scanned += 1;
-                        let name = format!("{}@{}", world.name, start + i);
-                        if out.visible && first_visible.is_none() {
-                            first_visible = Some(name.clone());
-                        }
-                        if let Some((class, witness)) = out.predicted {
-                            predicted = Some((name, class, witness));
-                            break 'worlds;
-                        }
+            let scanned = cfg.scan(
+                jobs,
+                |world| (world.explorer(None), world.explorer(Some(bug))),
+                |(clean, bugged), scenario| scan_program(clean, bugged, scenario),
+                |scenario, out| {
+                    if out.visible && first_visible.is_none() {
+                        first_visible = Some(scenario.name.clone());
                     }
-                }
-            }
+                    predicted = out.predicted.map(|(class, w)| (scenario.name.clone(), class, w));
+                    predicted.is_some()
+                },
+            );
             let (effect, scenario, class, witness) = match (predicted, first_visible) {
                 (Some((name, class, witness)), _) => {
                     (TraceEffect::Predicted, name, Some(class), witness)
@@ -907,7 +799,7 @@ impl PredictReport {
     /// Total canonical programs certified.
     #[must_use]
     pub fn total_programs(&self) -> u64 {
-        self.worlds.iter().map(|w| w.canonical).sum()
+        self.worlds.iter().map(|w| w.head.canonical).sum()
     }
 
     /// Total events analyzed (worlds + scale rows).
@@ -959,15 +851,15 @@ impl fmt::Display for PredictReport {
             writeln!(
                 f,
                 "{:<6} {:>14} {:>10} {:>10} {:>10} {:>10} {:>8} {:>6}{}",
-                w.world,
-                format!("N{} M{} K{}", w.bounds.ops, w.bounds.threads, w.bounds.domains),
-                w.canonical,
+                w.head.world,
+                bounds_label(&w.head.bounds),
+                w.head.canonical,
                 w.feasible,
                 w.events,
                 w.candidates,
                 w.findings,
                 w.fp_total,
-                if u128::from(w.canonical) != w.burnside { " (COUNT MISMATCH)" } else { "" },
+                w.head.mismatch_marker(),
             )?;
             for fp in &w.false_positives {
                 writeln!(f, "  FP: {fp}")?;
@@ -979,7 +871,7 @@ impl fmt::Display for PredictReport {
                 "{:<6} {:>14} SKIPPED (scale cap): {} canonical programs NOT certified at \
                  this scale; rerun with --full",
                 s.world,
-                format!("N{} M{} K{}", s.bounds.ops, s.bounds.threads, s.bounds.domains),
+                bounds_label(&s.bounds),
                 s.unverified,
             )?;
         }
@@ -1055,7 +947,7 @@ impl fmt::Display for PredictReport {
 #[must_use]
 pub fn run_campaign(cfg: &PredictConfig, scale: Scale, jobs: usize) -> PredictReport {
     PredictReport {
-        worlds: cfg.worlds.iter().map(|w| run_world(w, cfg, jobs)).collect(),
+        worlds: cfg.worlds.iter().map(|w| run_world(w, jobs)).collect(),
         skipped: cfg.skipped.iter().map(SkippedWorld::from_world).collect(),
         scale: run_scale(scale, jobs),
         seeded_trace: Vec::new(),
@@ -1082,32 +974,20 @@ pub fn replay_repro(
     anchor: u64,
     bug: Option<ProtocolBug>,
 ) -> Result<pmo_analyzer::AnalysisReport, String> {
-    let world = cfg
-        .world(world_name)
-        .ok_or_else(|| format!("unknown world {world_name:?} (have: w1, w2, ...)"))?;
-    let programs = enumerate::enumerate_canonical(&world.bounds);
-    let codes = programs.get(program).ok_or_else(|| {
-        format!("{world_name} has {} programs, no index {program}", programs.len())
-    })?;
-    let scenario = to_scenario(world, program, codes);
+    let scenario = cfg.scenario(world_name, program)?;
     let counts = scenario.program.op_counts();
     let sched = sample_schedule(&scenario.name, &counts);
     let run = schedule_trace(&scenario, bug, &sched)?;
     let (witness, _, _) = witness_events(&run.trace, moved, anchor).ok_or_else(|| {
         format!("witness moving event {moved} past event {anchor} is not constructible")
     })?;
-    let mut a = Analyzer::new(format!("{}@{moved}@{anchor}", scenario.name))
-        .with_pass(RacePass::new())
-        .with_pass(PersistOrderPass::new());
-    for &ev in &witness {
-        a.event(ev);
-    }
-    Ok(a.finish())
+    Ok(manifest_report(&witness, format!("{}@{moved}@{anchor}", scenario.name)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmo_modelcheck::enumerate::{self, WorldBounds};
 
     /// w1 only: keeps tests fast while still exercising ~3k programs.
     fn tiny_config() -> PredictConfig {
@@ -1119,19 +999,19 @@ mod tests {
     #[test]
     fn clean_worlds_have_zero_predictions_and_zero_false_positives() {
         let cfg = tiny_config();
-        let w = run_world(&cfg.worlds[0], &cfg, 2);
+        let w = run_world(&cfg.worlds[0], 2);
         assert!(w.passed(), "{:?}", w.false_positives);
         assert_eq!(w.findings, 0, "clean worlds must stay prediction-free");
-        assert_eq!(u128::from(w.canonical), w.burnside);
-        assert!(w.feasible >= u128::from(w.canonical));
+        assert!(w.head.counts_match());
+        assert!(w.feasible >= u128::from(w.head.canonical));
         assert!(w.events > 0);
     }
 
     #[test]
     fn campaign_is_byte_identical_across_job_counts() {
         let cfg = tiny_config();
-        let serial = run_world(&cfg.worlds[0], &cfg, 1);
-        let parallel = run_world(&cfg.worlds[0], &cfg, 4);
+        let serial = run_world(&cfg.worlds[0], 1);
+        let parallel = run_world(&cfg.worlds[0], 4);
         assert_eq!(json::to_string(&serial), json::to_string(&parallel));
     }
 
@@ -1142,11 +1022,13 @@ mod tests {
         let bounds = WorldBounds { ops: 3, threads: 2, domains: 2 };
         let report = PredictReport {
             worlds: vec![PredictWorldOutcome {
-                world: "w1".to_string(),
-                bounds,
-                raw: 1,
-                burnside: 2,
-                canonical: 3,
+                head: WorldHead {
+                    world: "w1".to_string(),
+                    bounds,
+                    raw: 1,
+                    burnside: 2,
+                    canonical: 3,
+                },
                 feasible: u128::from(u64::MAX) + 4,
                 events: 5,
                 candidates: 6,
@@ -1208,7 +1090,7 @@ mod tests {
         let world = &cfg.worlds[0];
         let programs = enumerate::enumerate_canonical(&world.bounds);
         for index in [0usize, 7, programs.len() - 1] {
-            let scenario = to_scenario(world, index, &programs[index]);
+            let scenario = world.scenario(index, &programs[index]);
             let counts = scenario.program.op_counts();
             let a = sample_schedule(&scenario.name, &counts);
             let b = sample_schedule(&scenario.name, &counts);
@@ -1252,11 +1134,7 @@ mod tests {
         // The printed repro id replays through the public path.
         let (world_name, rest) = row.scenario.split_once('@').unwrap();
         let program: usize = rest.parse().unwrap();
-        let scenario = {
-            let world = cfg.world(world_name).unwrap();
-            let programs = enumerate::enumerate_canonical(&world.bounds);
-            to_scenario(world, program, &programs[program])
-        };
+        let scenario = cfg.scenario(world_name, program).unwrap();
         let counts = scenario.program.op_counts();
         let sched = sample_schedule(&scenario.name, &counts);
         let run = schedule_trace(&scenario, Some(ProtocolBug::SkipPtlbInvalidateOnDetach), &sched)
@@ -1278,6 +1156,15 @@ mod tests {
         .unwrap();
         assert!(report.errors().any(|d| d.class == ViolationClass::StaleWindowAccess
             && d.position == finding.witness_position));
+    }
+
+    #[test]
+    fn seeded_world_scan_is_byte_identical_across_job_counts() {
+        let cfg = PredictConfig::for_scale(Scale::Quick);
+        let bugs = [ProtocolBug::SkipPtlbInvalidateOnDetach];
+        let serial = seeded_world_rows(&cfg, 1, &bugs);
+        let parallel = seeded_world_rows(&cfg, 3, &bugs);
+        assert_eq!(json::to_string(&serial), json::to_string(&parallel));
     }
 
     #[test]

@@ -25,26 +25,43 @@
 //! duplicated an equivalence class and fails the campaign. `--seeded`
 //! re-validates every plantable [`ProtocolBug`]: each must surface as a
 //! violation on some enumerated program, with the witness schedule
-//! re-verified by replay. Reports are byte-identical at any
-//! `--jobs` count.
+//! re-verified by replay; a bug no program catches is a `MISS` row that
+//! names no witness. Reports are byte-identical at any `--jobs` count.
 //!
 //! Scale caps are never silent: worlds excluded by the selected
 //! [`Scale`] appear in the report (text and JSON) as explicit
 //! `SKIPPED` rows carrying the closed-form count of canonical programs
 //! that were *not* verified, so a quick run can't be mistaken for
 //! paper-scale coverage.
+//!
+//! Both small-world campaigns (this one and [`crate::predict`]) run on
+//! this module's [`RefineConfig`], its ordered per-world sweep, its
+//! first-witness seeded scan, its repro lookup and the [`WorldHead`] that
+//! opens every world row.
 
 use std::fmt;
 
 use pmo_analyzer::ViolationClass;
 use pmo_modelcheck::enumerate::{self, Codes, WorldBounds};
-use pmo_modelcheck::{model_config, replay_schedule, ExploreLimits, Explorer, Violation};
+use pmo_modelcheck::{model_config, replay_schedule, ExploreLimits, Explorer, Scenario, Violation};
 use pmo_protect::ProtocolBug;
 use pmo_simarch::SimConfig;
 use pmo_trace::json::{self, Object, Value};
 
 use crate::pool::{parallel_map, parallel_map_with};
 use crate::Scale;
+
+/// Programs per parallel work unit, in the sweeps and the seeded scans.
+const CHUNK: usize = 512;
+
+/// Rows kept per world (violations, false-positive descriptions); the
+/// excess is counted beside them, never silently dropped.
+const MAX_KEPT: usize = 20;
+
+/// Appends `more` to `kept` up to [`MAX_KEPT`] rows.
+pub(crate) fn keep<T>(kept: &mut Vec<T>, more: Vec<T>) {
+    kept.extend(more.into_iter().take(MAX_KEPT.saturating_sub(kept.len())));
+}
 
 /// One bounded world: enumeration bounds plus the shrunken hardware
 /// configuration its programs run on.
@@ -77,9 +94,44 @@ impl RefineWorld {
     pub(crate) fn explorer(&self, bug: Option<ProtocolBug>) -> Explorer {
         Explorer::new(&self.config(), &self.bounds.domain_ids(), bug)
     }
+
+    /// Enumerated program `index`, `codes`, as the scenario `world@index`.
+    pub(crate) fn scenario(&self, index: usize, codes: &Codes) -> Scenario {
+        enumerate::to_scenario(self.name, index, codes, &self.bounds, self.config())
+    }
+
+    /// Sweeps every canonical program of the world: the programs fan
+    /// across `jobs` workers in chunks, each chunk runs one explorer and
+    /// folds its programs' `program` results with `merge` inside its
+    /// worker, and the chunks merge in enumeration order, so the result
+    /// is the same at any job count.
+    pub(crate) fn sweep<P: Default + Send>(
+        &self,
+        jobs: usize,
+        program: impl Fn(&mut Explorer, &Scenario) -> P + Sync,
+        merge: impl Fn(P, P) -> P + Sync,
+    ) -> (WorldHead, P) {
+        let programs = enumerate::enumerate_canonical(&self.bounds);
+        let head = WorldHead {
+            world: self.name.to_string(),
+            bounds: self.bounds,
+            raw: enumerate::raw_count(&self.bounds),
+            burnside: enumerate::orbit_count(&self.bounds),
+            canonical: programs.len() as u64,
+        };
+        let chunks: Vec<(usize, &[Codes])> =
+            programs.chunks(CHUNK).enumerate().map(|(i, c)| (i * CHUNK, c)).collect();
+        let partials = parallel_map(jobs, chunks, |(start, chunk)| {
+            let mut explorer = self.explorer(None);
+            chunk.iter().enumerate().fold(P::default(), |part, (i, codes)| {
+                merge(part, program(&mut explorer, &self.scenario(start + i, codes)))
+            })
+        });
+        (head, partials.into_iter().fold(P::default(), &merge))
+    }
 }
 
-/// Campaign shape.
+/// Campaign shape, shared by the refinement and prediction campaigns.
 #[derive(Clone, Debug)]
 pub struct RefineConfig {
     /// Worlds enumerated, in report order.
@@ -88,13 +140,6 @@ pub struct RefineConfig {
     /// under `quick`). Never silently dropped: the report carries one
     /// loud row per skipped world with its unverified program count.
     pub skipped: Vec<RefineWorld>,
-    /// Per-program exploration bounds.
-    pub limits: ExploreLimits,
-    /// Distinct violations kept per world; the excess is counted in
-    /// `violations_total`, never silently dropped.
-    pub max_violations: usize,
-    /// Programs per parallel work unit.
-    pub chunk: usize,
 }
 
 impl RefineConfig {
@@ -145,25 +190,72 @@ impl RefineConfig {
         } else {
             paper_worlds
         };
-        RefineConfig {
-            worlds,
-            skipped,
-            limits: ExploreLimits::default(),
-            max_violations: 20,
-            chunk: 512,
-        }
+        RefineConfig { worlds, skipped }
     }
 
-    /// The world named `name`, if configured.
-    #[must_use]
-    pub fn world(&self, name: &str) -> Option<&RefineWorld> {
-        self.worlds.iter().find(|w| w.name == name)
+    /// The scenario of program `program` of the configured world
+    /// `world_name`: the lookup behind every repro id.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the world is unknown or the program
+    /// index is out of range.
+    pub(crate) fn scenario(&self, world_name: &str, program: usize) -> Result<Scenario, String> {
+        let world = self
+            .worlds
+            .iter()
+            .find(|w| w.name == world_name)
+            .ok_or_else(|| format!("unknown world {world_name:?} (have: w1, w2, ...)"))?;
+        let programs = enumerate::enumerate_canonical(&world.bounds);
+        let codes = programs.get(program).ok_or_else(|| {
+            format!("{world_name} has {} programs, no index {program}", programs.len())
+        })?;
+        Ok(world.scenario(program, codes))
+    }
+
+    /// Scans the configured worlds' programs in enumeration order, one
+    /// chunk at a time: a chunk's programs fan across `jobs` workers,
+    /// each worker runs `program` on one state `init` built for the
+    /// world, and `take` receives each program's result in enumeration
+    /// order until it returns `true`, so the first witness is the same at
+    /// any job count. Returns the programs `take` received.
+    pub(crate) fn scan<S, R: Send>(
+        &self,
+        jobs: usize,
+        init: impl Fn(&RefineWorld) -> S + Sync,
+        program: impl Fn(&mut S, &Scenario) -> R + Sync,
+        mut take: impl FnMut(&Scenario, R) -> bool,
+    ) -> u64 {
+        let mut scanned = 0;
+        for world in &self.worlds {
+            let programs = enumerate::enumerate_canonical(&world.bounds);
+            for (ci, chunk) in programs.chunks(CHUNK).enumerate() {
+                let results = parallel_map_with(
+                    jobs,
+                    chunk.iter().enumerate().collect(),
+                    || init(world),
+                    |state, (i, codes)| {
+                        let scenario = world.scenario(ci * CHUNK + i, codes);
+                        let result = program(state, &scenario);
+                        (scenario, result)
+                    },
+                );
+                for (scenario, result) in results {
+                    scanned += 1;
+                    if take(&scenario, result) {
+                        return scanned;
+                    }
+                }
+            }
+        }
+        scanned
     }
 }
 
-/// Exhaustive verification results for one world.
-#[derive(Clone, Debug)]
-pub struct WorldOutcome {
+/// The head of every small-world row: the world, its bounds and its
+/// program counts.
+#[derive(Clone, Debug, Default)]
+pub struct WorldHead {
     /// World name.
     pub world: String,
     /// Enumeration bounds.
@@ -174,6 +266,46 @@ pub struct WorldOutcome {
     pub burnside: u128,
     /// Programs actually enumerated (must equal `burnside`).
     pub canonical: u64,
+}
+
+impl WorldHead {
+    /// Whether the enumeration matched the closed form.
+    pub(crate) fn counts_match(&self) -> bool {
+        u128::from(self.canonical) == self.burnside
+    }
+
+    /// The text row's marker for a failed [`Self::counts_match`].
+    pub(crate) fn mismatch_marker(&self) -> &'static str {
+        if self.counts_match() {
+            ""
+        } else {
+            " (COUNT MISMATCH)"
+        }
+    }
+
+    /// Opens the row's JSON object with the head's seven fields.
+    pub(crate) fn open_json<'a>(&self, out: &'a mut String) -> Object<'a> {
+        Object::new(out)
+            .field("world", &self.world)
+            .field("ops", self.bounds.ops)
+            .field("threads", self.bounds.threads)
+            .field("domains", self.bounds.domains)
+            .field("raw", self.raw)
+            .field("burnside", self.burnside)
+            .field("canonical", self.canonical)
+    }
+}
+
+/// The `N{ops} M{threads} K{domains}` label of a world's bounds.
+pub(crate) fn bounds_label(bounds: &WorldBounds) -> String {
+    format!("N{} M{} K{}", bounds.ops, bounds.threads, bounds.domains)
+}
+
+/// Exhaustive verification results for one world.
+#[derive(Clone, Debug, Default)]
+pub struct WorldOutcome {
+    /// The world and its program counts.
+    pub head: WorldHead,
     /// DPOR-distinct schedules explored across all programs.
     pub schedules: u64,
     /// Operations executed across all schedules.
@@ -193,22 +325,25 @@ impl WorldOutcome {
     /// diverged from the spec.
     #[must_use]
     pub fn passed(&self) -> bool {
-        u128::from(self.canonical) == self.burnside
-            && self.violations_total == 0
-            && self.truncated == 0
+        self.head.counts_match() && self.violations_total == 0 && self.truncated == 0
+    }
+
+    /// Adds a later program's or chunk's totals.
+    fn merge(mut self, later: WorldOutcome) -> WorldOutcome {
+        self.schedules += later.schedules;
+        self.steps += later.steps;
+        self.sleep_blocked += later.sleep_blocked;
+        self.truncated += later.truncated;
+        self.violations_total += later.violations_total;
+        keep(&mut self.violations, later.violations);
+        self
     }
 }
 
 impl Value for WorldOutcome {
     fn write_json(&self, out: &mut String) {
-        Object::new(out)
-            .field("world", &self.world)
-            .field("ops", self.bounds.ops)
-            .field("threads", self.bounds.threads)
-            .field("domains", self.bounds.domains)
-            .field("raw", self.raw)
-            .field("burnside", self.burnside)
-            .field("canonical", self.canonical)
+        self.head
+            .open_json(out)
             .field("schedules", self.schedules)
             .field("steps", self.steps)
             .field("sleep_blocked", self.sleep_blocked)
@@ -259,42 +394,50 @@ impl Value for SkippedWorld {
     }
 }
 
+/// The first enumerated program that exposes a planted bug.
+#[derive(Clone, Debug)]
+pub struct SeededWitness {
+    /// `world@program` of the program.
+    pub scenario: String,
+    /// The witness violation's class.
+    pub class: ViolationClass,
+    /// The witness schedule (CLI form).
+    pub schedule: String,
+    /// Whether replaying the witness schedule reproduced the violation.
+    pub replay_confirmed: bool,
+}
+
 /// One seeded-bug validation row: the bug, the first enumerated program
 /// that exposes it, and the replay verdict.
 #[derive(Clone, Debug)]
 pub struct SeededOutcome {
     /// The planted bug.
     pub bug: ProtocolBug,
-    /// `world@program` of the first exposing program.
-    pub scenario: String,
-    /// The witness violation's class.
-    pub class: ViolationClass,
-    /// The witness schedule (CLI form).
-    pub schedule: String,
-    /// Canonical programs scanned before the bug surfaced.
+    /// The first exposing program; `None` when no program caught the bug.
+    pub witness: Option<SeededWitness>,
+    /// Canonical programs scanned before the bug surfaced (all of them
+    /// on a miss).
     pub programs_scanned: u64,
-    /// Whether replaying the witness schedule reproduced the violation.
-    pub replay_confirmed: bool,
 }
 
 impl SeededOutcome {
-    /// Whether the bug was caught and the witness replays (a missed bug
-    /// never has a confirmed replay).
+    /// Whether the bug was caught and the witness replays.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.replay_confirmed
+        self.witness.as_ref().is_some_and(|w| w.replay_confirmed)
     }
 }
 
 impl Value for SeededOutcome {
     fn write_json(&self, out: &mut String) {
+        let w = self.witness.as_ref();
         Object::new(out)
             .field("bug", self.bug.label())
-            .field("scenario", &self.scenario)
-            .field("class", self.class.name())
-            .field("schedule", &self.schedule)
+            .field("scenario", w.map_or("-", |w| w.scenario.as_str()))
+            .field("class", w.map_or("-", |w| w.class.name()))
+            .field("schedule", w.map_or("", |w| w.schedule.as_str()))
             .field("programs_scanned", self.programs_scanned)
-            .field("replay_confirmed", self.replay_confirmed)
+            .field("replay_confirmed", w.is_some_and(|w| w.replay_confirmed))
             .field("passed", self.passed())
             .end();
     }
@@ -332,7 +475,7 @@ impl RefineReport {
     /// Total canonical programs verified.
     #[must_use]
     pub fn total_programs(&self) -> u64 {
-        self.worlds.iter().map(|w| w.canonical).sum()
+        self.worlds.iter().map(|w| w.head.canonical).sum()
     }
 
     /// Total canonical programs left unverified by scale caps.
@@ -376,14 +519,14 @@ impl fmt::Display for RefineReport {
             writeln!(
                 f,
                 "{:<6} {:>14} {:>12} {:>10} {:>12} {:>12} {:>10}{}{}",
-                w.world,
-                format!("N{} M{} K{}", w.bounds.ops, w.bounds.threads, w.bounds.domains),
-                w.raw,
-                w.canonical,
-                w.burnside,
+                w.head.world,
+                bounds_label(&w.head.bounds),
+                w.head.raw,
+                w.head.canonical,
+                w.head.burnside,
                 w.schedules,
                 w.violations_total,
-                if u128::from(w.canonical) != w.burnside { " (COUNT MISMATCH)" } else { "" },
+                w.head.mismatch_marker(),
                 if w.truncated > 0 { " (truncated)" } else { "" },
             )?;
         }
@@ -393,7 +536,7 @@ impl fmt::Display for RefineReport {
                 "{:<6} {:>14} {:>12} SKIPPED (scale cap): {} canonical programs NOT \
                  verified at this scale; rerun with --full",
                 s.world,
-                format!("N{} M{} K{}", s.bounds.ops, s.bounds.threads, s.bounds.domains),
+                bounds_label(&s.bounds),
                 s.raw,
                 s.unverified,
             )?;
@@ -418,16 +561,19 @@ impl fmt::Display for RefineReport {
         if !self.seeded.is_empty() {
             writeln!(f, "\nseeded-bug re-validation:")?;
             for s in &self.seeded {
-                writeln!(
-                    f,
-                    "  {:<32} {:>5} -> {} as {} via schedule {} (replay {})",
-                    s.bug.label(),
-                    if s.passed() { "FOUND" } else { "MISS" },
-                    s.scenario,
-                    s.class.name(),
-                    s.schedule,
-                    if s.replay_confirmed { "confirmed" } else { "DIVERGED" },
-                )?;
+                let found = if s.passed() { "FOUND" } else { "MISS" };
+                write!(f, "  {:<32} {found:>5} -> ", s.bug.label())?;
+                match &s.witness {
+                    Some(w) => writeln!(
+                        f,
+                        "{} as {} via schedule {} (replay {})",
+                        w.scenario,
+                        w.class.name(),
+                        w.schedule,
+                        if w.replay_confirmed { "confirmed" } else { "DIVERGED" },
+                    )?,
+                    None => writeln!(f, "not caught in {} programs", s.programs_scanned)?,
+                }
             }
         }
         if self.is_clean() {
@@ -439,97 +585,36 @@ impl fmt::Display for RefineReport {
     }
 }
 
-/// Per-chunk partial result (merged in enumeration order).
-struct ChunkOutcome {
-    schedules: u64,
-    steps: u64,
-    sleep_blocked: u64,
-    truncated: u64,
-    violations: Vec<Violation>,
-    violation_count: u64,
-}
-
-/// Explores one enumerated program through `explorer`, which
-/// [`RefineWorld::explorer`] built for its world.
-fn check_program(
-    explorer: &mut Explorer,
-    world: &RefineWorld,
-    index: usize,
-    codes: &Codes,
-    limits: &ExploreLimits,
-) -> pmo_modelcheck::ExploreOutcome {
-    let scenario = enumerate::to_scenario(world.name, index, codes, &world.bounds, world.config());
-    explorer.explore(&scenario, limits)
-}
-
-/// Exhaustively verifies one world, fanning program chunks across `jobs`
-/// workers. Deterministic: chunks are merged in enumeration order, so the
-/// outcome is byte-identical at any job count.
+/// Exhaustively verifies one world under every DPOR-distinct schedule of
+/// every canonical program, fanned across `jobs` workers; byte-identical
+/// at any job count.
 #[must_use]
-pub fn run_world(world: &RefineWorld, cfg: &RefineConfig, jobs: usize) -> WorldOutcome {
-    let programs = enumerate::enumerate_canonical(&world.bounds);
-    let canonical = programs.len() as u64;
-    let chunks: Vec<(usize, &[Codes])> = programs
-        .chunks(cfg.chunk.max(1))
-        .enumerate()
-        .map(|(i, c)| (i * cfg.chunk.max(1), c))
-        .collect();
-    let limits = cfg.limits;
-    let partials = parallel_map(jobs, chunks, |(start, chunk)| {
-        let mut explorer = world.explorer(None);
-        let mut part = ChunkOutcome {
-            schedules: 0,
-            steps: 0,
-            sleep_blocked: 0,
-            truncated: 0,
-            violations: Vec::new(),
-            violation_count: 0,
-        };
-        for (i, codes) in chunk.iter().enumerate() {
-            let out = check_program(&mut explorer, world, start + i, codes, &limits);
-            part.schedules += out.schedules;
-            part.steps += out.steps;
-            part.sleep_blocked += out.sleep_blocked;
-            part.truncated += u64::from(out.truncated);
-            part.violation_count += out.violation_count;
-            part.violations.extend(out.violations);
-        }
-        part
-    });
-
-    let mut outcome = WorldOutcome {
-        world: world.name.to_string(),
-        bounds: world.bounds,
-        raw: enumerate::raw_count(&world.bounds),
-        burnside: enumerate::orbit_count(&world.bounds),
-        canonical,
-        schedules: 0,
-        steps: 0,
-        sleep_blocked: 0,
-        truncated: 0,
-        violations: Vec::new(),
-        violations_total: 0,
-    };
-    for part in partials {
-        outcome.schedules += part.schedules;
-        outcome.steps += part.steps;
-        outcome.sleep_blocked += part.sleep_blocked;
-        outcome.truncated += part.truncated;
-        outcome.violations_total += part.violation_count;
-        for v in part.violations {
-            if outcome.violations.len() < cfg.max_violations {
-                outcome.violations.push(v);
+pub fn run_world(world: &RefineWorld, jobs: usize) -> WorldOutcome {
+    let limits = ExploreLimits::default();
+    let (head, totals) = world.sweep(
+        jobs,
+        |explorer, scenario| {
+            let out = explorer.explore(scenario, &limits);
+            WorldOutcome {
+                schedules: out.schedules,
+                steps: out.steps,
+                sleep_blocked: out.sleep_blocked,
+                truncated: u64::from(out.truncated),
+                violations: out.violations,
+                violations_total: out.violation_count,
+                ..WorldOutcome::default()
             }
-        }
-    }
-    outcome
+        },
+        WorldOutcome::merge,
+    );
+    WorldOutcome { head, ..totals }
 }
 
 /// Runs the clean campaign over every configured world.
 #[must_use]
 pub fn run_campaign(cfg: &RefineConfig, jobs: usize) -> RefineReport {
     RefineReport {
-        worlds: cfg.worlds.iter().map(|w| run_world(w, cfg, jobs)).collect(),
+        worlds: cfg.worlds.iter().map(|w| run_world(w, jobs)).collect(),
         skipped: cfg.skipped.iter().map(SkippedWorld::from_world).collect(),
         seeded: Vec::new(),
         wall_nanos: 0,
@@ -537,67 +622,38 @@ pub fn run_campaign(cfg: &RefineConfig, jobs: usize) -> RefineReport {
 }
 
 /// Re-validates every plantable [`ProtocolBug`] through the checker:
-/// scans the enumerated programs of each world in order (each chunk's
-/// programs fanned across `jobs` workers, one explorer per worker; first
-/// witness in enumeration order regardless of job count) until the
-/// planted bug surfaces, then replays
-/// the witness schedule to confirm the counterexample is deterministic.
+/// scans the enumerated programs in enumeration order
+/// (`RefineConfig::scan`, one planted explorer per worker) until the
+/// planted bug surfaces, then replays the witness schedule to confirm the
+/// counterexample is deterministic.
 #[must_use]
 pub fn run_seeded(cfg: &RefineConfig, jobs: usize) -> Vec<SeededOutcome> {
+    let limits = ExploreLimits::default();
     ProtocolBug::ALL
         .iter()
         .map(|&bug| {
-            let mut scanned = 0u64;
-            for world in &cfg.worlds {
-                let programs = enumerate::enumerate_canonical(&world.bounds);
-                let chunk = cfg.chunk.max(1);
-                for (ci, chunk_programs) in programs.chunks(chunk).enumerate() {
-                    let start = ci * chunk;
-                    let limits = cfg.limits;
-                    let outs = parallel_map_with(
-                        jobs,
-                        chunk_programs.iter().enumerate().collect(),
-                        || world.explorer(Some(bug)),
-                        |explorer, (i, codes)| {
-                            check_program(explorer, world, start + i, codes, &limits)
-                        },
-                    );
-                    for (i, out) in outs.into_iter().enumerate() {
-                        scanned += 1;
-                        let Some(witness) = out.violations.first() else {
-                            continue;
-                        };
-                        let scenario = enumerate::to_scenario(
-                            world.name,
-                            start + i,
-                            &programs[start + i],
-                            &world.bounds,
-                            world.config(),
-                        );
-                        let replayed = replay_schedule(&scenario, Some(bug), &witness.schedule);
-                        let confirmed = replayed.is_ok_and(|r| {
-                            r.violations.iter().any(|v| v.class == witness.class)
-                                && !r.report.passed()
-                        });
-                        return SeededOutcome {
-                            bug,
-                            scenario: witness.scenario.clone(),
-                            class: witness.class,
-                            schedule: witness.schedule_string(),
-                            programs_scanned: scanned,
-                            replay_confirmed: confirmed,
-                        };
-                    }
-                }
-            }
-            SeededOutcome {
-                bug,
-                scenario: "(not caught)".to_string(),
-                class: ViolationClass::RefinementDivergence,
-                schedule: String::new(),
-                programs_scanned: scanned,
-                replay_confirmed: false,
-            }
+            let mut witness = None;
+            let programs_scanned = cfg.scan(
+                jobs,
+                |world| world.explorer(Some(bug)),
+                |explorer, scenario| explorer.explore(scenario, &limits),
+                |scenario, out| {
+                    let Some(v) = out.violations.first() else {
+                        return false;
+                    };
+                    let replayed = replay_schedule(scenario, Some(bug), &v.schedule);
+                    witness = Some(SeededWitness {
+                        scenario: v.scenario.clone(),
+                        class: v.class,
+                        schedule: v.schedule_string(),
+                        replay_confirmed: replayed.is_ok_and(|r| {
+                            r.violations.iter().any(|rv| rv.class == v.class) && !r.report.passed()
+                        }),
+                    });
+                    true
+                },
+            );
+            SeededOutcome { bug, witness, programs_scanned }
         })
         .collect()
 }
@@ -616,16 +672,7 @@ pub fn replay_repro(
     schedule: &[u32],
     bug: Option<ProtocolBug>,
 ) -> Result<pmo_modelcheck::ReplayOutcome, String> {
-    let world = cfg
-        .world(world_name)
-        .ok_or_else(|| format!("unknown world {world_name:?} (have: w1, w2, ...)"))?;
-    let programs = enumerate::enumerate_canonical(&world.bounds);
-    let codes = programs.get(program).ok_or_else(|| {
-        format!("{world_name} has {} programs, no index {program}", programs.len())
-    })?;
-    let scenario =
-        enumerate::to_scenario(world.name, program, codes, &world.bounds, world.config());
-    replay_schedule(&scenario, bug, schedule)
+    replay_schedule(&cfg.scenario(world_name, program)?, bug, schedule)
 }
 
 #[cfg(test)]
@@ -643,9 +690,6 @@ mod tests {
                 ptlb: 4,
             }],
             skipped: Vec::new(),
-            limits: ExploreLimits::default(),
-            max_violations: 20,
-            chunk: 64,
         }
     }
 
@@ -655,9 +699,9 @@ mod tests {
         let report = run_campaign(&cfg, 1);
         assert!(report.is_clean(), "{report}");
         let w = &report.worlds[0];
-        assert_eq!(w.raw, 11_593, "Σ C(n+1,1)·14^n for n≤3");
-        assert_eq!(u128::from(w.canonical), w.burnside);
-        assert!(w.schedules >= w.canonical, "every program has at least one schedule");
+        assert_eq!(w.head.raw, 11_593, "Σ C(n+1,1)·14^n for n≤3");
+        assert!(w.head.counts_match());
+        assert!(w.schedules >= w.head.canonical, "every program has at least one schedule");
     }
 
     #[test]
@@ -684,11 +728,13 @@ mod tests {
         };
         let report = RefineReport {
             worlds: vec![WorldOutcome {
-                world: "w1".to_string(),
-                bounds,
-                raw: u128::from(u64::MAX) + 1,
-                burnside: 4,
-                canonical: 5,
+                head: WorldHead {
+                    world: "w1".to_string(),
+                    bounds,
+                    raw: u128::from(u64::MAX) + 1,
+                    burnside: 4,
+                    canonical: 5,
+                },
                 schedules: 6,
                 steps: 7,
                 sleep_blocked: 8,
@@ -704,11 +750,13 @@ mod tests {
             }],
             seeded: vec![SeededOutcome {
                 bug: ProtocolBug::StaleCr3OnSwitch,
-                scenario: "w2@13".to_string(),
-                class: ViolationClass::StaleWindowAccess,
-                schedule: "0.1".to_string(),
+                witness: Some(SeededWitness {
+                    scenario: "w2@13".to_string(),
+                    class: ViolationClass::StaleWindowAccess,
+                    schedule: "0.1".to_string(),
+                    replay_confirmed: true,
+                }),
                 programs_scanned: 14,
-                replay_confirmed: true,
             }],
             wall_nanos: 15,
         };
@@ -764,25 +812,54 @@ mod tests {
         // One bug end-to-end (the full matrix is integration-tested):
         // the PTLB switch-flush skip needs only two threads and two ops.
         let cfg = tiny_config();
-        let rows = run_seeded(&RefineConfig { worlds: cfg.worlds.clone(), ..cfg.clone() }, 2);
+        let rows = run_seeded(&cfg, 2);
         let row = rows
             .iter()
             .find(|r| r.bug == ProtocolBug::SkipPtlbFlushOnSwitch)
             .expect("row for every bug");
         assert!(row.passed(), "{row:?}");
-        assert!(row.scenario.starts_with("w1@"));
-        let (world, rest) = row.scenario.split_once('@').unwrap();
+        let witness = row.witness.as_ref().expect("caught");
+        assert!(witness.scenario.starts_with("w1@"));
+        let (world, rest) = witness.scenario.split_once('@').unwrap();
         let program: usize = rest.parse().unwrap();
-        let schedule = pmo_modelcheck::parse_schedule(&row.schedule).unwrap();
+        let schedule = pmo_modelcheck::parse_schedule(&witness.schedule).unwrap();
         let replay = replay_repro(&cfg, world, program, &schedule, Some(row.bug)).unwrap();
-        assert!(replay.violations.iter().any(|v| v.class == row.class));
+        assert!(replay.violations.iter().any(|v| v.class == witness.class));
         // Every bug this world exposes is classified exactly as the
         // hand-written DPOR matrix classifies it.
         for check in pmo_modelcheck::seeded_checks() {
             let row = rows.iter().find(|r| r.bug == check.bug).expect("row for every bug");
-            if row.passed() {
-                assert_eq!(row.class, check.expect, "{row:?}");
+            if let Some(witness) = &row.witness {
+                assert_eq!(witness.class, check.expect, "{row:?}");
             }
         }
+    }
+
+    #[test]
+    fn seeded_scan_is_byte_identical_across_job_counts_and_reports_a_miss() {
+        let cfg = tiny_config();
+        let serial = RefineReport { seeded: run_seeded(&cfg, 1), ..RefineReport::default() };
+        let parallel = RefineReport { seeded: run_seeded(&cfg, 3), ..RefineReport::default() };
+        assert_eq!(serial.to_json(), parallel.to_json());
+        // Quick scale first catches the eviction-shootdown skip in w2, so
+        // w1 alone misses it: the row names no witness it never had.
+        let programs = enumerate::orbit_count(&cfg.worlds[0].bounds);
+        let miss = serial.to_string();
+        assert!(
+            miss.contains(&format!(
+                "  skip-eviction-shootdown           MISS -> not caught in {programs} programs\n"
+            )),
+            "{miss}"
+        );
+        assert!(miss.contains("result: VIOLATIONS FOUND"), "{miss}");
+        let row = format!(
+            concat!(
+                r#"{{"bug":"skip-eviction-shootdown","scenario":"-","class":"-","schedule":"","#,
+                r#""programs_scanned":{},"replay_confirmed":false,"passed":false}}"#,
+            ),
+            programs
+        );
+        let json = serial.to_json();
+        assert!(json.contains(&row), "{json}");
     }
 }

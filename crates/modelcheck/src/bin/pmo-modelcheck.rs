@@ -108,13 +108,12 @@ fn list_scenarios() {
 fn run_seeded(limits: &ExploreLimits) -> bool {
     let mut all_caught = true;
     for check in seeded_checks() {
-        let scenario = find(check.scenario).expect("seeded checks reference builtin scenarios");
-        let out = explore(&scenario, Some(check.bug), limits);
-        let witness = out.violations.iter().find(|v| v.class == check.expect);
-        match witness {
+        let run = check.run(limits);
+        let out = &run.outcome;
+        match &run.witness {
             Some(v) => {
                 // The counterexample must also replay deterministically.
-                let replayed = replay_schedule(&scenario, Some(check.bug), &v.schedule)
+                let replayed = replay_schedule(&run.scenario, Some(check.bug), &v.schedule)
                     .map(|r| r.violations.iter().any(|rv| rv.class == check.expect))
                     .unwrap_or(false);
                 if replayed {

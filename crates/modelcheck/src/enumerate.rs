@@ -24,7 +24,7 @@ use crate::program::{Op, Program, Scenario};
 pub const OPS_PER_DOMAIN: usize = 7;
 
 /// Bounds of one enumerated world.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorldBounds {
     /// Maximum total operations across all threads (`N`).
     pub ops: usize,

@@ -69,6 +69,6 @@ pub use replay::{replay_schedule, schedule_trace, ModelCheckPass, ReplayOutcome,
 pub use report::{
     naive_schedules, parse_schedule, schedule_string, Campaign, ExploreOutcome, Violation,
 };
-pub use scenarios::{builtin, find, seeded_checks, SeededCheck};
+pub use scenarios::{builtin, find, seeded_checks, SeededCheck, SeededRun};
 pub use spec::SpecMachine;
 pub use world::{Finding, World};

@@ -9,7 +9,9 @@ use pmo_analyzer::ViolationClass;
 use pmo_protect::ProtocolBug;
 use pmo_trace::{AccessKind, Perm, PmoId};
 
+use crate::explore::{explore, ExploreLimits};
 use crate::program::{model_config, Op, Program, Scenario};
+use crate::report::{ExploreOutcome, Violation};
 
 fn p(raw: u32) -> PmoId {
     PmoId::new(raw)
@@ -196,6 +198,34 @@ pub struct SeededCheck {
     pub scenario: &'static str,
     /// The diagnostic class the checker must report.
     pub expect: ViolationClass,
+}
+
+/// A [`SeededCheck`]'s scenario explored with its bug planted.
+#[derive(Clone, Debug)]
+pub struct SeededRun {
+    /// The explored scenario.
+    pub scenario: Scenario,
+    /// The exploration.
+    pub outcome: ExploreOutcome,
+    /// The first violation of the expected class; `None` when the bug
+    /// escaped.
+    pub witness: Option<Violation>,
+}
+
+impl SeededCheck {
+    /// Explores the check's scenario within `limits` with its bug planted
+    /// and looks for the expected class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario is not built in.
+    #[must_use]
+    pub fn run(&self, limits: &ExploreLimits) -> SeededRun {
+        let scenario = find(self.scenario).expect("seeded checks reference builtin scenarios");
+        let outcome = explore(&scenario, Some(self.bug), limits);
+        let witness = outcome.violations.iter().find(|v| v.class == self.expect).cloned();
+        SeededRun { scenario, outcome, witness }
+    }
 }
 
 /// The self-validation matrix: every plantable bug paired with a scenario

@@ -30,10 +30,10 @@ fn clean_run(name: &str) -> &'static ExploreOutcome {
 #[test]
 fn every_seeded_protocol_bug_is_caught_with_expected_class() {
     for check in seeded_checks() {
-        let scenario = find(check.scenario).expect("seeded checks reference builtin scenarios");
-        let out = explore(&scenario, Some(check.bug), &ExploreLimits::default());
+        let run = check.run(&ExploreLimits::default());
+        let out = &run.outcome;
         assert!(
-            out.violations.iter().any(|v| v.class == check.expect),
+            run.witness.as_ref().is_some_and(|v| v.class == check.expect),
             "{:?} escaped {} ({} schedules explored, found {:?})",
             check.bug,
             check.scenario,

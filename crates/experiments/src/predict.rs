@@ -40,9 +40,14 @@
 //! The worlds, the sweep over their programs, the seeded first-witness
 //! scan, the repro lookup and the world-row head are the refinement
 //! campaign's ([`crate::refine`]); [`PredictConfig`] is
-//! [`RefineConfig`](crate::refine::RefineConfig). Reports are
-//! byte-identical at any `--jobs` count: chunks merge in enumeration
-//! order and the sampled schedules carry no RNG state.
+//! [`RefineConfig`](crate::refine::RefineConfig). Both the sweep and the
+//! seeded scan run each sampled schedule through a tracing explorer
+//! ([`Explorer::tracing`]), whose world steps mpk-virt alone: the
+//! campaign reads only the recorded trace, which is mpk-virt's drained
+//! events plus the world's own, so the other machines and their checks
+//! would be work thrown away. Reports are byte-identical at any `--jobs`
+//! count: chunks merge in enumeration order and the sampled schedules
+//! carry no RNG state.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -305,15 +310,17 @@ impl Value for PredictWorldOutcome {
 }
 
 /// Certifies one clean scenario from its single sampled schedule, run
-/// through `explorer`, which [`RefineWorld::sweep`] built for its world.
-fn certify_scenario(explorer: &mut Explorer, scenario: &Scenario) -> PredictWorldOutcome {
+/// through `tracer`, the tracing explorer [`RefineWorld::sweep`] built for
+/// its world: only the recorded trace is read, which the tracer records
+/// exactly as a checking explorer would.
+fn certify_scenario(tracer: &mut Explorer, scenario: &Scenario) -> PredictWorldOutcome {
     let counts = scenario.program.op_counts();
     let sched = sample_schedule(&scenario.name, &counts);
     let mut cert = PredictWorldOutcome {
         feasible: naive_schedules(&counts, usize::MAX),
         ..PredictWorldOutcome::default()
     };
-    let run = match explorer.schedule_trace(scenario, &sched) {
+    let run = match tracer.schedule_trace(scenario, &sched) {
         Ok(run) => run,
         Err(e) => {
             cert.fail(format!("{}: sampled schedule not executable: {e}", scenario.name));
@@ -337,7 +344,8 @@ fn certify_scenario(explorer: &mut Explorer, scenario: &Scenario) -> PredictWorl
 /// byte-identical at any job count.
 #[must_use]
 pub fn run_world(world: &RefineWorld, jobs: usize) -> PredictWorldOutcome {
-    let (head, totals) = world.sweep(jobs, certify_scenario, PredictWorldOutcome::merge);
+    let (head, totals) =
+        world.sweep(jobs, |world| world.tracer(None), certify_scenario, PredictWorldOutcome::merge);
     PredictWorldOutcome { head, ..totals }
 }
 
@@ -683,19 +691,19 @@ struct SeedScan {
     predicted: Option<(ViolationClass, String)>,
 }
 
-/// Runs one program's sampled schedule through a clean explorer and one
-/// with the bug planted, both built for its world, and looks for a
-/// certified prediction in the planted trace.
+/// Runs one program's sampled schedule through a clean tracing explorer
+/// and one with the bug planted, both built for its world, and looks for
+/// a certified prediction in the planted trace.
 fn scan_program(
-    clean_explorer: &mut Explorer,
-    bugged_explorer: &mut Explorer,
+    clean_tracer: &mut Explorer,
+    bugged_tracer: &mut Explorer,
     scenario: &Scenario,
 ) -> SeedScan {
     let counts = scenario.program.op_counts();
     let sched = sample_schedule(&scenario.name, &counts);
     let (Ok(clean), Ok(bugged)) = (
-        clean_explorer.schedule_trace(scenario, &sched),
-        bugged_explorer.schedule_trace(scenario, &sched),
+        clean_tracer.schedule_trace(scenario, &sched),
+        bugged_tracer.schedule_trace(scenario, &sched),
     ) else {
         return SeedScan { visible: false, predicted: None };
     };
@@ -718,8 +726,8 @@ fn scan_program(
 
 /// Classifies each bug in `bugs` by scanning the configured worlds'
 /// programs in enumeration order (`RefineConfig::scan`, one clean and one
-/// planted explorer per worker) for the first predicted witness, and
-/// cross-checks against the DPOR seeded matrix.
+/// planted tracing explorer per worker) for the first predicted witness,
+/// and cross-checks against the DPOR seeded matrix.
 #[must_use]
 pub fn seeded_world_rows(
     cfg: &PredictConfig,
@@ -737,7 +745,7 @@ pub fn seeded_world_rows(
             let mut predicted: Option<(String, ViolationClass, String)> = None;
             let scanned = cfg.scan(
                 jobs,
-                |world| (world.explorer(None), world.explorer(Some(bug))),
+                |world| (world.tracer(None), world.tracer(Some(bug))),
                 |(clean, bugged), scenario| scan_program(clean, bugged, scenario),
                 |scenario, out| {
                     if out.visible && first_visible.is_none() {
@@ -1090,7 +1098,7 @@ mod tests {
         let world = &cfg.worlds[0];
         let programs = enumerate::enumerate_canonical(&world.bounds);
         for index in [0usize, 7, programs.len() - 1] {
-            let scenario = world.scenario(index, &programs[index]);
+            let scenario = world.scenario(index, programs.get(index).unwrap());
             let counts = scenario.program.op_counts();
             let a = sample_schedule(&scenario.name, &counts);
             let b = sample_schedule(&scenario.name, &counts);

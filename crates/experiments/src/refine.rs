@@ -37,13 +37,20 @@
 //! Both small-world campaigns (this one and [`crate::predict`]) run on
 //! this module's [`RefineConfig`], its ordered per-world sweep, its
 //! first-witness seeded scan, its repro lookup and the [`WorldHead`] that
-//! opens every world row.
+//! opens every world row. The sweep and the scan take the per-chunk or
+//! per-worker state to build, so this campaign explores through checking
+//! explorers (every verified machine) while predict traces through
+//! tracing ones (mpk-virt alone). Each enumerates a world once into one
+//! flat buffer ([`enumerate::Programs`]) and borrows every program from
+//! it, loading it into one scenario per chunk or worker.
 
 use std::fmt;
 
 use pmo_analyzer::ViolationClass;
-use pmo_modelcheck::enumerate::{self, Codes, WorldBounds};
-use pmo_modelcheck::{model_config, replay_schedule, ExploreLimits, Explorer, Scenario, Violation};
+use pmo_modelcheck::enumerate::{self, ProgramRef, WorldBounds};
+use pmo_modelcheck::{
+    model_config, replay_schedule, ExploreLimits, ExploreOutcome, Explorer, Scenario, Violation,
+};
 use pmo_protect::ProtocolBug;
 use pmo_simarch::SimConfig;
 use pmo_trace::json::{self, Object, Value};
@@ -89,26 +96,36 @@ impl RefineWorld {
 
     /// An explorer for every enumerated program of the world, with `bug`
     /// planted: every program shares its configuration and attaches all
-    /// its domains before it runs.
+    /// its domains before it runs. It checks every verified machine.
     #[must_use]
     pub(crate) fn explorer(&self, bug: Option<ProtocolBug>) -> Explorer {
         Explorer::new(&self.config(), &self.bounds.domain_ids(), bug)
     }
 
-    /// Enumerated program `index`, `codes`, as the scenario `world@index`.
-    pub(crate) fn scenario(&self, index: usize, codes: &Codes) -> Scenario {
-        enumerate::to_scenario(self.name, index, codes, &self.bounds, self.config())
+    /// [`Self::explorer`]'s tracing form, over mpk-virt alone: the same
+    /// recorded traces, none of the other machines' checks.
+    #[must_use]
+    pub(crate) fn tracer(&self, bug: Option<ProtocolBug>) -> Explorer {
+        Explorer::tracing(&self.config(), &self.bounds.domain_ids(), bug)
+    }
+
+    /// Enumerated program `index`, `program`, as the scenario
+    /// `world@index`.
+    pub(crate) fn scenario(&self, index: usize, program: ProgramRef<'_>) -> Scenario {
+        enumerate::to_scenario(self.name, index, program, &self.bounds, self.config())
     }
 
     /// Sweeps every canonical program of the world: the programs fan
-    /// across `jobs` workers in chunks, each chunk runs one explorer and
-    /// folds its programs' `program` results with `merge` inside its
-    /// worker, and the chunks merge in enumeration order, so the result
-    /// is the same at any job count.
-    pub(crate) fn sweep<P: Default + Send>(
+    /// across `jobs` workers in chunks, each chunk builds one state with
+    /// `init` (its explorer), loads its programs one by one into one
+    /// scenario, and folds their `program` results with `merge` inside
+    /// its worker, and the chunks merge in enumeration order, so the
+    /// result is the same at any job count.
+    pub(crate) fn sweep<S, P: Default + Send>(
         &self,
         jobs: usize,
-        program: impl Fn(&mut Explorer, &Scenario) -> P + Sync,
+        init: impl Fn(&RefineWorld) -> S + Sync,
+        program: impl Fn(&mut S, &Scenario) -> P + Sync,
         merge: impl Fn(P, P) -> P + Sync,
     ) -> (WorldHead, P) {
         let programs = enumerate::enumerate_canonical(&self.bounds);
@@ -119,12 +136,14 @@ impl RefineWorld {
             burnside: enumerate::orbit_count(&self.bounds),
             canonical: programs.len() as u64,
         };
-        let chunks: Vec<(usize, &[Codes])> =
-            programs.chunks(CHUNK).enumerate().map(|(i, c)| (i * CHUNK, c)).collect();
-        let partials = parallel_map(jobs, chunks, |(start, chunk)| {
-            let mut explorer = self.explorer(None);
-            chunk.iter().enumerate().fold(P::default(), |part, (i, codes)| {
-                merge(part, program(&mut explorer, &self.scenario(start + i, codes)))
+        let program_at = |index| programs.get(index).expect("an enumerated index");
+        let starts: Vec<usize> = (0..programs.len()).step_by(CHUNK).collect();
+        let partials = parallel_map(jobs, starts, |start| {
+            let mut state = init(self);
+            let mut scenario = self.scenario(start, program_at(start));
+            (start..programs.len().min(start + CHUNK)).fold(P::default(), |part, index| {
+                enumerate::load_scenario(&mut scenario, self.name, index, program_at(index));
+                merge(part, program(&mut state, &scenario))
             })
         });
         (head, partials.into_iter().fold(P::default(), &merge))
@@ -215,10 +234,11 @@ impl RefineConfig {
 
     /// Scans the configured worlds' programs in enumeration order, one
     /// chunk at a time: a chunk's programs fan across `jobs` workers,
-    /// each worker runs `program` on one state `init` built for the
-    /// world, and `take` receives each program's result in enumeration
-    /// order until it returns `true`, so the first witness is the same at
-    /// any job count. Returns the programs `take` received.
+    /// each worker runs `program` on one state `init` built for the world
+    /// and one scenario it loads each program into, and `take` receives
+    /// each program's result in enumeration order until it returns
+    /// `true`, so the first witness is the same at any job count. Returns
+    /// the programs `take` received.
     pub(crate) fn scan<S, R: Send>(
         &self,
         jobs: usize,
@@ -229,19 +249,22 @@ impl RefineConfig {
         let mut scanned = 0;
         for world in &self.worlds {
             let programs = enumerate::enumerate_canonical(&world.bounds);
-            for (ci, chunk) in programs.chunks(CHUNK).enumerate() {
+            let program_at = |index| programs.get(index).expect("an enumerated index");
+            // The scenario `take` reads, loaded on this thread.
+            let mut scenario = world.scenario(0, program_at(0));
+            for start in (0..programs.len()).step_by(CHUNK) {
                 let results = parallel_map_with(
                     jobs,
-                    chunk.iter().enumerate().collect(),
-                    || init(world),
-                    |state, (i, codes)| {
-                        let scenario = world.scenario(ci * CHUNK + i, codes);
-                        let result = program(state, &scenario);
-                        (scenario, result)
+                    (start..programs.len().min(start + CHUNK)).collect(),
+                    || (init(world), world.scenario(start, program_at(start))),
+                    |(state, scenario), index| {
+                        enumerate::load_scenario(scenario, world.name, index, program_at(index));
+                        program(state, scenario)
                     },
                 );
-                for (scenario, result) in results {
+                for (index, result) in (start..).zip(results) {
                     scanned += 1;
+                    enumerate::load_scenario(&mut scenario, world.name, index, program_at(index));
                     if take(&scenario, result) {
                         return scanned;
                     }
@@ -593,14 +616,15 @@ pub fn run_world(world: &RefineWorld, jobs: usize) -> WorldOutcome {
     let limits = ExploreLimits::default();
     let (head, totals) = world.sweep(
         jobs,
-        |explorer, scenario| {
-            let out = explorer.explore(scenario, &limits);
+        |world| (world.explorer(None), ExploreOutcome::default()),
+        |(explorer, out), scenario| {
+            explorer.explore_into(scenario, &limits, out);
             WorldOutcome {
                 schedules: out.schedules,
                 steps: out.steps,
                 sleep_blocked: out.sleep_blocked,
                 truncated: u64::from(out.truncated),
-                violations: out.violations,
+                violations: std::mem::take(&mut out.violations),
                 violations_total: out.violation_count,
                 ..WorldOutcome::default()
             }

@@ -14,6 +14,17 @@
 //! ([`orbit_count`]), which the campaign asserts against the enumerated
 //! count — a disagreement means the enumerator dropped or duplicated an
 //! equivalence class.
+//!
+//! [`enumerate_canonical`] writes the canonical programs into one flat
+//! buffer ([`Programs`]) that campaigns borrow programs from, and tests
+//! each raw program where it lies in the enumerator's digit string: the
+//! identity relabeling is a sortedness check on the thread slices, and
+//! every other relabeling is compared through a stack buffer. The
+//! candidate-building `Canonicalizer` stays behind [`is_canonical`] and
+//! [`canonicalize`] as the reference the enumerator is tested against.
+
+use std::cmp::Ordering;
+use std::fmt::Write as _;
 
 use pmo_trace::{AccessKind, Perm, PmoId};
 
@@ -256,28 +267,200 @@ fn fixed_domains(sigma: &[usize], power: usize) -> usize {
         .count()
 }
 
+/// The largest total op count and thread count [`enumerate_canonical`]
+/// accepts (its canonical test works in stack buffers of these sizes).
+const MAX_ENUMERATED: usize = 16;
+
+/// The copy-free canonical test of one world: a program in the
+/// enumerator's digit string is canonical iff its thread slices are
+/// sorted (the identity relabeling) and no other relabeling's sorted
+/// thread tuple sorts below it.
+struct CanonicalTest {
+    /// Per non-identity domain relabeling, every alphabet symbol's image.
+    images: Vec<Vec<u16>>,
+}
+
+impl CanonicalTest {
+    fn new(bounds: &WorldBounds) -> Self {
+        let symbols = 0..bounds.alphabet() as u16;
+        let images = permutations(bounds.domains)
+            .iter()
+            .skip(1)
+            .map(|sigma| symbols.clone().map(|c| relabel(c, sigma)).collect())
+            .collect();
+        CanonicalTest { images }
+    }
+
+    /// Whether the program whose threads are `codes` split at `ends`
+    /// (each thread's end offset) is its orbit's representative.
+    fn is_canonical(&self, ends: &[usize], codes: &[u16]) -> bool {
+        if (1..ends.len()).any(|t| thread(codes, ends, t - 1) > thread(codes, ends, t)) {
+            return false;
+        }
+        let mut relabeled = [0u16; MAX_ENUMERATED];
+        let mut order = [0usize; MAX_ENUMERATED];
+        let relabeled = &mut relabeled[..codes.len()];
+        let order = &mut order[..ends.len()];
+        for image in &self.images {
+            for (slot, &c) in relabeled.iter_mut().zip(codes) {
+                *slot = image[usize::from(c)];
+            }
+            for (t, slot) in order.iter_mut().enumerate() {
+                *slot = t;
+            }
+            order.sort_unstable_by(|&a, &b| {
+                thread(relabeled, ends, a).cmp(thread(relabeled, ends, b))
+            });
+            for (t, &from) in order.iter().enumerate() {
+                match thread(relabeled, ends, from).cmp(thread(codes, ends, t)) {
+                    Ordering::Less => return false,
+                    Ordering::Greater => break,
+                    Ordering::Equal => {}
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Thread `t` of a program whose threads, laid out one after another in
+/// `codes`, end at the offsets `ends`.
+fn thread<'a>(codes: &'a [u16], ends: &[usize], t: usize) -> &'a [u16] {
+    let start = if t == 0 { 0 } else { ends[t - 1] };
+    &codes[start..ends[t]]
+}
+
+/// Every canonical program of one world in enumeration order, held in one
+/// flat buffer: campaigns borrow each program from it as a
+/// [`ProgramRef`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Programs {
+    threads: usize,
+    /// Per program, the offset of its first op in `codes`, plus one final
+    /// entry that ends the last program.
+    starts: Vec<u32>,
+    /// Per program, each thread's op count.
+    lens: Vec<u8>,
+    /// Every program's ops, thread after thread.
+    codes: Vec<u16>,
+}
+
+impl Programs {
+    fn new(threads: usize) -> Self {
+        Programs { threads, starts: vec![0], lens: Vec::new(), codes: Vec::new() }
+    }
+
+    /// Appends the program whose threads have `lens` ops, laid out one
+    /// after another in `codes`.
+    fn push(&mut self, lens: &[usize], codes: &[u16]) {
+        self.lens.extend(lens.iter().map(|&len| len as u8));
+        self.codes.extend_from_slice(codes);
+        self.starts.push(u32::try_from(self.codes.len()).expect("fewer than 2^32 enumerated ops"));
+    }
+
+    /// The number of programs.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Whether there are none (never, for a world: the empty program is
+    /// always canonical).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Program `index`, if there is one.
+    #[must_use]
+    pub fn get(&self, index: usize) -> Option<ProgramRef<'_>> {
+        let (&start, &end) = (self.starts.get(index)?, self.starts.get(index + 1)?);
+        Some(ProgramRef {
+            lens: &self.lens[index * self.threads..(index + 1) * self.threads],
+            codes: &self.codes[start as usize..end as usize],
+        })
+    }
+
+    /// Every program, in enumeration order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ProgramRef<'_>> {
+        (0..self.len()).map(|index| self.get(index).expect("index below len"))
+    }
+}
+
+/// One program borrowed from [`Programs`]; iterating it yields each
+/// thread's symbols, thread 0 first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProgramRef<'a> {
+    lens: &'a [u8],
+    codes: &'a [u16],
+}
+
+impl ProgramRef<'_> {
+    /// The program as one owned symbol sequence per thread.
+    #[must_use]
+    pub fn to_codes(self) -> Codes {
+        self.into_iter().map(<[u16]>::to_vec).collect()
+    }
+}
+
+impl<'a> IntoIterator for ProgramRef<'a> {
+    type Item = &'a [u16];
+    type IntoIter = ProgramThreads<'a>;
+
+    fn into_iter(self) -> ProgramThreads<'a> {
+        ProgramThreads { lens: self.lens.iter(), codes: self.codes }
+    }
+}
+
+/// The thread slices of a [`ProgramRef`].
+#[derive(Clone, Debug)]
+pub struct ProgramThreads<'a> {
+    lens: std::slice::Iter<'a, u8>,
+    codes: &'a [u16],
+}
+
+impl<'a> Iterator for ProgramThreads<'a> {
+    type Item = &'a [u16];
+
+    fn next(&mut self) -> Option<&'a [u16]> {
+        let (thread, rest) = self.codes.split_at(usize::from(*self.lens.next()?));
+        self.codes = rest;
+        Some(thread)
+    }
+}
+
 /// Enumerates every canonical program of the world, in deterministic
 /// order: total op count ascending, then thread-length composition in lex
-/// order, then symbol assignment in mixed-radix order.
+/// order, then symbol assignment in mixed-radix order. Each raw program is
+/// tested where it lies in the digit string, so only canonical programs
+/// are ever copied, into the returned buffer.
+///
+/// # Panics
+///
+/// Panics if the world has more than 16 ops or 16 threads.
 #[must_use]
-pub fn enumerate_canonical(bounds: &WorldBounds) -> Vec<Codes> {
+pub fn enumerate_canonical(bounds: &WorldBounds) -> Programs {
+    assert!(
+        bounds.ops <= MAX_ENUMERATED && bounds.threads <= MAX_ENUMERATED,
+        "enumeration covers at most {MAX_ENUMERATED} ops and threads"
+    );
     let alphabet = bounds.alphabet() as u64;
-    let mut canon = Canonicalizer::new(bounds);
-    let mut codes: Codes = vec![Vec::new(); bounds.threads];
-    let mut out = Vec::new();
+    let test = CanonicalTest::new(bounds);
+    let mut out = Programs::new(bounds.threads);
+    let mut digits = Vec::with_capacity(bounds.ops);
+    let mut ends = Vec::with_capacity(bounds.threads);
     for n in 0..=bounds.ops {
         for comp in compositions(n, bounds.threads) {
-            let mut digits = vec![0u16; n];
+            ends.clear();
+            ends.extend(comp.iter().scan(0, |at, &len| {
+                *at += len;
+                Some(*at)
+            }));
+            digits.clear();
+            digits.resize(n, 0u16);
             loop {
-                // Split the digit string into per-thread sequences.
-                let mut at = 0;
-                for (thread, &len) in codes.iter_mut().zip(&comp) {
-                    thread.clear();
-                    thread.extend_from_slice(&digits[at..at + len]);
-                    at += len;
-                }
-                if canon.is_canonical(&codes) {
-                    out.push(codes.clone());
+                if test.is_canonical(&ends, &digits) {
+                    out.push(&comp, &digits);
                 }
                 // Mixed-radix increment; most-significant digit first.
                 let mut i = n;
@@ -321,29 +504,57 @@ fn compositions(n: usize, m: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// Materializes one enumerated program as a [`Scenario`] named
-/// `world@index` (the refine campaign's replay key). All `K` domains are
-/// attached before the program runs, so detach/re-attach sequences are
-/// reachable within the op budget.
+/// Materializes one enumerated program, given as its thread symbol
+/// sequences, as a [`Scenario`] named `world@index` (the refine
+/// campaign's replay key). All `K` domains are attached before the
+/// program runs, so detach/re-attach sequences are reachable within the op
+/// budget.
 #[must_use]
-pub fn to_scenario(
+pub fn to_scenario<'a>(
     world: &str,
     index: usize,
-    codes: &Codes,
+    program: impl IntoIterator<Item = &'a [u16]>,
     bounds: &WorldBounds,
     config: pmo_simarch::SimConfig,
 ) -> Scenario {
     let usable_keys = config.pkeys.saturating_sub(1) as usize;
-    Scenario {
-        name: format!("{world}@{index}"),
+    let mut scenario = Scenario {
+        name: String::new(),
         about: "enumerated small-world program",
         setup: bounds.domain_ids(),
-        program: Program {
-            threads: codes.iter().map(|t| t.iter().map(|&c| decode(c)).collect()).collect(),
-        },
+        program: Program { threads: Vec::new() },
         config,
         key_pressure: bounds.domains > usable_keys,
+    };
+    load_scenario(&mut scenario, world, index, program);
+    scenario
+}
+
+/// Loads another program of the same world into a scenario
+/// [`to_scenario`] built, in place: its name and per-thread op vectors
+/// are rewritten in the buffers they already own, so a campaign chunk
+/// runs every program through one scenario without an allocator call once
+/// they have grown.
+pub fn load_scenario<'a>(
+    scenario: &mut Scenario,
+    world: &str,
+    index: usize,
+    program: impl IntoIterator<Item = &'a [u16]>,
+) {
+    scenario.name.clear();
+    write!(scenario.name, "{world}@{index}").expect("writing to a String cannot fail");
+    let threads = &mut scenario.program.threads;
+    let mut used = 0;
+    for codes in program {
+        if used == threads.len() {
+            threads.push(Vec::new());
+        }
+        let ops = &mut threads[used];
+        ops.clear();
+        ops.extend(codes.iter().map(|&c| decode(c)));
+        used += 1;
     }
+    threads.truncate(used);
 }
 
 #[cfg(test)]
@@ -393,7 +604,8 @@ mod tests {
     #[test]
     fn every_emitted_program_is_canonical_and_distinct() {
         let w = WorldBounds { ops: 3, threads: 2, domains: 2 };
-        let programs = enumerate_canonical(&w);
+        let programs: Vec<Codes> =
+            enumerate_canonical(&w).iter().map(ProgramRef::to_codes).collect();
         let mut seen = std::collections::BTreeSet::new();
         for p in &programs {
             assert!(is_canonical(p, &w), "{p:?} not canonical");
@@ -422,12 +634,34 @@ mod tests {
     fn scenario_conversion_names_and_attaches_every_domain() {
         let w = WorldBounds { ops: 2, threads: 2, domains: 2 };
         let codes: Codes = vec![vec![4], vec![5]];
-        let s = to_scenario("w1", 17, &codes, &w, crate::program::model_config(8, 4, 4));
+        let threads = || codes.iter().map(Vec::as_slice);
+        let s = to_scenario("w1", 17, threads(), &w, crate::program::model_config(8, 4, 4));
         assert_eq!(s.name, "w1@17");
         assert_eq!(s.setup, vec![PmoId::new(1), PmoId::new(2)]);
         assert_eq!(s.program.total_ops(), 2);
         assert!(!s.key_pressure);
-        let pressured = to_scenario("w2", 0, &codes, &w, crate::program::model_config(2, 2, 2));
+        let pressured = to_scenario("w2", 0, threads(), &w, crate::program::model_config(2, 2, 2));
         assert!(pressured.key_pressure, "2 domains over 1 usable key");
+    }
+
+    #[test]
+    fn a_loaded_scenario_equals_a_built_one() {
+        let w = WorldBounds { ops: 3, threads: 2, domains: 2 };
+        let programs = enumerate_canonical(&w);
+        let config = crate::program::model_config(8, 4, 4);
+        let mut loaded = to_scenario("w1", 0, programs.get(0).unwrap(), &w, config.clone());
+        for (index, program) in programs.iter().enumerate() {
+            load_scenario(&mut loaded, "w1", index, program);
+            let built = to_scenario(
+                "w1",
+                index,
+                program.to_codes().iter().map(Vec::as_slice),
+                &w,
+                config.clone(),
+            );
+            assert_eq!(loaded.name, built.name);
+            assert_eq!(loaded.program.threads, built.program.threads, "{}", built.name);
+        }
+        assert_eq!(programs.get(programs.len()), None);
     }
 }

@@ -12,15 +12,18 @@
 //! outcome are revisited; sleep sets prune schedules that merely permute
 //! independent operations. Thread sets are `u64` bitsets and the clocks
 //! live in one flat buffer the explorer reuses.
-
-use std::collections::BTreeSet;
+//!
+//! An explorer checks every verified machine ([`Explorer::new`]), or
+//! traces on mpk-virt alone ([`Explorer::tracing`]): that world records
+//! the same trace and step ranges from [`Explorer::schedule_trace`] for a
+//! quarter of the machines, for campaigns that read only the trace.
 
 use pmo_protect::ProtocolBug;
 use pmo_simarch::SimConfig;
 use pmo_trace::PmoId;
 
 use crate::program::{dependent, Op, Scenario};
-use crate::report::{ExploreOutcome, Violation};
+use crate::report::{naive_in_place, ExploreOutcome, Violation};
 use crate::world::{Finding, World};
 
 /// Exploration bounds.
@@ -68,7 +71,9 @@ struct Frame {
 /// machine's vectors and sorted-vector tables into the buffers the
 /// working world already owns, and runs in the explorer's DPOR frames,
 /// step list and clock buffer. Once those have grown, a restore and a
-/// clean schedule's steps make no allocator call; only findings do.
+/// clean schedule's steps make no allocator call, nor does a clean
+/// program explored into a reused [`ExploreOutcome`]
+/// ([`Explorer::explore_into`]); only findings do.
 pub struct Explorer {
     config: SimConfig,
     setup: Vec<PmoId>,
@@ -90,10 +95,24 @@ pub struct Explorer {
 impl Explorer {
     /// An explorer for programs over `config` whose `setup` domains are
     /// attached before they run, with `bug` planted into whichever scheme
-    /// it targets.
+    /// it targets. Its world checks every verified machine.
     #[must_use]
     pub fn new(config: &SimConfig, setup: &[PmoId], bug: Option<ProtocolBug>) -> Self {
-        let template = World::with_setup(config, setup, bug);
+        Explorer::with_template(config, setup, World::with_setup(config, setup, bug, false))
+    }
+
+    /// [`Explorer::new`]'s tracing form: its world steps mpk-virt alone,
+    /// the machine whose drained events the recorded trace keeps, so
+    /// [`Explorer::schedule_trace`] returns the same `trace` and `steps`
+    /// as a checking explorer's. Its checks, and so its findings, cover
+    /// that one machine: use it where only the trace is read, never to
+    /// verify.
+    #[must_use]
+    pub fn tracing(config: &SimConfig, setup: &[PmoId], bug: Option<ProtocolBug>) -> Self {
+        Explorer::with_template(config, setup, World::with_setup(config, setup, bug, true))
+    }
+
+    fn with_template(config: &SimConfig, setup: &[PmoId], template: World) -> Self {
         Explorer {
             config: config.clone(),
             setup: setup.to_vec(),
@@ -141,13 +160,34 @@ impl Explorer {
     /// and setup domains, or has more than 64 threads.
     #[must_use]
     pub fn explore(&mut self, scenario: &Scenario, limits: &ExploreLimits) -> ExploreOutcome {
+        let mut out = ExploreOutcome::default();
+        self.explore_into(scenario, limits, &mut out);
+        out
+    }
+
+    /// [`Explorer::explore`] into an outcome the caller reuses: `out` is
+    /// overwritten, its scenario name and violation list in the buffers
+    /// it already owns.
+    ///
+    /// # Panics
+    ///
+    /// As [`Explorer::explore`].
+    pub fn explore_into(
+        &mut self,
+        scenario: &Scenario,
+        limits: &ExploreLimits,
+        out: &mut ExploreOutcome,
+    ) {
         self.check_fits(scenario);
         let threads = &scenario.program.threads;
         let nthreads = threads.len();
         assert!(nthreads <= Threads::BITS as usize, "thread sets hold at most 64 threads");
         let kp = scenario.key_pressure;
-        let mut out = ExploreOutcome::new(scenario, limits.max_depth);
-        let mut seen = BTreeSet::new();
+        // The naive denominator counts over the per-thread op counts, in
+        // the buffer the first restore then zeroes.
+        self.consumed.clear();
+        self.consumed.extend(threads.iter().map(Vec::len));
+        out.reset(&scenario.name, naive_in_place(&mut self.consumed, limits.max_depth));
         self.frames.clear();
 
         loop {
@@ -210,7 +250,7 @@ impl Explorer {
                     .fold(0, |set, w| set | 1 << w);
 
                 if !findings.is_empty() {
-                    record(&mut out, &mut seen, &self.exec, findings);
+                    record(out, &self.exec, findings);
                     break; // prune below the violation
                 }
             }
@@ -221,7 +261,7 @@ impl Explorer {
                 out.schedules += 1;
                 // End-of-execution checks (noninterference), anchored at
                 // the last executed step of this schedule.
-                record(&mut out, &mut seen, &self.exec, self.world.end_checks());
+                record(out, &self.exec, self.world.end_checks());
             }
 
             // ---- Vector-clock race analysis: seed backtrack points. ----
@@ -231,7 +271,7 @@ impl Explorer {
             // choice. ----
             loop {
                 let Some(top) = self.frames.last_mut() else {
-                    return out; // search space exhausted
+                    return; // search space exhausted
                 };
                 top.done |= 1 << top.chosen;
                 let open = top.backtrack & !top.done & !top.sleep;
@@ -245,7 +285,7 @@ impl Explorer {
             // search.
             if out.schedules >= limits.max_schedules {
                 out.truncated = true;
-                return out;
+                return;
             }
         }
     }
@@ -301,18 +341,20 @@ pub fn explore(
 }
 
 /// Counts every finding and keeps the first occurrence of each distinct
-/// one, anchored at the last step of `exec` with `exec` as its schedule.
-fn record(
-    out: &mut ExploreOutcome,
-    seen: &mut BTreeSet<String>,
-    exec: &[(usize, Op)],
-    findings: Vec<Finding>,
-) {
+/// one (by class, thread, step and message: the kept violations are the
+/// set of those seen), anchored at the last step of `exec` with `exec` as
+/// its schedule.
+fn record(out: &mut ExploreOutcome, exec: &[(usize, Op)], findings: Vec<Finding>) {
     let step = exec.len().saturating_sub(1);
     for finding in findings {
         out.violation_count += 1;
-        let key = format!("{}|{}|{}|{}", finding.class, finding.thread, step, finding.message);
-        if seen.insert(key) {
+        let seen = out.violations.iter().any(|v| {
+            v.class == finding.class
+                && v.thread == finding.thread
+                && v.step == step
+                && v.message == finding.message
+        });
+        if !seen {
             let schedule = exec.iter().map(|&(t, _)| t as u32).collect();
             out.violations.push(Violation::new(&out.scenario, schedule, step, finding));
         }

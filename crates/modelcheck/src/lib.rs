@@ -25,6 +25,8 @@
 //!   schedule from that template in place, with its DPOR and
 //!   race-analysis state in reused buffers, so one explorer serves every
 //!   program that shares a configuration, setup domains and planted bug;
+//!   its tracing form ([`Explorer::tracing`]) steps mpk-virt alone and
+//!   records the same traces for campaigns that read nothing else;
 //! * [`scenarios`] — the built-in scenario suite and the seeded-bug
 //!   self-validation matrix;
 //! * [`replay`] — deterministic execution of one schedule (the executor
@@ -38,8 +40,8 @@
 //! * [`refine`] — the simulation relation between each machine and the
 //!   spec, and the perturb-and-compare noninterference pass;
 //! * [`enumerate`] — exhaustive, symmetry-reduced enumeration of every
-//!   small-world program up to bounded ops/threads/domains, with a
-//!   Burnside closed-form count cross-check.
+//!   small-world program up to bounded ops/threads/domains into one flat
+//!   buffer, with a Burnside closed-form count cross-check.
 //!
 //! Violations carry the exact schedule that triggers them
 //! (`--replay scenario@0.1.0.2`), so every counterexample is a
@@ -60,7 +62,10 @@ pub mod scenarios;
 pub mod spec;
 pub mod world;
 
-pub use enumerate::{enumerate_canonical, orbit_count, raw_count, to_scenario, WorldBounds};
+pub use enumerate::{
+    enumerate_canonical, load_scenario, orbit_count, raw_count, to_scenario, ProgramRef, Programs,
+    WorldBounds,
+};
 pub use explore::{explore, ExploreLimits, Explorer};
 pub use oracle::{all_schedules, sample_schedule};
 pub use program::{dependent, model_config, Op, Program, Scenario, GB1, POOL_BYTES};

@@ -83,13 +83,15 @@ pub fn sample_schedule(name: &str, op_counts: &[usize]) -> Vec<u32> {
     let total: usize = rem.iter().sum();
     let mut out = Vec::with_capacity(total);
     loop {
-        let enabled: Vec<u32> = (0..rem.len()).filter(|&t| rem[t] > 0).map(|t| t as u32).collect();
-        if enabled.is_empty() {
+        let enabled = rem.iter().filter(|&&r| r > 0).count();
+        if enabled == 0 {
             break;
         }
-        let pick = enabled[(splitmix64(&mut state) % enabled.len() as u64) as usize];
-        rem[pick as usize] -= 1;
-        out.push(pick);
+        // The pick-th thread with operations left.
+        let pick = (splitmix64(&mut state) % enabled as u64) as usize;
+        let thread = (0..rem.len()).filter(|&t| rem[t] > 0).nth(pick).expect("pick < enabled");
+        rem[thread] -= 1;
+        out.push(thread as u32);
     }
     out
 }

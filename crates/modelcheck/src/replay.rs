@@ -2,8 +2,10 @@
 //!
 //! [`Explorer::schedule_trace`] runs one schedule from an explorer's
 //! restored post-setup [`World`](crate::World); it is the executor behind
-//! both counterexample replay and the predictive-analysis oracle, and
-//! [`schedule_trace`] runs it through a fresh explorer. A violating
+//! both counterexample replay and the predictive-analysis oracle (which
+//! runs it through a tracing explorer, over mpk-virt alone, since it
+//! reads only the trace), and [`schedule_trace`] runs it through a fresh
+//! checking explorer. A violating
 //! schedule reported by [`crate::explore()`] is re-executed verbatim; the
 //! world's event stream (the same [`TraceEvent`]s the timing simulator
 //! records) is then fed through a [`pmo_analyzer::Analyzer`] carrying a

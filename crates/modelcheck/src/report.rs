@@ -7,7 +7,6 @@ use std::fmt;
 use pmo_analyzer::ViolationClass;
 use pmo_trace::json::{self, Object, Value};
 
-use crate::program::Scenario;
 use crate::world::Finding;
 
 /// One violation, anchored to the exact schedule that triggers it:
@@ -97,7 +96,7 @@ pub fn parse_schedule(s: &str) -> Result<Vec<u32>, String> {
 }
 
 /// Exploration statistics and findings for one scenario.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExploreOutcome {
     /// Scenario name.
     pub scenario: String,
@@ -119,20 +118,19 @@ pub struct ExploreOutcome {
 }
 
 impl ExploreOutcome {
-    /// Fresh (all-zero) outcome for a scenario, with the naive-schedule
-    /// denominator precomputed for the given depth bound.
-    #[must_use]
-    pub fn new(scenario: &Scenario, max_depth: usize) -> Self {
-        ExploreOutcome {
-            scenario: scenario.name.to_string(),
-            schedules: 0,
-            steps: 0,
-            sleep_blocked: 0,
-            naive: naive_schedules(&scenario.program.op_counts(), max_depth),
-            truncated: false,
-            violations: Vec::new(),
-            violation_count: 0,
-        }
+    /// Resets the outcome to all-zero for the scenario `name`, whose
+    /// naive-schedule denominator is `naive`. The name and the violation
+    /// list keep their buffers.
+    pub(crate) fn reset(&mut self, name: &str, naive: u128) {
+        self.scenario.clear();
+        self.scenario.push_str(name);
+        self.schedules = 0;
+        self.steps = 0;
+        self.sleep_blocked = 0;
+        self.naive = naive;
+        self.truncated = false;
+        self.violations.clear();
+        self.violation_count = 0;
     }
 
     /// Whether the search was exhaustive (a cut one proves nothing) and
@@ -253,21 +251,24 @@ impl fmt::Display for Campaign {
 /// same counting the explorer uses).
 #[must_use]
 pub fn naive_schedules(op_counts: &[usize], depth: usize) -> u128 {
-    fn rec(rem: &mut [usize], depth: usize) -> u128 {
-        if depth == 0 || rem.iter().all(|&r| r == 0) {
-            return 1;
-        }
-        let mut total = 0u128;
-        for t in 0..rem.len() {
-            if rem[t] > 0 {
-                rem[t] -= 1;
-                total = total.saturating_add(rec(rem, depth - 1));
-                rem[t] += 1;
-            }
-        }
-        total
+    naive_in_place(&mut op_counts.to_vec(), depth)
+}
+
+/// [`naive_schedules`] over remaining op counts it decrements and restores
+/// as it recurses, so `rem` comes back unchanged.
+pub(crate) fn naive_in_place(rem: &mut [usize], depth: usize) -> u128 {
+    if depth == 0 || rem.iter().all(|&r| r == 0) {
+        return 1;
     }
-    rec(&mut op_counts.to_vec(), depth)
+    let mut total = 0u128;
+    for t in 0..rem.len() {
+        if rem[t] > 0 {
+            rem[t] -= 1;
+            total = total.saturating_add(naive_in_place(rem, depth - 1));
+            rem[t] += 1;
+        }
+    }
+    total
 }
 
 #[cfg(test)]

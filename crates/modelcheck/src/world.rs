@@ -11,9 +11,12 @@
 //! and their caches — TLB keys, DTTLB, PKRU, PTLB — must never be
 //! observably ahead of or behind that contract.
 //!
-//! The machines form one ordered list (mpk-virt, domain-virt, ERIM,
-//! DPTI), and every step is one loop over it that checks three layers,
-//! each reported under its own class:
+//! The machines form one ordered list, and every step is one loop over it
+//! that checks three layers, each reported under its own class. The list
+//! is data: a checking world holds every verified machine (mpk-virt,
+//! domain-virt, ERIM, DPTI), and a tracing world holds mpk-virt alone,
+//! the machine whose drained events the recorded trace keeps, so it
+//! records the same trace at a quarter of the machines' cost.
 //!
 //! * **Verdicts** — every concrete allow/deny decision equals the spec's
 //!   (`scheme-divergence`).
@@ -52,9 +55,10 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Every verified machine — the paper's two designs plus the
-/// related-work schemes ERIM and DPTI — run in lockstep against the spec
-/// machine, advanced one operation at a time.
+/// A list of verified machines — in a checking world the paper's two
+/// designs plus the related-work schemes ERIM and DPTI, in a tracing
+/// world mpk-virt alone — run in lockstep against the spec machine,
+/// advanced one operation at a time.
 ///
 /// `clone_from` restores a world in place: each machine and the spec are
 /// cloned field by field into the ones already there, reusing their TLB,
@@ -64,11 +68,12 @@ pub struct Finding {
 /// world from a post-setup template this way, with no allocator call once
 /// the buffers have grown.
 pub struct World {
-    /// The verified machines in finding order. They are held inline, not
-    /// boxed, so that restoring a world clones each one in place.
-    machines: [AnyScheme; 4],
+    /// The machines in finding order; the first one's drained events are
+    /// the trace's. A vector's `clone_from` clones each entry into the one
+    /// already there, so a restore still clones every machine in place.
+    machines: Vec<AnyScheme>,
     /// The ranged shootdowns each machine has published so far.
-    shootdowns: [u64; 4],
+    shootdowns: Vec<u64>,
     spec: SpecMachine,
     bug: Option<ProtocolBug>,
     /// The trace recorded so far (replayable through `pmo-analyzer`).
@@ -92,29 +97,35 @@ pmo_simarch::impl_clone_in_place!(World {
 });
 
 impl World {
-    /// Builds the initial state for a scenario, attaching its setup
-    /// domains; `bug` plants a [`ProtocolBug`] into whichever scheme the
-    /// bug targets (self-validation runs).
+    /// Builds the initial checking state for a scenario, attaching its
+    /// setup domains; `bug` plants a [`ProtocolBug`] into whichever scheme
+    /// the bug targets (self-validation runs).
     #[must_use]
     pub fn new(scenario: &Scenario, bug: Option<ProtocolBug>) -> Self {
-        World::with_setup(&scenario.config, &scenario.setup, bug)
+        World::with_setup(&scenario.config, &scenario.setup, bug, false)
     }
 
     /// Builds the state every program over `config` starts from once the
-    /// `setup` domains are attached.
+    /// `setup` domains are attached: every verified machine in finding
+    /// order, or, when `tracing`, mpk-virt alone (the machine the recorded
+    /// trace keeps the events of).
     pub(crate) fn with_setup(
         config: &SimConfig,
         setup: &[PmoId],
         bug: Option<ProtocolBug>,
+        tracing: bool,
     ) -> Self {
-        let mut world = World {
-            machines: [
-                AnyScheme::MpkVirt(MpkVirt::with_bug(config, bug)),
+        let mut machines = vec![AnyScheme::MpkVirt(MpkVirt::with_bug(config, bug))];
+        if !tracing {
+            machines.extend([
                 AnyScheme::DomainVirt(DomainVirt::with_bug(config, bug)),
                 AnyScheme::Erim(Erim::with_bug(config, bug)),
                 AnyScheme::Dpti(Dpti::with_bug(config, bug)),
-            ],
-            shootdowns: [0; 4],
+            ]);
+        }
+        let mut world = World {
+            shootdowns: vec![0; machines.len()],
+            machines,
             spec: SpecMachine::new(),
             bug,
             trace: Vec::new(),
@@ -204,15 +215,19 @@ impl World {
             }
             Op::Access { pmo, offset, kind } => {
                 let va = Op::base_of(pmo) + offset;
-                let verdicts =
-                    self.machines.each_mut().map(|machine| machine.access(va, kind).allowed());
+                // Bit `i` is machine `i`'s verdict.
+                let mut verdicts = 0u64;
+                for (i, machine) in self.machines.iter_mut().enumerate() {
+                    verdicts |= u64::from(machine.access(va, kind).allowed()) << i;
+                }
+                let allowed = |i: usize| verdicts >> i & 1 == 1;
                 let expect = self.spec.allows(thread, pmo, kind);
-                if verdicts.iter().any(|&ok| ok != expect) {
+                if (0..self.machines.len()).any(|i| allowed(i) != expect) {
                     let concrete: Vec<String> = self
                         .machines
                         .iter()
-                        .zip(&verdicts)
-                        .map(|(machine, &ok)| format!("{:?} {}", machine.kind(), verdict(ok)))
+                        .enumerate()
+                        .map(|(i, machine)| format!("{:?} {}", machine.kind(), verdict(allowed(i))))
                         .collect();
                     findings.push(Finding {
                         class: ViolationClass::SchemeDivergence,
@@ -231,7 +246,7 @@ impl World {
                     kind,
                     attached: self.spec.is_attached(pmo),
                     spec_allowed: expect,
-                    concrete_allowed: verdicts.contains(&true),
+                    concrete_allowed: verdicts != 0,
                 });
                 // Mirror the replay engine: denied accesses leave no
                 // memory event in the trace.

@@ -5,13 +5,17 @@
 //! the trace and the observations. A counting global allocator counts the
 //! calls made on this test's own thread; after one warm-up pass over the
 //! sampled schedules of every 61st w2 program, both counts must be zero.
+//! One level up, a campaign chunk's clean programs, each loaded into one
+//! reused scenario and explored through one explorer into one reused
+//! outcome, must make no allocator call either once warmed up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pmo_modelcheck::enumerate::WorldBounds;
 use pmo_modelcheck::{
-    enumerate_canonical, model_config, sample_schedule, to_scenario, Op, Scenario, World,
+    enumerate_canonical, load_scenario, model_config, sample_schedule, to_scenario, ExploreLimits,
+    ExploreOutcome, Explorer, Op, Scenario, World,
 };
 
 /// The system allocator, counting the allocations and reallocations made
@@ -96,7 +100,8 @@ fn restores_and_clean_schedules_do_not_allocate() {
             steps(&scenario, &sample_schedule(&scenario.name, &scenario.program.op_counts()))
         })
         .collect();
-    let template = World::new(&to_scenario("w2", 0, &programs[0], &bounds, config), None);
+    let first = programs.get(0).expect("the empty program");
+    let template = World::new(&to_scenario("w2", 0, first, &bounds, config), None);
     let mut world = template.clone();
     let mut totals = [0; 2];
     for pass in ["warm-up", "measured"] {
@@ -122,5 +127,42 @@ fn restores_and_clean_schedules_do_not_allocate() {
         [0, 0],
         "allocator calls after warm-up over {} schedules: [restores, steps + end checks]",
         runs.len()
+    );
+}
+
+#[test]
+fn a_chunk_of_clean_programs_explores_without_allocating() {
+    // One chunk of the refine campaign's w2 sweep: 512 programs from an
+    // offset that is a multiple of the chunk size, all of four ops.
+    let bounds = WorldBounds { ops: 4, threads: 2, domains: 2 };
+    let config = model_config(2, 2, 2);
+    let programs = enumerate_canonical(&bounds);
+    let chunk = 25_600..25_600 + 512;
+    let program = |index| programs.get(index).expect("an enumerated index");
+    let limits = ExploreLimits::default();
+    let mut explorer = Explorer::new(&config, &bounds.domain_ids(), None);
+    let mut scenario = to_scenario("w2", chunk.start, program(chunk.start), &bounds, config);
+    let mut out = ExploreOutcome::default();
+    let (mut calls, mut schedules) = (0, 0);
+    for pass in ["warm-up", "measured"] {
+        (calls, schedules) = (0, 0);
+        for index in chunk.clone() {
+            let ((), made) = counted(|| {
+                load_scenario(&mut scenario, "w2", index, program(index));
+                explorer.explore_into(&scenario, &limits, &mut out);
+            });
+            assert!(out.passed(), "{pass}: {} found {:?}", scenario.name, out.violations);
+            assert_eq!(out.scenario, scenario.name);
+            calls += made;
+            schedules += out.schedules;
+        }
+    }
+    assert_eq!(scenario.program.total_ops(), 4, "the chunk holds four-op programs");
+    assert!(schedules > 1_000, "{schedules} schedules");
+    assert_eq!(
+        calls,
+        0,
+        "allocator calls after warm-up over {} programs and {schedules} schedules",
+        chunk.len()
     );
 }

@@ -5,8 +5,10 @@
 //! restored from another used world must hold and then step exactly like
 //! a clone of its source; and one [`Explorer`] reused across many
 //! programs must report exactly what a fresh explorer per program
-//! reports. Both quick refine configurations are covered, clean and under
-//! every planted [`ProtocolBug`].
+//! reports. A tracing explorer, over mpk-virt alone, must record exactly
+//! the trace a checking explorer records. Both quick refine
+//! configurations are covered, clean and under every planted
+//! [`ProtocolBug`].
 
 use pmo_modelcheck::enumerate::WorldBounds;
 use pmo_modelcheck::{
@@ -179,7 +181,7 @@ fn one_explorer_serves_many_programs() {
     let (name, bounds, config) = quick_worlds()[1].clone();
     let programs = enumerate_canonical(&bounds);
     // Every 61st program: short and long ones, one and two threads.
-    let slice: Vec<(usize, _)> = programs.iter().enumerate().step_by(61).collect();
+    let slice: Vec<_> = programs.iter().enumerate().step_by(61).collect();
     let limits = ExploreLimits::default();
     let mut violations = 0;
     for bug in bugs() {
@@ -200,4 +202,33 @@ fn one_explorer_serves_many_programs() {
     }
     assert!(slice.len() > 100, "{} programs", slice.len());
     assert!(violations > 0, "the planted bugs must surface in the slice");
+}
+
+#[test]
+fn the_tracing_explorer_records_the_full_explorers_trace() {
+    // Every w1 program and every 61st w2 program, each under its sampled
+    // schedule: the tracing explorer's trace and step ranges must be the
+    // checking explorer's, whatever the other machines find.
+    let (mut compared, mut findings) = (0, 0);
+    for (name, bounds, config) in quick_worlds() {
+        let programs = enumerate_canonical(&bounds);
+        let stride = if name == "w1" { 1 } else { 61 };
+        for bug in bugs() {
+            let mut checking = Explorer::new(&config, &bounds.domain_ids(), bug);
+            let mut tracing = Explorer::tracing(&config, &bounds.domain_ids(), bug);
+            for (index, program) in programs.iter().enumerate().step_by(stride) {
+                let scenario = to_scenario(name, index, program, &bounds, config.clone());
+                let at = format!("{} {bug:?}", scenario.name);
+                let schedule = sample_schedule(&scenario.name, &scenario.program.op_counts());
+                let full = checking.schedule_trace(&scenario, &schedule).expect("executable");
+                let traced = tracing.schedule_trace(&scenario, &schedule).expect("executable");
+                assert_eq!(traced.trace, full.trace, "{at}: trace");
+                assert_eq!(traced.steps, full.steps, "{at}: steps");
+                compared += 1;
+                findings += full.violations.len();
+            }
+        }
+    }
+    assert!(compared > 7 * 3_700, "{compared} schedules");
+    assert!(findings > 0, "the planted bugs must surface on the sampled schedules");
 }

@@ -1,15 +1,90 @@
 //! Property-based validation of the small-world enumerator: for random
 //! bounds the emitted canonical set must match the Burnside closed form
-//! exactly, contain only canonical programs with no duplicates, and be
-//! closed under the thread/domain symmetry group (any relabeling of an
-//! emitted program canonicalizes back to it).
+//! exactly, contain only canonical programs with no duplicates, be closed
+//! under the thread/domain symmetry group (any relabeling of an emitted
+//! program canonicalizes back to it), and equal, program for program, the
+//! reference enumeration: every raw program in enumeration order, kept
+//! when the candidate-building [`is_canonical`] accepts it. The reference
+//! equality is also checked on the quick worlds and on w3.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use pmo_modelcheck::enumerate::{canonicalize, is_canonical, Codes, OPS_PER_DOMAIN};
+use pmo_modelcheck::enumerate::{canonicalize, is_canonical, Codes, ProgramRef, OPS_PER_DOMAIN};
 use pmo_modelcheck::{enumerate_canonical, orbit_count, raw_count, WorldBounds};
+
+/// Every canonical program of `bounds` the reference way: total op count
+/// ascending, then thread-length composition in lex order, then symbol
+/// assignment in lex order, kept when [`is_canonical`] accepts it.
+fn reference(bounds: &WorldBounds) -> Vec<Codes> {
+    fn compositions(n: usize, m: usize) -> Vec<Vec<usize>> {
+        if m == 1 {
+            return vec![vec![n]];
+        }
+        (0..=n)
+            .flat_map(|first| {
+                compositions(n - first, m - 1).into_iter().map(move |mut rest| {
+                    rest.insert(0, first);
+                    rest
+                })
+            })
+            .collect()
+    }
+    let alphabet = bounds.alphabet();
+    let mut out = Vec::new();
+    for n in 0..=bounds.ops {
+        for comp in compositions(n, bounds.threads) {
+            for raw in 0..alphabet.pow(n as u32) {
+                // The symbols of raw program `raw`, most significant first.
+                let mut digits = vec![0u16; n];
+                let mut rest = raw;
+                for digit in digits.iter_mut().rev() {
+                    *digit = (rest % alphabet) as u16;
+                    rest /= alphabet;
+                }
+                let mut at = 0;
+                let codes: Codes = comp
+                    .iter()
+                    .map(|&len| {
+                        at += len;
+                        digits[at - len..at].to_vec()
+                    })
+                    .collect();
+                if is_canonical(&codes, bounds) {
+                    out.push(codes);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The enumerator's programs as owned symbol sequences.
+fn enumerated(bounds: &WorldBounds) -> Vec<Codes> {
+    enumerate_canonical(bounds).iter().map(ProgramRef::to_codes).collect()
+}
+
+/// The first index at which two program sequences differ, if any.
+fn first_difference(got: &[Codes], want: &[Codes]) -> Option<usize> {
+    (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i))
+}
+
+#[test]
+fn the_enumeration_equals_the_reference_on_w1_w2_and_w3() {
+    for (world, bounds, programs) in [
+        ("w1", WorldBounds { ops: 3, threads: 2, domains: 2 }, 2_906),
+        ("w2", WorldBounds { ops: 4, threads: 2, domains: 2 }, 51_024),
+        ("w3", WorldBounds { ops: 4, threads: 3, domains: 2 }, 61_594),
+    ] {
+        let got = enumerated(&bounds);
+        let want = reference(&bounds);
+        assert_eq!(want.len(), programs, "{world}: reference count");
+        if let Some(i) = first_difference(&got, &want) {
+            panic!("{world}: program {i} is {:?}, the reference's {:?}", got.get(i), want.get(i));
+        }
+    }
+}
 
 /// All permutations of `1..=n` (n is at most 3 here, so this is tiny).
 fn perms(n: usize) -> Vec<Vec<usize>> {
@@ -57,8 +132,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The enumerator emits exactly one representative per symmetry
-    /// orbit: its count equals the Burnside closed form, every program
-    /// is canonical, and no two are equal.
+    /// orbit: its count equals the Burnside closed form, its programs are
+    /// the reference enumeration's in the same order, every program is
+    /// canonical, and no two are equal.
     #[test]
     fn enumerator_matches_closed_form(
         ops in 1usize..=3,
@@ -66,10 +142,11 @@ proptest! {
         domains in 1usize..=2,
     ) {
         let bounds = WorldBounds { ops, threads, domains };
-        let worlds = enumerate_canonical(&bounds);
+        let worlds = enumerated(&bounds);
 
         prop_assert_eq!(worlds.len() as u128, orbit_count(&bounds));
         prop_assert!(orbit_count(&bounds) <= raw_count(&bounds));
+        prop_assert_eq!(first_difference(&worlds, &reference(&bounds)), None);
 
         let mut seen: BTreeSet<Codes> = BTreeSet::new();
         for w in &worlds {
@@ -91,7 +168,7 @@ proptest! {
         dsel in 0u64..,
     ) {
         let bounds = WorldBounds { ops, threads, domains };
-        let worlds = enumerate_canonical(&bounds);
+        let worlds = enumerated(&bounds);
         let tperms = perms(threads);
         let dperms = perms(domains);
 
